@@ -20,16 +20,32 @@ sides are written with heaviside products, which keeps evaluation total.
 Evaluation follows IEEE doubles but never lets a NaN escape: domain
 violations (log of a nonpositive value, division by zero, overflow, ...)
 raise ``ExprDomainError`` carrying the byte offset of the subexpression.
+
+``ExprFunction`` wraps a parsed tree as a callable and compiles it once into
+closures over numpy ufuncs.  It speaks the batch protocol that the sampling
+code of the package looks for:
+
+* ``f(t, x)`` walks the tree with ``eval_expr``.  This scalar path is the
+  reference semantics and the only path that reports errors.
+* ``f.batch(ts, xs) -> array`` evaluates ``m`` samples at once: ``ts`` has
+  shape ``(m,)`` and ``xs`` shape ``(m, n)``, or is omitted for expressions
+  in ``t`` alone.  It returns ``None`` when any sample breaks a domain rule
+  (or any input is non-finite); callers then run the scalar path, which
+  raises the same ``ExprDomainError``, at the same offset, as it always
+  would.  Batched values agree with the scalar walk up to the last-bit
+  differences between numpy's and libm's ``exp``, ``log`` and ``pow``.
 """
 
 import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import ExprDomainError, ExprParseError
+import numpy as np
+
+from .errors import ExprDomainError, ExprParseError, ModulusOverflowError
 from .moduli import omega_k
 
-__all__ = ["parse", "eval_expr", "to_source", "FUNCTIONS"]
+__all__ = ["parse", "eval_expr", "to_source", "ExprFunction", "FUNCTIONS"]
 
 # name -> arity
 FUNCTIONS = {
@@ -354,6 +370,163 @@ def _eval_call(tree, t, x):
     if name == "max":
         return max(a, b)
     raise TypeError(f"unhandled function {name!r}")
+
+
+class _Bail(Exception):
+    """A batched sample broke a domain rule; the scalar walk reports it."""
+
+
+# Operands are numpy arrays or numpy scalars, so the reductions below are
+# the cheap ``.all()`` / ``.any()`` methods.
+def _finite(v):
+    if not np.isfinite(v).all():
+        raise _Bail
+    return v
+
+
+def _divide(a, b):
+    if (b == 0.0).any():
+        raise _Bail
+    return _finite(a / b)
+
+
+def _power(a, b):
+    if ((a < 0.0) & (b != np.trunc(b))).any() or ((a == 0.0) & (b < 0.0)).any():
+        raise _Bail
+    return _finite(np.power(a, b))
+
+
+def _log(a):
+    if (a <= 0.0).any():
+        raise _Bail
+    return np.log(a)
+
+
+def _sqrt(a):
+    if (a < 0.0).any():
+        raise _Bail
+    return np.sqrt(a)
+
+
+# The batched operations assume finite operands, which ``ExprFunction.batch``
+# guarantees by checking the inputs and every operation that can overflow.
+_BATCH_BINOPS = {
+    "+": lambda a, b: _finite(a + b),
+    "-": lambda a, b: _finite(a - b),
+    "*": lambda a, b: _finite(a * b),
+    "/": _divide,
+    "^": _power,
+}
+
+_BATCH_UNARY = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": lambda a: _finite(np.exp(a)),
+    "log": _log,
+    "sqrt": _sqrt,
+    "abs": np.abs,
+    "sign": lambda a: np.sign(a) + 0.0,  # -0.0 -> 0.0, as in the scalar walk
+    "heaviside": lambda a: np.where(a > 0.0, 1.0, 0.0),
+}
+
+# Python's min/max keep the first argument unless the second is strictly
+# smaller/larger; np.minimum/np.maximum would not.
+_BATCH_BINARY = {
+    "min": lambda a, b: np.where(b < a, b, a),
+    "max": lambda a, b: np.where(b > a, b, a),
+}
+
+
+def _compile(tree):
+    """A closure ``(ts, xs) -> array or scalar`` evaluating ``tree`` batched."""
+    if isinstance(tree, Num):
+        value = np.float64(tree.value)
+        return lambda t, x: value
+    if isinstance(tree, VarT):
+        return lambda t, x: t
+    if isinstance(tree, VarX):
+        j = tree.index - 1
+
+        def component(t, x):
+            if x.shape[1] <= j:
+                raise _Bail
+            return x[:, j]
+
+        return component
+    if isinstance(tree, Neg):
+        operand = _compile(tree.operand)
+        return lambda t, x: -operand(t, x)
+    if isinstance(tree, BinOp):
+        left, right, op = _compile(tree.left), _compile(tree.right), _BATCH_BINOPS[tree.op]
+        return lambda t, x: op(left(t, x), right(t, x))
+    if isinstance(tree, Call):
+        return _compile_call(tree)
+    raise TypeError(f"not an expression node: {tree!r}")
+
+
+def _compile_call(tree):
+    name = tree.name
+    if name == "norm_inf":
+
+        def norm_inf(t, x):
+            if x.shape[1] == 0:
+                raise _Bail
+            return np.max(np.abs(x), axis=1)
+
+        return norm_inf
+    if name == "omega_k":
+        k = int(tree.args[0].value)
+        arg = _compile(tree.args[1])
+
+        def modulus(t, x):
+            s = arg(t, x)
+            if (s < 0.0).any():
+                raise _Bail
+            try:
+                return omega_k(k, s)
+            except ModulusOverflowError:
+                raise _Bail from None
+
+        return modulus
+    args = [_compile(a) for a in tree.args]
+    if name in _BATCH_UNARY:
+        fn, (a,) = _BATCH_UNARY[name], args
+        return lambda t, x: fn(a(t, x))
+    fn, (a, b) = _BATCH_BINARY[name], args
+    return lambda t, x: fn(a(t, x), b(t, x))
+
+
+class ExprFunction:
+    """A parsed expression as a callable with a batched twin.
+
+    ``f(t, x)`` is ``eval_expr(tree, t, x)``; ``f.batch(ts, xs)`` evaluates
+    many samples at once or returns ``None`` (see the module docstring).
+    Expressions in ``t`` alone (``n = 0``) are called as ``f(t)`` and
+    batched as ``f.batch(ts)``.
+    """
+
+    def __init__(self, tree, source=None):
+        self.tree = tree
+        self.source = to_source(tree) if source is None else source
+        self._batched = _compile(tree)
+
+    def __call__(self, t, x=()):
+        return eval_expr(self.tree, t, x)
+
+    def batch(self, ts, xs=None):
+        ts = np.asarray(ts, dtype=float)
+        xs = np.empty((ts.size, 0)) if xs is None else np.asarray(xs, dtype=float)
+        if not (np.isfinite(ts).all() and np.isfinite(xs).all()):
+            return None
+        try:
+            with np.errstate(all="ignore"):
+                out = self._batched(ts, xs)
+        except _Bail:
+            return None
+        return np.array(np.broadcast_to(out, ts.shape), dtype=float)
+
+    def __repr__(self):
+        return f"ExprFunction({self.source!r})"
 
 
 _BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}

@@ -117,13 +117,27 @@ def _atoms_in(g, a, b):
     return lo, hi
 
 
-def _sample(f, ts):
-    vals = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        v = float(f(t))
+def _sample_finite(f, ts, fail, xs=None):
+    """``f`` at every sample as a float array; non-finite values raise.
+
+    Samples are ``f(ts[q])``, or ``f(ts[q], xs[q])`` when states ``xs`` are
+    given.  A callable with a ``batch`` method is evaluated in one
+    ``f.batch(ts)`` / ``f.batch(ts, xs)`` call; when that returns ``None`` or
+    any non-finite value, or ``f`` has no ``batch``, the samples go through
+    the scalar loop, which is the reference and raises ``fail(v, q)`` at
+    the first non-finite sample ``q`` (or whatever ``f`` itself raises).
+    """
+    batch = getattr(f, "batch", None)
+    if batch is not None:
+        vals = batch(ts) if xs is None else batch(ts, xs)
+        if vals is not None and np.isfinite(vals).all():
+            return vals
+    vals = np.empty(len(ts))
+    for q, t in enumerate(ts):
+        v = float(f(t) if xs is None else f(t, xs[q]))
         if not math.isfinite(v):
-            raise IntegrandError(f"integrand returned {v} at t={t}", point=t)
-        vals[i] = v
+            raise fail(v, q)
+        vals[q] = v
     return vals
 
 
@@ -140,11 +154,11 @@ def integrate(g, f, a, b, quad=None):
     quad = quad or QuadratureConfig()
 
     lo, hi = _atoms_in(g, a, b)
+    atoms = g.jump_points[lo:hi]
+    vals = _sample_finite(f, atoms, lambda v, q: IntegrandError(
+        f"integrand returned {v} at atom t={atoms[q]}", point=atoms[q]))
     atomic = 0.0
-    for d, delta in zip(g.jump_points[lo:hi], g.jump_sizes[lo:hi]):
-        v = float(f(d))
-        if not math.isfinite(v):
-            raise IntegrandError(f"integrand returned {v} at atom t={d}", point=d)
+    for v, delta in zip(vals, g.jump_sizes[lo:hi]):
         atomic += v * delta
 
     nodes, weights = _gl_rule(quad.order)
@@ -162,7 +176,9 @@ def integrate(g, f, a, b, quad=None):
         half = np.diff(edges) / 2.0
         mids = (edges[:-1] + edges[1:]) / 2.0
         ts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-        vals = _sample(f, ts).reshape(quad.panels, quad.order)
+        vals = _sample_finite(f, ts, lambda v, q: IntegrandError(
+            f"integrand returned {v} at t={ts[q]}", point=ts[q]))
+        vals = vals.reshape(quad.panels, quad.order)
         smooth += slope * float(np.sum(half * (vals @ weights)))
 
     return smooth + atomic

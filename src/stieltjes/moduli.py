@@ -27,8 +27,13 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .errors import BoundInapplicableError, IntegrandError, ModulusOverflowError
-from .measure import _gl_rule
+from .errors import (
+    BoundInapplicableError,
+    ConfigurationError,
+    IntegrandError,
+    ModulusOverflowError,
+)
+from .measure import _gl_rule, _sample_finite
 
 __all__ = [
     "OsgoodModulus",
@@ -124,7 +129,11 @@ def omega_k(k, t):
 
 @dataclass(frozen=True)
 class OsgoodModulus:
-    """A modulus with a name and an optional prior about its Osgood status."""
+    """A modulus with a name and an optional prior about its Osgood status.
+
+    ``batch(ss)`` forwards to ``evaluator.batch`` and returns ``None`` when
+    the evaluator has none, so that callers take the scalar path.
+    """
 
     evaluator: object
     name: str = "modulus"
@@ -133,12 +142,17 @@ class OsgoodModulus:
     def __call__(self, s):
         return self.evaluator(s)
 
+    def batch(self, ss):
+        batch = getattr(self.evaluator, "batch", None)
+        return None if batch is None else batch(ss)
+
     def validate(self, u0=1.0, n=200):
         """Sampled sanity check: omega(0)=0, positive and nondecreasing."""
         if abs(float(self.evaluator(0.0))) > 1e-15:
             raise ValueError(f"{self.name}: omega(0) must be 0")
         grid = np.geomspace(1e-12, max(u0, 1e-12), n)
-        vals = np.array([float(self.evaluator(s)) for s in grid])
+        vals = _sample_finite(self, grid, lambda v, q: ConfigurationError(
+            f"{self.name}: omega returned {v} at s={grid[q]}"))
         if np.any(vals <= 0):
             raise ValueError(f"{self.name}: omega must be positive for s > 0")
         if np.any(np.diff(vals) < -1e-12 * np.maximum(vals[:-1], 1.0)):
@@ -146,12 +160,24 @@ class OsgoodModulus:
         return self
 
 
+@dataclass(frozen=True)
+class _OmegaK:
+    """``s -> omega_k(k, s)``, batched over arrays of finite ``s >= 0``."""
+
+    k: int
+
+    def __call__(self, s):
+        return omega_k(self.k, s)
+
+    def batch(self, ss):
+        ss = np.asarray(ss, dtype=float)
+        if not np.all(np.isfinite(ss)) or np.any(ss < 0):
+            return None  # the scalar path raises omega_k's ValueError
+        return omega_k(self.k, ss)
+
+
 def omega_k_modulus(k):
-    return OsgoodModulus(
-        evaluator=lambda s, k=k: omega_k(k, s),
-        name=f"omega_k({k})",
-        known_osgood=True,
-    )
+    return OsgoodModulus(evaluator=_OmegaK(k), name=f"omega_k({k})", known_osgood=True)
 
 
 def _as_modulus(omega):
@@ -172,12 +198,13 @@ def _reciprocal_integral(omega, lo, hi, panels=16, order=16):
     mids = (edges[:-1] + edges[1:]) / 2.0
     us = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
     ss = np.exp(us)
-    vals = np.empty(ss.size)
-    for i, s in enumerate(ss):
-        w = float(omega(s))
-        if not (math.isfinite(w) and w > 0.0):
-            raise IntegrandError(f"modulus returned {w} at s={s}", point=s)
-        vals[i] = ss[i] / w
+    ws = _sample_finite(omega, ss, lambda v, q: IntegrandError(
+        f"modulus returned {v} at s={ss[q]}", point=ss[q]))
+    nonpositive = np.flatnonzero(ws <= 0.0)
+    if nonpositive.size:
+        q = nonpositive[0]
+        raise IntegrandError(f"modulus returned {ws[q]} at s={ss[q]}", point=ss[q])
+    vals = ss / ws
     if not np.all(np.isfinite(vals)):
         raise IntegrandError("non-finite reciprocal-modulus sample")
     vals = vals.reshape(len(half), order)

@@ -28,9 +28,14 @@ Schema sketch::
 
 Expressions use the `expr` grammar; the rhs sees ``t`` and ``x1..xn``,
 while ``phi`` and an expression-defined modulus are unary maps written in
-the variable ``t``.  Trace CSV columns are ``t, post_jump, x_1..x_n`` with
-one extra ``post_jump = 1`` row per grid point where any component jumps;
-floats are written with 17 significant digits so identical runs produce
+the variable ``t``.  Each is compiled once, at load, into an
+``expr.ExprFunction``, so the loaded problem speaks the batch protocol
+described on ``solver.IVProblem``.  The ``solver`` block accepts only the
+keys shown; output paths are strings.
+
+Trace CSV columns are ``t, post_jump, x_1..x_n`` with one extra
+``post_jump = 1`` row per grid point where any component jumps; floats are
+written with 17 significant digits so identical runs produce
 byte-identical files.
 """
 
@@ -42,7 +47,7 @@ import numpy as np
 
 from .derivator import Derivator
 from .errors import ConfigurationError, ExprParseError, ProblemFileError
-from .expr import eval_expr, parse
+from .expr import ExprFunction, parse
 from .moduli import OsgoodModulus, omega_k_modulus
 from .solver import IVProblem
 
@@ -84,9 +89,17 @@ def _require(data, key, where, kind=None):
     return value
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(data, key, where):
     value = _require(data, key, where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         _fail(f"{where}.{key}", "expected a number")
     if not math.isfinite(float(value)):
         _fail(f"{where}.{key}", "must be finite")
@@ -120,10 +133,7 @@ def parse_modulus_spec(spec, where="problem.modulus"):
             tree = parse(spec["expr"], 0)
         except ExprParseError as exc:
             _fail(where, f"bad modulus expression: {exc}")
-        return OsgoodModulus(
-            evaluator=lambda s, tree=tree: eval_expr(tree, s, ()),
-            name=spec["expr"],
-        )
+        return OsgoodModulus(evaluator=ExprFunction(tree, spec["expr"]), name=spec["expr"])
     _fail(where, 'expected {"builtin": "omega_k", "k": ...} or {"expr": "..."}')
 
 
@@ -132,7 +142,7 @@ def _unary_in_t(src, where):
         tree = parse(src, 0)
     except ExprParseError as exc:
         _fail(where, f"bad expression: {exc}")
-    return lambda t, tree=tree: eval_expr(tree, t, ())
+    return ExprFunction(tree, src)
 
 
 def load_problem_file(path):
@@ -153,8 +163,8 @@ def load_problem_file(path):
     t0 = _number(pb, "t0", "problem")
     horizon = _number(pb, "T", "problem")
     x0 = _require(pb, "x0", "problem", list)
-    if not x0 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x0):
-        _fail("problem.x0", "expected a nonempty list of numbers")
+    if not x0 or not all(_is_number(v) and math.isfinite(v) for v in x0):
+        _fail("problem.x0", "expected a nonempty list of finite numbers")
     n = len(x0)
 
     components = _require(pb, "components", "problem", list)
@@ -175,11 +185,11 @@ def load_problem_file(path):
             tree = parse(src, n)
         except ExprParseError as exc:
             _fail(f"{where}.rhs", str(exc))
-        comp_rhs.append(lambda t, x, tree=tree: eval_expr(tree, t, x))
+        comp_rhs.append(ExprFunction(tree, src))
 
     ball = pb.get("ball_radius")
     if ball is not None:
-        if not isinstance(ball, (int, float)) or isinstance(ball, bool) or ball <= 0:
+        if not (_is_number(ball) and 0 < ball < math.inf):
             _fail("problem.ball_radius", "expected a positive number")
         ball = float(ball)
 
@@ -201,24 +211,32 @@ def load_problem_file(path):
     except ConfigurationError as exc:
         raise ProblemFileError(f"problem: {exc}") from exc
 
-    sv = dict(_SOLVER_DEFAULTS)
-    sv.update(doc.get("solver", {}))
-    method = sv.get("method")
+    solver = doc.get("solver", {})
+    if not isinstance(solver, dict):
+        _fail("solver", "expected an object")
+    unknown = sorted(set(solver) - set(_SOLVER_DEFAULTS))
+    if unknown:
+        _fail("solver", f"unknown key(s) {', '.join(map(repr, unknown))}")
+    sv = {**_SOLVER_DEFAULTS, **solver}
+    method = sv["method"]
     if method not in ("euler", "picard"):
         _fail("solver.method", f"expected 'euler' or 'picard', got {method!r}")
-    n_steps = sv.get("n_steps")
-    if not isinstance(n_steps, int) or n_steps < 1:
+    n_steps = sv["n_steps"]
+    if not _is_int(n_steps) or n_steps < 1:
         _fail("solver.n_steps", "expected an integer >= 1")
-    tol = sv.get("tol")
-    if not isinstance(tol, (int, float)) or tol <= 0:
+    tol = sv["tol"]
+    if not (_is_number(tol) and 0 < tol < math.inf):
         _fail("solver.tol", "expected a positive number")
-    max_iter = sv.get("max_iter")
-    if not isinstance(max_iter, int) or max_iter < 1:
+    max_iter = sv["max_iter"]
+    if not _is_int(max_iter) or max_iter < 1:
         _fail("solver.max_iter", "expected an integer >= 1")
 
     out = doc.get("output", {})
     if not isinstance(out, dict):
         _fail("output", "expected an object")
+    for key in ("trace_csv", "summary_json"):
+        if out.get(key) is not None and not isinstance(out[key], str):
+            _fail(f"output.{key}", "expected a path string")
 
     return LoadedProblem(
         problem=problem,

@@ -47,7 +47,7 @@ from .errors import (
     NonConvergenceError,
     SolverError,
 )
-from .measure import QuadratureConfig, _gl_rule, integrate
+from .measure import QuadratureConfig, _gl_rule, _sample_finite, integrate
 from .moduli import OmegaTransform, OsgoodModulus, bihari_bound, osgood_check
 
 __all__ = [
@@ -79,6 +79,17 @@ class IVProblem:
     ``modulus``/``phi`` declare the modulus-of-continuity structure of the
     rhs used by certificates and bounds; ``phi = None`` means the weight is
     identically one.
+
+    Batch protocol: a rhs may also offer ``f_i.batch(ts, xs) -> array``
+    (``ts`` of shape ``(m,)``, states ``xs`` of shape ``(m, n)``), and
+    ``phi`` and the modulus evaluator ``batch(ts) -> array``.  Quadrature,
+    the residual map, the bounds and the sampled certificates then evaluate
+    all their samples in one call.  ``batch`` returns ``None`` when it
+    cannot answer (a domain violation, say); the scalar call is then made
+    sample by sample.  The scalar call is the reference: ``batch`` must
+    agree with it, and errors are always reported from it.  The sequential
+    Euler step loop always uses the scalar call.  Problem files build every
+    expression as an ``expr.ExprFunction``, which has ``batch``.
     """
 
     t0: float
@@ -98,8 +109,12 @@ class IVProblem:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "derivators", tuple(self.derivators))
         object.__setattr__(self, "rhs", tuple(self.rhs))
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        if not math.isfinite(self.t0):
+            raise ConfigurationError(f"t0 must be finite, got {self.t0}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
+        if not np.all(np.isfinite(x0)):
+            raise ConfigurationError(f"x0 must be finite, got {x0}")
         n = x0.size
         if n == 0:
             raise ConfigurationError("x0 must have at least one component")
@@ -118,8 +133,12 @@ class IVProblem:
                     f"derivators[{i}] window {g.window} does not contain "
                     f"[{self.t0}, {end}]"
                 )
-        if self.ball_radius is not None and self.ball_radius <= 0:
-            raise ConfigurationError("ball_radius must be positive")
+        if self.ball_radius is not None and not (
+            math.isfinite(self.ball_radius) and self.ball_radius > 0
+        ):
+            raise ConfigurationError(
+                f"ball_radius must be positive and finite, got {self.ball_radius}"
+            )
 
     @property
     def n(self):
@@ -214,10 +233,20 @@ class _GridData:
         self.n_cells = N
 
         # jumps of each component at each grid point; the closing point gets
-        # none (the solution on the closed interval is the left limit there)
+        # none (the solution on the closed interval is the left limit there).
+        # An atom between grid points would be lost from both the jumps and
+        # the continuous increments, so such grids are refused.
         self.deltas = np.zeros((N + 1, n))
         for i, g in enumerate(problem.derivators):
             self.deltas[:-1, i] = g.jump(self.grid[:-1])
+            pts = g.jump_points
+            inside = pts[(pts >= self.grid[0]) & (pts < self.grid[-1])]
+            missed = inside[~np.isin(inside, self.grid)]
+            if missed.size:
+                raise ConfigurationError(
+                    f"grid misses the atom of derivators[{i}] at t={missed[0]}; "
+                    "build_grid includes every atom"
+                )
 
         # continuous-part increments per cell and component
         self.cont_inc = np.empty((N, n))
@@ -277,15 +306,9 @@ class _GridData:
                 continue
             frac = (ts - self.grid[cell_idx]) / widths[cell_idx]
             states = rights[cell_idx] + (values[cell_idx + 1] - rights[cell_idx]) * frac[:, None]
-            f_i = problem.rhs[i]
-            contrib = np.empty(ts.size)
-            for q in range(ts.size):
-                v = float(f_i(ts[q], states[q]))
-                if not math.isfinite(v):
-                    raise SolverError(
-                        f"rhs component {i} returned {v} at t={ts[q]} during quadrature"
-                    )
-                contrib[q] = v
+            contrib = _sample_finite(problem.rhs[i], ts, lambda v, q: SolverError(
+                f"rhs component {i} returned {v} at t={ts[q]} during quadrature"
+            ), xs=states)
             np.add.at(cells_total[:, i], cell_idx, contrib * ws)
 
         out = np.empty((N + 1, n))
@@ -402,20 +425,40 @@ def residual(problem, trace, quad_order=6):
     return np.max(np.abs(trace.values - mapped), axis=0)
 
 
+class _One:
+    """The weight phi = 1 of a problem that declares none."""
+
+    def __call__(self, t):
+        return 1.0
+
+    def batch(self, ts):
+        return np.ones(len(ts))
+
+
 def _phi_or_one(problem):
-    phi = problem.phi
-    if phi is None:
-        return lambda t: 1.0
-    return phi
+    return _One() if problem.phi is None else problem.phi
 
 
-def _max_rhs_at_x0(problem):
-    x0 = problem.x0
+class _AbsRhsAtX0:
+    """``s -> max_i |f_i(s, x0)|`` over some rhs components; NaN propagates."""
 
-    def biggest(s):
-        return max(abs(float(f(s, x0))) for f in problem.rhs)
+    def __init__(self, rhs, x0):
+        self.rhs = tuple(rhs)
+        self.x0 = x0
 
-    return biggest
+    def __call__(self, s):
+        return float(np.max(np.abs([float(f(s, self.x0)) for f in self.rhs])))
+
+    def batch(self, ss):
+        xs = np.broadcast_to(self.x0, (len(ss), self.x0.size))
+        out = None
+        for f in self.rhs:
+            batch = getattr(f, "batch", None)
+            vals = None if batch is None else batch(ss, xs)
+            if vals is None:
+                return None
+            out = np.abs(vals) if out is None else np.maximum(out, np.abs(vals))
+        return out
 
 
 def horizon_for_ball(problem, n_candidates=64):
@@ -438,9 +481,7 @@ def horizon_for_ball(problem, n_candidates=64):
         end = t0 + float(sigma)
         weighted = integrate(ghat, phi, t0, end, _LIGHT_QUAD)
         accumulated = sum(
-            integrate(
-                g, lambda s, f=f: abs(float(f(s, problem.x0))), t0, end, _LIGHT_QUAD
-            )
+            integrate(g, _AbsRhsAtX0([f], problem.x0), t0, end, _LIGHT_QUAD)
             for g, f in zip(problem.derivators, problem.rhs)
         )
         if omega_R * weighted + accumulated < R:
@@ -461,27 +502,27 @@ def _weighted_derivator(weight, ghat, t0, t1, n_sub=200, order=8):
     bp = ghat.breakpoints
     inner = bp[(bp > t0) & (bp < t1)]
     edges = np.unique(np.concatenate((np.linspace(t0, t1, n_sub + 1), inner)))
+    lo, hi = edges[:-1], edges[1:]
+    seg = np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, ghat.slopes.size - 1)
+    slope = ghat.slopes[seg]
+    live = slope != 0.0
     nodes, wts = _gl_rule(order)
-    slopes = np.empty(edges.size - 1)
-    for k in range(edges.size - 1):
-        lo, hi = edges[k], edges[k + 1]
-        seg = np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, ghat.slopes.size - 1)
-        slope = ghat.slopes[seg]
-        if slope == 0.0:
-            slopes[k] = 0.0
-            continue
-        half = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        vals = np.array([float(weight(mid + half * u)) for u in nodes])
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise IntegrandError("weight must be finite and nonnegative")
-        slopes[k] = slope * float(np.dot(wts, vals)) / 2.0
-    jumps = []
-    for d, delta in zip(ghat.jump_points, ghat.jump_sizes):
-        if t0 < d < t1:
-            w = float(weight(d)) * delta
-            if w > 0:
-                jumps.append((d, w))
+    half = (hi[live] - lo[live]) / 2.0
+    mid = (hi[live] + lo[live]) / 2.0
+    ts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    atoms = (ghat.jump_points > t0) & (ghat.jump_points < t1)
+    pts, deltas = ghat.jump_points[atoms], ghat.jump_sizes[atoms]
+    samples = np.concatenate((ts, pts))
+    vals = _sample_finite(weight, samples, lambda v, q: IntegrandError(
+        f"weight returned {v} at t={samples[q]}; it must be finite and nonnegative",
+        point=samples[q],
+    ))
+    if np.any(vals < 0):
+        raise IntegrandError("weight must be finite and nonnegative")
+    slopes = np.zeros(edges.size - 1)
+    slopes[live] = slope[live] * (vals[: ts.size].reshape(-1, order) @ wts) / 2.0
+    w = vals[ts.size:] * deltas
+    jumps = list(zip(pts[w > 0], w[w > 0]))
     return Derivator((t0, t1), breakpoints=edges, slopes=slopes, jumps=jumps, anchor=0.0)
 
 
@@ -537,7 +578,7 @@ def apriori_bound(problem, u0=1.0, n_candidates=16, r_cap=1e120):
     phi = _phi_or_one(problem)
     ghat = sum_derivators(problem.derivators)
     gbar = _weighted_derivator(phi, ghat, t0, end)
-    biggest = _max_rhs_at_x0(problem)
+    biggest = _AbsRhsAtX0(problem.rhs, problem.x0)
 
     for t1 in np.linspace(end, t0 + problem.horizon / n_candidates, n_candidates):
         t1 = float(t1)
@@ -600,6 +641,38 @@ class UniquenessReport:
         }
 
 
+# Samples per batched block of the uniqueness certificate: large enough that
+# per-call overhead vanishes, small enough that the temporaries of a block
+# stay far below the size of the drawn samples.
+_CERT_BLOCK = 1024
+
+
+def _modulus_violations(problem, phi, ts, xs, ys):
+    """Violations of |f_i(t,x) - f_i(t,y)| <= phi(t) omega(|x-y|), sample-major."""
+    n = problem.n
+    allowance = _sample_finite(phi, ts, lambda v, q: SolverError(
+        f"phi returned {v} at t={ts[q]}"
+    ))
+    gaps = np.max(np.abs(xs - ys), axis=1)
+    allowance = allowance * _sample_finite(problem.modulus, gaps, lambda v, q: SolverError(
+        f"modulus returned {v} at s={gaps[q]} (t={ts[q]})"
+    ))
+    # x and y states interleaved, so the scalar path calls f(t, x) then f(t, y)
+    t2 = np.repeat(ts, 2)
+    states = np.stack((xs, ys), axis=1).reshape(-1, n)
+    lhs = np.empty((ts.size, n))
+    for i, f in enumerate(problem.rhs):
+        vals = _sample_finite(f, t2, lambda v, q: SolverError(
+            f"rhs component {i} returned {v} at t={t2[q]}"
+        ), xs=states)
+        lhs[:, i] = np.abs(vals[0::2] - vals[1::2])
+    bad = lhs > (allowance + 1e-9 * (1.0 + allowance))[:, None]
+    return [
+        (float(ts[q]), int(i), float(lhs[q, i]), float(allowance[q]))
+        for q, i in zip(*np.nonzero(bad))
+    ]
+
+
 def uniqueness_certificate(problem, n_samples=10_000, seed=0, u0_values=(1.0, 0.01)):
     """Spot-check the modulus-of-continuity inequality behind uniqueness.
 
@@ -607,7 +680,10 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0, u0_values=(1.0, 0.
     anchors, (b) ``|f_i(t,x) - f_i(t,y)| <= phi(t) * omega(||x-y||)`` on a
     randomized sample of the domain, (c) the weight is integrable against
     every component derivator.  All three are sampled evidence; the report
-    says so.
+    says so.  The samples are drawn at once and evaluated in blocks of
+    ``_CERT_BLOCK``; violations are listed in (sample, component) order.  A
+    non-finite value of a rhs, phi or the modulus raises ``SolverError``
+    naming it and the sample time.
     """
     if problem.modulus is None:
         raise ConfigurationError("uniqueness_certificate needs a declared modulus")
@@ -632,14 +708,11 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0, u0_values=(1.0, 0.
     ys = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
     report.n_samples = n_samples
 
-    omega = problem.modulus
-    for t, x, y in zip(ts, xs, ys):
-        gap = float(np.max(np.abs(x - y)))
-        allowance = float(phi(t)) * float(omega(gap))
-        for i, f in enumerate(problem.rhs):
-            lhs = abs(float(f(t, x)) - float(f(t, y)))
-            if lhs > allowance + 1e-9 * (1.0 + allowance):
-                report.violations.append((float(t), i, lhs, allowance))
+    for start in range(0, n_samples, _CERT_BLOCK):
+        block = slice(start, start + _CERT_BLOCK)
+        report.violations.extend(
+            _modulus_violations(problem, phi, ts[block], xs[block], ys[block])
+        )
 
     if report.violations or any(
         v != "DIVERGENT" for v in report.osgood_verdicts.values()
@@ -679,6 +752,7 @@ def caratheodory_bound_check(problem, r, h_r, n_samples=4000, seed=0):
 
     ``h_r`` may be a single callable (shared by all components) or one per
     component.  Violations carry witnesses; the check is sampled evidence.
+    A non-finite rhs or bound value raises ``SolverError``.
     """
     if r <= 0:
         raise ConfigurationError("r must be positive")
@@ -691,12 +765,20 @@ def caratheodory_bound_check(problem, r, h_r, n_samples=4000, seed=0):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(problem.t0, problem.t0 + problem.horizon, size=n_samples)
     xs = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
-    report = CaratheodoryReport(passed=True, r=float(r), n_samples=n_samples)
-    for t, x in zip(ts, xs):
-        for i, f in enumerate(problem.rhs):
-            lhs = abs(float(f(t, x)))
-            bound = float(h_r[i](t))
-            if lhs > bound + 1e-9 * (1.0 + abs(bound)):
-                report.violations.append((float(t), i, lhs, bound))
-    report.passed = not report.violations
-    return report
+    lhs = np.empty((n_samples, problem.n))
+    bound = np.empty((n_samples, problem.n))
+    for i, (f, h) in enumerate(zip(problem.rhs, h_r)):
+        lhs[:, i] = np.abs(_sample_finite(f, ts, lambda v, q: SolverError(
+            f"rhs component {i} returned {v} at t={ts[q]}"
+        ), xs=xs))
+        bound[:, i] = _sample_finite(h, ts, lambda v, q: SolverError(
+            f"domination bound {i} returned {v} at t={ts[q]}"
+        ))
+    bad = lhs > bound + 1e-9 * (1.0 + np.abs(bound))
+    violations = [
+        (float(ts[q]), int(i), float(lhs[q, i]), float(bound[q, i]))
+        for q, i in zip(*np.nonzero(bad))
+    ]
+    return CaratheodoryReport(
+        passed=not violations, r=float(r), n_samples=n_samples, violations=violations
+    )

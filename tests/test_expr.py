@@ -2,12 +2,24 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stieltjes import ExprDomainError, ExprParseError
-from stieltjes.expr import Call, Num, VarX, VecX, eval_expr, parse, to_source
+from stieltjes import ExprDomainError, ExprParseError, StieltjesError
+from stieltjes.expr import (
+    FUNCTIONS,
+    Call,
+    ExprFunction,
+    Num,
+    VarX,
+    VecX,
+    eval_expr,
+    parse,
+    to_source,
+)
+from stieltjes.measure import _sample_finite
 
 
 def ev(src, t=0.0, x=(), n=None):
@@ -180,3 +192,110 @@ def test_no_nan_escape(src, t, a, b):
     except ExprDomainError:
         return
     assert isinstance(value, float) and math.isfinite(value)
+
+
+# -- the batched evaluator -------------------------------------------------
+
+def _leaf(rng, n):
+    leaves = ["t", *(f"x{i}" for i in range(1, n + 1)), repr(round(float(rng.uniform(-2, 2)), 6))]
+    return leaves[int(rng.integers(len(leaves)))]
+
+
+def _squashed(s):
+    """A random subexpression mapped into (-1, 1), which keeps sin, cos, exp and
+    ^ well conditioned: numpy's exp, log and pow differ from libm's in the
+    last bit, and a large argument would amplify that difference."""
+    z = s()
+    return f"({z} / (1 + abs({z})))"
+
+
+# Each kind builds a node from random subexpressions and keeps every sample
+# with t, x in [-2, 2] inside the domain at the depths used below.
+_KINDS = {
+    "+": lambda s, r: f"({s()} + {s()})",
+    "-": lambda s, r: f"({s()} - {s()})",
+    "*": lambda s, r: f"({s()} * {s()})",
+    "/": lambda s, r: f"({s()} / (1 + abs({s()})))",
+    "^": lambda s, r: f"((1.5 + {_squashed(s)}) ^ {_squashed(s)})",
+    "^int": lambda s, r: f"({s()}) ^ {int(r.integers(0, 4))}",
+    "neg": lambda s, r: f"-{s()}",
+    "sin": lambda s, r: f"sin({_squashed(s)})",
+    "cos": lambda s, r: f"cos({_squashed(s)})",
+    "exp": lambda s, r: f"exp({_squashed(s)})",
+    "log": lambda s, r: f"log(1e-3 + abs({s()}))",
+    "sqrt": lambda s, r: f"sqrt(abs({s()}))",
+    "abs": lambda s, r: f"abs({s()})",
+    "sign": lambda s, r: f"sign({s()})",
+    "heaviside": lambda s, r: f"heaviside({s()})",
+    "min": lambda s, r: f"min({s()}, {s()})",
+    "max": lambda s, r: f"max({s()}, {s()})",
+    "norm_inf": lambda s, r: f"(norm_inf(x) * {s()})",
+    "omega_k": lambda s, r: f"omega_k({int(r.integers(1, 4))}, abs({s()}))",
+}
+
+
+def random_source(rng, n, depth, root=None):
+    """A random expression over t and x1..xn with ``root`` as its top node."""
+    if root is None:
+        if depth == 0 or rng.random() < 0.25:
+            return _leaf(rng, n)
+        root = list(_KINDS)[int(rng.integers(len(_KINDS)))]
+    return _KINDS[root](lambda: random_source(rng, n, depth - 1), rng)
+
+
+class TestBatch:
+    def test_kinds_cover_every_function(self):
+        assert set(FUNCTIONS) <= set(_KINDS)
+
+    @pytest.mark.parametrize("root", sorted(_KINDS))
+    def test_batch_matches_scalar_walk(self, rng, root):
+        n = 2
+        ts = rng.uniform(-2, 2, 64)
+        xs = rng.uniform(-2, 2, (64, n))
+        for _ in range(12):
+            f = ExprFunction(parse(random_source(rng, n, 4, root), n))
+            scalar = np.array([f(t, x) for t, x in zip(ts, xs)])
+            batched = f.batch(ts, xs)
+            assert batched is not None, f
+            np.testing.assert_allclose(batched, scalar, rtol=1e-14, atol=0, err_msg=repr(f))
+
+    def test_unary_batch_and_constants(self):
+        f = ExprFunction(parse("2", 0))
+        np.testing.assert_array_equal(f.batch(np.linspace(0, 1, 3)), [2.0, 2.0, 2.0])
+        g = ExprFunction(parse("1 + t", 0))
+        np.testing.assert_array_equal(g.batch(np.array([0.5, 1.5])), [g(0.5), g(1.5)])
+
+    def test_python_min_max_semantics_kept(self):
+        f = ExprFunction(parse("min(x1, 0) + max(0, x1)", 1))
+        xs = np.array([[-0.0], [0.0], [1.0]])
+        ts = np.zeros(3)
+        np.testing.assert_array_equal(f.batch(ts, xs), [f(t, x) for t, x in zip(ts, xs)])
+
+    def test_non_finite_input_defers_to_scalar_path(self):
+        f = ExprFunction(parse("heaviside(x1)", 1))
+        assert f.batch(np.zeros(2), np.array([[1.0], [np.inf]])) is None
+
+    @pytest.mark.parametrize("src", [
+        "1 + log(x1)",
+        "sqrt(x1 - 1)",
+        "t / (x1 - x1)",
+        "(x1 - 3) ^ 0.5",
+        "x1 ^ -1",
+        "2 * exp(800 * x1)",
+        "omega_k(1, x1)",
+        "omega_k(4, abs(x1))",
+        "x1 * 1e308 * 10",
+    ])
+    def test_domain_error_same_as_scalar_path(self, src):
+        f = ExprFunction(parse(src, 1))
+        ts = np.linspace(0.0, 1.0, 7)
+        xs = np.array([[2.0], [1.5], [1.0], [0.0], [-1.0], [3.0], [0.5]])
+        assert f.batch(ts, xs) is None
+        with pytest.raises(StieltjesError) as scalar:
+            for t, x in zip(ts, xs):
+                f(t, x)
+        with pytest.raises(StieltjesError) as sampled:
+            _sample_finite(f, ts, lambda v, q: AssertionError(v), xs=xs)
+        assert type(sampled.value) is type(scalar.value)
+        assert str(sampled.value) == str(scalar.value)
+        assert getattr(sampled.value, "offset", None) == getattr(scalar.value, "offset", None)

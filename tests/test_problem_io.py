@@ -1,0 +1,154 @@
+"""Problem files: schema validation, the file -> solve -> CSV round trip, and
+the compiled expressions that loading produces."""
+
+import copy
+import json
+import math
+
+import numpy as np
+import pytest
+
+from stieltjes import ProblemFileError
+from stieltjes.expr import ExprFunction
+from stieltjes.problem_io import load_problem_file, trace_csv_text, write_trace_csv
+from stieltjes.solver import build_grid, solve_euler
+
+DOC = {
+    "version": 1,
+    "derivators": {
+        "g1": {"window": [0, 1], "anchor": 0.0, "breakpoints": [0, 0.5, 1],
+               "slopes": [1, 0], "jumps": [[0.25, 0.5]]},
+        "g2": {"window": [0, 1], "anchor": 0.0, "breakpoints": [0, 1],
+               "slopes": [2], "jumps": [[0.25, 0.1], [0.75, 0.2]]},
+    },
+    "problem": {
+        "t0": 0.0, "T": 1.0, "x0": [1.0, -0.5],
+        "components": [
+            {"derivator": "g1", "rhs": "x1"},
+            {"derivator": "g2", "rhs": "0.5*sin(3*t)*x2 - 0.25*x1 + exp(-t)"},
+        ],
+        "ball_radius": 10.0,
+        "modulus": {"expr": "t*(1 + t)"},
+        "phi": "1 + 0.5*cos(t)",
+    },
+    "solver": {"method": "euler", "n_steps": 200},
+    "output": {"trace_csv": "trace.csv"},
+}
+
+
+def write_doc(tmp_path, doc, name="problem.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def edited(**sections):
+    """DOC with some keys of some sections replaced (None deletes a key)."""
+    doc = copy.deepcopy(DOC)
+    for section, changes in sections.items():
+        if not isinstance(changes, dict):
+            doc[section] = changes
+            continue
+        for key, value in changes.items():
+            if value is None:
+                doc[section].pop(key, None)
+            else:
+                doc[section][key] = value
+    return doc
+
+
+class TestRoundTrip:
+    def test_load_solve_write_read(self, tmp_path):
+        lp = load_problem_file(write_doc(tmp_path, DOC))
+        p = lp.problem
+        assert (p.t0, p.horizon, p.ball_radius) == (0.0, 1.0, 10.0)
+        np.testing.assert_array_equal(p.x0, [1.0, -0.5])
+        assert p.derivators == (lp.derivators_by_name["g1"], lp.derivators_by_name["g2"])
+        assert (lp.method, lp.n_steps, lp.tol, lp.max_iter) == ("euler", 200, 1e-10, 100)
+        assert (lp.trace_csv, lp.summary_json) == ("trace.csv", None)
+
+        trace = solve_euler(p, build_grid(p, n_steps=lp.n_steps))
+        csv = tmp_path / lp.trace_csv
+        write_trace_csv(trace, p, csv)
+        text = csv.read_text(encoding="utf-8")
+        assert text == trace_csv_text(trace, p)
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+        # 17 significant digits read back exactly
+        pre = rows[rows[:, 1] == 0]
+        np.testing.assert_array_equal(pre[:, 0], trace.grid)
+        np.testing.assert_array_equal(pre[:, 2:], trace.values)
+        post = rows[rows[:, 1] == 1]
+        np.testing.assert_array_equal(post[:, 0], [0.25, 0.75])
+        at = np.searchsorted(trace.grid, [0.25, 0.75])
+        np.testing.assert_array_equal(post[:, 2:], trace.right_values[at])
+
+    def test_loaded_expressions_batch_like_their_scalar_call(self, tmp_path, rng):
+        p = load_problem_file(write_doc(tmp_path, DOC)).problem
+        ts = rng.uniform(0.0, 1.0, 50)
+        xs = rng.uniform(-2.0, 2.0, (50, 2))
+        for f in p.rhs:
+            assert isinstance(f, ExprFunction)
+            np.testing.assert_allclose(
+                f.batch(ts, xs), [f(t, x) for t, x in zip(ts, xs)], rtol=1e-14, atol=0
+            )
+        for f in (p.phi, p.modulus):
+            np.testing.assert_allclose(f.batch(ts), [f(t) for t in ts], rtol=1e-14, atol=0)
+
+    def test_omega_k_modulus_batches(self, tmp_path, rng):
+        doc = edited(problem={"modulus": {"builtin": "omega_k", "k": 2}})
+        modulus = load_problem_file(write_doc(tmp_path, doc)).problem.modulus
+        ss = np.concatenate(([0.0], rng.uniform(0.0, 0.2, 40)))
+        np.testing.assert_array_equal(modulus.batch(ss), [modulus(s) for s in ss])
+        assert modulus.batch(np.array([0.1, -1.0])) is None
+
+
+class TestValidation:
+    @pytest.mark.parametrize("solver", [[1, 2], "euler", 3])
+    def test_solver_must_be_an_object(self, tmp_path, solver):
+        with pytest.raises(ProblemFileError, match="solver"):
+            load_problem_file(write_doc(tmp_path, edited(solver=solver)))
+
+    @pytest.mark.parametrize("key", ["n_steps", "max_iter", "tol"])
+    def test_bools_are_not_numbers(self, tmp_path, key):
+        with pytest.raises(ProblemFileError, match=f"solver.{key}"):
+            load_problem_file(write_doc(tmp_path, edited(solver={key: True})))
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_steps", 0), ("n_steps", 2.5), ("max_iter", 0), ("tol", 0), ("tol", -1e-3),
+        ("tol", math.inf), ("method", "rk4"),
+    ])
+    def test_bad_solver_values(self, tmp_path, key, value):
+        with pytest.raises(ProblemFileError, match=f"solver.{key}"):
+            load_problem_file(write_doc(tmp_path, edited(solver={key: value})))
+
+    def test_unknown_solver_key(self, tmp_path):
+        doc = edited(solver={"n_stpes": 10})
+        with pytest.raises(ProblemFileError, match="n_stpes"):
+            load_problem_file(write_doc(tmp_path, doc))
+
+    def test_output_paths_are_strings(self, tmp_path):
+        with pytest.raises(ProblemFileError, match="output.trace_csv"):
+            load_problem_file(write_doc(tmp_path, edited(output={"trace_csv": 3})))
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("problem", "t0", math.nan, "problem.t0"),
+        ("problem", "T", math.inf, "problem.T"),
+        ("problem", "x0", [1.0, math.nan], "problem.x0"),
+        ("problem", "ball_radius", math.nan, "problem.ball_radius"),
+        ("problem", "ball_radius", 0, "problem.ball_radius"),
+    ])
+    def test_non_finite_problem_data(self, tmp_path, section, key, value, field):
+        # json writes and reads NaN and Infinity
+        doc = edited(**{section: {key: value}})
+        with pytest.raises(ProblemFileError, match=field.replace(".", r"\.")):
+            load_problem_file(write_doc(tmp_path, doc))
+
+    def test_bad_rhs_expression_names_the_component(self, tmp_path):
+        doc = copy.deepcopy(DOC)
+        doc["problem"]["components"][1]["rhs"] = "x3"
+        with pytest.raises(ProblemFileError, match=r"components\[1\]\.rhs"):
+            load_problem_file(write_doc(tmp_path, doc))
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ProblemFileError):
+            load_problem_file(tmp_path / "missing.json")

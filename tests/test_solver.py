@@ -17,9 +17,12 @@ from stieltjes import (
     ConfigurationError,
     Derivator,
     DomainExitError,
+    IntegrandError,
     NoCertifiedHorizonError,
     NonConvergenceError,
+    SolverError,
 )
+from stieltjes.expr import ExprFunction, parse
 from stieltjes.moduli import OsgoodModulus, omega_k, omega_k_modulus
 from stieltjes.solver import (
     IVProblem,
@@ -84,10 +87,46 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             IVProblem(0.0, 1.5, [1.0], [g], [lambda t, x: 0.0])
 
+    @pytest.mark.parametrize("field, value", [
+        ("t0", math.nan), ("t0", -math.inf), ("horizon", math.nan), ("horizon", math.inf),
+        ("ball_radius", math.nan), ("ball_radius", math.inf), ("x0", [1.0, math.nan]),
+    ])
+    def test_non_finite_data_rejected(self, field, value):
+        g = Derivator.identity((-10.0, 10.0))
+        kw = dict(t0=0.0, horizon=1.0, x0=[1.0, 2.0], derivators=[g, g],
+                  rhs=[lambda t, x: 0.0] * 2)
+        kw[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            IVProblem(**kw)
+
     def test_bad_ball(self):
         g = Derivator.identity((0.0, 1.0))
         with pytest.raises(ConfigurationError):
             IVProblem(0.0, 1.0, [1.0], [g], [lambda t, x: 0.0], ball_radius=0.0)
+
+
+class TestGridAtoms:
+    def test_grid_missing_an_atom_is_refused(self):
+        # x' = x with a unit jump at 1: a grid without t = 1 used to drop the
+        # impulse and return 7.37 instead of 2e^2 with a small residual
+        p = impulsive_problem()
+        grid = np.linspace(0.0, 2.0, 1000)
+        for run in (solve_euler, solve_picard):
+            with pytest.raises(ConfigurationError, match=r"atom of derivators\[0\] at t=1\.0"):
+                run(p, grid)
+
+    def test_atoms_outside_the_grid_span_are_ignored(self):
+        p = impulsive_problem()
+        tr = solve_euler(p, np.linspace(0.0, 1.0, 101))  # the atom at 1 is the end
+        assert tr.final[0] == pytest.approx(math.e, rel=1e-2)
+
+    def test_residual_refuses_the_grid_too(self):
+        p = impulsive_problem()
+        other = IVProblem(0.0, 2.0, [1.0], [Derivator.identity((0.0, 2.0))],
+                          [lambda t, x: x[0]])
+        tr = solve_euler(other, np.linspace(0.0, 2.0, 1000))
+        with pytest.raises(ConfigurationError):
+            residual(p, tr)
 
 
 class TestEuler:
@@ -370,3 +409,134 @@ class TestCaratheodoryCheck:
         h_r = lambda t: phi(t) * float(omega_k(k, 0.2 + r))
         report = caratheodory_bound_check(p, r=r, h_r=h_r)
         assert report.passed
+
+
+class TestNonFiniteSamples:
+    """The sampled checks used to certify a rhs, weight or modulus returning NaN."""
+
+    def nan_problem(self, **kw):
+        kw.setdefault("modulus", omega_k_modulus(1))
+        return IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))],
+                         [lambda t, x: math.nan], ball_radius=1.0, **kw)
+
+    def test_nan_rhs_fails_the_uniqueness_certificate(self):
+        with pytest.raises(SolverError, match=r"rhs component 0 returned nan at t="):
+            uniqueness_certificate(self.nan_problem(), n_samples=200)
+
+    def test_nan_modulus_fails_the_uniqueness_certificate(self):
+        modulus = OsgoodModulus(evaluator=lambda s: s if s <= 1.0 else math.nan)
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))],
+                      [lambda t, x: x[0]], ball_radius=1.0, modulus=modulus)
+        with pytest.raises(SolverError, match=r"modulus returned nan at s="):
+            uniqueness_certificate(p, n_samples=200)
+
+    def test_nan_rhs_fails_the_caratheodory_check(self):
+        with pytest.raises(SolverError, match=r"rhs component 0 returned nan at t="):
+            caratheodory_bound_check(self.nan_problem(), r=1.0, h_r=lambda t: 1.0)
+
+    def test_nan_bound_fails_the_caratheodory_check(self):
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))],
+                      [lambda t, x: 0.5])
+        with pytest.raises(SolverError, match=r"domination bound 0 returned nan"):
+            caratheodory_bound_check(p, r=1.0, h_r=lambda t: math.nan)
+
+    def test_nan_component_is_not_hidden_by_max(self):
+        # max(1.0, nan) is 1.0 in Python: the a-priori integrand must not use it
+        g = Derivator.identity((0.0, 1.0))
+        p = IVProblem(0.0, 1.0, [0.0, 0.0], [g, g],
+                      [lambda t, x: 1.0, lambda t, x: math.nan], modulus=LINEAR)
+        with pytest.raises(IntegrandError):
+            apriori_bound(p)
+
+
+def _expr_and_lambda_problems(sources, lambdas, **kw):
+    """The same problem twice: rhs as compiled expressions and as plain lambdas."""
+    g1 = Derivator((0.0, 1.0), breakpoints=[0.0, 0.4, 1.0], slopes=[1.0, 0.5],
+                   jumps=[(0.3, 0.2), (0.7, 0.1)])
+    g2 = Derivator.identity((0.0, 1.0)).with_jumps([(0.7, 0.3), (0.9, 0.05)])
+    n = len(sources)
+    exprs = [ExprFunction(parse(src, n), src) for src in sources]
+    make = lambda rhs: IVProblem(0.0, 1.0, [0.3, -0.2], [g1, g2], rhs, **kw)
+    return make(exprs), make(lambdas)
+
+
+class TestBatchedPathMatchesScalar:
+    SOURCES = ["0.5*sin(3*t)*x2 - 0.25*x1 + exp(-t)",
+               "-0.05*cos(2*t) + 0.2*x1 + 0.3*omega_k(1, abs(x1 - 0.3))"]
+    LAMBDAS = [
+        lambda t, x: 0.5 * math.sin(3 * t) * x[1] - 0.25 * x[0] + math.exp(-t),
+        lambda t, x: -0.05 * math.cos(2 * t) + 0.2 * x[0]
+        + 0.3 * float(omega_k(1, abs(x[0] - 0.3))),
+    ]
+
+    def test_integral_map_and_picard(self, monkeypatch):
+        p_expr, p_plain = _expr_and_lambda_problems(self.SOURCES, self.LAMBDAS)
+        grid = build_grid(p_expr, n_steps=300)
+        tr = solve_euler(p_plain, grid)
+        scalar_calls = []
+        walk = ExprFunction.__call__
+        monkeypatch.setattr(ExprFunction, "__call__",
+                            lambda self, *a: scalar_calls.append(a) or walk(self, *a))
+        res_expr = residual(p_expr, tr)
+        # only the impulses at the atom rows 0.3, 0.7 (shared) and 0.9 are scalar
+        assert len(scalar_calls) == 3 * p_expr.n
+        np.testing.assert_allclose(res_expr, residual(p_plain, tr), rtol=1e-12, atol=1e-15)
+        a = solve_picard(p_expr, grid, tol=1e-12)
+        b = solve_picard(p_plain, grid, tol=1e-12)
+        assert a.n_iterations == b.n_iterations
+        np.testing.assert_allclose(a.values, b.values, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(a.right_values, b.right_values, rtol=1e-14, atol=0)
+
+    # a sqrt rhs against a linear modulus violates the inequality often
+    CERT_SOURCES = ["sign(x1)*sqrt(abs(x1)) + x2", "0.5*x1 - sin(x2)"]
+    CERT_LAMBDAS = [lambda t, x: math.copysign(math.sqrt(abs(x[0])), x[0]) + x[1],
+                    lambda t, x: 0.5 * x[0] - math.sin(x[1])]
+
+    def cert_problems(self):
+        return _expr_and_lambda_problems(
+            self.CERT_SOURCES, self.CERT_LAMBDAS, ball_radius=1.0,
+            modulus=OsgoodModulus(evaluator=ExprFunction(parse("2*t", 0)), name="2s"),
+        )
+
+    @pytest.mark.parametrize("n_samples", [1000, 2500])
+    def test_uniqueness_certificate_blocks(self, n_samples, monkeypatch):
+        p_expr, p_plain = self.cert_problems()
+        monkeypatch.setattr(ExprFunction, "__call__", lambda self, *a: math.nan)
+        a = uniqueness_certificate(p_expr, n_samples=n_samples, seed=3)
+        monkeypatch.undo()
+        b = uniqueness_certificate(p_plain, n_samples=n_samples, seed=3)
+        assert a.verdict == b.verdict == "UNVERIFIED"
+        assert len(b.violations) > 0
+        assert [v[:2] for v in a.violations] == [v[:2] for v in b.violations]
+        np.testing.assert_allclose([v[2:] for v in a.violations],
+                                   [v[2:] for v in b.violations], rtol=1e-14, atol=0)
+        # the violation order is (sample, component), the order of the draws
+        rng = np.random.default_rng(3)
+        ts = rng.uniform(0.0, 1.0, size=n_samples)
+        order = [np.flatnonzero(ts == v[0])[0] * 2 + v[1] for v in b.violations]
+        assert order == sorted(order)
+
+    def test_uniqueness_block_falling_back_counts_each_violation_once(self):
+        class EveryOtherBlock:
+            """A rhs whose batch answers only every other call."""
+
+            def __init__(self, f):
+                self.f, self.calls = f, 0
+
+            def __call__(self, t, x):
+                return self.f(t, x)
+
+            def batch(self, ts, xs):
+                self.calls += 1
+                if self.calls % 2 == 0:
+                    return None
+                return np.array([self.f(t, x) for t, x in zip(ts, xs)])
+
+        p_expr, p_plain = self.cert_problems()
+        rhs = [EveryOtherBlock(f) for f in self.CERT_LAMBDAS]
+        p_mixed = IVProblem(p_plain.t0, p_plain.horizon, p_plain.x0, p_plain.derivators,
+                            rhs, ball_radius=1.0, modulus=p_expr.modulus)
+        a = uniqueness_certificate(p_mixed, n_samples=3000, seed=5)
+        b = uniqueness_certificate(p_plain, n_samples=3000, seed=5)
+        assert rhs[0].calls == 3  # three blocks, the second one scalar
+        assert a.violations == b.violations
