@@ -35,7 +35,7 @@ from .errors import (
     RightLimitError,
     WindowDomainError,
 )
-from .measure import QuadratureConfig, integrate
+from .measure import QuadratureConfig, _sample_finite, _slope_sums, integrate
 
 __all__ = [
     "DifferencingConfig",
@@ -109,19 +109,20 @@ def _right_limit(f, t, cfg, upper):
 
 
 def _one_sided_quotients(f, g, t, cfg, sign):
+    """Quotients (f(s) - f(t)) / (g(s) - g(t)) along the ladder on one side.
+
+    Steps that leave the window or where g is numerically flat are skipped;
+    f(t) and f at the remaining steps come from one ``_sample_finite`` call.
+    """
     left_w, right_w = g.window
-    ft = f(t)
-    gt = g.eval(t)
-    out = []
-    for h in cfg.h_sequence:
-        s = t + sign * h
-        if s < left_w or s > right_w:
-            continue
-        dg = g.eval(s) - gt
-        if abs(dg) < _FLAT_EPS:
-            continue
-        out.append((f(s) - ft) / dg)
-    return out
+    s = np.concatenate(([t], t + sign * np.asarray(cfg.h_sequence)))
+    s = s[(s >= left_w) & (s <= right_w)]
+    gs = g.eval(s)
+    keep = np.concatenate(([True], np.abs(gs[1:] - gs[0]) >= _FLAT_EPS))
+    s, gs = s[keep], gs[keep]
+    fs = _sample_finite(f, s, lambda v, q: IntegrandError(
+        f"f returned {v} at t={s[q]}", point=s[q]))
+    return ((fs[1:] - fs[0]) / (gs[1:] - gs[0])).tolist()
 
 
 def stieltjes_derivative(f, g, t, cfg=None):
@@ -130,7 +131,9 @@ def stieltjes_derivative(f, g, t, cfg=None):
     Raises ``DerivativeUndefinedError`` inside the constancy set of ``g`` (or
     where ``g`` is numerically flat on every tested scale on both sides), and
     ``NoDerivativeError`` when the one-sided estimates disagree beyond
-    ``cfg.tol_match`` (both estimates are attached to the exception).
+    ``cfg.tol_match`` (both estimates are attached to the exception).  At a
+    continuity point ``f`` is sampled through ``f.batch`` when it offers one,
+    and a non-finite value of f on the ladder raises ``IntegrandError``.
     """
     cfg = cfg or DifferencingConfig()
     t = float(t)
@@ -180,8 +183,11 @@ class IndefiniteIntegral:
     """F(t) = integral of f over [a, t) against dg, as a callable on [a, R].
 
     Cumulative values are cached at every breakpoint and jump of ``g``, so a
-    call only performs one short Gauss-Legendre panel.  ``right_limit`` is
-    exact: F(t+) = F(t) + f(t) * jump(t).
+    call only performs one short Gauss-Legendre panel set, over the part of
+    one slope segment between the last node and t.  ``batch(ts)`` evaluates
+    many points in one pass and equals the calls one by one; through
+    ``_sample_finite``, difference ladders and sampled continuity checks use
+    it.  ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).
     """
 
     def __init__(self, f, g, a, quad=None):
@@ -204,6 +210,7 @@ class IndefiniteIntegral:
             cum[k + 1] = cum[k] + integrate(g, f, nodes[k], nodes[k + 1], self.quad)
         self._nodes = nodes
         self._cum = cum
+        self._jumps = np.append(g.jump(nodes[:-1]), 0.0)  # jump size at each node
 
     def __call__(self, t):
         t = float(t)
@@ -213,6 +220,30 @@ class IndefiniteIntegral:
         if k == self._nodes.size - 1 or self._nodes[k] == t:
             return float(self._cum[k])
         return float(self._cum[k] + integrate(self.g, self.f, self._nodes[k], t, self.quad))
+
+    def batch(self, ts):
+        """F at every point of ``ts`` as an array, equal to ``[F(t) for t in ts]``.
+
+        A point on a node takes the cached value.  A point t past node n adds
+        the atom at n and the one panel set over [n, t) to the value at n; the
+        panel sets of all points share ``measure``'s quadrature kernel, so f
+        is sampled in a few batched calls instead of once per point.
+        """
+        ts = np.asarray(ts, dtype=float)
+        right = self.g.window[1]
+        outside = ~((ts >= self.a) & (ts <= right))
+        if outside.any():
+            raise WindowDomainError(f"t={ts[outside][0]} outside [{self.a}, {right}]")
+        nodes = self._nodes
+        k = np.searchsorted(nodes, ts, side="right") - 1
+        # [nodes[k], t) lies in one slope segment and holds no jump but the
+        # one at nodes[k]; it is empty when t is a node
+        inc = _slope_sums(self.g, self.f, nodes[k], ts, self.quad)
+        at = np.flatnonzero((self._jumps[k] > 0.0) & (nodes[k] != ts))
+        atoms = nodes[k[at]]
+        inc[at] += _sample_finite(self.f, atoms, lambda v, q: IntegrandError(
+            f"integrand returned {v} at atom t={atoms[q]}", point=atoms[q])) * self._jumps[k[at]]
+        return self._cum[k] + inc
 
     def right_limit(self, t):
         """F(t+), exact: the atom at t contributes f(t) * jump(t)."""

@@ -73,6 +73,7 @@ class Derivator:
         "anchor",
         "_cont_at_bp",
         "_cum_jumps",
+        "_classification",
     )
 
     def __init__(self, window, breakpoints=None, slopes=None, jumps=(), anchor=0.0):
@@ -113,6 +114,9 @@ class Derivator:
         self.jump_points = pts
         self.jump_sizes = sizes
         self.anchor = float(anchor)
+        if not math.isfinite(self.anchor):
+            raise ConfigurationError(f"anchor must be finite, got {anchor!r}")
+        self._classification = None  # filled by classify() on first use
 
         # Cumulative value of the continuous part at each breakpoint and the
         # prefix sums of the jumps; both make eval O(log m).
@@ -404,8 +408,14 @@ def classify(g):
     slope is identically zero, split at interior jump points; slope zero is
     an exact comparison, which the piecewise-linear representation makes
     meaningful.  Discontinuities are the stored jump points in ascending
-    order.
+    order.  The result is computed on the first call and kept on ``g``.
     """
+    if g._classification is None:
+        g._classification = _classify(g)
+    return g._classification
+
+
+def _classify(g):
     left, right = g.window
     runs = []
     k = 0

@@ -47,6 +47,12 @@ class QuadratureConfig:
             raise ValueError("quadrature order and panel count must be >= 1")
 
 
+# Samples per _sample_finite call of the quadrature (32 intervals of the
+# indefinite integral's 16-node, 4-panel rule).  It bounds the temporaries:
+# larger blocks raise the memory peak of a many-point IndefiniteIntegral.batch.
+_QUAD_BLOCK = 2048
+
+
 @lru_cache(maxsize=32)
 def _gl_rule(order):
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -141,6 +147,39 @@ def _sample_finite(f, ts, fail, xs=None):
     return vals
 
 
+def _slope_sums(g, f, lo, hi, quad):
+    """The continuous part of the LS integral of ``f`` over each ``[lo[i], hi[i])``.
+
+    Each interval must lie inside one slope segment of ``g``; its result is
+    that slope times a composite Gauss-Legendre sum of ``quad.panels`` equal
+    panels of ``quad.order`` nodes.  An empty interval or a flat segment
+    gives 0.0 and takes no samples.  The intervals are taken in blocks of
+    ``_QUAD_BLOCK`` samples' worth (at least one interval), and each block's
+    samples go through one ``_sample_finite`` call in interval order; a
+    non-finite sample raises ``IntegrandError`` with its abscissa.  The
+    result for one interval is the same whichever block it falls in.
+    """
+    nodes, weights = _gl_rule(quad.order)
+    last = g.slopes.size - 1
+    out = np.zeros(lo.size)
+    per_block = max(1, _QUAD_BLOCK // (quad.panels * quad.order))
+    for start in range(0, lo.size, per_block):
+        a, b = lo[start:start + per_block], hi[start:start + per_block]
+        slopes = g.slopes[np.minimum(np.searchsorted(g.breakpoints, a, side="right") - 1, last)]
+        live = np.flatnonzero((a < b) & (slopes != 0.0))
+        # one contiguous row of panel edges per interval, so that each row's
+        # sum below is the same as for that interval alone
+        edges = np.ascontiguousarray(np.linspace(a[live], b[live], quad.panels + 1).T)
+        half = np.diff(edges) / 2.0
+        mids = (edges[:, :-1] + edges[:, 1:]) / 2.0
+        ts = (mids[:, :, None] + half[:, :, None] * nodes).ravel()
+        vals = _sample_finite(f, ts, lambda v, q: IntegrandError(
+            f"integrand returned {v} at t={ts[q]}", point=ts[q]))
+        vals = vals.reshape(half.shape + (quad.order,))
+        out[start + live] = slopes[live] * np.sum(half * (vals @ weights), axis=-1)
+    return out
+
+
 def integrate(g, f, a, b, quad=None):
     """The Lebesgue-Stieltjes integral of f over [a, b) against dg.
 
@@ -161,24 +200,12 @@ def integrate(g, f, a, b, quad=None):
     for v, delta in zip(vals, g.jump_sizes[lo:hi]):
         atomic += v * delta
 
-    nodes, weights = _gl_rule(quad.order)
-    smooth = 0.0
+    # only the slope segments [bp[k], bp[k+1]) with bp[k] < b and bp[k+1] > a
+    # meet [a, b)
     bp = g.breakpoints
-    for k in range(g.slopes.size):
-        slope = g.slopes[k]
-        if slope == 0.0:
-            continue
-        seg_a = max(bp[k], a)
-        seg_b = min(bp[k + 1], b)
-        if seg_a >= seg_b:
-            continue
-        edges = np.linspace(seg_a, seg_b, quad.panels + 1)
-        half = np.diff(edges) / 2.0
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        ts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-        vals = _sample_finite(f, ts, lambda v, q: IntegrandError(
-            f"integrand returned {v} at t={ts[q]}", point=ts[q]))
-        vals = vals.reshape(quad.panels, quad.order)
-        smooth += slope * float(np.sum(half * (vals @ weights)))
+    k = np.arange(np.searchsorted(bp, a, side="right") - 1, np.searchsorted(bp, b, side="left"))
+    smooth = 0.0
+    for part in _slope_sums(g, f, np.maximum(bp[k], a), np.minimum(bp[k + 1], b), quad):
+        smooth += part  # in segment order, as a running sum
 
     return smooth + atomic

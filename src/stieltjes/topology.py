@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .derivator import classify
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IntegrandError
+from .measure import _sample_finite
 
 __all__ = [
     "is_relatively_continuous",
@@ -86,6 +87,8 @@ def check_g_continuity_sampled(f, g, probes, grid_size=2000, ladder_decades=9):
     ``|g(s) - g(t)| < delta`` but ``|f(s) - f(t)| >= eps``.  The sample grid
     is uniform over the window, augmented with the jump abscissas and points
     just right of them (where left-continuous maps hide their limits).
+    ``f`` is sampled once on that grid, through ``f.batch`` when it offers
+    one, and a non-finite value raises ``IntegrandError`` naming the sample.
     """
     left, right = g.window
     span = right - left
@@ -105,19 +108,15 @@ def check_g_continuity_sampled(f, g, probes, grid_size=2000, ladder_decades=9):
     g_range = float(g_samples[-1] - g_samples[0]) if samples.size else 1.0
     delta0 = max(g_range, 1.0)
 
-    # vectorized evaluation when f supports arrays (derivators do), else loop
-    try:
-        f_samples = np.asarray(f(samples), dtype=float)
-        if f_samples.shape != samples.shape:
-            raise TypeError("not vectorized")
-    except Exception:
-        f_samples = np.array([float(f(float(s))) for s in samples])
+    f_samples = _sample_finite(f, samples, lambda v, q: IntegrandError(
+        f"f returned {v} at t={samples[q]}", point=samples[q]))
 
     report = ContinuityReport()
     for t, eps in probes:
         t = float(t)
-        gt = g.eval(t)
-        f_gap = np.abs(f_samples - f(t))
+        i = np.searchsorted(samples, t)  # every probe is a sample
+        f_gap = np.abs(f_samples - f_samples[i])
+        gt = g_samples[i]
         verdict = None
         best_delta = None
         for j in range(ladder_decades):

@@ -97,6 +97,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Derivator((0, 1), jumps=[(0.5, 0.0)])
 
+    @pytest.mark.parametrize("anchor", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_anchor(self, anchor):
+        with pytest.raises(ConfigurationError):
+            Derivator((0.0, 1.0), anchor=anchor)
+
     def test_breakpoints_must_span_window(self):
         with pytest.raises(ConfigurationError):
             Derivator((0, 1), breakpoints=[0, 0.5], slopes=[1.0])
@@ -192,6 +197,10 @@ class TestClassification:
         g = Derivator((0.0, 3.0), breakpoints=[0, 1, 2, 3], slopes=[0.0, 0.0, 1.0])
         c = classify(g)
         assert c.sorted_constancy() == ((0.0, 2.0),)
+
+    def test_classification_is_computed_once(self, rng):
+        g = random_derivator(rng)
+        assert classify(g) is classify(g)
 
     def test_classification_validation(self):
         with pytest.raises(ConfigurationError):

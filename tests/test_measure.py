@@ -166,6 +166,22 @@ class TestIntegrate:
             integrate(g, lambda t: float("inf") if t > 0.5 else 1.0, 0.0, 1.0)
         assert exc.value.point is not None
 
+    def test_constant_one_on_segment_boundaries(self, rng):
+        # the segment window of integrate at its edge cases: ends on
+        # breakpoints, jumps and the window ends, or inside the first or
+        # last segment
+        for _ in range(10):
+            g = random_derivator(rng, max_segments=200, max_jumps=20)
+            bp = g.breakpoints
+            first, last = bp[0] + (bp[1] - bp[0]) / 3, bp[-1] - (bp[-1] - bp[-2]) / 3
+            ends = np.unique(np.concatenate([bp, g.jump_points, [first, last]]))
+            pairs = [(bp[0], bp[-1]), (bp[0], bp[1]), (bp[-2], bp[-1]), (first, last),
+                     (bp[0], first), (last, bp[-1])]
+            pairs += [tuple(np.sort(rng.choice(ends, 2, replace=False))) for _ in range(30)]
+            for a, b in pairs:
+                got = integrate(g, lambda t: 1.0, a, b)
+                assert got == pytest.approx(g(b) - g(a), abs=1e-14)
+
     def test_additivity_over_sum_derivator(self, rng):
         for _ in range(25):
             gs = [random_derivator(rng) for _ in range(2)]

@@ -14,7 +14,9 @@ from stieltjes import (
     Classification,
     Derivator,
     DerivativeUndefinedError,
+    IntegrandError,
     NoDerivativeError,
+    WindowDomainError,
     from_classification,
 )
 from stieltjes.derivative import (
@@ -71,6 +73,27 @@ class TestDerivative:
         got = stieltjes_derivative(lambda t: 3.0 * t, g, 1.0)
         assert got == pytest.approx(3.0, abs=1e-6)
 
+    def test_non_finite_sample_raises(self):
+        f = lambda t: t if t <= 0.5 else float("nan")
+        with pytest.raises(IntegrandError) as exc:
+            stieltjes_derivative(f, Derivator((0.0, 1.0)), 0.5)
+        assert exc.value.point > 0.5
+
+    def test_batched_f_gives_the_scalar_value(self, rng):
+        # F offers batch, the lambda does not: the ladder must not notice
+        for _ in range(5):
+            g = random_derivator(rng, max_segments=30, max_jumps=4)
+            F = indefinite_integral(random_smooth_function(rng), g, 0.0)
+            ts = np.concatenate([g.breakpoints[:-1], rng.uniform(0.0, 1.0, size=10)])
+            for t in ts:
+                results = []
+                for f in (F, lambda s: F(s)):
+                    try:
+                        results.append(stieltjes_derivative(f, g, t))
+                    except (DerivativeUndefinedError, NoDerivativeError) as exc:
+                        results.append(type(exc))
+                assert results[0] == results[1]
+
     def test_linearity(self, rng):
         g = random_derivator(rng, allow_flat=False)
         f1 = random_smooth_function(rng)
@@ -113,6 +136,25 @@ class TestIndefiniteIntegral:
         F = indefinite_integral(f, g, 0.0)
         for t in rng.uniform(0.1, 1.0, size=7):
             assert F(float(t)) == pytest.approx(integrate(g, f, 0.0, float(t)), abs=1e-10)
+
+
+    def test_batch_equals_scalar_calls(self, rng):
+        for _ in range(6):
+            g = random_derivator(rng, max_segments=200, max_jumps=20)
+            f = random_smooth_function(rng)
+            a = float(rng.choice([0.0, g.breakpoints[len(g.breakpoints) // 2]]))
+            F = indefinite_integral(f, g, a)
+            right = g.window[1]
+            special = np.concatenate([g.breakpoints, g.jump_points, [a, right],
+                                      np.minimum(g.jump_points + 1e-9, right)])
+            ts = np.concatenate([special, rng.uniform(a, right, size=500)])
+            ts = ts[ts >= a]
+            assert np.array_equal(F.batch(ts), [F(t) for t in ts])
+
+    def test_batch_rejects_points_outside(self):
+        F = indefinite_integral(lambda t: 1.0, idjump(), 0.5)
+        with pytest.raises(WindowDomainError):
+            F.batch(np.array([0.7, 0.4]))
 
 
 class TestFtc:

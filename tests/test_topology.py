@@ -7,9 +7,11 @@ from stieltjes import (
     Classification,
     ConfigurationError,
     Derivator,
+    IntegrandError,
     from_classification,
     sum_derivators,
 )
+from stieltjes.derivative import indefinite_integral
 from stieltjes.topology import (
     check_g_continuity_sampled,
     is_relatively_continuous,
@@ -124,6 +126,20 @@ class TestSampledContinuity:
         g2 = Derivator.identity((0.0, 2.0))
         report = check_g_continuity_sampled(g1.eval, g2, [(1.0, 0.5)])
         assert [p.verdict for p in report.probes] == ["REFUTED"]
+
+    def test_non_finite_f_raises(self):
+        g = Derivator((0.0, 1.0))
+        with pytest.raises(IntegrandError) as exc:
+            check_g_continuity_sampled(lambda t: float("nan"), g, [(0.5, 0.1)])
+        assert exc.value.point == 0.0
+
+    def test_batched_f_gives_the_scalar_report(self, rng):
+        g = random_derivator(rng, max_segments=50, max_jumps=5)
+        F = indefinite_integral(lambda t: np.cos(3.0 * t) + 2.0, g, 0.0)
+        probes = [(float(t), 0.05) for t in rng.uniform(0.0, 1.0, size=6)] + [(g.window[1], 0.05)]
+        batched = check_g_continuity_sampled(F, g, probes)
+        scalar = check_g_continuity_sampled(lambda t: F(t), g, probes)
+        assert batched.probes == scalar.probes
 
     def test_vector_reduction_matches_componentwise(self, rng):
         # sampled continuity against the sum derivator agrees with the same
