@@ -35,7 +35,9 @@ from .errors import (
     RightLimitError,
     WindowDomainError,
 )
-from .measure import QuadratureConfig, _sample_finite, _slope_sums, integrate
+from .measure import (
+    QuadratureConfig, _atom_terms, _cumulative, _sample_finite, _slope_sums, integrate,
+)
 
 __all__ = [
     "DifferencingConfig",
@@ -132,8 +134,9 @@ def stieltjes_derivative(f, g, t, cfg=None):
     where ``g`` is numerically flat on every tested scale on both sides), and
     ``NoDerivativeError`` when the one-sided estimates disagree beyond
     ``cfg.tol_match`` (both estimates are attached to the exception).  At a
-    continuity point ``f`` is sampled through ``f.batch`` when it offers one,
-    and a non-finite value of f on the ladder raises ``IntegrandError``.
+    continuity point ``f`` is sampled through ``f.batch`` when it offers one.
+    A non-finite value of f on the ladder, or at t itself at a jump point,
+    raises ``IntegrandError``.
     """
     cfg = cfg or DifferencingConfig()
     t = float(t)
@@ -154,7 +157,11 @@ def stieltjes_derivative(f, g, t, cfg=None):
         increment = getattr(f, "right_increment", None)
         if increment is not None:
             return increment(t) / delta
-        return (_right_limit(f, t, cfg, right_w) - f(t)) / delta
+        limit = _right_limit(f, t, cfg, right_w)
+        value = float(f(t))
+        if not math.isfinite(value):
+            raise IntegrandError(f"f returned {value} at t={t}", point=t)
+        return (limit - value) / delta
 
     right = _one_sided_quotients(f, g, t, cfg, +1)
     left = _one_sided_quotients(f, g, t, cfg, -1)
@@ -204,12 +211,8 @@ class IndefiniteIntegral:
             g.jump_points[(g.jump_points >= a)],
             [a],
         )))
-        cum = np.empty(nodes.size)
-        cum[0] = 0.0
-        for k in range(nodes.size - 1):
-            cum[k + 1] = cum[k] + integrate(g, f, nodes[k], nodes[k + 1], self.quad)
         self._nodes = nodes
-        self._cum = cum
+        self._cum = _cumulative(g, f, a, nodes, self.quad)
         self._jumps = np.append(g.jump(nodes[:-1]), 0.0)  # jump size at each node
 
     def __call__(self, t):
@@ -240,9 +243,7 @@ class IndefiniteIntegral:
         # one at nodes[k]; it is empty when t is a node
         inc = _slope_sums(self.g, self.f, nodes[k], ts, self.quad)
         at = np.flatnonzero((self._jumps[k] > 0.0) & (nodes[k] != ts))
-        atoms = nodes[k[at]]
-        inc[at] += _sample_finite(self.f, atoms, lambda v, q: IntegrandError(
-            f"integrand returned {v} at atom t={atoms[q]}", point=atoms[q])) * self._jumps[k[at]]
+        inc[at] += _atom_terms(self.f, nodes[k[at]], self._jumps[k[at]])
         return self._cum[k] + inc
 
     def right_limit(self, t):
@@ -334,7 +335,7 @@ def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
     for d in jump_pts:
         try:
             got = stieltjes_derivative(F, g, d, cfg)
-        except (NoDerivativeError, RightLimitError, DerivativeUndefinedError):
+        except (NoDerivativeError, RightLimitError, DerivativeUndefinedError, IntegrandError):
             report.samples.append(FtcSample(t=d, status="no-derivative"))
             continue
         expected = f(d)

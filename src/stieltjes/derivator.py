@@ -44,6 +44,10 @@ def _as_sorted_pairs(jumps):
     return pts[order], sizes[order]
 
 
+def _scalar_or_array(out):
+    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+
+
 class Derivator:
     """Finite, validated, immutable representation of a derivator.
 
@@ -172,40 +176,36 @@ class Derivator:
             raise WindowDomainError(f"t={offender} outside the working window {bracket}")
         return t
 
+    def _segment(self, t):
+        """Index of the slope segment holding t in [L, R]; R belongs to the last one."""
+        return np.minimum(np.searchsorted(self.breakpoints, t, side="right") - 1,
+                          self.slopes.size - 1)
+
+    def _continuous_at(self, t):
+        k = self._segment(t)
+        return self._cont_at_bp[k] + self.slopes[k] * (t - self.breakpoints[k])
+
     def eval(self, t):
         """g(t) for t in [L, R]; scalars and arrays both work.
 
         Jumps located at d contribute only for t > d (left continuity).
         """
         t = self._require_inside(t, include_right=True)
-        k = np.searchsorted(self.breakpoints, t, side="right") - 1
-        k = np.clip(k, 0, self.slopes.size - 1)
-        cont = self._cont_at_bp[k] + self.slopes[k] * (t - self.breakpoints[k])
         atoms = self._cum_jumps[np.searchsorted(self.jump_points, t, side="left")]
-        out = cont + atoms
-        return float(out) if np.isscalar(out) or out.ndim == 0 else out
+        return _scalar_or_array(self._continuous_at(t) + atoms)
 
     __call__ = eval
 
     def continuous(self, t):
         """The continuous part alone: anchor plus the slope integral."""
-        t = self._require_inside(t, include_right=True)
-        k = np.searchsorted(self.breakpoints, t, side="right") - 1
-        k = np.clip(k, 0, self.slopes.size - 1)
-        out = self._cont_at_bp[k] + self.slopes[k] * (t - self.breakpoints[k])
-        return float(out) if np.isscalar(out) or out.ndim == 0 else out
+        return _scalar_or_array(self._continuous_at(self._require_inside(t, include_right=True)))
 
     def jump(self, t):
         """The jump size at t (exact match against stored points), else 0."""
         t = self._require_inside(t, include_right=False)
         idx = np.searchsorted(self.jump_points, t, side="left")
-        idx_c = np.clip(idx, 0, max(self.jump_points.size - 1, 0))
-        if self.jump_points.size == 0:
-            out = np.zeros_like(np.asarray(t, dtype=float))
-        else:
-            hit = self.jump_points[idx_c] == t
-            out = np.where(hit, self.jump_sizes[idx_c], 0.0)
-        return float(out) if np.isscalar(out) or out.ndim == 0 else out
+        hit = np.append(self.jump_points, np.inf)[idx] == t  # t is finite
+        return _scalar_or_array(np.where(hit, np.append(self.jump_sizes, 0.0)[idx], 0.0))
 
     def eval_right(self, t):
         """The right limit g(t+), i.e. eval(t) plus the jump at t."""
@@ -325,9 +325,7 @@ def sum_derivators(gs):
     bp = np.unique(np.concatenate([g.breakpoints for g in gs]))
     slopes = np.zeros(bp.size - 1)
     for g in gs:
-        seg = np.searchsorted(g.breakpoints, bp[:-1], side="right") - 1
-        seg = np.clip(seg, 0, g.slopes.size - 1)
-        slopes += g.slopes[seg]
+        slopes += g.slopes[g._segment(bp[:-1])]
 
     merged = {}
     for g in gs:

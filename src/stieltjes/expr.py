@@ -136,6 +136,9 @@ def _tokenize(src):
     return tokens
 
 
+_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+
+
 class _Parser:
     def __init__(self, src, n):
         if n < 0:
@@ -165,9 +168,9 @@ class _Parser:
         lhs = self.parse_unary()
         while True:
             kind, text, pos = self.peek()
-            if kind != "op" or text not in "+-*/^":
+            if kind != "op" or text not in _BP:
                 break
-            bp = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}[text]
+            bp = _BP[text]
             if bp < min_bp:
                 break
             self.next()
@@ -528,8 +531,6 @@ class ExprFunction:
     def __repr__(self):
         return f"ExprFunction({self.source!r})"
 
-
-_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 
 
 def to_source(tree, _ctx=0):

@@ -8,9 +8,12 @@ connected components of its union, after which the outer measure of the
 union is a plain finite sum.
 
 Integration against ``dg`` splits into the absolutely continuous part
-(piecewise-constant density given by the slopes, handled by composite
-Gauss-Legendre panels) and the purely atomic part (a finite sum of
-``f(d) * delta`` over the jumps inside ``[a, b)``).
+(piecewise-constant density given by the slopes) and the purely atomic part
+(a finite sum of ``f(d) * delta`` over the jumps inside ``[a, b)``).  The
+package's one quadrature kernel is here: ``_gl_nodes`` alone builds composite
+Gauss-Legendre panels, ``_gl_sums`` sums over many intervals at once and
+``_cumulative`` gives the integral over ``[a, t)`` for many ``t`` from one
+table; every integral in ``derivative``, ``solver`` and ``moduli`` uses them.
 """
 
 import math
@@ -55,8 +58,7 @@ _QUAD_BLOCK = 2048
 
 @lru_cache(maxsize=32)
 def _gl_rule(order):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _check_interval(g, a, b):
@@ -75,17 +77,6 @@ def measure_interval(g, a, b):
     return g.eval(b) - g.eval(a)
 
 
-def normalize_cover(cover):
-    """Validate a cover and return it as a list of float pairs."""
-    out = []
-    for item in cover:
-        a, b = float(item[0]), float(item[1])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise WindowDomainError(f"cover interval [{a}, {b}) is empty or not finite")
-        out.append((a, b))
-    return out
-
-
 def disjointify(cover):
     """Merge a finite cover into the connected components of its union.
 
@@ -94,7 +85,13 @@ def disjointify(cover):
     arithmetic only, no tolerances).  For every derivator the total
     g-length can only shrink, since overlaps are counted once.
     """
-    items = sorted(normalize_cover(cover))
+    items = []
+    for item in cover:
+        a, b = float(item[0]), float(item[1])
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise WindowDomainError(f"cover interval [{a}, {b}) is empty or not finite")
+        items.append((a, b))
+    items.sort()
     if not items:
         return []
     merged = [items[0]]
@@ -114,13 +111,6 @@ def outer_measure(g, cover):
     for a, b in disjointify(cover):
         total += measure_interval(g, a, b)
     return total
-
-
-def _atoms_in(g, a, b):
-    """Indices of jump points d with a <= d < b."""
-    lo = np.searchsorted(g.jump_points, a, side="left")
-    hi = np.searchsorted(g.jump_points, b, side="left")
-    return lo, hi
 
 
 def _sample_finite(f, ts, fail, xs=None):
@@ -147,37 +137,77 @@ def _sample_finite(f, ts, fail, xs=None):
     return vals
 
 
-def _slope_sums(g, f, lo, hi, quad):
-    """The continuous part of the LS integral of ``f`` over each ``[lo[i], hi[i])``.
+def _gl_nodes(lo, hi, quad):
+    """Composite Gauss-Legendre nodes on each ``[lo[i], hi[i]]``, flattened, and the panel half-widths."""
+    # one contiguous row of panel edges per interval, so that a row's sums
+    # are the same as for that interval alone
+    edges = np.ascontiguousarray(np.linspace(lo, hi, quad.panels + 1).T)
+    half = np.diff(edges) / 2.0
+    ts = half[:, :, None] * _gl_rule(quad.order)[0]
+    ts += ((edges[:, :-1] + edges[:, 1:]) / 2.0)[:, :, None]  # in place: one sample-sized array
+    return ts.ravel(), half
 
-    Each interval must lie inside one slope segment of ``g``; its result is
-    that slope times a composite Gauss-Legendre sum of ``quad.panels`` equal
-    panels of ``quad.order`` nodes.  An empty interval or a flat segment
-    gives 0.0 and takes no samples.  The intervals are taken in blocks of
-    ``_QUAD_BLOCK`` samples' worth (at least one interval), and each block's
-    samples go through one ``_sample_finite`` call in interval order; a
-    non-finite sample raises ``IntegrandError`` with its abscissa.  The
-    result for one interval is the same whichever block it falls in.
+
+def _gl_sums(sample, lo, hi, scale, quad):
+    """Gauss-Legendre sums of ``sample(ts) -> values`` over each ``[lo[i], hi[i]]``.
+
+    Each sum is multiplied by its interval's factor, which ``scale(lo)``
+    gives for any slice ``lo`` of the left ends; an empty interval, or one
+    whose factor is 0, gives 0.0 and takes no samples.  Intervals go in
+    order, in blocks of ``_QUAD_BLOCK`` samples (at least one interval), so
+    the temporaries stay small however many intervals there are; a sum does
+    not depend on its block.
     """
-    nodes, weights = _gl_rule(quad.order)
-    last = g.slopes.size - 1
+    weights = _gl_rule(quad.order)[1]
     out = np.zeros(lo.size)
     per_block = max(1, _QUAD_BLOCK // (quad.panels * quad.order))
     for start in range(0, lo.size, per_block):
         a, b = lo[start:start + per_block], hi[start:start + per_block]
-        slopes = g.slopes[np.minimum(np.searchsorted(g.breakpoints, a, side="right") - 1, last)]
-        live = np.flatnonzero((a < b) & (slopes != 0.0))
-        # one contiguous row of panel edges per interval, so that each row's
-        # sum below is the same as for that interval alone
-        edges = np.ascontiguousarray(np.linspace(a[live], b[live], quad.panels + 1).T)
-        half = np.diff(edges) / 2.0
-        mids = (edges[:, :-1] + edges[:, 1:]) / 2.0
-        ts = (mids[:, :, None] + half[:, :, None] * nodes).ravel()
-        vals = _sample_finite(f, ts, lambda v, q: IntegrandError(
-            f"integrand returned {v} at t={ts[q]}", point=ts[q]))
-        vals = vals.reshape(half.shape + (quad.order,))
-        out[start + live] = slopes[live] * np.sum(half * (vals @ weights), axis=-1)
+        s = scale(a)
+        live = np.flatnonzero((a < b) & (s != 0.0))
+        ts, half = _gl_nodes(a[live], b[live], quad)
+        vals = sample(ts).reshape(half.shape + (quad.order,))
+        out[start + live] = s[live] * np.sum(half * (vals @ weights), axis=-1)
     return out
+
+
+def _slope_sums(g, f, lo, hi, quad):
+    """The continuous part of the LS integral of ``f`` over each ``[lo[i], hi[i])``.
+
+    Each interval lies in one slope segment of ``g``; an empty interval or a
+    flat segment gives 0.0 without samples.  A non-finite sample raises
+    ``IntegrandError`` with its abscissa.
+    """
+    def sample(ts):
+        return _sample_finite(f, ts, lambda v, q: IntegrandError(
+            f"integrand returned {v} at t={ts[q]}", point=ts[q]))
+
+    return _gl_sums(sample, lo, hi, lambda a: g.slopes[g._segment(a)], quad)
+
+
+def _atom_terms(f, atoms, sizes):
+    """``f(d) * size`` for each atom ``d`` of the given size."""
+    return _sample_finite(f, atoms, lambda v, q: IntegrandError(
+        f"integrand returned {v} at atom t={atoms[q]}", point=atoms[q])) * sizes
+
+
+def _cumulative(g, f, a, ts, quad):
+    """The LS integral of ``f`` over ``[a, t)`` for every ``t >= a`` in ``ts``.
+
+    One table is cut at ``a``, at every ``t`` and at the breakpoints and
+    jumps of ``g`` in between; ``f`` is sampled only in ``[a, max(ts)]``.
+    """
+    end = ts.max()
+    bp, jp = g.breakpoints, g.jump_points
+    nodes = np.unique(np.concatenate((
+        [a], ts, bp[(bp > a) & (bp < end)], jp[(jp > a) & (jp < end)],
+    )))
+    lo, hi = nodes[:-1], nodes[1:]
+    inc = _slope_sums(g, f, lo, hi, quad)
+    jumps = g.jump(lo)
+    at = np.flatnonzero(jumps > 0.0)
+    inc[at] += _atom_terms(f, lo[at], jumps[at])
+    return np.concatenate(([0.0], np.cumsum(inc)))[np.searchsorted(nodes, ts)]
 
 
 def integrate(g, f, a, b, quad=None):
@@ -192,13 +222,10 @@ def integrate(g, f, a, b, quad=None):
     _check_interval(g, a, b)
     quad = quad or QuadratureConfig()
 
-    lo, hi = _atoms_in(g, a, b)
-    atoms = g.jump_points[lo:hi]
-    vals = _sample_finite(f, atoms, lambda v, q: IntegrandError(
-        f"integrand returned {v} at atom t={atoms[q]}", point=atoms[q]))
+    lo, hi = np.searchsorted(g.jump_points, (a, b))
     atomic = 0.0
-    for v, delta in zip(vals, g.jump_sizes[lo:hi]):
-        atomic += v * delta
+    for term in _atom_terms(f, g.jump_points[lo:hi], g.jump_sizes[lo:hi]):
+        atomic += term  # in point order, as a running sum
 
     # only the slope segments [bp[k], bp[k+1]) with bp[k] < b and bp[k+1] > a
     # meet [a, b)

@@ -33,7 +33,7 @@ from .errors import (
     IntegrandError,
     ModulusOverflowError,
 )
-from .measure import _gl_rule, _sample_finite
+from .measure import QuadratureConfig, _gl_sums, _sample_finite
 
 __all__ = [
     "OsgoodModulus",
@@ -185,30 +185,30 @@ def _as_modulus(omega):
 
 
 def _reciprocal_integral(omega, lo, hi, panels=16, order=16):
-    """integral of 1/omega(s) ds over [lo, hi], via the log substitution.
+    """integral of 1/omega(s) ds over each [lo[i], hi[i]], via the log substitution.
 
     With s = e^u the integrand becomes e^u / omega(e^u), which is smooth for
-    every modulus that behaves like s times slowly varying factors.
+    every modulus that behaves like s times slowly varying factors.  All
+    intervals go through one ``_gl_sums`` call; an empty one gives 0.0.
     """
-    if hi <= lo:
-        return 0.0
-    nodes, weights = _gl_rule(order)
-    edges = np.linspace(math.log(lo), math.log(hi), panels + 1)
-    half = np.diff(edges) / 2.0
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    us = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ss = np.exp(us)
-    ws = _sample_finite(omega, ss, lambda v, q: IntegrandError(
-        f"modulus returned {v} at s={ss[q]}", point=ss[q]))
-    nonpositive = np.flatnonzero(ws <= 0.0)
-    if nonpositive.size:
-        q = nonpositive[0]
-        raise IntegrandError(f"modulus returned {ws[q]} at s={ss[q]}", point=ss[q])
-    vals = ss / ws
-    if not np.all(np.isfinite(vals)):
-        raise IntegrandError("non-finite reciprocal-modulus sample")
-    vals = vals.reshape(len(half), order)
-    return float(np.sum(half * (vals @ weights)))
+    def sample(us):
+        ss = np.exp(us)
+        ws = _sample_finite(omega, ss, lambda v, q: IntegrandError(
+            f"modulus returned {v} at s={ss[q]}", point=ss[q]))
+        nonpositive = np.flatnonzero(ws <= 0.0)
+        if nonpositive.size:
+            q = nonpositive[0]
+            raise IntegrandError(f"modulus returned {ws[q]} at s={ss[q]}", point=ss[q])
+        vals = ss / ws
+        if not np.all(np.isfinite(vals)):
+            raise IntegrandError("non-finite reciprocal-modulus sample")
+        return vals
+
+    def logs(rs):  # math.log: numpy's log can differ from it in the last bit
+        return np.fromiter(map(math.log, rs), float, rs.size)
+
+    quad = QuadratureConfig(order=order, panels=panels)
+    return _gl_sums(sample, logs(lo), logs(hi), np.ones_like, quad)
 
 
 @dataclass
@@ -248,15 +248,13 @@ def osgood_check(omega, u0):
         raise ValueError("u0 must be positive")
 
     eps = [10.0 ** -(m + 1) for m in range(_N_DECADES)]
-    increments = [
-        _reciprocal_integral(omega, eps[m + 1], eps[m]) for m in range(_N_DECADES - 1)
-    ]
-    first = _reciprocal_integral(omega, min(eps[0], u0), max(eps[0], u0))
-    if eps[0] > u0:
-        first = -first
-    partial = [first]
-    for j in increments:
-        partial.append(partial[-1] + j)
+    # the per-decade increments I(eps_{m+1}) - I(eps_m), then [eps_1, u0]
+    parts = _reciprocal_integral(
+        omega, np.array(eps[1:] + [min(eps[0], u0)]), np.array(eps[:-1] + [max(eps[0], u0)])
+    ).tolist()
+    increments = parts[:-1]
+    first = -parts[-1] if eps[0] > u0 else parts[-1]
+    partial = np.cumsum([first] + increments).tolist()
 
     window = increments[-_WINDOW:]
     ratios = [b / a if a > 0 else math.inf for a, b in zip(window, window[1:])]
@@ -279,10 +277,11 @@ def osgood_check(omega, u0):
 class OmegaTransform:
     """Tabulated ``Omega(r) = integral from u0 to r of 1/omega(s) ds``.
 
-    Built on a logarithmic grid with per-segment Gauss-Legendre in the log
-    variable, interpolated by a monotone piecewise cubic, and inverted by
-    bracketed root finding, so ``Omega`` and ``Omega^{-1}`` are both strictly
-    monotone on the covered range.
+    Built on a logarithmic grid with Gauss-Legendre in the log variable
+    (one ``_reciprocal_integral`` call for all cells), interpolated by a
+    monotone piecewise cubic, and inverted by bracketed root finding, so
+    ``Omega`` and ``Omega^{-1}`` are both strictly monotone on the covered
+    range.
     """
 
     def __init__(self, modulus, u0, r_min=None, r_max=None, points_per_decade=24):
@@ -298,17 +297,12 @@ class OmegaTransform:
         n = max(int(round(points_per_decade * math.log10(r_max / r_min))), 8)
         grid = np.geomspace(r_min, r_max, n)
         grid = np.unique(np.concatenate((grid, [self.u0])))
-        values = np.empty(grid.size)
+        cells = _reciprocal_integral(self.modulus, grid[:-1], grid[1:], panels=4)
+        # running sums away from u0 in both directions, so Omega(u0) = 0
         anchor = int(np.searchsorted(grid, self.u0))
-        values[anchor] = 0.0
-        for k in range(anchor, grid.size - 1):
-            values[k + 1] = values[k] + _reciprocal_integral(
-                self.modulus, grid[k], grid[k + 1], panels=4
-            )
-        for k in range(anchor, 0, -1):
-            values[k - 1] = values[k] - _reciprocal_integral(
-                self.modulus, grid[k - 1], grid[k], panels=4
-            )
+        values = np.concatenate((
+            -np.cumsum(cells[:anchor][::-1])[::-1], [0.0], np.cumsum(cells[anchor:]),
+        ))
 
         self.r_grid = grid
         self.values = values

@@ -47,7 +47,7 @@ from .errors import (
     NonConvergenceError,
     SolverError,
 )
-from .measure import QuadratureConfig, _gl_rule, _sample_finite, integrate
+from .measure import QuadratureConfig, _cumulative, _gl_nodes, _gl_rule, _sample_finite, integrate
 from .moduli import OmegaTransform, OsgoodModulus, bihari_bound, osgood_check
 
 __all__ = [
@@ -256,22 +256,19 @@ class _GridData:
 
         # flattened Gauss-Legendre nodes for the continuous part of each
         # component: cells are intersected with the slope segments of g_i
-        nodes, weights = _gl_rule(quad_order)
+        rule = QuadratureConfig(order=quad_order, panels=1)
         self.quad = []
         for i, g in enumerate(problem.derivators):
             bp = g.breakpoints
             inner = bp[(bp > self.grid[0]) & (bp < self.grid[-1])]
             edges = np.unique(np.concatenate((self.grid, inner)))
             lo, hi = edges[:-1], edges[1:]
-            seg = np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, g.slopes.size - 1)
-            slope = g.slopes[seg]
+            slope = g.slopes[g._segment(lo)]
             keep = slope > 0.0
             lo, hi, slope = lo[keep], hi[keep], slope[keep]
             cell = np.clip(np.searchsorted(self.grid, lo, side="right") - 1, 0, N - 1)
-            half = (hi - lo) / 2.0
-            mid = (hi + lo) / 2.0
-            ts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            ws = (slope[:, None] * half[:, None] * weights[None, :]).ravel()
+            ts, half = _gl_nodes(lo, hi, rule)
+            ws = (slope[:, None] * half * _gl_rule(quad_order)[1]).ravel()
             cells = np.repeat(cell, quad_order)
             self.quad.append((ts, ws, cells))
 
@@ -467,7 +464,8 @@ def horizon_for_ball(problem, n_candidates=64):
     The criterion is strict:  omega(R) * (phi-weighted measure of
     [t0, t0+sigma) under the sum derivator)  plus the accumulated size of
     the rhs at x0 must stay below the ball radius R.  Sufficient, not
-    necessary; failure for every tested sigma raises.
+    necessary; failure for every tested sigma raises.  All candidates are
+    read from one ``_cumulative`` table per integral over [t0, t0+horizon).
     """
     if problem.ball_radius is None or problem.modulus is None:
         raise ConfigurationError("horizon_for_ball needs ball_radius and modulus")
@@ -477,15 +475,16 @@ def horizon_for_ball(problem, n_candidates=64):
     ghat = sum_derivators(problem.derivators)
     t0 = problem.t0
 
-    for sigma in np.linspace(problem.horizon, problem.horizon / n_candidates, n_candidates):
-        end = t0 + float(sigma)
-        weighted = integrate(ghat, phi, t0, end, _LIGHT_QUAD)
-        accumulated = sum(
-            integrate(g, _AbsRhsAtX0([f], problem.x0), t0, end, _LIGHT_QUAD)
-            for g, f in zip(problem.derivators, problem.rhs)
-        )
-        if omega_R * weighted + accumulated < R:
-            return float(sigma)
+    sigmas = np.linspace(problem.horizon, problem.horizon / n_candidates, n_candidates)
+    ends = t0 + sigmas
+    weighted = _cumulative(ghat, phi, t0, ends, _LIGHT_QUAD)
+    accumulated = sum(
+        _cumulative(g, _AbsRhsAtX0([f], problem.x0), t0, ends, _LIGHT_QUAD)
+        for g, f in zip(problem.derivators, problem.rhs)
+    )
+    inside = np.flatnonzero(omega_R * weighted + accumulated < R)
+    if inside.size:
+        return float(sigmas[inside[0]])
     raise NoCertifiedHorizonError(
         f"no sigma in (0, {problem.horizon}] satisfies the ball-invariance "
         f"inequality for radius {R}"
@@ -503,13 +502,10 @@ def _weighted_derivator(weight, ghat, t0, t1, n_sub=200, order=8):
     inner = bp[(bp > t0) & (bp < t1)]
     edges = np.unique(np.concatenate((np.linspace(t0, t1, n_sub + 1), inner)))
     lo, hi = edges[:-1], edges[1:]
-    seg = np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, ghat.slopes.size - 1)
-    slope = ghat.slopes[seg]
+    slope = ghat.slopes[ghat._segment(lo)]
     live = slope != 0.0
-    nodes, wts = _gl_rule(order)
-    half = (hi[live] - lo[live]) / 2.0
-    mid = (hi[live] + lo[live]) / 2.0
-    ts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    ts = _gl_nodes(lo[live], hi[live], QuadratureConfig(order=order, panels=1))[0]
+    wts = _gl_rule(order)[1]
     atoms = (ghat.jump_points > t0) & (ghat.jump_points < t1)
     pts, deltas = ghat.jump_points[atoms], ghat.jump_sizes[atoms]
     samples = np.concatenate((ts, pts))
@@ -563,7 +559,8 @@ def apriori_bound(problem, u0=1.0, n_candidates=16, r_cap=1e120):
     Needs a declared Osgood modulus (the osgood check must say DIVERGENT)
     and works on the largest tested sub-horizon [t0, t1] on which the
     Bihari precondition holds: Omega(kappa(t1)) plus the weighted-measure
-    growth must stay below the top of the transform table.
+    growth must stay below the top of the transform table.  kappa is read
+    for every candidate t1 from one ``_cumulative`` table over [t0, t0+horizon).
     """
     if problem.modulus is None:
         raise ConfigurationError("apriori_bound needs a declared modulus")
@@ -580,9 +577,9 @@ def apriori_bound(problem, u0=1.0, n_candidates=16, r_cap=1e120):
     gbar = _weighted_derivator(phi, ghat, t0, end)
     biggest = _AbsRhsAtX0(problem.rhs, problem.x0)
 
-    for t1 in np.linspace(end, t0 + problem.horizon / n_candidates, n_candidates):
-        t1 = float(t1)
-        kappa = integrate(ghat, biggest, t0, t1, _LIGHT_QUAD)
+    ends = np.linspace(end, t0 + problem.horizon / n_candidates, n_candidates)
+    kappas = _cumulative(ghat, biggest, t0, ends, _LIGHT_QUAD)
+    for t1, kappa in zip(ends.tolist(), kappas.tolist()):
         if kappa <= 0.0:
             return AprioriBound(
                 t0=t0, t1=t1, kappa=0.0, bound=lambda t: 0.0, zero_kappa=True

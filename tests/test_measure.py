@@ -159,6 +159,9 @@ class TestIntegrate:
     def test_zero_on_constancy(self):
         g = from_classification(Classification(constancy=[(0.2, 0.8)]), window=(0.0, 1.0))
         assert integrate(g, lambda t: np.cos(t), 0.3, 0.7) == 0.0
+        # a flat segment takes no samples, so f may be undefined there
+        nan_when_flat = lambda t: float("nan") if 0.2 < t < 0.8 else 1.0
+        assert integrate(g, nan_when_flat, 0.0, 1.0) == pytest.approx(0.4, rel=1e-14)
 
     def test_non_finite_sample_raises(self):
         g = Derivator.identity((0.0, 1.0))

@@ -13,6 +13,7 @@ import pytest
 from stieltjes import BoundInapplicableError, Derivator, ModulusOverflowError
 from stieltjes.moduli import (
     OmegaTransform,
+    _reciprocal_integral,
     OsgoodModulus,
     bihari_bound,
     exp_iter,
@@ -121,6 +122,19 @@ class TestOsgoodCheck:
             expected = math.log(math.log(1.0 / eps)) - math.log(math.log(math.e))
             assert val == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("modulus", [omega_k_modulus(2), lambda s: math.sqrt(s)])
+    @pytest.mark.parametrize("u0", [1.0, 0.1, 0.02, 3.0])
+    def test_one_batched_call_equals_one_call_per_interval(self, modulus, u0):
+        report = osgood_check(modulus, u0)
+        eps = report.epsilons
+        one = lambda lo, hi: float(_reciprocal_integral(modulus, np.array([lo]), np.array([hi]))[0])
+        assert report.increments == [one(eps[m + 1], eps[m]) for m in range(len(eps) - 1)]
+        first = one(min(eps[0], u0), max(eps[0], u0))
+        partial = [-first if eps[0] > u0 else first]
+        for j in report.increments:
+            partial.append(partial[-1] + j)
+        assert report.partial_integrals == partial
+
     def test_u0_validation(self):
         with pytest.raises(ValueError):
             osgood_check(lambda s: s, u0=0.0)
@@ -152,6 +166,27 @@ class TestOmegaTransform:
     def test_strictly_increasing(self):
         tr = OmegaTransform(omega_k_modulus(1), u0=0.25)
         assert np.all(np.diff(tr.values) > 0)
+
+    @pytest.mark.parametrize("modulus, u0, r_min, r_max", [
+        (omega_k_modulus(1), 1.0, None, None),
+        (omega_k_modulus(2), 0.05, 1e-9, 10.0),
+        (omega_k_modulus(3), 0.37, 0.37e-6, 1e120),
+        (lambda s: 2.0 * s + s * s, 0.01, 1e-9, 3.0),
+    ])
+    def test_table_equals_one_integral_per_cell(self, modulus, u0, r_min, r_max):
+        # the batched build against the running sums of per-cell integrals
+        tr = OmegaTransform(modulus, u0, r_min=r_min, r_max=r_max)
+        grid = tr.r_grid
+        cell = lambda k: float(
+            _reciprocal_integral(modulus, grid[k:k + 1], grid[k + 1:k + 2], panels=4)[0])
+        anchor = int(np.searchsorted(grid, u0))
+        values = np.empty(grid.size)
+        values[anchor] = 0.0
+        for k in range(anchor, grid.size - 1):
+            values[k + 1] = values[k] + cell(k)
+        for k in range(anchor, 0, -1):
+            values[k - 1] = values[k] - cell(k - 1)
+        assert np.array_equal(tr.values, values)
 
     def test_inverse_round_trip(self):
         tr = OmegaTransform(omega_k_modulus(2), u0=0.05, r_min=1e-9, r_max=10.0)

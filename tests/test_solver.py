@@ -351,6 +351,68 @@ class TestAprioriBound:
             apriori_bound(impulsive_problem())
 
 
+class TestCandidateTables:
+    """horizon_for_ball and apriori_bound read all candidates from one table each."""
+
+    @staticmethod
+    def problem():
+        # candidate ends are k/64: jumps at t0, on an end (0.5) and between
+        # ends (0.3); smooth integrands that keep their sign
+        g1 = Derivator((-1.0, 2.0), breakpoints=[-1.0, 0.25, 0.7, 2.0], slopes=[1.0, 0.5, 2.0])
+        g1 = g1.with_jumps([(0.0, 0.2), (0.5, 0.3)])
+        g2 = Derivator.identity((-1.0, 2.0)).with_jumps([(0.3, 0.1), (0.5, 0.05)])
+        rhs = [lambda t, x: 1.0 + 0.5 * math.sin(3.0 * t) + 0.1 * x[1],
+               lambda t, x: 0.3 + math.exp(-t) * x[0]]
+        return IVProblem(0.0, 1.0, [0.5, 0.2], [g1, g2], rhs, ball_radius=10.0,
+                         modulus=LINEAR, phi=lambda t: 1.0 + 0.3 * math.cos(t))
+
+    def test_candidates_match_one_integrate_call_each(self, monkeypatch):
+        from stieltjes import integrate, solver
+
+        calls = []
+        real = solver._cumulative
+
+        def spy(g, f, a, ts, quad):
+            calls.append((g, f, a, ts, quad, real(g, f, a, ts, quad)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(solver, "_cumulative", spy)
+        p = self.problem()
+        horizon_for_ball(p)
+        apriori_bound(p)
+        assert [len(c[3]) for c in calls] == [64, 64, 64, 16]
+        for g, f, a, ts, quad, out in calls:
+            expected = [integrate(g, f, a, t, quad) for t in ts]
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+
+    def test_integrands_are_not_sampled_past_the_horizon(self):
+        # the window reaches 3, the problem only 1; phi and the rhs are NaN past 1
+        late_nan = lambda t: math.nan if t > 1.0 else 1.0
+        g = Derivator.identity((0.0, 3.0)).with_jumps([(0.5, 0.2), (2.0, 0.1)])
+        p = IVProblem(0.0, 1.0, [1.0], [g], [lambda t, x: 0.1 * late_nan(t) * x[0]],
+                      ball_radius=1.0, modulus=LINEAR, phi=late_nan)
+        # (1 + 0.1) * (sigma + 0.2) < 1 first holds at sigma = 45/64
+        assert horizon_for_ball(p) == 45 / 64
+        bound = apriori_bound(p)
+        assert bound.t1 == 1.0
+        assert bound.kappa == pytest.approx(0.1 * 1.2, rel=1e-12)
+
+
+class TestConvergenceOrder:
+    """Observed orders on x' = x dg with a unit jump at 1, where x(2-) = 2 e^2."""
+
+    @pytest.mark.parametrize("run, low, high", [
+        (lambda p, grid: solve_euler(p, grid, compute_residual=False), 0.95, 1.05),
+        (lambda p, grid: solve_picard(p, grid, tol=1e-12), 1.9, 2.1),
+    ], ids=["euler", "picard"])
+    def test_observed_order(self, run, low, high):
+        p = impulsive_problem()
+        errors = [abs(run(p, build_grid(p, n_steps=n)).final[0] - 2.0 * math.e ** 2)
+                  for n in (500, 1000, 2000)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert low <= math.log2(coarse / fine) <= high
+
+
 class TestUniquenessCertificate:
     def test_lipschitz_is_osgood_unique(self):
         p = impulsive_problem(ball_radius=5.0, modulus=LINEAR)

@@ -79,6 +79,13 @@ class TestDerivative:
             stieltjes_derivative(f, Derivator((0.0, 1.0)), 0.5)
         assert exc.value.point > 0.5
 
+    def test_non_finite_value_at_a_jump_point_raises(self):
+        # the jump quotient (f(t+) - f(t)) / delta used to return nan
+        f = lambda t: math.nan if t == 1.0 else t
+        with pytest.raises(IntegrandError, match=r"at t=1\.0") as exc:
+            stieltjes_derivative(f, idjump(), 1.0)
+        assert exc.value.point == 1.0
+
     def test_batched_f_gives_the_scalar_value(self, rng):
         # F offers batch, the lambda does not: the ladder must not notice
         for _ in range(5):
@@ -151,6 +158,21 @@ class TestIndefiniteIntegral:
             ts = ts[ts >= a]
             assert np.array_equal(F.batch(ts), [F(t) for t in ts])
 
+    def test_table_equals_a_chain_of_integrate_calls(self, rng):
+        from stieltjes import integrate
+
+        for _ in range(4):
+            g = random_derivator(rng, max_segments=200, max_jumps=20)
+            f = random_smooth_function(rng)
+            a = float(rng.choice([0.0, g.breakpoints[len(g.breakpoints) // 3]]))
+            F = indefinite_integral(f, g, a)
+            nodes = np.unique(np.concatenate(
+                ([a], g.breakpoints[g.breakpoints > a], g.jump_points[g.jump_points >= a])))
+            cum = [0.0]
+            for lo, hi in zip(nodes[:-1], nodes[1:]):
+                cum.append(cum[-1] + integrate(g, f, lo, hi, F.quad))
+            assert np.array_equal([F(t) for t in nodes], cum)
+
     def test_batch_rejects_points_outside(self):
         F = indefinite_integral(lambda t: 1.0, idjump(), 0.5)
         with pytest.raises(WindowDomainError):
@@ -169,6 +191,21 @@ class TestFtc:
         report = check_ftc(f, g, 0.0, 2.0, sample_count=11)
         assert report.max_relative_error_jumps <= 1e-13
         assert report.max_error_continuous <= 1e-5
+
+    def test_integrand_error_at_a_jump_is_filed_as_no_derivative(self, monkeypatch):
+        from stieltjes import derivative
+
+        real = derivative.stieltjes_derivative
+
+        def failing_at_jumps(F, g, t, cfg=None):
+            if g.jump(t) > 0.0:
+                raise IntegrandError(f"f returned nan at t={t}", point=t)
+            return real(F, g, t, cfg)
+
+        monkeypatch.setattr(derivative, "stieltjes_derivative", failing_at_jumps)
+        report = check_ftc(math.sin, idjump(), 0.0, 2.0, sample_count=5)
+        assert [s.status for s in report.samples if s.t == 1.0] == ["no-derivative"]
+        assert not report.ok()
 
     def test_constancy_samples_are_skipped(self):
         g = from_classification(Classification(constancy=[(0.0, 1.0)]), window=(-1.0, 2.0))
