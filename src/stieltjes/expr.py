@@ -21,19 +21,25 @@ Evaluation follows IEEE doubles but never lets a NaN escape: domain
 violations (log of a nonpositive value, division by zero, overflow, ...)
 raise ``ExprDomainError`` carrying the byte offset of the subexpression.
 
+``eval_expr`` walks the tree and is the reference semantics.
 ``ExprFunction`` wraps a parsed tree as a callable and compiles it once into
-closures over numpy ufuncs.  It speaks the batch protocol that the sampling
-code of the package looks for:
+two sets of closures:
 
-* ``f(t, x)`` walks the tree with ``eval_expr``.  This scalar path is the
-  reference semantics and the only path that reports errors.
-* ``f.batch(ts, xs) -> array`` evaluates ``m`` samples at once: ``ts`` has
-  shape ``(m,)`` and ``xs`` shape ``(m, n)``, or is omitted for expressions
-  in ``t`` alone.  It returns ``None`` when any sample breaks a domain rule
-  (or any input is non-finite); callers then run the scalar path, which
-  raises the same ``ExprDomainError``, at the same offset, as it always
-  would.  Batched values agree with the scalar walk up to the last-bit
-  differences between numpy's and libm's ``exp``, ``log`` and ``pow``.
+* ``f(t, x)`` runs closures over ``math`` that mirror ``eval_expr``
+  operation by operation: the same operations in the same order, so the
+  same bits, and the same ``ExprDomainError`` (message and offset) or
+  ``ModulusOverflowError`` on every domain rule.  This scalar path is the
+  only one that reports errors.
+* ``f.batch(ts, xs) -> array`` runs closures over numpy ufuncs on ``m``
+  samples at once: ``ts`` has shape ``(m,)`` and ``xs`` shape ``(m, n)``,
+  or is omitted for expressions in ``t`` alone.  It returns ``None`` when
+  any sample breaks a domain rule (or any input is non-finite); callers
+  then run the scalar path, which raises the error.  Batched values agree
+  with the walk up to the last-bit differences between numpy's and libm's
+  ``exp``, ``log`` and ``pow``.
+
+This is the batch protocol that the sampling code of the package looks for
+(see ``solver.IVProblem``).
 """
 
 import math
@@ -375,8 +381,194 @@ def _eval_call(tree, t, x):
     raise TypeError(f"unhandled function {name!r}")
 
 
+# -- the compiled scalar evaluator -----------------------------------------
+#
+# Each closure performs the operations of the matching ``eval_expr`` branch,
+# in the same order and with the same ``math`` functions, so it returns the
+# same bits and raises the same error (message and offset) as the walk.
+
+
+def _scalar(tree):
+    """A closure ``(t, x) -> value`` that evaluates ``tree`` as ``eval_expr`` does."""
+    if isinstance(tree, Num):
+        value = tree.value
+        return lambda t, x: value
+    if isinstance(tree, VarT):
+        return lambda t, x: float(t)
+    if isinstance(tree, VarX):
+        j, pos, message = tree.index - 1, tree.pos, f"state vector too short for x{tree.index}"
+
+        def component(t, x):
+            try:
+                return float(x[j])
+            except IndexError:
+                raise ExprDomainError(message, pos) from None
+
+        return component
+    if isinstance(tree, Neg):
+        operand = _scalar(tree.operand)
+        return lambda t, x: -operand(t, x)
+    if isinstance(tree, BinOp):
+        return _SCALAR_BINOPS[tree.op](_scalar(tree.left), _scalar(tree.right), tree)
+    if isinstance(tree, Call):
+        return _scalar_call(tree)
+    raise TypeError(f"not an expression node: {tree!r}")
+
+
+# ``v - v`` is 0.0 for a finite float and NaN for an infinite or NaN one, so
+# ``v if v - v == 0.0 else _fin(v, node)`` is ``_fin(v, node)`` without the
+# call on the values that pass.
+
+
+def _scalar_add(left, right, node):
+    def add(t, x):
+        v = left(t, x) + right(t, x)
+        return v if v - v == 0.0 else _fin(v, node)
+
+    return add
+
+
+def _scalar_sub(left, right, node):
+    def sub(t, x):
+        v = left(t, x) - right(t, x)
+        return v if v - v == 0.0 else _fin(v, node)
+
+    return sub
+
+
+def _scalar_mul(left, right, node):
+    def mul(t, x):
+        v = left(t, x) * right(t, x)
+        return v if v - v == 0.0 else _fin(v, node)
+
+    return mul
+
+
+def _scalar_div(left, right, node):
+    pos = node.pos
+
+    def divide(t, x):
+        a = left(t, x)
+        b = right(t, x)
+        if b == 0.0:
+            raise ExprDomainError("division by zero", pos)
+        v = a / b
+        return v if v - v == 0.0 else _fin(v, node)
+
+    return divide
+
+
+def _scalar_pow(left, right, node):
+    pos = node.pos
+
+    def power(t, x):
+        a = left(t, x)
+        b = right(t, x)
+        if a < 0.0 and b != int(b):
+            raise ExprDomainError(f"negative base {a} with non-integer exponent {b}", pos)
+        if a == 0.0 and b < 0.0:
+            raise ExprDomainError("zero base with negative exponent", pos)
+        try:
+            return _fin(math.pow(a, b), node)
+        except OverflowError:
+            raise ExprDomainError("overflow in power", pos) from None
+
+    return power
+
+
+_SCALAR_BINOPS = {
+    "+": _scalar_add,
+    "-": _scalar_sub,
+    "*": _scalar_mul,
+    "/": _scalar_div,
+    "^": _scalar_pow,
+}
+
+
+def _scalar_exp(a, node):
+    def exp(t, x):
+        v = a(t, x)
+        try:
+            e = math.exp(v)
+        except OverflowError:
+            raise ExprDomainError(f"overflow in exp({v})", node.pos) from None
+        return e if e - e == 0.0 else _fin(e, node)
+
+    return exp
+
+
+def _scalar_log(a, node):
+    def log(t, x):
+        v = a(t, x)
+        if v <= 0.0:
+            raise ExprDomainError(f"log of nonpositive value {v}", node.pos)
+        return math.log(v)
+
+    return log
+
+
+def _scalar_sqrt(a, node):
+    def sqrt(t, x):
+        v = a(t, x)
+        if v < 0.0:
+            raise ExprDomainError(f"sqrt of negative value {v}", node.pos)
+        return math.sqrt(v)
+
+    return sqrt
+
+
+def _sign(v):
+    return float((v > 0.0) - (v < 0.0))
+
+
+def _heaviside(v):
+    return 1.0 if v > 0.0 else 0.0
+
+
+_SCALAR_UNARY = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "abs": abs,
+    "sign": _sign,
+    "heaviside": _heaviside,
+}
+
+_SCALAR_CHECKED = {"exp": _scalar_exp, "log": _scalar_log, "sqrt": _scalar_sqrt}
+
+
+def _scalar_call(tree):
+    name, pos = tree.name, tree.pos
+    if name == "norm_inf":
+
+        def norm_inf(t, x):
+            if len(x) == 0:
+                raise ExprDomainError("norm_inf(x) with an empty state vector", pos)
+            return max(abs(float(v)) for v in x)
+
+        return norm_inf
+    if name == "omega_k":
+        k = int(tree.args[0].value)
+        arg = _scalar(tree.args[1])
+
+        def modulus(t, x):
+            s = arg(t, x)
+            if s < 0:
+                raise ExprDomainError(f"omega_k of negative value {s}", pos)
+            return _fin(float(omega_k(k, s)), tree)
+
+        return modulus
+    args = [_scalar(a) for a in tree.args]
+    if name in _SCALAR_UNARY:
+        fn, (a,) = _SCALAR_UNARY[name], args
+        return lambda t, x: fn(a(t, x))
+    if name in _SCALAR_CHECKED:
+        return _SCALAR_CHECKED[name](args[0], tree)
+    fn, (a, b) = {"min": min, "max": max}[name], args
+    return lambda t, x: fn(a(t, x), b(t, x))
+
+
 class _Bail(Exception):
-    """A batched sample broke a domain rule; the scalar walk reports it."""
+    """A batched sample broke a domain rule; the scalar path reports it."""
 
 
 # Operands are numpy arrays or numpy scalars, so the reductions below are
@@ -502,19 +694,21 @@ def _compile_call(tree):
 class ExprFunction:
     """A parsed expression as a callable with a batched twin.
 
-    ``f(t, x)`` is ``eval_expr(tree, t, x)``; ``f.batch(ts, xs)`` evaluates
-    many samples at once or returns ``None`` (see the module docstring).
-    Expressions in ``t`` alone (``n = 0``) are called as ``f(t)`` and
-    batched as ``f.batch(ts)``.
+    ``f(t, x)`` runs the compiled scalar closures and returns what
+    ``eval_expr(tree, t, x)`` returns, bit for bit, or raises what it
+    raises; ``f.batch(ts, xs)`` evaluates many samples at once or returns
+    ``None`` (see the module docstring).  Expressions in ``t`` alone
+    (``n = 0``) are called as ``f(t)`` and batched as ``f.batch(ts)``.
     """
 
     def __init__(self, tree, source=None):
         self.tree = tree
         self.source = to_source(tree) if source is None else source
+        self._evaluate = _scalar(tree)
         self._batched = _compile(tree)
 
     def __call__(self, t, x=()):
-        return eval_expr(self.tree, t, x)
+        return self._evaluate(t, x)
 
     def batch(self, ts, xs=None):
         ts = np.asarray(ts, dtype=float)

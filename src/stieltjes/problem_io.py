@@ -251,8 +251,9 @@ def load_problem_file(path):
     )
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
+# Rows are converted with ``tolist`` and joined this many at a time, which
+# keeps the writer's peak memory near twice the size of the text.
+_CSV_BLOCK = 256
 
 
 def trace_csv_text(trace, problem):
@@ -260,20 +261,27 @@ def trace_csv_text(trace, problem):
 
     Every grid point yields one ``post_jump = 0`` row; grid points where
     any component derivator jumps yield an extra ``post_jump = 1`` row with
-    the post-impulse state, immediately after.
+    the post-impulse state, immediately after.  Each float is written as
+    ``"%.17g" % v``, which is ``format(v, ".17g")``.
     """
     n = problem.n
     jumps_here = np.zeros(trace.grid.size, dtype=bool)
     for g in problem.derivators:
         jumps_here[:-1] |= g.jump(trace.grid[:-1]) > 0.0
-    lines = ["t,post_jump," + ",".join(f"x_{i + 1}" for i in range(n))]
-    for k, t in enumerate(trace.grid):
-        row = ",".join(_fmt(v) for v in trace.values[k])
-        lines.append(f"{_fmt(t)},0,{row}")
-        if jumps_here[k]:
-            row = ",".join(_fmt(v) for v in trace.right_values[k])
-            lines.append(f"{_fmt(t)},1,{row}")
-    return "\n".join(lines) + "\n"
+    row = "%.17g,%d" + ",%.17g" * n
+    blocks = ["t,post_jump," + ",".join(f"x_{i + 1}" for i in range(n))]
+    grid, values, rights = trace.grid, trace.values, trace.right_values
+    for lo in range(0, grid.size, _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        lines = []
+        for t, jump, left, right in zip(grid[rows].tolist(), jumps_here[rows].tolist(),
+                                        values[rows].tolist(), rights[rows]):
+            lines.append(row % (t, 0, *left))
+            if jump:
+                lines.append(row % (t, 1, *right.tolist()))
+        blocks.append("\n".join(lines))
+    blocks.append("")  # the closing newline, without copying the text again
+    return "\n".join(blocks)
 
 
 def write_trace_csv(trace, problem, path):

@@ -88,8 +88,11 @@ class IVProblem:
     cannot answer (a domain violation, say); the scalar call is then made
     sample by sample.  The scalar call is the reference: ``batch`` must
     agree with it, and errors are always reported from it.  The sequential
-    Euler step loop always uses the scalar call.  Problem files build every
-    expression as an ``expr.ExprFunction``, which has ``batch``.
+    Euler step loop and the impulses at the atoms always use the scalar
+    call.  Problem files build every expression as an ``expr.ExprFunction``:
+    its ``batch`` runs numpy closures, and its scalar call runs closures
+    over ``math`` that give the bits of the ``expr.eval_expr`` tree walk
+    without walking the tree.
     """
 
     t0: float
@@ -247,6 +250,7 @@ class _GridData:
                     f"grid misses the atom of derivators[{i}] at t={missed[0]}; "
                     "build_grid includes every atom"
                 )
+        self.atom_rows = np.flatnonzero(np.any(self.deltas > 0, axis=1))
 
         # continuous-part increments per cell and component
         self.cont_inc = np.empty((N, n))
@@ -272,28 +276,33 @@ class _GridData:
             cells = np.repeat(cell, quad_order)
             self.quad.append((ts, ws, cells))
 
-    def impulse_rights(self, values):
-        """Post-jump states: right[k] = value[k] + f(t_k, value[k]) * delta_k."""
+    def atom_rhs(self, values):
+        """The rhs at every atom row ``k``, with the pre-jump state ``values[k]``."""
+        return [self.problem.eval_rhs(self.grid[k], values[k]) for k in self.atom_rows]
+
+    def impulse_rights(self, values, atom_f):
+        """Post-jump states: right[k] = value[k] + f(t_k, value[k]) * delta_k.
+
+        ``atom_f`` is ``atom_rhs(values)``.
+        """
         rights = values.copy()
-        jump_rows = np.flatnonzero(np.any(self.deltas > 0, axis=1))
-        for k in jump_rows:
-            fx = self.problem.eval_rhs(self.grid[k], values[k])
+        for k, fx in zip(self.atom_rows, atom_f):
             rights[k] = values[k] + fx * self.deltas[k]
         return rights
 
-    def integral_map(self, values, rights):
+    def integral_map(self, values, rights, atom_f):
         """One application of x -> x0 + integral of f(s, x(s)) dg on the grid.
 
         The iterate is interpolated linearly inside each cell from the
         post-jump state at the left node to the value at the right node.
+        ``atom_f`` is ``atom_rhs(values)``.
         """
         problem = self.problem
         N, n = self.n_cells, problem.n
         cells_total = np.zeros((N, n))
 
         # atomic contributions use the pre-jump state at the atom
-        for k in np.flatnonzero(np.any(self.deltas[:-1] > 0, axis=1)):
-            fx = problem.eval_rhs(self.grid[k], values[k])
+        for k, fx in zip(self.atom_rows, atom_f):
             cells_total[k] += fx * self.deltas[k]
 
         widths = np.diff(self.grid)
@@ -331,11 +340,12 @@ def solve_euler(problem, grid, compute_residual=True, quad_order=6):
     rights = np.empty((N + 1, n))
     values[0] = problem.x0
     x = problem.x0.copy()
+    jumps_at = np.any(data.deltas > 0, axis=1).tolist()
     for k in range(N):
         t = grid[k]
         fx = problem.eval_rhs(t, x)
         y = x + fx * data.deltas[k]  # impulse with the pre-jump state
-        if np.any(data.deltas[k] > 0):
+        if jumps_at[k]:
             _check_ball(problem, y, t)
             f_plus = problem.eval_rhs(t, y)
         else:
@@ -348,7 +358,7 @@ def solve_euler(problem, grid, compute_residual=True, quad_order=6):
 
     res = None
     if compute_residual:
-        mapped = data.integral_map(values, rights)
+        mapped = data.integral_map(values, rights, data.atom_rhs(values))
         res = np.max(np.abs(values - mapped), axis=0)
     return SolutionTrace(
         grid=grid, values=values, right_values=rights, method="euler", residual=res
@@ -378,14 +388,17 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, quad_order=6, initial=N
             raise ConfigurationError(
                 f"initial iterate must have shape {(N + 1, n)}, got {values.shape}"
             )
-    rights = data.impulse_rights(values)
+    # the rhs at the atoms serves both the impulses and the next map
+    atom_f = data.atom_rhs(values)
+    rights = data.impulse_rights(values, atom_f)
     change = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_values = data.integral_map(values, rights)
+        new_values = data.integral_map(values, rights, atom_f)
         change = np.max(np.abs(new_values - values), axis=0)
         values = new_values
-        rights = data.impulse_rights(values)
+        atom_f = data.atom_rhs(values)
+        rights = data.impulse_rights(values, atom_f)
         if problem.ball_radius is not None:
             dev = np.maximum(
                 np.max(np.abs(values - problem.x0), axis=1),
@@ -418,7 +431,7 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, quad_order=6, initial=N
 def residual(problem, trace, quad_order=6):
     """Per-component max deviation of a trace from the integral equation."""
     data = _GridData(problem, trace.grid, quad_order=quad_order)
-    mapped = data.integral_map(trace.values, trace.right_values)
+    mapped = data.integral_map(trace.values, trace.right_values, data.atom_rhs(trace.values))
     return np.max(np.abs(trace.values - mapped), axis=0)
 
 

@@ -1,6 +1,7 @@
 """Expression language: grammar, precedence, evaluation, and totality."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -299,3 +300,77 @@ class TestBatch:
         assert type(sampled.value) is type(scalar.value)
         assert str(sampled.value) == str(scalar.value)
         assert getattr(sampled.value, "offset", None) == getattr(scalar.value, "offset", None)
+
+
+# -- the compiled scalar evaluator -----------------------------------------
+
+def _outcome(fn, *args):
+    """The bits of a float result, or the type, message and offset of the error."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception must match exactly
+        return ("raised", type(exc), str(exc), getattr(exc, "offset", None))
+    return ("value", type(value), struct.pack("<d", value))
+
+
+def _walk_and_call(f, t, x=()):
+    return _outcome(eval_expr, f.tree, t, x), _outcome(f, t, x)
+
+
+class TestCompiledScalar:
+    # omega_k of a subnormal overflows inside numpy (1 / 5e-324); both paths
+    # then raise the same "non-finite value" error
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("root", sorted(_KINDS))
+    def test_same_bits_as_the_walk(self, rng, root):
+        n = 2
+        special = np.array([0.0, -0.0, 5e-324, -1e-300, 1e300, -1e300])
+        for _ in range(12):
+            f = ExprFunction(parse(random_source(rng, n, 4, root), n))
+            points = rng.uniform(-2, 2, (24, n + 1))
+            points[::3, 1:] = rng.choice(special, (8, n))
+            points[1::6, 0] = rng.choice(special, 4)
+            for t, *x in points:
+                walk, call = _walk_and_call(f, float(t), np.array(x))
+                assert call == walk, (f, t, x)
+
+    @pytest.mark.parametrize("src, t, x", [
+        ("1 + t / (x1 - x1)", 1.0, (2.0,)),
+        ("2 * log(x1)", 0.0, (0.0,)),
+        ("2 * log(x1)", 0.0, (-1.5,)),
+        ("t + sqrt(x1)", 0.0, (-1.0,)),
+        ("(x1 - 3) ^ 0.5", 0.0, (1.0,)),
+        ("1 + x1 ^ -1", 0.0, (0.0,)),
+        ("1 + x1 ^ -1", 0.0, (-0.0,)),
+        ("x1 * 1e308 * 10", 0.0, (1.0,)),
+        ("x1 * 1e308 + 1e308", 0.0, (1.0,)),
+        ("-1e308 - x1 * 1e308", 0.0, (1.0,)),
+        ("1e308 / x1", 0.0, (1e-10,)),
+        ("2 * exp(800 * x1)", 0.0, (1.0,)),
+        ("x1 ^ 400", 0.0, (10.0,)),
+        ("omega_k(1, x1)", 0.0, (-1.0,)),
+        ("omega_k(4, abs(x1))", 0.0, (0.5,)),
+        ("x1 + x2", 0.0, (1.0,)),
+        ("norm_inf(x)", 0.0, ()),
+        # non-finite inputs: the walk's own errors, raised by the same calls
+        ("sin(t)", math.inf, (0.0,)),
+        ("t + 1", math.nan, (0.0,)),
+        ("2 * exp(t)", math.inf, (0.0,)),
+        ("x1 ^ t", math.inf, (-1.0,)),
+        ("omega_k(1, x1)", 0.0, (math.nan,)),
+    ])
+    def test_same_error_as_the_walk(self, src, t, x):
+        f = ExprFunction(parse(src, 2))
+        walk, call = _walk_and_call(f, t, x)
+        assert walk[0] == "raised"
+        assert call == walk
+
+    def test_unary_call_in_t_alone(self, rng):
+        f = ExprFunction(parse("exp(-t) * sin(3*t) + t ^ 2 - log(1 + abs(t))", 0))
+        for t in [*rng.uniform(-3, 3, 20), 0.0, -0.0]:
+            walk, call = _walk_and_call(f, float(t))
+            assert call == walk and call[0] == "value"
+            assert _outcome(f, float(t)) == _outcome(eval_expr, f.tree, float(t))
+        g = ExprFunction(parse("1 / t", 0))
+        assert _outcome(g, 0.0) == _outcome(eval_expr, g.tree, 0.0)
+        assert _outcome(g, 0.0)[0] == "raised"

@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from stieltjes import ProblemFileError
+from stieltjes import Derivator, ProblemFileError, problem_io
 from stieltjes.expr import ExprFunction
 from stieltjes.problem_io import load_problem_file, trace_csv_text, write_trace_csv
-from stieltjes.solver import build_grid, solve_euler
+from stieltjes.solver import IVProblem, SolutionTrace, build_grid, solve_euler
 
 DOC = {
     "version": 1,
@@ -100,6 +100,61 @@ class TestRoundTrip:
         ss = np.concatenate(([0.0], rng.uniform(0.0, 0.2, 40)))
         np.testing.assert_array_equal(modulus.batch(ss), [modulus(s) for s in ss])
         assert modulus.batch(np.array([0.1, -1.0])) is None
+
+
+# Written by the per-value ``format(v, ".17g")`` writer; any change to the
+# CSV format has to change this text.
+GOLDEN_CSV = """\
+t,post_jump,x_1,x_2
+0,0,1,-0
+0.10000000000000001,0,0.10000000000000001,-2.5
+0.10000000000000001,1,0.30000000000000004,-2.5
+0.33333333333333331,0,0.33333333333333331,1e-300
+0.33333333333333331,1,-1e-300,-4.9406564584124654e-324
+0.5,0,-0.33333333333333331,4.9406564584124654e-324
+0.75,0,1e+22,-1.7976931348623157e+308
+0.75,1,1e+22,0.10000000000000001
+1,0,123456789,2.2250738585072014e-308
+"""
+
+
+class TestGoldenCsv:
+    """The trace CSV, byte for byte, on a hand-made trace of a two-component
+    problem: a jump of both components at 1/3, of g1 alone at 0.1 and of g2
+    alone at 0.75, and values that test the 17-digit rendering."""
+
+    @staticmethod
+    def trace_and_problem():
+        g1 = Derivator.identity((0.0, 1.0)).with_jumps([(0.1, 0.5), (1 / 3, 0.25)])
+        g2 = Derivator.identity((0.0, 1.0)).with_jumps([(1 / 3, 1.0), (0.75, 2.0)])
+        problem = IVProblem(t0=0.0, horizon=1.0, x0=[1.0, -0.0], derivators=(g1, g2),
+                            rhs=(lambda t, x: x[0], lambda t, x: -x[1]))
+        grid = np.array([0.0, 0.1, 1 / 3, 0.5, 0.75, 1.0])
+        values = np.array([[1.0, -0.0], [0.1, -2.5], [1 / 3, 1e-300], [-1 / 3, 5e-324],
+                           [1e22, -1.7976931348623157e308],
+                           [123456789.0, 2.2250738585072014e-308]])
+        rights = values.copy()
+        rights[1] = [0.1 + 0.2, -2.5]
+        rights[2] = [-1e-300, -5e-324]
+        rights[4] = [1e22, 0.1]
+        trace = SolutionTrace(grid=grid, values=values, right_values=rights, method="euler")
+        return trace, problem
+
+    def test_text_matches_the_golden_file(self):
+        assert trace_csv_text(*self.trace_and_problem()) == GOLDEN_CSV
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 5])
+    def test_text_is_the_same_for_any_row_block(self, monkeypatch, block):
+        # rows are rendered in blocks; jumps sit on both sides of block edges
+        monkeypatch.setattr(problem_io, "_CSV_BLOCK", block)
+        assert trace_csv_text(*self.trace_and_problem()) == GOLDEN_CSV
+
+    def test_written_bytes_are_identical_across_calls(self, tmp_path):
+        trace, problem = self.trace_and_problem()
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_trace_csv(trace, problem, first)
+        write_trace_csv(trace, problem, second)
+        assert first.read_bytes() == second.read_bytes() == GOLDEN_CSV.encode("utf-8")
 
 
 class TestValidation:

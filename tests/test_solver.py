@@ -241,6 +241,23 @@ class TestPicard:
         warm = solve_picard(p, grid, tol=tol, initial=solve_euler(p, grid))
         assert cold.sup_distance(warm) <= 10 * tol
 
+    def test_atom_rhs_is_evaluated_once_per_iterate(self):
+        # the impulses and the next map share one rhs value per atom: one
+        # call for the initial iterate and one for each accepted iterate
+        at_atom = []
+
+        def f(t, x):
+            if t == 1.0:
+                at_atom.append(float(x[0]))
+            return x[0]
+
+        p = impulsive_problem()
+        p = IVProblem(p.t0, p.horizon, p.x0, p.derivators, [f])
+        tr = solve_picard(p, build_grid(p, n_steps=8))
+        assert len(at_atom) == tr.n_iterations + 1
+        k = int(np.searchsorted(tr.grid, 1.0))
+        assert at_atom[-1] == tr.values[k, 0]
+
 
 class TestResidual:
     def test_zero_rhs_zero_residual(self):
