@@ -17,32 +17,37 @@ heaviside, norm_inf, omega_k (first argument an integer literal).  There
 are no user-defined functions and no conditionals; piecewise right-hand
 sides are written with heaviside products, which keeps evaluation total.
 
-Evaluation follows IEEE doubles but never lets a NaN escape: domain
-violations (log of a nonpositive value, division by zero, overflow, ...)
-raise ``ExprDomainError`` carrying the byte offset of the subexpression.
+Literals must be finite (``1e999`` is refused) and trees no deeper than
+``MAX_DEPTH`` nodes; ``parse`` raises ``ExprParseError`` otherwise.
+
+Evaluation follows IEEE doubles but never lets a NaN escape: a non-finite t
+or used state component and every domain violation (log of a nonpositive
+value, division by zero, overflow, ...) raise ``ExprDomainError`` carrying
+the byte offset of the variable or subexpression.
 
 ``eval_expr`` walks the tree and is the reference semantics.
-``ExprFunction`` wraps a parsed tree as a callable and compiles it once into
-two sets of closures:
+``ExprFunction`` writes the tree out as one straight-line Python function
+per backend, a local per node with every rule and finiteness check inline,
+from one table (``_OPS``) that spells each operation and rule once.  The
+backends differ only in the names they bind and in what a failed check does:
 
-* ``f(t, x)`` runs closures over ``math`` that mirror ``eval_expr``
-  operation by operation: the same operations in the same order, so the
-  same bits, and the same ``ExprDomainError`` (message and offset) or
-  ``ModulusOverflowError`` on every domain rule.  This scalar path is the
-  only one that reports errors.
-* ``f.batch(ts, xs) -> array`` runs closures over numpy ufuncs on ``m``
-  samples at once: ``ts`` has shape ``(m,)`` and ``xs`` shape ``(m, n)``,
-  or is omitted for expressions in ``t`` alone.  It returns ``None`` when
-  any sample breaks a domain rule (or any input is non-finite); callers
-  then run the scalar path, which raises the error.  Batched values agree
-  with the walk up to the last-bit differences between numpy's and libm's
-  ``exp``, ``log`` and ``pow``.
+* ``f(t, x)`` binds ``math`` and raises, so it returns the walk's bits or
+  raises the walk's ``ExprDomainError`` (message and offset) or
+  ``ModulusOverflowError``.  Only this scalar path reports errors.
+* ``f.batch(ts, xs) -> array`` binds numpy and evaluates ``m`` samples at
+  once: ``ts`` has shape ``(m,)`` and ``xs`` shape ``(m, n)``, or is omitted
+  for expressions in ``t`` alone.  It returns ``None`` when any sample
+  breaks a rule; callers then run the scalar path, which raises the error.
+  Batched values agree with the walk up to the last-bit differences between
+  numpy's and libm's ``exp``, ``log`` and ``pow``.
 
 This is the batch protocol that the sampling code of the package looks for
 (see ``solver.IVProblem``).
 """
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -51,22 +56,16 @@ import numpy as np
 from .errors import ExprDomainError, ExprParseError, ModulusOverflowError
 from .moduli import omega_k
 
-__all__ = ["parse", "eval_expr", "to_source", "ExprFunction", "FUNCTIONS"]
+__all__ = ["parse", "eval_expr", "to_source", "ExprFunction", "FUNCTIONS", "MAX_DEPTH"]
 
-# name -> arity
-FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "sign": 1,
-    "heaviside": 1,
-    "min": 2,
-    "max": 2,
-    "norm_inf": 1,
-    "omega_k": 2,
+# the deepest tree ``parse`` accepts, in nodes from root to leaf; it keeps the
+# recursive parser, walk and printer far from Python's recursion limit
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+FUNCTIONS = {  # name -> arity
+    "sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1, "sign": 1, "heaviside": 1,
+    "min": 2, "max": 2, "norm_inf": 1, "omega_k": 2,
 }
 
 
@@ -149,10 +148,10 @@ class _Parser:
     def __init__(self, src, n):
         if n < 0:
             raise ValueError("n must be >= 0")
-        self.src = src
         self.n = n
         self.tokens = _tokenize(src)
         self.i = 0
+        self.level = 0  # parse_expr calls in progress
 
     def peek(self):
         return self.tokens[self.i]
@@ -171,6 +170,9 @@ class _Parser:
     # precedence-climbing over +- (10), */ (20), ^ (30, right-assoc);
     # unary minus sits between */ and ^ so that -2^2 == -(2^2)
     def parse_expr(self, min_bp=0):
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExprParseError(_TOO_DEEP, self.peek()[2])
         lhs = self.parse_unary()
         while True:
             kind, text, pos = self.peek()
@@ -184,6 +186,7 @@ class _Parser:
             self._scalar(lhs, pos)
             self._scalar(rhs, pos)
             lhs = BinOp(op=text, left=lhs, right=rhs, pos=pos)
+        self.level -= 1
         return lhs
 
     def parse_unary(self):
@@ -198,19 +201,18 @@ class _Parser:
     def parse_atom(self):
         kind, text, pos = self.next()
         if kind == "num":
+            if float(text) == math.inf:
+                raise ExprParseError(f"numeric literal {text} overflows to inf", pos)
             return Num(value=float(text), pos=pos)
         if kind == "op" and text == "(":
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
         if kind == "name":
-            nxt_kind, nxt_text, _ = self.peek()
-            if nxt_kind == "op" and nxt_text == "(":
+            if self.peek()[:2] == ("op", "("):
                 return self.parse_call(text, pos)
             return self.parse_variable(text, pos)
-        raise ExprParseError(
-            f"unexpected token {text!r}", pos, expected=("number", "name", "(", "-")
-        )
+        raise ExprParseError(f"unexpected token {text!r}", pos, expected=("number", "name", "(", "-"))
 
     def parse_variable(self, text, pos):
         if text == "t":
@@ -233,28 +235,18 @@ class _Parser:
 
     def parse_call(self, name, pos):
         if name not in FUNCTIONS:
-            raise ExprParseError(
-                f"unknown function {name!r}", pos, expected=tuple(sorted(FUNCTIONS))
-            )
+            raise ExprParseError(f"unknown function {name!r}", pos, expected=tuple(sorted(FUNCTIONS)))
         self.expect_op("(")
         args = [self.parse_expr()]
-        while True:
-            kind, text, p2 = self.peek()
-            if kind == "op" and text == ",":
-                self.next()
-                args.append(self.parse_expr())
-            else:
-                break
+        while self.peek()[:2] == ("op", ","):
+            self.next()
+            args.append(self.parse_expr())
         self.expect_op(")")
         if len(args) != FUNCTIONS[name]:
-            raise ExprParseError(
-                f"{name} expects {FUNCTIONS[name]} argument(s), got {len(args)}", pos
-            )
+            raise ExprParseError(f"{name} expects {FUNCTIONS[name]} argument(s), got {len(args)}", pos)
         if name == "norm_inf":
             if not isinstance(args[0], VecX):
-                raise ExprParseError(
-                    "norm_inf expects the state vector x as its argument", pos
-                )
+                raise ExprParseError("norm_inf expects the state vector x as its argument", pos)
         else:
             for a in args:
                 self._scalar(a, pos)
@@ -262,17 +254,13 @@ class _Parser:
             k = args[0]
             if not isinstance(k, Num) or k.value != int(k.value) or k.value < 1:
                 raise ExprParseError(
-                    "omega_k expects an integer literal k >= 1 as its first argument",
-                    pos,
-                )
+                    "omega_k expects an integer literal k >= 1 as its first argument", pos)
         return Call(name=name, args=tuple(args), pos=pos)
 
     @staticmethod
     def _scalar(node, pos):
         if isinstance(node, VecX):
-            raise ExprParseError(
-                "the vector x is only legal inside norm_inf(x)", node.pos
-            )
+            raise ExprParseError("the vector x is only legal inside norm_inf(x)", node.pos)
 
 
 def parse(src, n):
@@ -283,12 +271,30 @@ def parse(src, n):
     if kind != "end":
         raise ExprParseError(f"trailing input {text!r}", pos, expected=("end",))
     parser._scalar(tree, 0)
+    # a chain such as x1 + 0 + 0 ... nests without nesting the parser's calls
+    level = [tree]
+    for _ in range(MAX_DEPTH):
+        level = [child for node in level for child in _children(node)]
+    if level:
+        raise ExprParseError(_TOO_DEEP, level[0].pos)
     return tree
 
 
-def _fin(value, node):
+def _children(node):
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    return tuple(node.args) if isinstance(node, Call) else ()
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_PLAIN = {"sin": math.sin, "cos": math.cos, "abs": abs, "min": min, "max": max}
+
+
+def _fin(value, node, message="non-finite value {}"):
     if isinstance(value, float) and not math.isfinite(value):
-        raise ExprDomainError(f"non-finite value {value}", node.pos)
+        raise ExprDomainError(message.format(value), node.pos)
     return value
 
 
@@ -297,35 +303,28 @@ def eval_expr(tree, t, x=()):
     if isinstance(tree, Num):
         return tree.value
     if isinstance(tree, VarT):
-        return float(t)
+        return _fin(float(t), tree, "non-finite input t = {}")
     if isinstance(tree, VarX):
         try:
-            return float(x[tree.index - 1])
+            value = float(x[tree.index - 1])
         except IndexError:
-            raise ExprDomainError(
-                f"state vector too short for x{tree.index}", tree.pos
-            ) from None
+            raise ExprDomainError(f"state vector too short for x{tree.index}", tree.pos) from None
+        return _fin(value, tree, f"non-finite input x{tree.index} = {{}}")
     if isinstance(tree, Neg):
         return -eval_expr(tree.operand, t, x)
     if isinstance(tree, BinOp):
         a = eval_expr(tree.left, t, x)
         b = eval_expr(tree.right, t, x)
         op = tree.op
-        if op == "+":
-            return _fin(a + b, tree)
-        if op == "-":
-            return _fin(a - b, tree)
-        if op == "*":
-            return _fin(a * b, tree)
+        if op in _ARITH:
+            return _fin(_ARITH[op](a, b), tree)
         if op == "/":
             if b == 0.0:
                 raise ExprDomainError("division by zero", tree.pos)
             return _fin(a / b, tree)
         if op == "^":
             if a < 0.0 and b != int(b):
-                raise ExprDomainError(
-                    f"negative base {a} with non-integer exponent {b}", tree.pos
-                )
+                raise ExprDomainError(f"negative base {a} with non-integer exponent {b}", tree.pos)
             if a == 0.0 and b < 0.0:
                 raise ExprDomainError("zero base with negative exponent", tree.pos)
             try:
@@ -342,18 +341,20 @@ def _eval_call(tree, t, x):
     if name == "norm_inf":
         if len(x) == 0:
             raise ExprDomainError("norm_inf(x) with an empty state vector", tree.pos)
-        return max(abs(float(v)) for v in x)
+        values = [abs(float(v)) for v in x]
+        if not all(map(math.isfinite, values)):
+            raise ExprDomainError("non-finite input in the state vector x", tree.args[0].pos)
+        return max(values)
     if name == "omega_k":
         k = int(tree.args[0].value)
         s = eval_expr(tree.args[1], t, x)
         if s < 0:
             raise ExprDomainError(f"omega_k of negative value {s}", tree.pos)
         return _fin(float(omega_k(k, s)), tree)
-    a = eval_expr(tree.args[0], t, x)
-    if name == "sin":
-        return math.sin(a)
-    if name == "cos":
-        return math.cos(a)
+    args = [eval_expr(arg, t, x) for arg in tree.args]
+    if name in _PLAIN:
+        return _PLAIN[name](*args)
+    a = args[0]
     if name == "exp":
         try:
             return _fin(math.exp(a), tree)
@@ -367,345 +368,194 @@ def _eval_call(tree, t, x):
         if a < 0.0:
             raise ExprDomainError(f"sqrt of negative value {a}", tree.pos)
         return math.sqrt(a)
-    if name == "abs":
-        return abs(a)
     if name == "sign":
         return float((a > 0.0) - (a < 0.0))
     if name == "heaviside":
         return 1.0 if a > 0.0 else 0.0
-    b = eval_expr(tree.args[1], t, x)
-    if name == "min":
-        return min(a, b)
-    if name == "max":
-        return max(a, b)
     raise TypeError(f"unhandled function {name!r}")
 
 
-# -- the compiled scalar evaluator -----------------------------------------
+# -- the emitter -------------------------------------------------------------
 #
-# Each closure performs the operations of the matching ``eval_expr`` branch,
-# in the same order and with the same ``math`` functions, so it returns the
-# same bits and raises the same error (message and offset) as the walk.
+# ``_OPS`` holds, per operation: the spelling of its value, its domain rules
+# as (predicate, ExprDomainError message), the message of the finiteness
+# check on its value (None: the value is finite whenever its operands are),
+# and the exception its value may raise with the message that replaces it.
+# Spellings name the operands {a} and {b}, the value {v}, a state index {j}
+# (0-based) or {k} (1-based), and backend names such as ``sin`` or ``trunc``.
+# Predicates use ``&`` so that they also hold elementwise.
 
+_NONFINITE = "non-finite value {v}"
 
-def _scalar(tree):
-    """A closure ``(t, x) -> value`` that evaluates ``tree`` as ``eval_expr`` does."""
-    if isinstance(tree, Num):
-        value = tree.value
-        return lambda t, x: value
-    if isinstance(tree, VarT):
-        return lambda t, x: float(t)
-    if isinstance(tree, VarX):
-        j, pos, message = tree.index - 1, tree.pos, f"state vector too short for x{tree.index}"
-
-        def component(t, x):
-            try:
-                return float(x[j])
-            except IndexError:
-                raise ExprDomainError(message, pos) from None
-
-        return component
-    if isinstance(tree, Neg):
-        operand = _scalar(tree.operand)
-        return lambda t, x: -operand(t, x)
-    if isinstance(tree, BinOp):
-        return _SCALAR_BINOPS[tree.op](_scalar(tree.left), _scalar(tree.right), tree)
-    if isinstance(tree, Call):
-        return _scalar_call(tree)
-    raise TypeError(f"not an expression node: {tree!r}")
-
-
-# ``v - v`` is 0.0 for a finite float and NaN for an infinite or NaN one, so
-# ``v if v - v == 0.0 else _fin(v, node)`` is ``_fin(v, node)`` without the
-# call on the values that pass.
-
-
-def _scalar_add(left, right, node):
-    def add(t, x):
-        v = left(t, x) + right(t, x)
-        return v if v - v == 0.0 else _fin(v, node)
-
-    return add
-
-
-def _scalar_sub(left, right, node):
-    def sub(t, x):
-        v = left(t, x) - right(t, x)
-        return v if v - v == 0.0 else _fin(v, node)
-
-    return sub
-
-
-def _scalar_mul(left, right, node):
-    def mul(t, x):
-        v = left(t, x) * right(t, x)
-        return v if v - v == 0.0 else _fin(v, node)
-
-    return mul
-
-
-def _scalar_div(left, right, node):
-    pos = node.pos
-
-    def divide(t, x):
-        a = left(t, x)
-        b = right(t, x)
-        if b == 0.0:
-            raise ExprDomainError("division by zero", pos)
-        v = a / b
-        return v if v - v == 0.0 else _fin(v, node)
-
-    return divide
-
-
-def _scalar_pow(left, right, node):
-    pos = node.pos
-
-    def power(t, x):
-        a = left(t, x)
-        b = right(t, x)
-        if a < 0.0 and b != int(b):
-            raise ExprDomainError(f"negative base {a} with non-integer exponent {b}", pos)
-        if a == 0.0 and b < 0.0:
-            raise ExprDomainError("zero base with negative exponent", pos)
-        try:
-            return _fin(math.pow(a, b), node)
-        except OverflowError:
-            raise ExprDomainError("overflow in power", pos) from None
-
-    return power
-
-
-_SCALAR_BINOPS = {
-    "+": _scalar_add,
-    "-": _scalar_sub,
-    "*": _scalar_mul,
-    "/": _scalar_div,
-    "^": _scalar_pow,
+_OPS = {
+    "t": ("real(t)", (), "non-finite input t = {v}", None),
+    "x<k>": ("real(x[{j}])", (), "non-finite input x{k} = {v}",
+             ("IndexError", "state vector too short for x{k}")),
+    "x": ("x", (("nonfinite(x)", "non-finite input in the state vector x"),), None, None),
+    "neg": ("-{a}", (), None, None),
+    "+": ("{a} + {b}", (), _NONFINITE, None),
+    "-": ("{a} - {b}", (), _NONFINITE, None),
+    "*": ("{a} * {b}", (), _NONFINITE, None),
+    "/": ("{a} / {b}", (("{b} == 0.0", "division by zero"),), _NONFINITE, None),
+    "^": ("pow({a}, {b})", (
+        ("({a} < 0.0) & ({b} != trunc({b}))", "negative base {a} with non-integer exponent {b}"),
+        ("({a} == 0.0) & ({b} < 0.0)", "zero base with negative exponent"),
+    ), _NONFINITE, ("OverflowError", "overflow in power")),
+    "sin": ("sin({a})", (), None, None),
+    "cos": ("cos({a})", (), None, None),
+    "exp": ("exp({a})", (), _NONFINITE, ("OverflowError", "overflow in exp({a})")),
+    "log": ("log({a})", (("{a} <= 0.0", "log of nonpositive value {a}"),), None, None),
+    "sqrt": ("sqrt({a})", (("{a} < 0.0", "sqrt of negative value {a}"),), None, None),
+    "abs": ("abs({a})", (), None, None),
+    "sign": ("({a} > 0.0) * 1.0 - ({a} < 0.0)", (), None, None),
+    "heaviside": ("({a} > 0.0) * 1.0", (), None, None),
+    "min": ("min({a}, {b})", (), None, None),
+    "max": ("max({a}, {b})", (), None, None),
+    "norm_inf": ("norm({a})", (), None, ("ValueError", "norm_inf(x) with an empty state vector")),
+    # {a} is the literal k, passed as the int {k}
+    "omega_k": ("real(omega_k({k}, {b}))", (("{b} < 0.0", "omega_k of negative value {b}"),),
+                _NONFINITE, None),
 }
-
-
-def _scalar_exp(a, node):
-    def exp(t, x):
-        v = a(t, x)
-        try:
-            e = math.exp(v)
-        except OverflowError:
-            raise ExprDomainError(f"overflow in exp({v})", node.pos) from None
-        return e if e - e == 0.0 else _fin(e, node)
-
-    return exp
-
-
-def _scalar_log(a, node):
-    def log(t, x):
-        v = a(t, x)
-        if v <= 0.0:
-            raise ExprDomainError(f"log of nonpositive value {v}", node.pos)
-        return math.log(v)
-
-    return log
-
-
-def _scalar_sqrt(a, node):
-    def sqrt(t, x):
-        v = a(t, x)
-        if v < 0.0:
-            raise ExprDomainError(f"sqrt of negative value {v}", node.pos)
-        return math.sqrt(v)
-
-    return sqrt
-
-
-def _sign(v):
-    return float((v > 0.0) - (v < 0.0))
-
-
-def _heaviside(v):
-    return 1.0 if v > 0.0 else 0.0
-
-
-_SCALAR_UNARY = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "abs": abs,
-    "sign": _sign,
-    "heaviside": _heaviside,
-}
-
-_SCALAR_CHECKED = {"exp": _scalar_exp, "log": _scalar_log, "sqrt": _scalar_sqrt}
-
-
-def _scalar_call(tree):
-    name, pos = tree.name, tree.pos
-    if name == "norm_inf":
-
-        def norm_inf(t, x):
-            if len(x) == 0:
-                raise ExprDomainError("norm_inf(x) with an empty state vector", pos)
-            return max(abs(float(v)) for v in x)
-
-        return norm_inf
-    if name == "omega_k":
-        k = int(tree.args[0].value)
-        arg = _scalar(tree.args[1])
-
-        def modulus(t, x):
-            s = arg(t, x)
-            if s < 0:
-                raise ExprDomainError(f"omega_k of negative value {s}", pos)
-            return _fin(float(omega_k(k, s)), tree)
-
-        return modulus
-    args = [_scalar(a) for a in tree.args]
-    if name in _SCALAR_UNARY:
-        fn, (a,) = _SCALAR_UNARY[name], args
-        return lambda t, x: fn(a(t, x))
-    if name in _SCALAR_CHECKED:
-        return _SCALAR_CHECKED[name](args[0], tree)
-    fn, (a, b) = {"min": min, "max": max}[name], args
-    return lambda t, x: fn(a(t, x), b(t, x))
 
 
 class _Bail(Exception):
     """A batched sample broke a domain rule; the scalar path reports it."""
 
 
-# Operands are numpy arrays or numpy scalars, so the reductions below are
-# the cheap ``.all()`` / ``.any()`` methods.
-def _finite(v):
-    if not np.isfinite(v).all():
-        raise _Bail
-    return v
+# A backend: the names of the table, the test of a rule's predicate, the test
+# that a value is not finite, and the statement that ends a failed check.  The
+# batch function takes ``x`` transposed, so that ``x[j]`` is component j in both.
+_SCALAR = (
+    {
+        "real": float, "trunc": int, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+        "log": math.log, "sqrt": math.sqrt, "pow": math.pow, "abs": abs, "min": min, "max": max,
+        "norm": lambda x: float(max(map(abs, x))),
+        "nonfinite": lambda x: not all(map(math.isfinite, x)),
+        "fail": ExprDomainError,
+    },
+    "{}", "{v} - {v} != 0.0", "raise fail({msg}, {pos}) from None",  # v - v is NaN for inf, NaN
+)
+_BATCH = (
+    {
+        "real": np.asarray, "trunc": np.trunc, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+        "log": np.log, "sqrt": np.sqrt, "pow": np.power, "abs": np.abs,
+        # Python's min/max keep the first argument unless the second is
+        # strictly smaller/larger; np.minimum/np.maximum would not
+        "min": lambda a, b: np.where(b < a, b, a),
+        "max": lambda a, b: np.where(b > a, b, a),
+        "norm": lambda x: np.abs(x).max(axis=0),
+        "nonfinite": lambda x: ~np.isfinite(x),
+        "any": np.logical_or.reduce, "isfinite": np.isfinite, "fail": _Bail,
+    },
+    # a subexpression without variables is a Python float, and its rule a bool
+    "any({}, axis=None)", "not isfinite({v}).all()", "raise fail",
+)
 
 
-def _divide(a, b):
-    if (b == 0.0).any():
-        raise _Bail
-    return _finite(a / b)
+def _number(node):
+    if isinstance(node, Num) and type(node.value) in (int, float) and math.isfinite(node.value):
+        return float(node.value)
+    raise TypeError(f"not a parsed number: {node!r}")
 
 
-def _power(a, b):
-    if ((a < 0.0) & (b != np.trunc(b))).any() or ((a == 0.0) & (b < 0.0)).any():
-        raise _Bail
-    return _finite(np.power(a, b))
+def _key(node):
+    """The ``_OPS`` key and index fields of a node the parser can produce.
+
+    Everything that reaches the emitted source passes here or ``_number``:
+    int offsets and indices, operators of ``_BP`` and names of ``FUNCTIONS``
+    with their argument counts.
+    """
+    if type(getattr(node, "pos", None)) is int:
+        if isinstance(node, VarT):
+            return "t", {}
+        if isinstance(node, VecX):
+            return "x", {}
+        if isinstance(node, VarX) and type(node.index) is int and node.index >= 1:
+            return "x<k>", {"j": node.index - 1, "k": node.index}
+        if isinstance(node, Neg):
+            return "neg", {}
+        if isinstance(node, BinOp) and node.op in _BP:
+            return node.op, {}
+        if isinstance(node, Call) and FUNCTIONS.get(node.name) == len(node.args):
+            if node.name != "omega_k":
+                return node.name, {}
+            k = _number(node.args[0])
+            if k == int(k) >= 1:
+                return "omega_k", {"k": int(k)}
+    raise TypeError(f"not a parsed expression: {node!r}")
 
 
-def _log(a):
-    if (a <= 0.0).any():
-        raise _Bail
-    return np.log(a)
+def _source(tree, test, nonfinite, fail):
+    """The source of ``f(t, x)``: one local per node, every check inline.
+
+    A node's value takes the name of a value no longer needed, so that a
+    batch holds about as many arrays at once as a recursive evaluation.
+    """
+    lines, inputs, temps, free, serial = [], {}, set(), [], itertools.count()
+
+    def emit(node, vector=False):
+        if isinstance(node, VecX) != vector:
+            raise TypeError(f"the vector x is only legal inside norm_inf(x): {node!r}")
+        if isinstance(node, Num):
+            return repr(_number(node))
+        key, fields = _key(node)
+        slot = (key, fields.get("j"))
+        if slot in inputs:  # inputs are loaded and checked once
+            return inputs[slot]
+        value, rules, finite, guard = _OPS[key]
+        operands = [emit(c, key == "norm_inf") for c in _children(node)]
+        free.extend(o for o in operands if o in temps)  # each is read by this node alone
+        v = free.pop() if free else f"v{next(serial)}"
+        (temps.add if operands else temps.discard)(v)
+        names = dict(zip("ab", operands), v=v)
+        code = {**names, **fields}
+        text = {**fields, **{n: "{" + s + "}" for n, s in names.items()}}
+
+        def fails(message):
+            return fail.format(msg="f" + repr(message.format(**text)), pos=node.pos)
+
+        lines.extend(f"if {test.format(pred.format(**code))}: {fails(msg)}" for pred, msg in rules)
+        statement = f"{v} = {value.format(**code)}"
+        lines.extend([statement] if guard is None else [
+            "try:", f"    {statement}", f"except {guard[0]}:", f"    {fails(guard[1])}"])
+        if finite is not None:
+            lines.append(f"if {nonfinite.format(v=v)}: {fails(finite)}")
+        if not operands:
+            inputs[slot] = v
+        return v
+
+    result = emit(tree)
+    return "def f(t, x):\n" + "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
 
 
-def _sqrt(a):
-    if (a < 0.0).any():
-        raise _Bail
-    return np.sqrt(a)
-
-
-# The batched operations assume finite operands, which ``ExprFunction.batch``
-# guarantees by checking the inputs and every operation that can overflow.
-_BATCH_BINOPS = {
-    "+": lambda a, b: _finite(a + b),
-    "-": lambda a, b: _finite(a - b),
-    "*": lambda a, b: _finite(a * b),
-    "/": _divide,
-    "^": _power,
-}
-
-_BATCH_UNARY = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": lambda a: _finite(np.exp(a)),
-    "log": _log,
-    "sqrt": _sqrt,
-    "abs": np.abs,
-    "sign": lambda a: np.sign(a) + 0.0,  # -0.0 -> 0.0, as in the scalar walk
-    "heaviside": lambda a: np.where(a > 0.0, 1.0, 0.0),
-}
-
-# Python's min/max keep the first argument unless the second is strictly
-# smaller/larger; np.minimum/np.maximum would not.
-_BATCH_BINARY = {
-    "min": lambda a, b: np.where(b < a, b, a),
-    "max": lambda a, b: np.where(b > a, b, a),
-}
-
-
-def _compile(tree):
-    """A closure ``(ts, xs) -> array or scalar`` evaluating ``tree`` batched."""
-    if isinstance(tree, Num):
-        value = np.float64(tree.value)
-        return lambda t, x: value
-    if isinstance(tree, VarT):
-        return lambda t, x: t
-    if isinstance(tree, VarX):
-        j = tree.index - 1
-
-        def component(t, x):
-            if x.shape[1] <= j:
-                raise _Bail
-            return x[:, j]
-
-        return component
-    if isinstance(tree, Neg):
-        operand = _compile(tree.operand)
-        return lambda t, x: -operand(t, x)
-    if isinstance(tree, BinOp):
-        left, right, op = _compile(tree.left), _compile(tree.right), _BATCH_BINOPS[tree.op]
-        return lambda t, x: op(left(t, x), right(t, x))
-    if isinstance(tree, Call):
-        return _compile_call(tree)
-    raise TypeError(f"not an expression node: {tree!r}")
-
-
-def _compile_call(tree):
-    name = tree.name
-    if name == "norm_inf":
-
-        def norm_inf(t, x):
-            if x.shape[1] == 0:
-                raise _Bail
-            return np.max(np.abs(x), axis=1)
-
-        return norm_inf
-    if name == "omega_k":
-        k = int(tree.args[0].value)
-        arg = _compile(tree.args[1])
-
-        def modulus(t, x):
-            s = arg(t, x)
-            if (s < 0.0).any():
-                raise _Bail
-            try:
-                return omega_k(k, s)
-            except ModulusOverflowError:
-                raise _Bail from None
-
-        return modulus
-    args = [_compile(a) for a in tree.args]
-    if name in _BATCH_UNARY:
-        fn, (a,) = _BATCH_UNARY[name], args
-        return lambda t, x: fn(a(t, x))
-    fn, (a, b) = _BATCH_BINARY[name], args
-    return lambda t, x: fn(a(t, x), b(t, x))
+def _function(tree, backend):
+    """Compile ``tree`` for one backend in a namespace whose only builtin is
+    ``__import__``: numpy's C code imports some helpers on first use
+    (``ndarray.any`` does) through the builtins of the calling frame."""
+    names, *spellings = backend
+    scope = {"__builtins__": {"__import__": __import__}, "omega_k": omega_k, "IndexError": IndexError,
+             "OverflowError": OverflowError, "ValueError": ValueError, **names}
+    exec(compile(_source(tree, *spellings), "<expr>", "exec"), scope)
+    return scope["f"]
 
 
 class ExprFunction:
     """A parsed expression as a callable with a batched twin.
 
-    ``f(t, x)`` runs the compiled scalar closures and returns what
-    ``eval_expr(tree, t, x)`` returns, bit for bit, or raises what it
-    raises; ``f.batch(ts, xs)`` evaluates many samples at once or returns
-    ``None`` (see the module docstring).  Expressions in ``t`` alone
-    (``n = 0``) are called as ``f(t)`` and batched as ``f.batch(ts)``.
+    Construction emits and compiles two straight-line functions from the
+    tree, and refuses with ``TypeError`` a tree that ``parse`` cannot
+    produce.  ``f(t, x)`` returns what ``eval_expr(tree, t, x)`` returns,
+    bit for bit, or raises what it raises; ``f.batch(ts, xs)`` evaluates
+    many samples at once or returns ``None`` (see the module docstring).
+    Expressions in ``t`` alone (``n = 0``) are called as ``f(t)`` and
+    batched as ``f.batch(ts)``.
     """
 
     def __init__(self, tree, source=None):
         self.tree = tree
         self.source = to_source(tree) if source is None else source
-        self._evaluate = _scalar(tree)
-        self._batched = _compile(tree)
+        self._evaluate = _function(tree, _SCALAR)
+        self._batched = _function(tree, _BATCH)
 
     def __call__(self, t, x=()):
         return self._evaluate(t, x)
@@ -713,18 +563,17 @@ class ExprFunction:
     def batch(self, ts, xs=None):
         ts = np.asarray(ts, dtype=float)
         xs = np.empty((ts.size, 0)) if xs is None else np.asarray(xs, dtype=float)
-        if not (np.isfinite(ts).all() and np.isfinite(xs).all()):
-            return None
+        if xs.ndim != 2 or len(xs) != ts.size:  # the batch function reads x[j] from xs.T
+            raise ValueError(f"xs must have shape ({ts.size}, n), got {xs.shape}")
         try:
             with np.errstate(all="ignore"):
-                out = self._batched(ts, xs)
-        except _Bail:
+                out = self._batched(ts, xs.T)
+        except (_Bail, ModulusOverflowError):
             return None
         return np.array(np.broadcast_to(out, ts.shape), dtype=float)
 
     def __repr__(self):
         return f"ExprFunction({self.source!r})"
-
 
 
 def to_source(tree, _ctx=0):

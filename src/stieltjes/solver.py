@@ -90,9 +90,10 @@ class IVProblem:
     agree with it, and errors are always reported from it.  The sequential
     Euler step loop and the impulses at the atoms always use the scalar
     call.  Problem files build every expression as an ``expr.ExprFunction``:
-    its ``batch`` runs numpy closures, and its scalar call runs closures
-    over ``math`` that give the bits of the ``expr.eval_expr`` tree walk
-    without walking the tree.
+    it compiles the tree into two straight-line functions, one over numpy
+    for ``batch`` and one over ``math`` for the scalar call, which gives the
+    bits and errors of the ``expr.eval_expr`` tree walk without walking the
+    tree.
     """
 
     t0: float

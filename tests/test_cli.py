@@ -46,3 +46,15 @@ def test_bad_input_exits_nonzero_with_the_message(tmp_path, capsys):
     (tmp_path / "broken.json").write_text(json.dumps({"version": 2}), encoding="utf-8")
     assert main(["run", str(tmp_path / "broken.json")]) == 1
     assert "version" in capsys.readouterr().err
+
+
+def test_deep_or_overflowing_rhs_exits_nonzero_with_a_named_error(tmp_path, capsys):
+    x2_rhs = DOC["problem"]["components"][1]
+    for rhs, words in [("x1" + " + 0" * 1500, "nested deeper"),
+                       ("(" * 600 + "x1" + ")" * 600, "nested deeper"),
+                       ("x1 - 1e999", "overflows")]:
+        components = [{"derivator": "g1", "rhs": rhs}, x2_rhs]
+        path = write_doc(tmp_path, edited(problem={"components": components}))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "components[0].rhs" in err and words in err

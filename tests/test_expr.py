@@ -1,7 +1,12 @@
 """Expression language: grammar, precedence, evaluation, and totality."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjes import ExprDomainError, ExprParseError, StieltjesError
+from stieltjes import expr
 from stieltjes.expr import (
     FUNCTIONS,
+    MAX_DEPTH,
+    BinOp,
     Call,
     ExprFunction,
     Num,
+    VarT,
     VarX,
     VecX,
     eval_expr,
@@ -272,9 +281,22 @@ class TestBatch:
         ts = np.zeros(3)
         np.testing.assert_array_equal(f.batch(ts, xs), [f(t, x) for t, x in zip(ts, xs)])
 
+    def test_min_max_keep_the_first_of_equal_arguments(self):
+        for src in ("min(x1, 0)", "max(x1, 0)", "min(0, x1)", "max(0, x1)"):
+            f = ExprFunction(parse(src, 1))
+            xs = np.array([[-0.0], [0.0]])  # equal, so the first argument wins
+            scalar = np.array([f(0.0, x) for x in xs])
+            np.testing.assert_array_equal(np.signbit(f.batch(np.zeros(2), xs)), np.signbit(scalar))
+
     def test_non_finite_input_defers_to_scalar_path(self):
         f = ExprFunction(parse("heaviside(x1)", 1))
         assert f.batch(np.zeros(2), np.array([[1.0], [np.inf]])) is None
+
+    def test_states_of_the_wrong_shape_are_refused(self):
+        f = ExprFunction(parse("x1 + t", 1))
+        for xs in (np.zeros(3), np.zeros((2, 1)), np.zeros((3, 1, 1))):
+            with pytest.raises(ValueError):
+                f.batch(np.zeros(3), xs)
 
     @pytest.mark.parametrize("src", [
         "1 + log(x1)",
@@ -352,7 +374,7 @@ class TestCompiledScalar:
         ("omega_k(4, abs(x1))", 0.0, (0.5,)),
         ("x1 + x2", 0.0, (1.0,)),
         ("norm_inf(x)", 0.0, ()),
-        # non-finite inputs: the walk's own errors, raised by the same calls
+        # non-finite inputs: ExprDomainError at the variable's offset
         ("sin(t)", math.inf, (0.0,)),
         ("t + 1", math.nan, (0.0,)),
         ("2 * exp(t)", math.inf, (0.0,)),
@@ -374,3 +396,129 @@ class TestCompiledScalar:
         g = ExprFunction(parse("1 / t", 0))
         assert _outcome(g, 0.0) == _outcome(eval_expr, g.tree, 0.0)
         assert _outcome(g, 0.0)[0] == "raised"
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("src, t, x, offset, message", [
+        ("sin(t)", math.nan, (), 4, "non-finite input t = nan"),
+        ("sin(t)", math.inf, (), 4, "non-finite input t = inf"),
+        ("(-1)^t", math.inf, (), 5, "non-finite input t = inf"),
+        ("2 * t + x1", 1.0, (-math.inf,), 8, "non-finite input x1 = -inf"),
+        ("x1 + sin(x2)", 0.0, (1.0, math.nan), 9, "non-finite input x2 = nan"),
+        ("1 + norm_inf(x)", 0.0, (1.0, math.inf), 13, "non-finite input in the state vector x"),
+    ])
+    def test_error_at_the_variable(self, src, t, x, offset, message):
+        f = ExprFunction(parse(src, 2))
+        for evaluate in (lambda: eval_expr(f.tree, t, x), lambda: f(t, x)):
+            with pytest.raises(ExprDomainError) as exc:
+                evaluate()
+            assert str(exc.value) == f"{message} (subexpression at offset {offset})"
+            assert exc.value.offset == offset
+
+    def test_unused_components_may_be_non_finite(self):
+        f = ExprFunction(parse("t + x1", 2))
+        assert eval_expr(f.tree, 1.0, (2.0, math.nan)) == f(1.0, (2.0, math.nan)) == 3.0
+        np.testing.assert_array_equal(f.batch([1.0], [[2.0, math.nan]]), [3.0])
+
+
+class TestParseLimits:
+    @pytest.mark.parametrize("src, offset", [("1e999", 0), ("x1 - 1e999", 5), ("2 * 1.8e308", 4)])
+    def test_overflowing_literal(self, src, offset):
+        with pytest.raises(ExprParseError) as exc:
+            parse(src, 1)
+        assert exc.value.offset == offset
+        assert "overflows" in str(exc.value)
+
+    def test_largest_literal_prints_and_reparses(self):
+        tree = parse("1.7976931348623157e308 * x1", 1)
+        assert parse(to_source(tree), 1) == tree
+
+    @pytest.mark.parametrize("src", [
+        "(" * 600 + "x1" + ")" * 600,
+        "x1" + " + 0" * 1500,
+        "sin(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+        "-" * MAX_DEPTH + "x1",
+        "x1" + " + 0" * MAX_DEPTH,
+        "2" + " ^ 1" * MAX_DEPTH,
+    ], ids=["600-parentheses", "1500-terms", "calls", "negations", "terms", "powers"])
+    def test_too_deep(self, src):
+        with pytest.raises(ExprParseError) as exc:
+            parse(src, 1)
+        assert str(MAX_DEPTH) in str(exc.value)
+
+    @pytest.mark.parametrize("src", [
+        "sin(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1),
+        "-" * (MAX_DEPTH - 1) + "x1",
+        "x1" + " + 0.5" * (MAX_DEPTH - 1),
+        "x1" + " * 1.5" * (MAX_DEPTH - 1),
+    ], ids=["calls", "negations", "terms", "factors"])
+    def test_at_the_cap(self, src):
+        f = ExprFunction(parse(src, 1))
+        ts, xs = np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 0.5, 5)[:, None]
+        walk = [eval_expr(f.tree, t, x) for t, x in zip(ts, xs)]
+        assert [f(t, x) for t, x in zip(ts, xs)] == walk
+        np.testing.assert_allclose(f.batch(ts, xs), walk, rtol=1e-14, atol=0)
+
+
+class TestEmitterInput:
+    @pytest.mark.parametrize("tree", [
+        Num(value="1"),
+        Num(value=math.inf),
+        VarX(index=1.0),
+        VarX(index=0),
+        Call(name="__import__", args=(Num(1.0),)),
+        Call(name="sin", args=(VarT(), VarT())),
+        Call(name="omega_k", args=(Num(1.5), VarT())),
+        BinOp(op="**", left=VarT(), right=Num(2.0)),
+        BinOp(op="+", left=VarT(), right=VarT(), pos="0"),
+        VecX(),
+        Call(name="norm_inf", args=(VarT(),)),
+    ], ids=repr)
+    def test_hand_built_tree_is_refused_before_compile(self, tree, monkeypatch):
+        def compile(*args):
+            raise AssertionError("compile reached")
+
+        monkeypatch.setattr(expr, "compile", compile, raising=False)
+        with pytest.raises(TypeError):
+            ExprFunction(tree, source="hand-built")
+
+    @pytest.mark.parametrize("src, x", [
+        ("exp(x1)", (800.0,)),
+        ("1 + x1 ^ t", (10.0,)),
+        ("log(x1) + sqrt(x1)", (0.0,)),
+        ("t / x1", (0.0,)),
+        ("omega_k(1, x1)", (-1.0,)),
+    ])
+    def test_errors_name_the_operands_of_input_variables(self, src, x):
+        f = ExprFunction(parse(src, 1))
+        walk, call = _walk_and_call(f, 400.0, x)
+        assert walk[0] == "raised"
+        assert call == walk
+
+    def test_batch_holds_few_arrays_at_once(self):
+        # a value takes the name of one no longer needed, so a long chain
+        # does not keep every intermediate array alive
+        f = ExprFunction(parse("t" + " + x1 * 1.5" * 60, 1))
+        ts, xs = np.linspace(0.0, 1.0, 10_000), np.ones((10_000, 1))
+        f.batch(ts, xs)
+        tracemalloc.start()
+        try:
+            f.batch(ts, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * ts.nbytes
+
+    def test_emitted_code_has_no_builtin_but_import(self):
+        f = ExprFunction(parse("sin(t) + x1", 1))
+        assert set(f._evaluate.__globals__["__builtins__"]) == {"__import__"}
+        assert "open" not in f._evaluate.__globals__
+
+    def test_batch_in_a_fresh_interpreter(self):
+        # numpy imports helpers lazily through the calling frame's builtins
+        code = ("from stieltjes.expr import ExprFunction, parse; "
+                "print(ExprFunction(parse('x1 * t', 1)).batch([1.0, 2.0], [[3.0], [4.0]]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(expr.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.stdout.strip() == "[3. 8.]", done.stderr
