@@ -17,9 +17,15 @@ numerically:
   the other side alone decides.
 
 ``indefinite_integral`` builds ``F(t) = integral of f over [a, t) against
-dg`` with cached cumulative values, so evaluating it inside the derivative
-estimator stays cheap, and its exact ``right_limit`` makes the recovered
-derivative at jump points exact to machine precision.
+dg`` once, as a piecewise polynomial: a quadrature table of F at the
+breakpoints and jumps of ``g``, and between them a Chebyshev fit of f,
+integrated exactly (Greengard 1991; Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 19).  Evaluating F inside the derivative
+estimator then samples f no more, and its exact ``right_limit`` makes the
+recovered derivative at jump points exact to machine precision.
+``measure.integrate`` is the reference that F is tested against; a piece
+where the fit does not resolve f, such as one holding a kink, falls back to
+that quadrature.
 """
 
 import math
@@ -36,7 +42,8 @@ from .errors import (
     WindowDomainError,
 )
 from .measure import (
-    QuadratureConfig, _atom_terms, _cumulative, _sample_finite, _slope_sums, integrate,
+    _QUAD_BLOCK, QuadratureConfig, _atom_terms, _cumulative, _sample_finite, _slope_sums,
+    integrate,
 )
 
 __all__ = [
@@ -186,15 +193,99 @@ def stieltjes_derivative(f, g, t, cfg=None):
     return 0.5 * (est_r + est_l)
 
 
+# The piecewise-polynomial fit of IndefiniteIntegral: f is interpolated at
+# _FIT_NODES first-kind Chebyshev points of a piece (interior points only); a
+# piece is resolved when its last three Chebyshev coefficients are at most
+# _FIT_TAIL times its largest one, and is halved otherwise, up to _FIT_DEPTH
+# times.  Evaluation works in blocks of _EVAL_BLOCK points, so the
+# temporaries of a many-point batch stay small.
+_FIT_NODES = 16
+_FIT_TAIL = 1e-14
+_FIT_DEPTH = 6
+_EVAL_BLOCK = 256
+
+_THETA = np.pi * (np.arange(_FIT_NODES)[::-1] + 0.5) / _FIT_NODES
+_CHEB_X = np.cos(_THETA)  # ascending, inside (-1, 1)
+# values at _CHEB_X -> Chebyshev coefficients (discrete cosine transform)
+_CHEB_FIT = 2.0 / _FIT_NODES * np.cos(np.outer(np.arange(_FIT_NODES), _THETA))
+_CHEB_FIT[0] /= 2.0
+# coefficients -> coefficients of the antiderivative that vanishes at -1
+_CHEB_INT = np.polynomial.chebyshev.chebint(np.eye(_FIT_NODES), lbnd=-1, axis=0)
+
+
+def _clenshaw(coef, x):
+    """``sum(coef[j] * T_j(x))`` by Clenshaw's recurrence.
+
+    ``coef`` is a list of floats with a float ``x``, or rows of arrays with
+    an array ``x``; both take the same operations in the same order, so they
+    give the same bits.
+    """
+    x2 = x + x
+    b1 = b2 = 0.0
+    for c in coef[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coef[0] + x * b1 - b2
+
+
+def _sample_blocks(f, ts):
+    """f at every point of ``ts``, in blocks; a non-finite value raises ``IntegrandError``."""
+    vals = np.empty(ts.size)
+    for s in range(0, ts.size, _QUAD_BLOCK):
+        block = ts[s:s + _QUAD_BLOCK]
+        vals[s:s + _QUAD_BLOCK] = _sample_finite(f, block, lambda v, q: IntegrandError(
+            f"integrand returned {v} at t={block[q]}", point=block[q]))
+    return vals
+
+
+def _fit_pieces(f, lo, hi):
+    """Split each ``[lo[i], hi[i]]`` into pieces on which f is resolved.
+
+    Returns the pieces' ends, the index i of the interval each comes from,
+    whether it is resolved, and the Chebyshev coefficients of f on it.
+    Pieces still unresolved after ``_FIT_DEPTH`` halvings are returned too.
+    """
+    of = np.arange(lo.size)
+    out = []
+    for depth in range(_FIT_DEPTH + 1):
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        vals = _sample_blocks(f, (mid[:, None] + half[:, None] * _CHEB_X).ravel())
+        coef = vals.reshape(lo.size, _FIT_NODES) @ _CHEB_FIT.T
+        size = np.abs(coef)
+        ok = size[:, -3:].max(axis=1) <= _FIT_TAIL * size.max(axis=1)
+        # a piece too narrow to halve in floating point is kept as it is
+        done = ok | (depth == _FIT_DEPTH) | (mid == lo) | (mid == hi)
+        out.append((lo[done], hi[done], of[done], ok[done], coef[done]))
+        split = ~done
+        lo = np.concatenate((lo[split], mid[split]))
+        hi = np.concatenate((mid[split], hi[split]))
+        of = np.concatenate((of[split], of[split]))
+        if not lo.size:
+            break
+    return [np.concatenate(parts) for parts in zip(*out)]
+
+
 class IndefiniteIntegral:
     """F(t) = integral of f over [a, t) against dg, as a callable on [a, R].
 
-    Cumulative values are cached at every breakpoint and jump of ``g``, so a
-    call only performs one short Gauss-Legendre panel set, over the part of
-    one slope segment between the last node and t.  ``batch(ts)`` evaluates
-    many points in one pass and equals the calls one by one; through
-    ``_sample_finite``, difference ladders and sampled continuity checks use
-    it.  ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).
+    F is a piecewise polynomial built once.  The table of F at every
+    breakpoint and jump of ``g`` (the nodes) comes from ``measure``'s
+    quadrature, so F at a node equals a chain of ``integrate`` calls bit for
+    bit.  Between two nodes, on a slope segment, f is interpolated at
+    Chebyshev points, halving the piece until the interpolant is resolved to
+    rounding.  F there is the table value, plus the atom at the node, plus
+    the slope times the exact integral of the interpolant, summed by
+    Clenshaw's recurrence.  So F(t) and ``batch(ts)`` do not sample f after
+    the build, and ``right_limit`` samples it once, at the atom.
+
+    ``integrate`` is the reference that F is tested against.  A piece still
+    unresolved after ``_FIT_DEPTH`` halvings, such as one holding a kink of
+    f, falls back with the rest of its interval to that quadrature:
+    ``integrate`` from the node in a call, the same panel sums in ``batch``.
+    ``n_unresolved`` counts such pieces.
+
+    ``batch(ts)`` equals the calls one by one; through ``_sample_finite``,
+    difference ladders and sampled continuity checks use it.
+    ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).
     """
 
     def __init__(self, f, g, a, quad=None):
@@ -215,36 +306,97 @@ class IndefiniteIntegral:
         self._cum = _cumulative(g, f, a, nodes, self.quad)
         self._jumps = np.append(g.jump(nodes[:-1]), 0.0)  # jump size at each node
 
+        # F just right of each node: the table value plus the node's atom
+        start = self._cum[:-1].copy()
+        at = np.flatnonzero(self._jumps[:-1] > 0.0)
+        start[at] += _atom_terms(f, nodes[at], self._jumps[at])
+
+        lo, hi = nodes[:-1], nodes[1:]
+        slope = g.slopes[g._segment(lo)]
+        live = np.flatnonzero(slope != 0.0)
+        flat = np.flatnonzero(slope == 0.0)
+        plo, phi, of, ok, coef = _fit_pieces(f, lo[live], hi[live])
+        of = live[of]
+        # a flat interval is one resolved piece with F constant on it
+        plo, phi = np.concatenate((plo, lo[flat])), np.concatenate((phi, hi[flat]))
+        of = np.concatenate((of, flat))
+        ok = np.concatenate((ok, np.ones(flat.size, bool)))
+        anti = np.concatenate((coef @ _CHEB_INT.T, np.zeros((flat.size, _FIT_NODES + 1))))
+        order = np.argsort(plo, kind="stable")
+        plo, phi, of, ok, anti = plo[order], phi[order], of[order], ok[order], anti[order]
+        mid, half = (plo + phi) / 2.0, (phi - plo) / 2.0
+        anti *= (slope[of] * half)[:, None]
+
+        # F at each piece's left end: the node's value plus the pieces before
+        # it in its interval.  From an unresolved piece to the end of its
+        # interval, F is integrated from the node, as a chain of integrate
+        # calls would do.
+        whole = anti.sum(axis=1)
+        base = np.empty(plo.size)
+        fitted = ok.copy()
+        prev = -1
+        for p, k in enumerate(of.tolist()):
+            if k == prev:
+                base[p] = base[p - 1] + whole[p - 1]
+                fitted[p] &= fitted[p - 1]
+            else:
+                base[p] = start[k]
+            prev = k
+
+        self.n_unresolved = int(np.count_nonzero(~ok))
+        self._lo = plo  # piece left ends, ascending; every node but the last is one
+        self._of = of  # node index of each piece's interval
+        self._fitted = fitted  # whether F on the piece comes from its fit
+        # one row per piece: F at its left end, its midpoint, its half-width,
+        # then the Chebyshev coefficients of F - base in the variable (t - mid) / half
+        self._rows = np.column_stack((base, mid, half, anti))
+
     def __call__(self, t):
         t = float(t)
         if not self.a <= t <= self.g.window[1]:
             raise WindowDomainError(f"t={t} outside [{self.a}, {self.g.window[1]}]")
-        k = int(np.searchsorted(self._nodes, t, side="right")) - 1
-        if k == self._nodes.size - 1 or self._nodes[k] == t:
+        if t == self._nodes[-1]:
+            return float(self._cum[-1])
+        p = int(np.searchsorted(self._lo, t, side="right")) - 1
+        k = int(self._of[p])
+        if t == self._nodes[k]:
             return float(self._cum[k])
-        return float(self._cum[k] + integrate(self.g, self.f, self._nodes[k], t, self.quad))
+        if not self._fitted[p]:
+            return float(self._cum[k] + integrate(self.g, self.f, self._nodes[k], t, self.quad))
+        base, mid, half, *coef = self._rows[p].tolist()
+        return base + _clenshaw(coef, (t - mid) / half)
 
     def batch(self, ts):
-        """F at every point of ``ts`` as an array, equal to ``[F(t) for t in ts]``.
-
-        A point on a node takes the cached value.  A point t past node n adds
-        the atom at n and the one panel set over [n, t) to the value at n; the
-        panel sets of all points share ``measure``'s quadrature kernel, so f
-        is sampled in a few batched calls instead of once per point.
-        """
+        """F at every point of ``ts`` as an array, equal to ``[F(t) for t in ts]``."""
         ts = np.asarray(ts, dtype=float)
         right = self.g.window[1]
         outside = ~((ts >= self.a) & (ts <= right))
         if outside.any():
             raise WindowDomainError(f"t={ts[outside][0]} outside [{self.a}, {right}]")
+        out = np.empty(ts.shape)
+        for s in range(0, ts.size, _EVAL_BLOCK):
+            out[s:s + _EVAL_BLOCK] = self._batch_block(ts[s:s + _EVAL_BLOCK])
+        return out
+
+    def _batch_block(self, ts):
         nodes = self._nodes
-        k = np.searchsorted(nodes, ts, side="right") - 1
-        # [nodes[k], t) lies in one slope segment and holds no jump but the
-        # one at nodes[k]; it is empty when t is a node
-        inc = _slope_sums(self.g, self.f, nodes[k], ts, self.quad)
-        at = np.flatnonzero((self._jumps[k] > 0.0) & (nodes[k] != ts))
-        inc[at] += _atom_terms(self.f, nodes[k[at]], self._jumps[k[at]])
-        return self._cum[k] + inc
+        p = np.searchsorted(self._lo, ts, side="right") - 1
+        k = self._of[p]
+        rows = self._rows[p]
+        out = rows[:, 0] + _clenshaw(rows[:, 3:].T, (ts - rows[:, 1]) / rows[:, 2])
+        # [nodes[k], t) of an unresolved piece lies in one slope segment and
+        # holds no jump but the one at nodes[k]
+        fb = np.flatnonzero(~self._fitted[p] & (nodes[k] < ts) & (ts < nodes[-1]))
+        if fb.size:
+            kf = k[fb]
+            inc = _slope_sums(self.g, self.f, nodes[kf], ts[fb], self.quad)
+            at = np.flatnonzero(self._jumps[kf] > 0.0)
+            inc[at] += _atom_terms(self.f, nodes[kf[at]], self._jumps[kf[at]])
+            out[fb] = self._cum[kf] + inc
+        on = np.flatnonzero(nodes[k] == ts)
+        out[on] = self._cum[k[on]]
+        out[ts == nodes[-1]] = self._cum[-1]
+        return out
 
     def right_limit(self, t):
         """F(t+), exact: the atom at t contributes f(t) * jump(t)."""

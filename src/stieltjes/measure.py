@@ -52,7 +52,8 @@ class QuadratureConfig:
 
 # Samples per _sample_finite call of the quadrature (32 intervals of the
 # indefinite integral's 16-node, 4-panel rule).  It bounds the temporaries:
-# larger blocks raise the memory peak of a many-point IndefiniteIntegral.batch.
+# larger blocks raise the memory peak of a many-interval table such as the
+# one an IndefiniteIntegral builds.
 _QUAD_BLOCK = 2048
 
 

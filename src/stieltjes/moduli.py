@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     BoundInapplicableError,
@@ -48,6 +47,10 @@ __all__ = [
     "BihariBound",
 ]
 
+# OmegaTransform.inverse stops a bisection when its bracket in log r is
+# narrower than _BISECT_TOL * (1 + |log r|), or after _BISECT_STEPS halvings
+_BISECT_TOL = 1e-15
+_BISECT_STEPS = 100
 _EXP_ITER_MAX = 3  # exp_iter(4, 1) ~ exp(3.8e6): far beyond double range
 
 
@@ -118,9 +121,9 @@ def omega_k(k, t):
     branch = (t_arr > 0.0) & (t_arr < 1.0 / ek)
     if np.any(branch):
         tb = t_arr[branch]
-        acc = np.array(tb)
-        inner = 1.0 / tb
-        for _ in range(k):
+        inner = -np.log(tb)  # log(1/t); 1/t itself overflows below about 5.6e-309
+        acc = tb * inner
+        for _ in range(k - 1):
             inner = np.log(inner)
             acc *= inner
         out[branch] = acc
@@ -330,18 +333,33 @@ class OmegaTransform:
     __call__ = omega_of
 
     def inverse(self, y):
-        y = float(y)
-        if not self.values[0] <= y <= self.values[-1]:
+        """``Omega^{-1}(y)`` for a scalar (a float) or an array of targets.
+
+        Bisection in log r on the monotone table, all targets at once: each
+        starts from the grid cell that brackets it, and stops, like
+        ``scipy.optimize.brentq`` with ``xtol = rtol = 1e-15``, once its
+        bracket is narrower than ``1e-15 * (1 + |log r|)``.
+        """
+        y = np.asarray(y, dtype=float)
+        outside = ~((self.values[0] <= y) & (y <= self.values[-1]))
+        if outside.any():
             raise ValueError(
-                f"Omega^-1 target {y} outside the tabulated range "
+                f"Omega^-1 target {y[outside][0]} outside the tabulated range "
                 f"[{self.values[0]}, {self.values[-1]}]"
             )
-        k = int(np.searchsorted(self.values, y))
-        if k < self.values.size and self.values[k] == y:
-            return float(self.r_grid[k])
-        lo, hi = self._x[k - 1], self._x[k]
-        x = brentq(lambda u: float(self._forward(u)) - y, lo, hi, xtol=1e-15, rtol=1e-15)
-        return float(math.exp(x))
+        k = np.searchsorted(self.values, y)
+        exact = self.values[k] == y  # y <= values[-1], so k is a valid index
+        lo, hi = self._x[np.maximum(k - 1, 0)], self._x[k]
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            live = (hi - lo > _BISECT_TOL * (1.0 + np.abs(mid))) & ~exact
+            if not live.any():
+                break
+            below = self._forward(mid) < y
+            lo = np.where(live & below, mid, lo)
+            hi = np.where(live & ~below, mid, hi)
+        r = np.where(exact, self.r_grid[k], np.exp(0.5 * (lo + hi)))
+        return float(r) if r.ndim == 0 else r
 
 
 @dataclass
@@ -356,8 +374,9 @@ class BihariBound:
     omega_kappa: float
 
     def __call__(self, t):
-        t = float(t)
-        if not self.a <= t <= self.b:
+        """The bound at t, a float, or at every point of an array t."""
+        t = np.asarray(t, dtype=float)
+        if not np.all((self.a <= t) & (t <= self.b)):
             raise ValueError(f"bound evaluated outside [{self.a}, {self.b}]")
         return self.transform.inverse(
             self.omega_kappa + self.h.eval(t) - self.h.eval(self.a)

@@ -340,9 +340,6 @@ def _walk_and_call(f, t, x=()):
 
 
 class TestCompiledScalar:
-    # omega_k of a subnormal overflows inside numpy (1 / 5e-324); both paths
-    # then raise the same "non-finite value" error
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @pytest.mark.parametrize("root", sorted(_KINDS))
     def test_same_bits_as_the_walk(self, rng, root):
         n = 2

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from stieltjes import BoundInapplicableError, Derivator, ModulusOverflowError
 from stieltjes.moduli import (
@@ -61,6 +62,14 @@ class TestOmegaK:
     def test_k1_formula_inside_branch(self):
         t = 0.01
         assert omega_k(1, t) == pytest.approx(t * math.log(1.0 / t), rel=1e-14)
+
+    def test_finite_at_subnormal_arguments(self):
+        # 1/s overflows to inf for s below about 5.6e-309; log(1/s) does not
+        s = 1e-310
+        assert omega_k(1, s) == pytest.approx(s * -math.log(s), rel=1e-14)
+        assert omega_k(1, s) == pytest.approx(7.138e-308, rel=1e-3)
+        for k in (2, 3):
+            assert math.isfinite(omega_k(k, s)) and omega_k(k, s) > 0.0
 
     def test_branch_plateau_continuity(self):
         for k in (1, 2, 3):
@@ -194,6 +203,32 @@ class TestOmegaTransform:
             back = tr.inverse(tr.omega_of(r))
             assert back == pytest.approx(r, rel=1e-8)
 
+    @pytest.mark.parametrize("modulus, u0, r_min, r_max", [
+        (omega_k_modulus(1), 1.0, None, None),
+        (omega_k_modulus(2), 0.05, 1e-9, 10.0),
+        (lambda s: s, 1.0, 1e-150, 1e150),
+    ])
+    def test_inverse_of_an_array_matches_brentq(self, rng, modulus, u0, r_min, r_max):
+        # the reference: one brentq per target on the same monotone table
+        tr = OmegaTransform(modulus, u0, r_min=r_min, r_max=r_max)
+        ys = np.concatenate((rng.uniform(tr.lower, tr.upper, 200), tr.values[::7],
+                             [tr.lower, tr.upper]))
+        got = tr.inverse(ys)
+        for y, r in zip(ys.tolist(), got.tolist()):
+            k = int(np.searchsorted(tr.values, y))
+            if tr.values[k] == y:
+                ref = tr.r_grid[k]
+            else:
+                ref = math.exp(brentq(lambda u: float(tr._forward(u)) - y, tr._x[k - 1],
+                                      tr._x[k], xtol=1e-15, rtol=1e-15))
+            assert r == pytest.approx(ref, rel=1e-12)
+            assert tr.inverse(y) == r and isinstance(tr.inverse(y), float)
+
+    def test_inverse_rejects_targets_outside_the_table(self):
+        tr = OmegaTransform(lambda s: s, u0=1.0)
+        with pytest.raises(ValueError, match="outside the tabulated range"):
+            tr.inverse(np.array([0.0, tr.upper + 1.0]))
+
 
 class TestBihariBound:
     def test_gronwall_closed_form(self):
@@ -218,6 +253,18 @@ class TestBihariBound:
         h = Derivator.identity((0.0, 1.0))
         bound = bihari_bound(1e-6, h, 0.0, 1.0, tr)
         assert bound(0.0) == pytest.approx(1e-6, rel=1e-8)
+
+    def test_array_equals_per_point_calls(self):
+        tr = OmegaTransform(omega_k_modulus(1), u0=0.25, r_min=1e-10, r_max=10.0)
+        h = Derivator.identity((0.0, 1.0)).with_jumps([(0.3, 0.5)])
+        bound = bihari_bound(1e-3, h, 0.0, 1.0, tr)
+        ts = np.concatenate((np.linspace(0.0, 1.0, 101), [0.3]))
+        got = bound(ts)
+        assert got.shape == ts.shape
+        for t, b in zip(ts.tolist(), got.tolist()):
+            assert b == pytest.approx(bound(t), rel=1e-12)
+        with pytest.raises(ValueError, match="outside"):
+            bound(np.array([0.5, 1.5]))
 
     def test_nondecreasing(self):
         tr = OmegaTransform(lambda s: s, u0=1.0)

@@ -7,6 +7,7 @@ Oracles used here:
   * classical limit (identity derivators): scipy's RK45 at tight tolerance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from stieltjes import (
 from stieltjes.expr import ExprFunction, parse
 from stieltjes.moduli import OsgoodModulus, omega_k, omega_k_modulus
 from stieltjes.solver import (
+    AprioriBound,
     IVProblem,
     apriori_bound,
     build_grid,
@@ -362,6 +364,20 @@ class TestAprioriBound:
         for tr in (solve_euler(p, grid), solve_picard(p, grid, tol=1e-10)):
             ok, worst = bound.check_trace(tr)
             assert ok, worst
+
+    def test_check_trace_equals_the_per_point_maximum(self):
+        p = impulsive_problem(modulus=LINEAR)
+        tr = solve_euler(p, build_grid(p, n_steps=500))
+        full = apriori_bound(p)
+        # a hand-made bound that the trace leaves: the worst point is t1
+        linear = AprioriBound(t0=0.2, t1=1.3, kappa=1.0, bound=lambda t: 0.5 * t)
+        for bound in (full, dataclasses.replace(full, t1=1.3), linear):
+            ok, worst = bound.check_trace(tr)
+            inside = [k for k, t in enumerate(tr.grid) if bound.t0 <= t <= bound.t1]
+            ref = max(float(np.max(np.abs(tr.values[k] - tr.values[0])))
+                      - bound(float(tr.grid[k])) for k in inside)
+            assert worst == pytest.approx(ref, rel=1e-12)
+            assert ok == (ref <= 1e-6)
 
     def test_needs_modulus(self):
         with pytest.raises(ConfigurationError):

@@ -25,6 +25,7 @@ from stieltjes.derivative import (
     indefinite_integral,
     stieltjes_derivative,
 )
+from stieltjes.topology import check_g_continuity_sampled
 
 from conftest import random_derivator, random_smooth_function
 
@@ -172,6 +173,96 @@ class TestIndefiniteIntegral:
             for lo, hi in zip(nodes[:-1], nodes[1:]):
                 cum.append(cum[-1] + integrate(g, f, lo, hi, F.quad))
             assert np.array_equal([F(t) for t in nodes], cum)
+
+    def test_no_integrand_calls_after_the_build(self, rng):
+        for _ in range(4):
+            g = random_derivator(rng, max_segments=50, max_jumps=6)
+            smooth = random_smooth_function(rng)
+            calls = []
+            f = lambda t: calls.append(t) or smooth(t)
+            F = indefinite_integral(f, g, 0.0)
+            assert F.n_unresolved == 0
+            calls.clear()
+            ts = rng.uniform(0.0, 1.0, 300)
+            for t in np.concatenate((ts, g.breakpoints, g.jump_points)):
+                F(t)
+            F.batch(ts)
+            check_g_continuity_sampled(F, g, [(0.5, 1e-3)])
+            assert calls == []
+            for d in g.jump_points:
+                F.right_limit(d)
+            assert calls == g.jump_points.tolist()
+
+    @pytest.mark.parametrize("degree", [0, 1, 7, 15])
+    def test_polynomials_of_degree_below_the_fit_are_exact(self, rng, degree):
+        # closed form: slope-weighted antiderivative plus the atoms before t
+        for g in [Derivator.identity((0.0, 1.0)).with_jumps([(0.3, 0.5)]),
+                  random_derivator(rng, max_segments=200, max_jumps=20)]:
+            p = np.polynomial.Chebyshev(rng.normal(size=degree + 1), domain=[0.0, 1.0])
+            P = p.integ()
+            F = indefinite_integral(lambda t: float(p(t)), g, 0.0)
+            ts = np.concatenate((rng.uniform(0.0, 1.0, 200), g.breakpoints, g.jump_points))
+            bp, slopes = g.breakpoints, g.slopes
+            at_bp = np.concatenate(([0.0], np.cumsum(slopes * np.diff(P(bp)))))
+            k = np.minimum(np.searchsorted(bp, ts, side="right") - 1, slopes.size - 1)
+            atoms = np.concatenate(([0.0], np.cumsum(p(g.jump_points) * g.jump_sizes)))
+            exact = (at_bp[k] + slopes[k] * (P(ts) - P(bp[k]))
+                     + atoms[np.searchsorted(g.jump_points, ts, side="left")])
+            got = F.batch(ts)
+            assert np.all(np.abs(got - exact) <= 1e-14 * (1.0 + np.abs(exact)))
+
+    def test_random_smooth_integrands_agree_with_integrate(self, rng):
+        from stieltjes import integrate
+
+        for _ in range(5):
+            g = random_derivator(rng, max_segments=200, max_jumps=20)
+            f = random_smooth_function(rng)
+            F = indefinite_integral(f, g, 0.0)
+            for t in rng.uniform(0.0, 1.0, 20).tolist():
+                ref = integrate(g, f, 0.0, t, F.quad)
+                assert abs(F(t) - ref) <= 1e-13 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("f", [
+        lambda t: math.sin(30.0 * t) + math.exp(t),
+        # even about the window's midpoint: every odd coefficient of the
+        # first fit is 0, so the last one alone would pass the tail test
+        lambda t: math.cos(30.0 * (t - 0.5)),
+    ])
+    def test_fast_integrands_on_one_long_segment(self, rng, f):
+        from stieltjes import integrate
+
+        g = Derivator.identity((0.0, 1.0))
+        F = indefinite_integral(f, g, 0.0)
+        for t in rng.uniform(0.0, 1.0, 30).tolist():
+            ref = integrate(g, f, 0.0, t)
+            assert abs(F(t) - ref) <= 1e-13 * (1.0 + abs(ref))
+
+    def test_a_kink_falls_back_to_quadrature(self, rng):
+        from stieltjes import integrate
+
+        # the kink at 0.2517 lies inside the slope segment [0.25, 0.5), in its
+        # first piece; the jump sits on a breakpoint, so the table and
+        # integrate cut alike
+        g = Derivator((0.0, 1.0), breakpoints=[0.0, 0.25, 0.5, 1.0],
+                      slopes=[1.0, 2.0, 0.5], jumps=[(0.25, 0.7)])
+        calls = []
+        f = lambda t: calls.append(t) or abs(t - 0.2517) + math.sin(t)
+        F = indefinite_integral(f, g, 0.0)
+        assert F.n_unresolved >= 1
+        calls.clear()
+        assert np.array_equal(F.batch(g.breakpoints), [F(t) for t in g.breakpoints])
+        assert calls == []
+        ts = np.concatenate((rng.uniform(0.0, 1.0, 200), np.linspace(0.24, 0.27, 31)))
+        for t in ts.tolist():
+            ref = integrate(g, f, 0.0, t, F.quad)
+            assert abs(F(t) - ref) <= 1e-13 * (1.0 + abs(ref))
+        assert np.array_equal(F.batch(ts), [F(t) for t in ts])
+
+    def test_nan_on_a_subinterval_raises_at_build(self):
+        f = lambda t: math.nan if 0.41 < t < 0.43 else t
+        with pytest.raises(IntegrandError) as exc:
+            indefinite_integral(f, idjump(), 0.0)
+        assert 0.41 < exc.value.point < 0.43
 
     def test_batch_rejects_points_outside(self):
         F = indefinite_integral(lambda t: 1.0, idjump(), 0.5)
