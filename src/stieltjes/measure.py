@@ -117,8 +117,10 @@ def outer_measure(g, cover):
 def _sample_finite(f, ts, fail, xs=None):
     """``f`` at every sample as a float array; non-finite values raise.
 
-    Samples are ``f(ts[q])``, or ``f(ts[q], xs[q])`` when states ``xs`` are
-    given.  A callable with a ``batch`` method is evaluated in one
+    Samples are ``f(ts[q])``, or ``f(t, x)`` when states ``xs`` are given,
+    with ``t`` the float ``ts[q]`` and ``x`` the row ``xs[q]`` as a tuple of
+    floats (the scalar rhs protocol of ``solver.IVProblem``).  A callable
+    with a ``batch`` method is evaluated in one
     ``f.batch(ts)`` / ``f.batch(ts, xs)`` call; when that returns ``None`` or
     any non-finite value, or ``f`` has no ``batch``, the samples go through
     the scalar loop, which is the reference and raises ``fail(v, q)`` at
@@ -131,7 +133,7 @@ def _sample_finite(f, ts, fail, xs=None):
             return vals
     vals = np.empty(len(ts))
     for q, t in enumerate(ts):
-        v = float(f(t) if xs is None else f(t, xs[q]))
+        v = float(f(t) if xs is None else f(float(t), tuple(xs[q].tolist())))
         if not math.isfinite(v):
             raise fail(v, q)
         vals[q] = v

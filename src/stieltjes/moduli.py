@@ -297,7 +297,8 @@ class OmegaTransform:
         if not 0 < r_min < self.u0 < r_max:
             raise ValueError("need 0 < r_min < u0 < r_max")
 
-        n = max(int(round(points_per_decade * math.log10(r_max / r_min))), 8)
+        # decades as a difference of logs: r_max / r_min may overflow
+        n = max(int(round(points_per_decade * (math.log10(r_max) - math.log10(r_min)))), 8)
         grid = np.geomspace(r_min, r_max, n)
         grid = np.unique(np.concatenate((grid, [self.u0])))
         cells = _reciprocal_integral(self.modulus, grid[:-1], grid[1:], panels=4)

@@ -34,6 +34,8 @@ provably maps the domain ball into itself.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -73,7 +75,10 @@ _LIGHT_QUAD = QuadratureConfig(order=8, panels=8)
 class IVProblem:
     """Problem data: one derivator and one scalar rhs per component.
 
-    ``rhs[i]`` is called as ``f_i(t, x)`` with the full state vector.  When
+    ``rhs[i]`` is called as ``f_i(t, x)`` with the full state: ``t`` a Python
+    float and ``x`` a tuple of n Python floats, at every scalar call in the
+    package.  A rhs reads ``x[j]`` (or iterates ``x``) and must not rely on
+    array arithmetic; the tuple also keeps it from altering a stored row.  When
     ``ball_radius`` is set, the admissible states are the closed max-norm
     ball of that radius around ``x0`` and solvers fail loudly on exit.
     ``modulus``/``phi`` declare the modulus-of-continuity structure of the
@@ -148,13 +153,18 @@ class IVProblem:
     def n(self):
         return self.x0.size
 
+    @cached_property
+    def _center(self):
+        return tuple(self.x0.tolist())
+
     def eval_rhs(self, t, x):
-        out = np.empty(self.n)
+        """The n rhs values at float ``t`` and state tuple ``x``, as a list of floats."""
+        out = []
         for i, f in enumerate(self.rhs):
             v = float(f(t, x))
             if not math.isfinite(v):
                 raise SolverError(f"rhs component {i} returned {v} at t={t}")
-            out[i] = v
+            out.append(v)
         return out
 
 
@@ -213,9 +223,10 @@ def build_grid(problem, sigma=None, n_steps=256):
 
 
 def _check_ball(problem, state, t):
+    """Raise ``DomainExitError`` when ``state`` (n floats) lies outside the ball."""
     if problem.ball_radius is None:
         return
-    if np.max(np.abs(state - problem.x0)) > problem.ball_radius:
+    if max(map(abs, map(sub, state, problem._center))) > problem.ball_radius:
         raise DomainExitError(
             f"state left the domain ball (radius {problem.ball_radius}) at t={t}; "
             "a smaller horizon may be certifiable via horizon_for_ball",
@@ -258,12 +269,16 @@ class _GridData:
         for i, g in enumerate(problem.derivators):
             vals = g.continuous(self.grid)
             self.cont_inc[:, i] = np.diff(vals)
+        self.quad_order = quad_order
 
-        # flattened Gauss-Legendre nodes for the continuous part of each
-        # component: cells are intersected with the slope segments of g_i
-        rule = QuadratureConfig(order=quad_order, panels=1)
-        self.quad = []
-        for i, g in enumerate(problem.derivators):
+    @cached_property
+    def quad(self):
+        """Flattened Gauss-Legendre nodes of each component's continuous part,
+        built on first use; cells are intersected with the slope segments of g_i."""
+        order, N = self.quad_order, self.n_cells
+        rule = QuadratureConfig(order=order, panels=1)
+        quad = []
+        for g in self.problem.derivators:
             bp = g.breakpoints
             inner = bp[(bp > self.grid[0]) & (bp < self.grid[-1])]
             edges = np.unique(np.concatenate((self.grid, inner)))
@@ -273,13 +288,14 @@ class _GridData:
             lo, hi, slope = lo[keep], hi[keep], slope[keep]
             cell = np.clip(np.searchsorted(self.grid, lo, side="right") - 1, 0, N - 1)
             ts, half = _gl_nodes(lo, hi, rule)
-            ws = (slope[:, None] * half * _gl_rule(quad_order)[1]).ravel()
-            cells = np.repeat(cell, quad_order)
-            self.quad.append((ts, ws, cells))
+            ws = (slope[:, None] * half * _gl_rule(order)[1]).ravel()
+            quad.append((ts, ws, np.repeat(cell, order)))
+        return quad
 
     def atom_rhs(self, values):
         """The rhs at every atom row ``k``, with the pre-jump state ``values[k]``."""
-        return [self.problem.eval_rhs(self.grid[k], values[k]) for k in self.atom_rows]
+        rhs = self.problem.eval_rhs
+        return [rhs(float(self.grid[k]), tuple(values[k].tolist())) for k in self.atom_rows]
 
     def impulse_rights(self, values, atom_f):
         """Post-jump states: right[k] = value[k] + f(t_k, value[k]) * delta_k.
@@ -331,31 +347,31 @@ def solve_euler(problem, grid, compute_residual=True, quad_order=6):
     Per step ``t_k -> t_{k+1}``: all components apply their impulse with the
     shared pre-jump state, then the continuous sub-step uses the post-jump
     state and the increments of the continuous parts.  Pure-jump steps are
-    exact by construction.
+    exact by construction.  The steps run on Python floats: each rhs call
+    gets a float ``t`` and the state as a tuple of floats (see ``IVProblem``),
+    and the rows are stacked into arrays once, at the end.
     """
     data = _GridData(problem, grid, quad_order=quad_order)
     grid = data.grid
-    N, n = data.n_cells, problem.n
-
-    values = np.empty((N + 1, n))
-    rights = np.empty((N + 1, n))
-    values[0] = problem.x0
-    x = problem.x0.copy()
+    ts = grid.tolist()
+    x = problem._center
+    values, rights = [x], []
     jumps_at = np.any(data.deltas > 0, axis=1).tolist()
-    for k in range(N):
-        t = grid[k]
+    # rows as tuples from column lists: a list per row would make the
+    # garbage collector sweep the whole heap while the loop runs
+    deltas, incs = zip(*data.deltas.T.tolist()), zip(*data.cont_inc.T.tolist())
+    for t, t_next, delta, inc, jumps in zip(ts, ts[1:], deltas, incs, jumps_at):
         fx = problem.eval_rhs(t, x)
-        y = x + fx * data.deltas[k]  # impulse with the pre-jump state
-        if jumps_at[k]:
+        y = tuple(map(add, x, map(mul, fx, delta)))  # impulse with the pre-jump state
+        if jumps:
             _check_ball(problem, y, t)
-            f_plus = problem.eval_rhs(t, y)
-        else:
-            f_plus = fx
-        rights[k] = y
-        x = y + f_plus * data.cont_inc[k]
-        _check_ball(problem, x, grid[k + 1])
-        values[k + 1] = x
-    rights[N] = values[N]
+            fx = problem.eval_rhs(t, y)
+        rights.append(y)
+        x = tuple(map(add, y, map(mul, fx, inc)))
+        _check_ball(problem, x, t_next)
+        values.append(x)
+    rights.append(x)
+    values, rights = np.array(values), np.array(rights)
 
     res = None
     if compute_residual:
@@ -455,13 +471,13 @@ class _AbsRhsAtX0:
 
     def __init__(self, rhs, x0):
         self.rhs = tuple(rhs)
-        self.x0 = x0
+        self.x0 = x0  # a tuple of floats
 
     def __call__(self, s):
-        return float(np.max(np.abs([float(f(s, self.x0)) for f in self.rhs])))
+        return float(np.max(np.abs([float(f(float(s), self.x0)) for f in self.rhs])))
 
     def batch(self, ss):
-        xs = np.broadcast_to(self.x0, (len(ss), self.x0.size))
+        xs = np.broadcast_to(self.x0, (len(ss), len(self.x0)))
         out = None
         for f in self.rhs:
             batch = getattr(f, "batch", None)
@@ -493,7 +509,7 @@ def horizon_for_ball(problem, n_candidates=64):
     ends = t0 + sigmas
     weighted = _cumulative(ghat, phi, t0, ends, _LIGHT_QUAD)
     accumulated = sum(
-        _cumulative(g, _AbsRhsAtX0([f], problem.x0), t0, ends, _LIGHT_QUAD)
+        _cumulative(g, _AbsRhsAtX0([f], problem._center), t0, ends, _LIGHT_QUAD)
         for g, f in zip(problem.derivators, problem.rhs)
     )
     inside = np.flatnonzero(omega_R * weighted + accumulated < R)
@@ -590,7 +606,7 @@ def apriori_bound(problem, u0=1.0, n_candidates=16, r_cap=1e120):
     phi = _phi_or_one(problem)
     ghat = sum_derivators(problem.derivators)
     gbar = _weighted_derivator(phi, ghat, t0, end)
-    biggest = _AbsRhsAtX0(problem.rhs, problem.x0)
+    biggest = _AbsRhsAtX0(problem.rhs, problem._center)
 
     ends = np.linspace(end, t0 + problem.horizon / n_candidates, n_candidates)
     kappas = _cumulative(ghat, biggest, t0, ends, _LIGHT_QUAD)

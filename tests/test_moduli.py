@@ -203,6 +203,16 @@ class TestOmegaTransform:
             back = tr.inverse(tr.omega_of(r))
             assert back == pytest.approx(r, rel=1e-8)
 
+    def test_table_spanning_600_decades(self):
+        # r_max / r_min overflows a double; the decade count must not
+        tr = OmegaTransform(lambda s: s, 1.0, r_min=1e-300, r_max=1e300)
+        assert tr.r_grid[0] == 1e-300 and tr.r_grid[-1] == 1e300
+        assert tr.r_grid.size == 24 * 600 + 1
+        assert np.all(np.diff(tr.values) > 0)
+        for r in (2e-300, 1e-299, 5e299, 9e299):
+            assert tr.omega_of(r) == pytest.approx(math.log(r), rel=1e-10)
+            assert tr.inverse(tr.omega_of(r)) == pytest.approx(r, rel=1e-8)
+
     @pytest.mark.parametrize("modulus, u0, r_min, r_max", [
         (omega_k_modulus(1), 1.0, None, None),
         (omega_k_modulus(2), 0.05, 1e-9, 10.0),

@@ -28,6 +28,8 @@ from stieltjes.moduli import OsgoodModulus, omega_k, omega_k_modulus
 from stieltjes.solver import (
     AprioriBound,
     IVProblem,
+    _check_ball,
+    _GridData,
     apriori_bound,
     build_grid,
     caratheodory_bound_check,
@@ -196,6 +198,148 @@ class TestEuler:
             solve_euler(p, build_grid(p, n_steps=400))
         assert exc.value.time is not None
         assert 1.0 <= exc.value.time <= 1.3
+
+    def test_ball_exit_in_the_impulse_reports_the_atom(self):
+        # x(1) - x0 = e - 1 is inside radius 2; the impulse doubles x(1) and
+        # leaves: the error names the atom and the post-jump state
+        p = impulsive_problem(ball_radius=2.0)
+        grid = build_grid(p, n_steps=400)
+        free = solve_euler(impulsive_problem(), grid)
+        k = int(np.searchsorted(grid, 1.0))
+        assert np.max(np.abs(free.values[: k + 1] - 1.0)) <= 2.0
+        with pytest.raises(DomainExitError) as exc:
+            solve_euler(p, grid)
+        assert type(exc.value.time) is float and exc.value.time == 1.0
+        assert type(exc.value.state) is np.ndarray
+        assert np.array_equal(exc.value.state, free.right_values[k])
+
+    def test_ball_exit_in_the_continuous_step(self):
+        # e^t - 1 reaches 1.5 at t = log(2.5) < 1, before the atom
+        p = impulsive_problem(ball_radius=1.5)
+        grid = build_grid(p, n_steps=400)
+        free = solve_euler(impulsive_problem(), grid)
+        k = int(np.flatnonzero(np.abs(free.values[:, 0] - 1.0) > 1.5)[0])
+        with pytest.raises(DomainExitError) as exc:
+            solve_euler(p, grid)
+        assert type(exc.value.time) is float and exc.value.time == grid[k] < 1.0
+        assert type(exc.value.state) is np.ndarray
+        assert np.array_equal(exc.value.state, free.values[k])
+
+
+def _ndarray_euler(problem, grid):
+    """The Euler step loop on ndarray states, as ``solve_euler`` ran it before
+    its steps moved to Python floats; returns values, right values, residual."""
+    data = _GridData(problem, grid)
+    N, n = data.n_cells, problem.n
+    values = np.empty((N + 1, n))
+    rights = np.empty((N + 1, n))
+    values[0] = problem.x0
+    x = problem.x0.copy()
+    for k in range(N):
+        t = data.grid[k]
+        fx = np.array([float(f(t, x)) for f in problem.rhs])
+        y = x + fx * data.deltas[k]
+        if np.any(data.deltas[k] > 0):
+            _check_ball(problem, y, t)
+            f_plus = np.array([float(f(t, y)) for f in problem.rhs])
+        else:
+            f_plus = fx
+        rights[k] = y
+        x = y + f_plus * data.cont_inc[k]
+        _check_ball(problem, x, data.grid[k + 1])
+        values[k + 1] = x
+    rights[N] = values[N]
+    mapped = data.integral_map(values, rights, data.atom_rhs(values))
+    return values, rights, np.max(np.abs(values - mapped), axis=0)
+
+
+def _random_system(rng, n):
+    """n components on [0, 1]: every g_i jumps at one shared atom and at one
+    atom of its own, g_1 has a flat segment, g_n (n > 1) is pure-jump, the
+    last rhs is an ``expr`` and the ball is never left."""
+    shared = (float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.1, 0.5)))
+    gs = []
+    for i in range(n):
+        slopes = rng.uniform(0.2, 2.0, 4)
+        if i == 0:
+            slopes[rng.integers(0, 4)] = 0.0
+        if i == n - 1 and n > 1:
+            slopes[:] = 0.0
+        own = (float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.4)))
+        cuts = np.sort(rng.uniform(0.0, 1.0, 3)).tolist()
+        gs.append(Derivator((0.0, 1.0), breakpoints=[0.0, *cuts, 1.0], slopes=slopes,
+                            jumps=[shared, own]))
+    A = rng.uniform(-1.0, 1.0, (n, n)).tolist()
+    b, c = rng.uniform(-1.0, 1.0, n).tolist(), rng.uniform(0.5, 3.0, n).tolist()
+
+    def rhs(i):
+        def f(t, x):
+            nxt = x[(i + 1) % n]
+            linear = sum(A[i][j] * x[j] for j in range(n))
+            return b[i] * math.sin(c[i] * t) + linear - 0.1 * x[i] * x[i] / (1.0 + nxt * nxt)
+        return f
+
+    fs = [rhs(i) for i in range(n - 1)]
+    fs.append(ExprFunction(parse(f"0.5*sin(3*t)*x{n} - 0.25*x1 + exp(-t)", n)))
+    return IVProblem(0.0, 1.0, rng.uniform(-1.0, 1.0, n), gs, fs, ball_radius=1e6)
+
+
+class TestFloatStepLoop:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical_to_the_ndarray_step_loop(self, seed):
+        rng = np.random.default_rng([seed, 8])
+        p = _random_system(rng, n=1 + seed % 3)
+        grid = build_grid(p, n_steps=int(rng.integers(20, 300)))
+        tr = solve_euler(p, grid)
+        values, rights, res = _ndarray_euler(p, grid)
+        assert np.array_equal(tr.values, values)
+        assert np.array_equal(tr.right_values, rights)
+        assert np.array_equal(tr.residual, res)
+
+    def test_every_scalar_rhs_call_gets_a_float_and_a_tuple(self):
+        seen = []
+
+        def recording(f):
+            def g(t, x):
+                seen.append((type(t), type(x)))
+                return f(t, x)
+            return g
+
+        g1 = Derivator.identity((0.0, 2.0)).with_jumps([(1.0, 1.0)])
+        g2 = Derivator((0.0, 2.0), slopes=[0.5], jumps=[(1.0, 0.5), (1.5, 0.25)])
+        rhs = [recording(lambda t, x: 0.5 * x[0]), recording(lambda t, x: x[0] - x[1])]
+        p = IVProblem(0.0, 2.0, [1.0, 0.5], [g1, g2], rhs, ball_radius=50.0, modulus=LINEAR)
+        grid = build_grid(p, n_steps=16)
+        phases = [
+            lambda: solve_euler(p, grid, compute_residual=False),
+            lambda: solve_euler(p, grid),
+            lambda: solve_picard(p, grid),
+            lambda: residual(p, solve_euler(p, grid, compute_residual=False)),
+            lambda: uniqueness_certificate(p, n_samples=20),
+            lambda: caratheodory_bound_check(p, 1.0, lambda t: 1e3, n_samples=20),
+            lambda: horizon_for_ball(p),
+            lambda: apriori_bound(p),
+        ]
+        for phase in phases:
+            seen.clear()
+            phase()
+            assert seen and set(seen) == {(float, tuple)}
+
+    def test_grid_quadrature_is_built_only_for_the_residual(self, monkeypatch):
+        from stieltjes import solver
+
+        built = []
+        real = solver._gl_nodes
+        monkeypatch.setattr(solver, "_gl_nodes", lambda *a: built.append(a) or real(*a))
+        p = impulsive_problem()
+        grid = build_grid(p, n_steps=16)
+        solve_euler(p, grid, compute_residual=False)
+        assert built == []
+        solve_euler(p, grid)
+        assert len(built) == p.n
+        built.clear()
+        tr = solve_picard(p, grid)  # one build for all its iterations
+        assert tr.n_iterations > 1 and len(built) == p.n
 
 
 class TestPicard:
