@@ -16,6 +16,12 @@ numerically:
   within ``tol_match``; if one side of ``g`` is flat at every tested scale,
   the other side alone decides.
 
+The difference ladders of many continuity points are evaluated together:
+``_ladder_estimates`` lays out both sides of every point's ladder in one
+array and samples g and f over all of it in one call each.
+``stieltjes_derivative`` is its one-point case, and ``check_ftc`` runs it on
+blocks of ``_LADDER_BLOCK`` points.
+
 ``indefinite_integral`` builds ``F(t) = integral of f over [a, t) against
 dg`` once, as a piecewise polynomial: a quadrature table of F at the
 breakpoints and jumps of ``g``, and between them a Chebyshev fit of f,
@@ -117,21 +123,58 @@ def _right_limit(f, t, cfg, upper):
     return _extrapolate(samples, cfg.richardson)
 
 
-def _one_sided_quotients(f, g, t, cfg, sign):
-    """Quotients (f(s) - f(t)) / (g(s) - g(t)) along the ladder on one side.
+def _ladder_estimates(f, g, ts, cfg):
+    """The (left, right) extrapolated quotients at each continuity point of ``ts``.
 
-    Steps that leave the window or where g is numerically flat are skipped;
-    f(t) and f at the remaining steps come from one ``_sample_finite`` call.
+    Both sides of every point's ladder form one ``(m, 2, 1 + len(h))`` array:
+    t, then ``t + sign * h``, right side (sign +1) before left.  Steps that
+    leave the window or where g is numerically flat are dropped.  g at every
+    step comes from one ``g.eval`` call and f from one ``_sample_finite``
+    call, in that order: by point, right side before left.  So a non-finite
+    sample raises ``IntegrandError`` at the sample that a walk point by
+    point and side by side meets first.  A side with no step left gives
+    ``None``.
     """
     left_w, right_w = g.window
-    s = np.concatenate(([t], t + sign * np.asarray(cfg.h_sequence)))
-    s = s[(s >= left_w) & (s <= right_w)]
-    gs = g.eval(s)
-    keep = np.concatenate(([True], np.abs(gs[1:] - gs[0]) >= _FLAT_EPS))
-    s, gs = s[keep], gs[keep]
-    fs = _sample_finite(f, s, lambda v, q: IntegrandError(
-        f"f returned {v} at t={s[q]}", point=s[q]))
-    return ((fs[1:] - fs[0]) / (gs[1:] - gs[0])).tolist()
+    ts = np.asarray(ts, dtype=float)
+    s = np.empty((ts.size, 2, 1 + len(cfg.h_sequence)))
+    s[:, :, 0] = ts[:, None]
+    s[:, :, 1:] = ts[:, None, None] + np.array([[1.0], [-1.0]]) * np.asarray(cfg.h_sequence)
+    keep = (s >= left_w) & (s <= right_w)
+    gs = np.zeros(s.shape)
+    gs[keep] = g.eval(s[keep])
+    keep[:, :, 1:] &= np.abs(gs[:, :, 1:] - gs[:, :, :1]) >= _FLAT_EPS
+    at = s[keep]
+    fs = np.zeros(s.shape)
+    fs[keep] = _sample_finite(f, at, lambda v, q: IntegrandError(
+        f"f returned {v} at t={at[q]}", point=at[q]))
+    step = keep[:, :, 1:]
+    df, dg = fs[:, :, 1:] - fs[:, :, :1], gs[:, :, 1:] - gs[:, :, :1]
+    quotients = (df[step] / dg[step]).tolist()
+    ends = np.cumsum(step.sum(axis=2)).tolist()
+    est = [_extrapolate(quotients[lo:hi], cfg.richardson) if lo < hi else None
+           for lo, hi in zip([0, *ends], ends)]
+    return list(zip(est[1::2], est[0::2]))
+
+
+def _decide(t, est_l, est_r, cfg):
+    """The g-derivative at a continuity point t from its one-sided estimates."""
+    if est_r is None and est_l is None:
+        raise DerivativeUndefinedError(
+            f"the derivator is numerically flat around t={t} at every tested scale"
+        )
+    if est_r is None:
+        return est_l
+    if est_l is None:
+        return est_r
+    if abs(est_r - est_l) > cfg.tol_match * (1.0 + max(abs(est_r), abs(est_l))):
+        raise NoDerivativeError(
+            f"one-sided g-derivative estimates at t={t} disagree: "
+            f"left={est_l}, right={est_r}",
+            left=est_l,
+            right=est_r,
+        )
+    return 0.5 * (est_r + est_l)
 
 
 def stieltjes_derivative(f, g, t, cfg=None):
@@ -141,9 +184,11 @@ def stieltjes_derivative(f, g, t, cfg=None):
     where ``g`` is numerically flat on every tested scale on both sides), and
     ``NoDerivativeError`` when the one-sided estimates disagree beyond
     ``cfg.tol_match`` (both estimates are attached to the exception).  At a
-    continuity point ``f`` is sampled through ``f.batch`` when it offers one.
-    A non-finite value of f on the ladder, or at t itself at a jump point,
-    raises ``IntegrandError``.
+    continuity point this is the one-point case of the ladder evaluation
+    ``check_ftc`` runs on blocks of points: both sides' steps go through one
+    ``g.eval`` call and one ``_sample_finite`` call, so f is sampled through
+    ``f.batch`` when it offers one.  A non-finite value of f on the ladder,
+    or at t itself at a jump point, raises ``IntegrandError``.
     """
     cfg = cfg or DifferencingConfig()
     t = float(t)
@@ -170,27 +215,8 @@ def stieltjes_derivative(f, g, t, cfg=None):
             raise IntegrandError(f"f returned {value} at t={t}", point=t)
         return (limit - value) / delta
 
-    right = _one_sided_quotients(f, g, t, cfg, +1)
-    left = _one_sided_quotients(f, g, t, cfg, -1)
-    est_r = _extrapolate(right, cfg.richardson) if right else None
-    est_l = _extrapolate(left, cfg.richardson) if left else None
-
-    if est_r is None and est_l is None:
-        raise DerivativeUndefinedError(
-            f"the derivator is numerically flat around t={t} at every tested scale"
-        )
-    if est_r is None:
-        return est_l
-    if est_l is None:
-        return est_r
-    if abs(est_r - est_l) > cfg.tol_match * (1.0 + max(abs(est_r), abs(est_l))):
-        raise NoDerivativeError(
-            f"one-sided g-derivative estimates at t={t} disagree: "
-            f"left={est_l}, right={est_r}",
-            left=est_l,
-            right=est_r,
-        )
-    return 0.5 * (est_r + est_l)
+    [(est_l, est_r)] = _ladder_estimates(f, g, [t], cfg)
+    return _decide(t, est_l, est_r, cfg)
 
 
 # The piecewise-polynomial fit of IndefiniteIntegral: f is interpolated at
@@ -203,6 +229,9 @@ _FIT_NODES = 16
 _FIT_TAIL = 1e-14
 _FIT_DEPTH = 6
 _EVAL_BLOCK = 256
+# check_ftc evaluates the ladders of this many points at once: larger blocks
+# raise the memory peak of a round trip, smaller ones the per-call overhead
+_LADDER_BLOCK = 16
 
 _THETA = np.pi * (np.arange(_FIT_NODES)[::-1] + 0.5) / _FIT_NODES
 _CHEB_X = np.cos(_THETA)  # ascending, inside (-1, 1)
@@ -441,6 +470,17 @@ class FtcReport:
         )
 
 
+def _compared(f, t, derivative, relative):
+    """The sample comparing ``derivative`` with ``f(t)``; ``"failed"`` if either is not finite."""
+    expected = float(f(t))
+    error = abs(derivative - expected)
+    if relative:
+        error /= 1.0 + abs(expected)
+    if not math.isfinite(error):
+        return FtcSample(t=t, status="failed", derivative=derivative, expected=expected)
+    return FtcSample(t=t, status="ok", derivative=derivative, expected=expected, error=error)
+
+
 def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
     """Differentiate the indefinite integral of f and compare against f.
 
@@ -448,11 +488,17 @@ def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
     points inside the constancy set are recorded as skipped (the derivative
     is undefined there by design), and uniform points are nudged away from
     jumps so the dyadic ladder of the estimator is not polluted by atoms.
+    The ladders of the uniform points where g is continuous are evaluated
+    ``_LADDER_BLOCK`` points at a time, with one ``g.eval`` and one
+    ``F.batch`` call per block.  The points of a block that meets a
+    non-finite value of F, and all other samples, go through
+    ``stieltjes_derivative`` one at a time, so every sample gets the status
+    a call at its point gives.  f is evaluated once per sample; where f(t)
+    or the derivative is not finite, the sample is ``"failed"``.
     """
     cfg = cfg or DifferencingConfig()
     F = indefinite_integral(f, g, a, quad=quad)
-    constancy = classify(g).constancy
-    jump_pts = [d for d in g.jump_points if a <= d < b]
+    jump_pts = [d for d in g.jump_points.tolist() if a <= d < b]
 
     guard = 4.0 * cfg.h_sequence[-1]
     points = []
@@ -464,25 +510,45 @@ def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
             if not a <= t < b:
                 continue
         points.append(t)
+    ts = np.array(sorted(set(points)), dtype=float)
+
+    # t lies in one of the disjoint open intervals (lo, hi) exactly when more
+    # of them start below t than end at or below it
+    lo, hi = np.array(classify(g).sorted_constancy(), dtype=float).reshape(-1, 2).T
+    skipped = np.searchsorted(lo, ts, side="left") > np.searchsorted(hi, ts, side="right")
+    continuous = ~skipped & (ts >= g.window[0]) & (ts < g.window[1])
+    continuous[continuous] = g.jump(ts[continuous]) == 0.0
+    plain = np.flatnonzero(continuous)
+    estimates = {}
+    for s in range(0, plain.size, _LADDER_BLOCK):
+        block = plain[s:s + _LADDER_BLOCK]
+        try:
+            estimates.update(zip(block.tolist(), _ladder_estimates(F, g, ts[block], cfg)))
+        except IntegrandError:
+            pass  # the block's points go through stieltjes_derivative
 
     report = FtcReport()
-    for t in sorted(set(points)):
-        if any(lo < t < hi for lo, hi in constancy):
+    for i, t in enumerate(ts.tolist()):
+        if skipped[i]:
             report.samples.append(FtcSample(t=t, status="skipped-constancy"))
             report.n_skipped_constancy += 1
             continue
         try:
-            d = stieltjes_derivative(F, g, t, cfg)
-        except (DerivativeUndefinedError,):
+            if i in estimates:
+                d = _decide(t, *estimates[i], cfg)
+            else:
+                d = stieltjes_derivative(F, g, t, cfg)
+        except DerivativeUndefinedError:
             report.samples.append(FtcSample(t=t, status="skipped-constancy"))
             report.n_skipped_constancy += 1
             continue
         except (NoDerivativeError, RightLimitError, IntegrandError):
             report.samples.append(FtcSample(t=t, status="no-derivative"))
             continue
-        err = abs(d - f(t))
-        report.samples.append(FtcSample(t=t, status="ok", derivative=d, expected=f(t), error=err))
-        report.max_error_continuous = max(report.max_error_continuous, err)
+        sample = _compared(f, t, d, relative=False)
+        report.samples.append(sample)
+        if sample.status == "ok":
+            report.max_error_continuous = max(report.max_error_continuous, sample.error)
 
     for d in jump_pts:
         try:
@@ -490,9 +556,9 @@ def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
         except (NoDerivativeError, RightLimitError, DerivativeUndefinedError, IntegrandError):
             report.samples.append(FtcSample(t=d, status="no-derivative"))
             continue
-        expected = f(d)
-        rel = abs(got - expected) / (1.0 + abs(expected))
-        report.samples.append(FtcSample(t=d, status="ok", derivative=got, expected=expected, error=rel))
-        report.max_relative_error_jumps = max(report.max_relative_error_jumps, rel)
+        sample = _compared(f, d, got, relative=True)
+        report.samples.append(sample)
+        if sample.status == "ok":
+            report.max_relative_error_jumps = max(report.max_relative_error_jumps, sample.error)
 
     return report

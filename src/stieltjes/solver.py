@@ -362,12 +362,12 @@ def solve_euler(problem, grid, compute_residual=True, quad_order=6):
     deltas, incs = zip(*data.deltas.T.tolist()), zip(*data.cont_inc.T.tolist())
     for t, t_next, delta, inc, jumps in zip(ts, ts[1:], deltas, incs, jumps_at):
         fx = problem.eval_rhs(t, x)
-        y = tuple(map(add, x, map(mul, fx, delta)))  # impulse with the pre-jump state
         if jumps:
-            _check_ball(problem, y, t)
-            fx = problem.eval_rhs(t, y)
-        rights.append(y)
-        x = tuple(map(add, y, map(mul, fx, inc)))
+            x = tuple(map(add, x, map(mul, fx, delta)))  # impulse with the pre-jump state
+            _check_ball(problem, x, t)
+            fx = problem.eval_rhs(t, x)
+        rights.append(x)
+        x = tuple(map(add, x, map(mul, fx, inc)))
         _check_ball(problem, x, t_next)
         values.append(x)
     rights.append(x)

@@ -160,6 +160,16 @@ class TestEuler:
         x = tr.values[k, 0]
         assert tr.right_values[k, 0] == x + x * 1.0
 
+    def test_rows_without_an_atom_keep_the_state_bit_for_bit(self):
+        # adding the impulse f * 0.0 on a step without an atom would turn
+        # the initial -0.0 into +0.0
+        p = impulsive_problem()
+        p = IVProblem(0.0, 2.0, [-0.0], p.derivators, [lambda t, x: 1.0])
+        tr = solve_euler(p, build_grid(p, n_steps=8))
+        plain = tr.grid != 1.0
+        assert np.signbit(tr.right_values[0, 0])
+        assert tr.right_values[plain].tobytes() == tr.values[plain].tobytes()
+
     def test_pure_jump_recursion_is_exact(self):
         g = Derivator((0.0, 3.0), slopes=[0.0], jumps=[(1.0, 0.5), (2.0, 0.25)])
         p = IVProblem(0.0, 3.0, [2.0], [g], [lambda t, x: x[0]])

@@ -16,15 +16,21 @@ from stieltjes import (
     DerivativeUndefinedError,
     IntegrandError,
     NoDerivativeError,
+    StieltjesError,
     WindowDomainError,
+    classify,
     from_classification,
 )
 from stieltjes.derivative import (
+    _FLAT_EPS,
     DifferencingConfig,
+    _extrapolate,
     check_ftc,
     indefinite_integral,
     stieltjes_derivative,
 )
+from stieltjes.expr import ExprFunction, parse
+from stieltjes.measure import _sample_finite
 from stieltjes.topology import check_g_continuity_sampled
 
 from conftest import random_derivator, random_smooth_function
@@ -282,6 +288,16 @@ class TestFtc:
         report = check_ftc(f, g, 0.0, 2.0, sample_count=11)
         assert report.max_relative_error_jumps <= 1e-13
         assert report.max_error_continuous <= 1e-5
+        assert 1.0 in [s.t for s in report.samples]
+        assert all(type(s.t) is float for s in report.samples)
+
+    def test_a_nan_value_of_f_is_failed_not_ok(self):
+        # as a maximum, the NaN error would be hidden
+        f = lambda t: math.nan if t == 0.25 else math.sin(t)
+        report = check_ftc(f, Derivator.identity((0.0, 1.0)), 0.0, 1.0, sample_count=2)
+        assert [(s.t, s.status) for s in report.samples] == [(0.25, "failed"), (0.75, "ok")]
+        assert report.samples[0].error is None
+        assert not report.ok()
 
     def test_integrand_error_at_a_jump_is_filed_as_no_derivative(self, monkeypatch):
         from stieltjes import derivative
@@ -314,3 +330,141 @@ class TestFtc:
             assert report.max_error_continuous <= 1e-5
             assert report.max_relative_error_jumps <= 1e-12
             assert not any(s.status == "no-derivative" for s in report.samples)
+
+
+def _one_sided_quotients(f, g, t, cfg, sign):
+    """One side of the ladder at one point, as ``stieltjes_derivative``
+    evaluated it before the ladders of many points went into one array."""
+    left_w, right_w = g.window
+    s = np.concatenate(([t], t + sign * np.asarray(cfg.h_sequence)))
+    s = s[(s >= left_w) & (s <= right_w)]
+    gs = g.eval(s)
+    keep = np.concatenate(([True], np.abs(gs[1:] - gs[0]) >= _FLAT_EPS))
+    s, gs = s[keep], gs[keep]
+    fs = _sample_finite(f, s, lambda v, q: IntegrandError(
+        f"f returned {v} at t={s[q]}", point=s[q]))
+    return ((fs[1:] - fs[0]) / (gs[1:] - gs[0])).tolist()
+
+
+def _reference_derivative(f, g, t, cfg=DifferencingConfig()):
+    """The reference g-derivative at a point where g does not jump."""
+    t = float(t)
+    for a, b in classify(g).constancy:
+        if a < t < b:
+            raise DerivativeUndefinedError(
+                f"t={t} lies in the constancy interval ({a}, {b}) of the derivator"
+            )
+    right = _one_sided_quotients(f, g, t, cfg, +1)
+    left = _one_sided_quotients(f, g, t, cfg, -1)
+    est_r = _extrapolate(right, cfg.richardson) if right else None
+    est_l = _extrapolate(left, cfg.richardson) if left else None
+    if est_r is None and est_l is None:
+        raise DerivativeUndefinedError(
+            f"the derivator is numerically flat around t={t} at every tested scale"
+        )
+    if est_r is None:
+        return est_l
+    if est_l is None:
+        return est_r
+    if abs(est_r - est_l) > cfg.tol_match * (1.0 + max(abs(est_r), abs(est_l))):
+        raise NoDerivativeError(
+            f"one-sided g-derivative estimates at t={t} disagree: "
+            f"left={est_l}, right={est_r}",
+            left=est_l,
+            right=est_r,
+        )
+    return 0.5 * (est_r + est_l)
+
+
+def _outcome(derivative, f, g, t):
+    """The value's bits, or the error's type, message and attached numbers."""
+    bits = lambda v: None if v is None else float(v).hex()
+    try:
+        return bits(derivative(f, g, t))
+    except StieltjesError as exc:
+        return (type(exc), str(exc), bits(getattr(exc, "left", None)),
+                bits(getattr(exc, "right", None)), bits(getattr(exc, "point", None)))
+
+
+def _continuity_points(rng, g):
+    """Random points, points within 2**-4 of both window ends and the ends of
+    the constancy intervals, where g does not jump."""
+    left, right = g.window
+    edge = 2.0 ** -4
+    ts = np.concatenate((
+        rng.uniform(left, right, 10),
+        [left, left + 1e-6, right - 1e-6],
+        rng.uniform(left, left + edge, 3),
+        rng.uniform(right - edge, right, 3),
+        np.ravel(classify(g).constancy),
+    ))
+    ts = ts[(ts >= left) & (ts < right)]
+    return ts[g.jump(ts) == 0.0].tolist()
+
+
+def _check_ftc_against_the_reference(f, g, n):
+    """Assert that each sample of ``check_ftc`` where g does not jump has the
+    reference's value or error; return the statuses."""
+    report = check_ftc(f, g, 0.0, 1.0, sample_count=n)
+    F = indefinite_integral(f, g, 0.0)
+    statuses = []
+    for s in report.samples:
+        if g.jump(s.t) > 0.0:
+            continue
+        ref = _outcome(_reference_derivative, F, g, s.t)
+        if not isinstance(ref, tuple):
+            assert (s.status, float(s.derivative).hex()) == ("ok", ref)
+        elif ref[0] is DerivativeUndefinedError:
+            assert s.status == "skipped-constancy"
+        else:
+            assert s.status == "no-derivative"
+        statuses.append(s.status)
+    return statuses
+
+
+class TestBlockLadderParity:
+    """The block ladder against the reference above, bit for bit."""
+
+    def test_stieltjes_derivative_matches_the_reference(self, rng):
+        kinds = set()
+        expr = ExprFunction(parse("sin(3*t) + t^2 - exp(-t)", 0))
+        for _ in range(12):
+            g = random_derivator(rng, max_segments=30, max_jumps=4)
+            smooth = random_smooth_function(rng)
+            # NaN on patches about 0.16 apart: some ladders meet them on both sides
+            patchy = lambda t, smooth=smooth: math.nan if math.sin(40.0 * t) > 0.99 else smooth(t)
+            for f in (smooth, patchy, expr, indefinite_integral(smooth, g, 0.0)):
+                for t in _continuity_points(rng, g):
+                    got = _outcome(stieltjes_derivative, f, g, t)
+                    assert got == _outcome(_reference_derivative, f, g, t), (f, t)
+                    kinds.add(got[0] if isinstance(got, tuple) else float)
+        # constancy ends give the known NoDerivativeError; flat windows undefined
+        assert kinds == {float, NoDerivativeError, DerivativeUndefinedError, IntegrandError}
+
+    def test_check_ftc_matches_the_reference(self, rng):
+        statuses = set()
+        for n in (8, 40):
+            # breakpoints at k / (2n): the uniform samples (i + 0.5) / n sit on
+            # them, so some are ends of constancy intervals
+            m = 2 * n
+            slopes = rng.uniform(0.5, 2.0, m)
+            slopes[rng.random(m) < 0.3] = 0.0
+            for g in (Derivator((0.0, 1.0), breakpoints=np.arange(m + 1) / m, slopes=slopes,
+                                jumps=[(0.3, 0.1), (0.71, 0.2)]),
+                      random_derivator(rng, max_segments=30, max_jumps=4)):
+                f = random_smooth_function(rng)
+                statuses.update(_check_ftc_against_the_reference(f, g, n))
+        assert statuses == {"ok", "skipped-constancy", "no-derivative"}
+
+    def test_a_nan_patch_of_f_fails_only_the_points_whose_ladder_meets_it(self):
+        # The kink leaves a piece of F unresolved, so right of it F integrates
+        # f afresh at each evaluation.  The NaN patch lies between the
+        # abscissae that F's build samples, so the build succeeds.
+        g = Derivator((0.0, 1.0), breakpoints=[0.0, 0.5, 1.0], slopes=[1.0, 1.5])
+        f = lambda t: math.nan if 0.424 < t < 0.427 else abs(t - 0.2517) + math.sin(t)
+        assert indefinite_integral(f, g, 0.0).n_unresolved >= 1
+        statuses = _check_ftc_against_the_reference(f, g, 40)
+        # the first block of 16 points meets the patch in one ladder only
+        assert statuses[:16].count("no-derivative") == 1
+        assert "no-derivative" in statuses[16:32] and "ok" in statuses[16:32]
+
