@@ -8,13 +8,13 @@ numerically:
   on any neighborhood, so the request is an error, not a number.
 * ``g`` jumps at ``t``: the derivative is the exact quotient
   ``(f(t+) - f(t)) / (g(t+) - g(t))``.  The denominator is the stored jump;
-  the numerator needs the right limit of ``f``, which we either read off
-  exactly (objects exposing ``right_limit``, such as indefinite integrals)
-  or estimate by extrapolating ``f(t + h)`` along a dyadic ladder.
-* ``g`` continuous at ``t``: one-sided difference quotients are extrapolated
-  (optionally Richardson-accelerated) and accepted when the two sides agree
-  within ``tol_match``; if one side of ``g`` is flat at every tested scale,
-  the other side alone decides.
+  the numerator ``f(t+) - f(t)`` is read off exactly from objects exposing
+  ``right_increment`` (indefinite integrals); otherwise ``f(t+)`` is
+  estimated by extrapolating ``f(t + h)`` along the dyadic ladder ``_H_STEPS``.
+* ``g`` continuous at ``t``: one-sided difference quotients along that ladder
+  are Richardson-extrapolated and accepted when the two sides agree within
+  ``_TOL_MATCH``; if one side of ``g`` is flat at every tested scale, the
+  other side alone decides.
 
 The difference ladders of many continuity points are evaluated together:
 ``_ladder_estimates`` lays out both sides of every point's ladder in one
@@ -27,8 +27,8 @@ dg`` once, as a piecewise polynomial: a quadrature table of F at the
 breakpoints and jumps of ``g``, and between them a Chebyshev fit of f,
 integrated exactly (Greengard 1991; Trefethen, *Approximation Theory and
 Approximation Practice*, ch. 19).  Evaluating F inside the derivative
-estimator then samples f no more, and its exact ``right_limit`` makes the
-recovered derivative at jump points exact to machine precision.
+estimator then samples f no more, and its exact ``right_increment`` makes
+the recovered derivative at jump points exact to machine precision.
 ``measure.integrate`` is the reference that F is tested against; a piece
 where the fit does not resolve f, such as one holding a kink, falls back to
 that quadrature.
@@ -53,7 +53,6 @@ from .measure import (
 )
 
 __all__ = [
-    "DifferencingConfig",
     "stieltjes_derivative",
     "indefinite_integral",
     "IndefiniteIntegral",
@@ -62,32 +61,19 @@ __all__ = [
 ]
 
 _FLAT_EPS = 1e-14  # below this, a g-increment counts as numerically flat
+# the step ladder of every difference quotient, and the relative tolerance
+# within which the two sides (or successive right-limit samples) must agree
+_H_STEPS = tuple(2.0 ** -k for k in range(4, 21))
+_TOL_MATCH = 1e-6
 
 
-@dataclass(frozen=True)
-class DifferencingConfig:
-    """Step ladder and matching tolerance for difference quotients."""
-
-    h_sequence: tuple = tuple(2.0 ** -k for k in range(4, 21))
-    richardson: bool = True
-    tol_match: float = 1e-6
-
-    def __post_init__(self):
-        hs = tuple(float(h) for h in self.h_sequence)
-        if len(hs) < 3 or any(h <= 0 for h in hs) or any(
-            b >= a for a, b in zip(hs, hs[1:])
-        ):
-            raise ValueError("h_sequence must be >= 3 strictly decreasing positive steps")
-        object.__setattr__(self, "h_sequence", hs)
-
-
-def _extrapolate(values, richardson):
+def _extrapolate(values):
     """Limit estimate from a sequence computed along a halving step ladder.
 
     Assumes an error expansion in powers of h; one Richardson sweep removes
     the O(h) term, a second the O(h^2) term.
     """
-    if not richardson or len(values) < 3:
+    if len(values) < 3:
         return values[-1]
     v0, v1, v2 = values[-3], values[-2], values[-1]
     w1 = 2.0 * v1 - v0
@@ -106,41 +92,37 @@ def _converged(values, tol):
     return diffs[-1] < 0.5 * max(diffs)
 
 
-def _right_limit(f, t, cfg, upper):
-    """Estimate f(t+) by sampling along the ladder; exact when f exposes one."""
-    exact = getattr(f, "right_limit", None)
-    if exact is not None:
-        return exact(t)
-    samples = [f(t + h) for h in cfg.h_sequence if t + h <= upper]
+def _right_limit(f, t, upper):
+    """Estimate f(t+) by sampling f along the step ladder right of t."""
+    samples = [f(t + h) for h in _H_STEPS if t + h <= upper]
     if len(samples) < 3:
         raise RightLimitError(f"not enough room right of t={t} to estimate f(t+)")
     if not all(math.isfinite(v) for v in samples):
         raise RightLimitError(f"f produced non-finite samples right of t={t}")
-    if not _converged(samples, cfg.tol_match):
+    if not _converged(samples, _TOL_MATCH):
         raise RightLimitError(
             f"samples of f right of t={t} do not converge; the right limit may not exist"
         )
-    return _extrapolate(samples, cfg.richardson)
+    return _extrapolate(samples)
 
 
-def _ladder_estimates(f, g, ts, cfg):
+def _ladder_estimates(f, g, ts, lo, hi):
     """The (left, right) extrapolated quotients at each continuity point of ``ts``.
 
     Both sides of every point's ladder form one ``(m, 2, 1 + len(h))`` array:
     t, then ``t + sign * h``, right side (sign +1) before left.  Steps that
-    leave the window or where g is numerically flat are dropped.  g at every
-    step comes from one ``g.eval`` call and f from one ``_sample_finite``
-    call, in that order: by point, right side before left.  So a non-finite
-    sample raises ``IntegrandError`` at the sample that a walk point by
-    point and side by side meets first.  A side with no step left gives
-    ``None``.
+    leave ``[lo, hi]``, where f is defined, or where g is numerically flat
+    are dropped.  g at every step comes from one ``g.eval`` call and f from
+    one ``_sample_finite`` call, in that order: by point, right side before
+    left.  So a non-finite sample raises ``IntegrandError`` at the sample
+    that a walk point by point and side by side meets first.  A side with no
+    step left gives ``None``.
     """
-    left_w, right_w = g.window
     ts = np.asarray(ts, dtype=float)
-    s = np.empty((ts.size, 2, 1 + len(cfg.h_sequence)))
+    s = np.empty((ts.size, 2, 1 + len(_H_STEPS)))
     s[:, :, 0] = ts[:, None]
-    s[:, :, 1:] = ts[:, None, None] + np.array([[1.0], [-1.0]]) * np.asarray(cfg.h_sequence)
-    keep = (s >= left_w) & (s <= right_w)
+    s[:, :, 1:] = ts[:, None, None] + np.array([[1.0], [-1.0]]) * np.asarray(_H_STEPS)
+    keep = (s >= lo) & (s <= hi)
     gs = np.zeros(s.shape)
     gs[keep] = g.eval(s[keep])
     keep[:, :, 1:] &= np.abs(gs[:, :, 1:] - gs[:, :, :1]) >= _FLAT_EPS
@@ -152,12 +134,12 @@ def _ladder_estimates(f, g, ts, cfg):
     df, dg = fs[:, :, 1:] - fs[:, :, :1], gs[:, :, 1:] - gs[:, :, :1]
     quotients = (df[step] / dg[step]).tolist()
     ends = np.cumsum(step.sum(axis=2)).tolist()
-    est = [_extrapolate(quotients[lo:hi], cfg.richardson) if lo < hi else None
-           for lo, hi in zip([0, *ends], ends)]
+    est = [_extrapolate(quotients[i:j]) if i < j else None
+           for i, j in zip([0, *ends], ends)]
     return list(zip(est[1::2], est[0::2]))
 
 
-def _decide(t, est_l, est_r, cfg):
+def _decide(t, est_l, est_r):
     """The g-derivative at a continuity point t from its one-sided estimates."""
     if est_r is None and est_l is None:
         raise DerivativeUndefinedError(
@@ -167,7 +149,7 @@ def _decide(t, est_l, est_r, cfg):
         return est_l
     if est_l is None:
         return est_r
-    if abs(est_r - est_l) > cfg.tol_match * (1.0 + max(abs(est_r), abs(est_l))):
+    if abs(est_r - est_l) > _TOL_MATCH * (1.0 + max(abs(est_r), abs(est_l))):
         raise NoDerivativeError(
             f"one-sided g-derivative estimates at t={t} disagree: "
             f"left={est_l}, right={est_r}",
@@ -177,20 +159,21 @@ def _decide(t, est_l, est_r, cfg):
     return 0.5 * (est_r + est_l)
 
 
-def stieltjes_derivative(f, g, t, cfg=None):
+def stieltjes_derivative(f, g, t):
     """The g-derivative of f at t.
 
     Raises ``DerivativeUndefinedError`` inside the constancy set of ``g`` (or
     where ``g`` is numerically flat on every tested scale on both sides), and
-    ``NoDerivativeError`` when the one-sided estimates disagree beyond
-    ``cfg.tol_match`` (both estimates are attached to the exception).  At a
-    continuity point this is the one-point case of the ladder evaluation
-    ``check_ftc`` runs on blocks of points: both sides' steps go through one
-    ``g.eval`` call and one ``_sample_finite`` call, so f is sampled through
-    ``f.batch`` when it offers one.  A non-finite value of f on the ladder,
-    or at t itself at a jump point, raises ``IntegrandError``.
+    ``NoDerivativeError`` when the one-sided estimates disagree beyond the
+    relative tolerance ``_TOL_MATCH`` = 1e-6 (both estimates are attached to
+    the exception).  At a continuity point this is the one-point case of the
+    ladder evaluation ``check_ftc`` runs on blocks of points: both sides'
+    steps, ``t + h`` and ``t - h`` for ``h = 2^-k``, k = 4..20, inside the
+    window, go through one ``g.eval`` call and one ``_sample_finite`` call,
+    so f is sampled through ``f.batch`` when it offers one.  A non-finite
+    value of f on the ladder, or at t itself at a jump point, raises
+    ``IntegrandError``.
     """
-    cfg = cfg or DifferencingConfig()
     t = float(t)
     left_w, right_w = g.window
     if not left_w <= t < right_w:
@@ -209,14 +192,14 @@ def stieltjes_derivative(f, g, t, cfg=None):
         increment = getattr(f, "right_increment", None)
         if increment is not None:
             return increment(t) / delta
-        limit = _right_limit(f, t, cfg, right_w)
+        limit = _right_limit(f, t, right_w)
         value = float(f(t))
         if not math.isfinite(value):
             raise IntegrandError(f"f returned {value} at t={t}", point=t)
         return (limit - value) / delta
 
-    [(est_l, est_r)] = _ladder_estimates(f, g, [t], cfg)
-    return _decide(t, est_l, est_r, cfg)
+    [(est_l, est_r)] = _ladder_estimates(f, g, [t], left_w, right_w)
+    return _decide(t, est_l, est_r)
 
 
 # The piecewise-polynomial fit of IndefiniteIntegral: f is interpolated at
@@ -314,10 +297,13 @@ class IndefiniteIntegral:
 
     ``batch(ts)`` equals the calls one by one; through ``_sample_finite``,
     difference ladders and sampled continuity checks use it.
-    ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).
+    ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).  ``quad`` is
+    the Gauss-Legendre rule of the node table and of the fallback.
     """
 
-    def __init__(self, f, g, a, quad=None):
+    quad = QuadratureConfig(order=16, panels=4)
+
+    def __init__(self, f, g, a):
         left_w, right_w = g.window
         a = float(a)
         if not left_w <= a < right_w:
@@ -325,7 +311,6 @@ class IndefiniteIntegral:
         self.f = f
         self.g = g
         self.a = a
-        self.quad = quad or QuadratureConfig(order=16, panels=4)
         nodes = np.unique(np.concatenate((
             g.breakpoints[(g.breakpoints >= a)],
             g.jump_points[(g.jump_points >= a)],
@@ -436,9 +421,9 @@ class IndefiniteIntegral:
         return self.f(t) * self.g.jump(t)
 
 
-def indefinite_integral(f, g, a, quad=None):
+def indefinite_integral(f, g, a):
     """Build ``F(t) = integral of f over [a, t) dg`` with F(a) = 0."""
-    return IndefiniteIntegral(f, g, a, quad=quad)
+    return IndefiniteIntegral(f, g, a)
 
 
 @dataclass
@@ -459,13 +444,11 @@ class FtcReport:
     max_relative_error_jumps: float = 0.0
     n_skipped_constancy: int = 0
 
-    def failures(self, tol):
-        return [s for s in self.samples if s.status == "ok" and s.error is not None and s.error > tol]
-
-    def ok(self, tol_continuous=1e-5, tol_jump_relative=1e-12):
+    def ok(self):
+        """No failed sample, continuity errors <= 1e-5, relative jump errors <= 1e-12."""
         return (
-            self.max_error_continuous <= tol_continuous
-            and self.max_relative_error_jumps <= tol_jump_relative
+            self.max_error_continuous <= 1e-5
+            and self.max_relative_error_jumps <= 1e-12
             and not any(s.status in ("failed", "no-derivative") for s in self.samples)
         )
 
@@ -481,26 +464,31 @@ def _compared(f, t, derivative, relative):
     return FtcSample(t=t, status="ok", derivative=derivative, expected=expected, error=error)
 
 
-def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
+def check_ftc(f, g, a, b, sample_count=20):
     """Differentiate the indefinite integral of f and compare against f.
 
     Samples every jump point in [a, b) plus ``sample_count`` uniform points;
     points inside the constancy set are recorded as skipped (the derivative
     is undefined there by design), and uniform points are nudged away from
     jumps so the dyadic ladder of the estimator is not polluted by atoms.
-    The ladders of the uniform points where g is continuous are evaluated
-    ``_LADDER_BLOCK`` points at a time, with one ``g.eval`` and one
-    ``F.batch`` call per block.  The points of a block that meets a
-    non-finite value of F, and all other samples, go through
-    ``stieltjes_derivative`` one at a time, so every sample gets the status
-    a call at its point gives.  f is evaluated once per sample; where f(t)
-    or the derivative is not finite, the sample is ``"failed"``.
+    F is defined on [a, R], R the right end of the window, and ladder steps
+    outside it are dropped, as ``stieltjes_derivative`` drops those outside
+    the window.  The ladders of the uniform points where g is continuous
+    are evaluated ``_LADDER_BLOCK`` points at a time, with one ``g.eval``
+    and one ``F.batch`` call per block; the points of a block that meets a
+    non-finite value of F are evaluated again one at a time, so every
+    sample gets the status its own ladder gives.  Jump points go through
+    ``stieltjes_derivative``.  f is evaluated once per sample; where f(t)
+    or the derivative is not finite, the sample is ``"failed"``.  ``a >= b``
+    raises ``WindowDomainError``.
     """
-    cfg = cfg or DifferencingConfig()
-    F = indefinite_integral(f, g, a, quad=quad)
+    if not a < b:
+        raise WindowDomainError(f"check_ftc needs a < b, got a={a}, b={b}")
+    F = indefinite_integral(f, g, a)
+    right = g.window[1]
     jump_pts = [d for d in g.jump_points.tolist() if a <= d < b]
 
-    guard = 4.0 * cfg.h_sequence[-1]
+    guard = 4.0 * _H_STEPS[-1]
     points = []
     for i in range(sample_count):
         t = a + (b - a) * (i + 0.5) / sample_count
@@ -523,9 +511,9 @@ def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
     for s in range(0, plain.size, _LADDER_BLOCK):
         block = plain[s:s + _LADDER_BLOCK]
         try:
-            estimates.update(zip(block.tolist(), _ladder_estimates(F, g, ts[block], cfg)))
+            estimates.update(zip(block.tolist(), _ladder_estimates(F, g, ts[block], a, right)))
         except IntegrandError:
-            pass  # the block's points go through stieltjes_derivative
+            pass  # the block's points are evaluated one at a time below
 
     report = FtcReport()
     for i, t in enumerate(ts.tolist()):
@@ -534,10 +522,11 @@ def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
             report.n_skipped_constancy += 1
             continue
         try:
-            if i in estimates:
-                d = _decide(t, *estimates[i], cfg)
+            if continuous[i]:
+                est = estimates.get(i) or _ladder_estimates(F, g, ts[i:i + 1], a, right)[0]
+                d = _decide(t, *est)
             else:
-                d = stieltjes_derivative(F, g, t, cfg)
+                d = stieltjes_derivative(F, g, t)
         except DerivativeUndefinedError:
             report.samples.append(FtcSample(t=t, status="skipped-constancy"))
             report.n_skipped_constancy += 1
@@ -552,7 +541,7 @@ def check_ftc(f, g, a, b, sample_count=20, cfg=None, quad=None):
 
     for d in jump_pts:
         try:
-            got = stieltjes_derivative(F, g, d, cfg)
+            got = stieltjes_derivative(F, g, d)
         except (NoDerivativeError, RightLimitError, DerivativeUndefinedError, IntegrandError):
             report.samples.append(FtcSample(t=d, status="no-derivative"))
             continue

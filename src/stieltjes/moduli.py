@@ -149,11 +149,11 @@ class OsgoodModulus:
         batch = getattr(self.evaluator, "batch", None)
         return None if batch is None else batch(ss)
 
-    def validate(self, u0=1.0, n=200):
-        """Sampled sanity check: omega(0)=0, positive and nondecreasing."""
+    def validate(self, u0=1.0):
+        """Sampled sanity check on 200 points of [1e-12, u0]: omega(0)=0, positive, nondecreasing."""
         if abs(float(self.evaluator(0.0))) > 1e-15:
             raise ValueError(f"{self.name}: omega(0) must be 0")
-        grid = np.geomspace(1e-12, max(u0, 1e-12), n)
+        grid = np.geomspace(1e-12, max(u0, 1e-12), 200)
         vals = _sample_finite(self, grid, lambda v, q: ConfigurationError(
             f"{self.name}: omega returned {v} at s={grid[q]}"))
         if np.any(vals <= 0):
@@ -244,11 +244,12 @@ def osgood_check(omega, u0):
     trend of the per-decade increments: DIVERGENT when the last six stay
     above an absolute floor, CONVERGENT when they shrink geometrically
     (sustained ratio below 0.5), INCONCLUSIVE otherwise.  A heuristic by
-    necessity; the verdict is evidence, not proof.
+    necessity; the verdict is evidence, not proof.  ``u0`` must be finite
+    and positive, or ``ConfigurationError`` is raised.
     """
     omega = _as_modulus(omega)
-    if u0 <= 0:
-        raise ValueError("u0 must be positive")
+    if not (math.isfinite(u0) and u0 > 0):
+        raise ConfigurationError(f"u0 must be positive and finite, got {u0}")
 
     eps = [10.0 ** -(m + 1) for m in range(_N_DECADES)]
     # the per-decade increments I(eps_{m+1}) - I(eps_m), then [eps_1, u0]
@@ -280,14 +281,14 @@ def osgood_check(omega, u0):
 class OmegaTransform:
     """Tabulated ``Omega(r) = integral from u0 to r of 1/omega(s) ds``.
 
-    Built on a logarithmic grid with Gauss-Legendre in the log variable
-    (one ``_reciprocal_integral`` call for all cells), interpolated by a
-    monotone piecewise cubic, and inverted by bracketed root finding, so
-    ``Omega`` and ``Omega^{-1}`` are both strictly monotone on the covered
-    range.
+    Built on a logarithmic grid (24 points per decade, 8 at least) with
+    Gauss-Legendre in the log variable (one ``_reciprocal_integral`` call
+    for all cells), interpolated by a monotone piecewise cubic, and inverted
+    by bracketed root finding, so ``Omega`` and ``Omega^{-1}`` are both
+    strictly monotone on the covered range.
     """
 
-    def __init__(self, modulus, u0, r_min=None, r_max=None, points_per_decade=24):
+    def __init__(self, modulus, u0, r_min=None, r_max=None):
         self.modulus = _as_modulus(modulus)
         self.u0 = float(u0)
         if self.u0 <= 0:
@@ -298,7 +299,7 @@ class OmegaTransform:
             raise ValueError("need 0 < r_min < u0 < r_max")
 
         # decades as a difference of logs: r_max / r_min may overflow
-        n = max(int(round(points_per_decade * (math.log10(r_max) - math.log10(r_min)))), 8)
+        n = max(int(round(24 * (math.log10(r_max) - math.log10(r_min)))), 8)
         grid = np.geomspace(r_min, r_max, n)
         grid = np.unique(np.concatenate((grid, [self.u0])))
         cells = _reciprocal_integral(self.modulus, grid[:-1], grid[1:], panels=4)

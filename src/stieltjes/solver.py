@@ -35,6 +35,7 @@ provably maps the domain ball into itself.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from operator import add, mul, sub
 
 import numpy as np
@@ -69,6 +70,20 @@ __all__ = [
 ]
 
 _LIGHT_QUAD = QuadratureConfig(order=8, panels=8)
+# Gauss-Legendre nodes per grid cell (and slope segment) of the integral map
+_GRID_QUAD_ORDER = 6
+
+
+def _require_positive(name, value):
+    """Raise ``ConfigurationError`` unless ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_count(name, value):
+    """Raise ``ConfigurationError`` unless ``value`` is an integer >= 1."""
+    if not (isinstance(value, Integral) and value >= 1):
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +135,7 @@ class IVProblem:
         object.__setattr__(self, "rhs", tuple(self.rhs))
         if not math.isfinite(self.t0):
             raise ConfigurationError(f"t0 must be finite, got {self.t0}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
+        _require_positive("horizon", self.horizon)
         if not np.all(np.isfinite(x0)):
             raise ConfigurationError(f"x0 must be finite, got {x0}")
         n = x0.size
@@ -142,12 +156,8 @@ class IVProblem:
                     f"derivators[{i}] window {g.window} does not contain "
                     f"[{self.t0}, {end}]"
                 )
-        if self.ball_radius is not None and not (
-            math.isfinite(self.ball_radius) and self.ball_radius > 0
-        ):
-            raise ConfigurationError(
-                f"ball_radius must be positive and finite, got {self.ball_radius}"
-            )
+        if self.ball_radius is not None:
+            _require_positive("ball_radius", self.ball_radius)
 
     @property
     def n(self):
@@ -211,8 +221,7 @@ def build_grid(problem, sigma=None, n_steps=256):
     sigma = problem.horizon if sigma is None else float(sigma)
     if not 0 < sigma <= problem.horizon:
         raise ConfigurationError(f"sigma must be in (0, {problem.horizon}]")
-    if n_steps < 1:
-        raise ConfigurationError("n_steps must be >= 1")
+    _require_count("n_steps", n_steps)
     t0 = problem.t0
     end = t0 + sigma
     parts = [np.linspace(t0, end, n_steps + 1)]
@@ -238,7 +247,7 @@ def _check_ball(problem, state, t):
 class _GridData:
     """Per-grid pre-computation shared by both solvers and the residual map."""
 
-    def __init__(self, problem, grid, quad_order=6):
+    def __init__(self, problem, grid):
         self.problem = problem
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 1 or self.grid.size < 2 or not np.all(np.diff(self.grid) > 0):
@@ -269,13 +278,12 @@ class _GridData:
         for i, g in enumerate(problem.derivators):
             vals = g.continuous(self.grid)
             self.cont_inc[:, i] = np.diff(vals)
-        self.quad_order = quad_order
 
     @cached_property
     def quad(self):
         """Flattened Gauss-Legendre nodes of each component's continuous part,
         built on first use; cells are intersected with the slope segments of g_i."""
-        order, N = self.quad_order, self.n_cells
+        order, N = _GRID_QUAD_ORDER, self.n_cells
         rule = QuadratureConfig(order=order, panels=1)
         quad = []
         for g in self.problem.derivators:
@@ -341,7 +349,7 @@ class _GridData:
         return out
 
 
-def solve_euler(problem, grid, compute_residual=True, quad_order=6):
+def solve_euler(problem, grid, compute_residual=True):
     """Forward Euler in the derivator increments, impulse-first.
 
     Per step ``t_k -> t_{k+1}``: all components apply their impulse with the
@@ -351,7 +359,7 @@ def solve_euler(problem, grid, compute_residual=True, quad_order=6):
     gets a float ``t`` and the state as a tuple of floats (see ``IVProblem``),
     and the rows are stacked into arrays once, at the end.
     """
-    data = _GridData(problem, grid, quad_order=quad_order)
+    data = _GridData(problem, grid)
     grid = data.grid
     ts = grid.tolist()
     x = problem._center
@@ -382,18 +390,19 @@ def solve_euler(problem, grid, compute_residual=True, quad_order=6):
     )
 
 
-def solve_picard(problem, grid, tol=1e-10, max_iter=100, quad_order=6, initial=None):
+def solve_picard(problem, grid, tol=1e-10, max_iter=100, initial=None):
     """Fixed-point iteration of the integral-equation map on the grid.
 
     Starts from the constant initial iterate (or ``initial``: a trace or an
     ``(N+1, n)`` array of grid values, e.g. an Euler warm start) and stops
     when the sup-norm change of the grid values drops to ``tol``; the
     post-jump states of the returned trace satisfy the impulse relation
-    exactly with the accepted values.
+    exactly with the accepted values.  ``tol`` must be finite and positive
+    and ``max_iter`` an integer >= 1, or ``ConfigurationError`` is raised.
     """
-    if tol <= 0:
-        raise ConfigurationError("tol must be positive")
-    data = _GridData(problem, grid, quad_order=quad_order)
+    _require_positive("tol", tol)
+    _require_count("max_iter", max_iter)
+    data = _GridData(problem, grid)
     grid = data.grid
     N, n = data.n_cells, problem.n
 
@@ -445,9 +454,9 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, quad_order=6, initial=N
     )
 
 
-def residual(problem, trace, quad_order=6):
+def residual(problem, trace):
     """Per-component max deviation of a trace from the integral equation."""
-    data = _GridData(problem, trace.grid, quad_order=quad_order)
+    data = _GridData(problem, trace.grid)
     mapped = data.integral_map(trace.values, trace.right_values, data.atom_rhs(trace.values))
     return np.max(np.abs(trace.values - mapped), axis=0)
 
@@ -488,14 +497,15 @@ class _AbsRhsAtX0:
         return out
 
 
-def horizon_for_ball(problem, n_candidates=64):
+def horizon_for_ball(problem):
     """Largest grid-searched sigma for which the ball-invariance inequality holds.
 
     The criterion is strict:  omega(R) * (phi-weighted measure of
     [t0, t0+sigma) under the sum derivator)  plus the accumulated size of
     the rhs at x0 must stay below the ball radius R.  Sufficient, not
-    necessary; failure for every tested sigma raises.  All candidates are
-    read from one ``_cumulative`` table per integral over [t0, t0+horizon).
+    necessary; failure for every tested sigma raises.  The candidates are
+    the 64 multiples k * horizon / 64, k = 64..1, all read from one
+    ``_cumulative`` table per integral over [t0, t0+horizon).
     """
     if problem.ball_radius is None or problem.modulus is None:
         raise ConfigurationError("horizon_for_ball needs ball_radius and modulus")
@@ -505,7 +515,7 @@ def horizon_for_ball(problem, n_candidates=64):
     ghat = sum_derivators(problem.derivators)
     t0 = problem.t0
 
-    sigmas = np.linspace(problem.horizon, problem.horizon / n_candidates, n_candidates)
+    sigmas = np.linspace(problem.horizon, problem.horizon / 64, 64)
     ends = t0 + sigmas
     weighted = _cumulative(ghat, phi, t0, ends, _LIGHT_QUAD)
     accumulated = sum(
@@ -571,30 +581,34 @@ class AprioriBound:
     def __call__(self, t):
         return self.bound(t)
 
-    def check_trace(self, trace, tol=1e-6):
-        """Max violation of the bound over the grid points inside [t0, t1].
+    def check_trace(self, trace):
+        """Whether the trace keeps to the bound within 1e-6, and its max violation.
 
-        The bound is evaluated once, at all of those points together.
+        The violation is taken over the grid points inside [t0, t1]; the
+        bound is evaluated once, at all of those points together.
         """
         inside = (self.t0 <= trace.grid) & (trace.grid <= self.t1)
         if not inside.any():
             return True, -math.inf
         dev = np.max(np.abs(trace.values[inside] - trace.values[0]), axis=1)
         worst = float(np.max(dev - self.bound(trace.grid[inside])))
-        return worst <= tol, worst
+        return worst <= 1e-6, worst
 
 
-def apriori_bound(problem, u0=1.0, n_candidates=16, r_cap=1e120):
+def apriori_bound(problem):
     """The nondecreasing bound dominating every solution near t0.
 
-    Needs a declared Osgood modulus (the osgood check must say DIVERGENT)
-    and works on the largest tested sub-horizon [t0, t1] on which the
-    Bihari precondition holds: Omega(kappa(t1)) plus the weighted-measure
-    growth must stay below the top of the transform table.  kappa is read
-    for every candidate t1 from one ``_cumulative`` table over [t0, t0+horizon).
+    Needs a declared Osgood modulus (the osgood check at u0 = 1 must say
+    DIVERGENT) and works on the largest tested sub-horizon [t0, t1] on which
+    the Bihari precondition holds: Omega(kappa(t1)) plus the weighted-measure
+    growth must stay below the top of the transform table, which is widened
+    by 10^4 at a time up to r = 1e120.  The candidates are t1 = t0 + k *
+    horizon / 16, k = 16..1, and kappa is read for all of them from one
+    ``_cumulative`` table over [t0, t0+horizon).
     """
     if problem.modulus is None:
         raise ConfigurationError("apriori_bound needs a declared modulus")
+    u0 = 1.0
     verdict = osgood_check(problem.modulus, u0).verdict
     if verdict != "DIVERGENT":
         raise BoundInapplicableError(
@@ -608,7 +622,7 @@ def apriori_bound(problem, u0=1.0, n_candidates=16, r_cap=1e120):
     gbar = _weighted_derivator(phi, ghat, t0, end)
     biggest = _AbsRhsAtX0(problem.rhs, problem._center)
 
-    ends = np.linspace(end, t0 + problem.horizon / n_candidates, n_candidates)
+    ends = np.linspace(end, t0 + problem.horizon / 16, 16)
     kappas = _cumulative(ghat, biggest, t0, ends, _LIGHT_QUAD)
     for t1, kappa in zip(ends.tolist(), kappas.tolist()):
         if kappa <= 0.0:
@@ -618,7 +632,7 @@ def apriori_bound(problem, u0=1.0, n_candidates=16, r_cap=1e120):
         growth = gbar.eval(t1) - gbar.eval(t0)
         r_max = max(u0, kappa) * 100.0
         transform = None
-        while r_max <= r_cap:
+        while r_max <= 1e120:
             tr = OmegaTransform(
                 problem.modulus, u0, r_min=min(kappa, u0) * 1e-6, r_max=r_max
             )
@@ -701,22 +715,25 @@ def _modulus_violations(problem, phi, ts, xs, ys):
     ]
 
 
-def uniqueness_certificate(problem, n_samples=10_000, seed=0, u0_values=(1.0, 0.01)):
+def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     """Spot-check the modulus-of-continuity inequality behind uniqueness.
 
-    Verifies (a) the declared modulus passes the osgood check at two
-    anchors, (b) ``|f_i(t,x) - f_i(t,y)| <= phi(t) * omega(||x-y||)`` on a
-    randomized sample of the domain, (c) the weight is integrable against
+    Verifies (a) the declared modulus passes the osgood check at the two
+    anchors u0 = 1 and u0 = 0.01, (b)
+    ``|f_i(t,x) - f_i(t,y)| <= phi(t) * omega(||x-y||)`` on a randomized
+    sample of the domain, (c) the weight is integrable against
     every component derivator.  All three are sampled evidence; the report
     says so.  The samples are drawn at once and evaluated in blocks of
     ``_CERT_BLOCK``; violations are listed in (sample, component) order.  A
     non-finite value of a rhs, phi or the modulus raises ``SolverError``
-    naming it and the sample time.
+    naming it and the sample time.  ``n_samples`` must be an integer >= 1:
+    no samples would be no evidence.
     """
     if problem.modulus is None:
         raise ConfigurationError("uniqueness_certificate needs a declared modulus")
+    _require_count("n_samples", n_samples)
     report = UniquenessReport(verdict="UNVERIFIED")
-    for u0 in u0_values:
+    for u0 in (1.0, 0.01):
         report.osgood_verdicts[u0] = osgood_check(problem.modulus, u0).verdict
 
     phi = _phi_or_one(problem)
@@ -780,10 +797,11 @@ def caratheodory_bound_check(problem, r, h_r, n_samples=4000, seed=0):
 
     ``h_r`` may be a single callable (shared by all components) or one per
     component.  Violations carry witnesses; the check is sampled evidence.
-    A non-finite rhs or bound value raises ``SolverError``.
+    A non-finite rhs or bound value raises ``SolverError``.  ``r`` must be
+    finite and positive and ``n_samples`` an integer >= 1.
     """
-    if r <= 0:
-        raise ConfigurationError("r must be positive")
+    _require_positive("r", r)
+    _require_count("n_samples", n_samples)
     if callable(h_r):
         h_r = [h_r] * problem.n
     h_r = list(h_r)

@@ -79,20 +79,22 @@ class ContinuityReport:
         return not self.refuted
 
 
-def check_g_continuity_sampled(f, g, probes, grid_size=2000, ladder_decades=9):
+def check_g_continuity_sampled(f, g, probes):
     """Look for epsilon-delta counterexamples to g-continuity of f.
 
-    For each probe ``(t, eps)`` a geometric delta ladder is scanned; a probe
-    is REFUTED when even the smallest delta admits a grid sample ``s`` with
+    For each probe ``(t, eps)`` a delta ladder of nine rungs a decade apart,
+    from max(1, range of g) down, is scanned; a probe is REFUTED when even
+    the smallest delta admits a grid sample ``s`` with
     ``|g(s) - g(t)| < delta`` but ``|f(s) - f(t)| >= eps``.  The sample grid
-    is uniform over the window, augmented with the jump abscissas and points
-    just right of them (where left-continuous maps hide their limits).
-    ``f`` is sampled once on that grid, through ``f.batch`` when it offers
-    one, and a non-finite value raises ``IntegrandError`` naming the sample.
+    is 2000 uniform points over the window, augmented with the jump
+    abscissas, the probes, and points on both sides of them (where
+    left-continuous maps hide their limits).  ``f`` is sampled once on that
+    grid, through ``f.batch`` when it offers one, and a non-finite value
+    raises ``IntegrandError`` naming the sample.
     """
     left, right = g.window
     span = right - left
-    base = np.linspace(left, right, grid_size)
+    base = np.linspace(left, right, 2000)
     probe_ts = np.array([float(t) for t, _ in probes])
     # anchor points whose one-sided neighborhoods must be represented below
     # the finest ladder delta: jump abscissas of g and the probes themselves
@@ -117,31 +119,17 @@ def check_g_continuity_sampled(f, g, probes, grid_size=2000, ladder_decades=9):
         i = np.searchsorted(samples, t)  # every probe is a sample
         f_gap = np.abs(f_samples - f_samples[i])
         gt = g_samples[i]
-        verdict = None
-        best_delta = None
-        for j in range(ladder_decades):
+        for j in range(9):
             delta = delta0 * (10.0 ** -j)
-            close = np.abs(g_samples - gt) < delta
-            bad = close & (f_gap >= eps)
+            bad = (np.abs(g_samples - gt) < delta) & (f_gap >= eps)
             if not bad.any():
-                verdict = "CONSISTENT"
-                best_delta = delta
-                break
-        if verdict is None:
-            smallest = delta0 * (10.0 ** -(ladder_decades - 1))
-            close = np.abs(g_samples - gt) < smallest
-            bad = np.flatnonzero(close & (f_gap >= eps))
-            report.probes.append(
-                ContinuityProbe(
-                    t=t,
-                    eps=float(eps),
-                    verdict="REFUTED",
-                    delta=smallest,
-                    witness=float(samples[bad[0]]),
+                report.probes.append(
+                    ContinuityProbe(t=t, eps=float(eps), verdict="CONSISTENT", delta=delta)
                 )
-            )
-        else:
-            report.probes.append(
-                ContinuityProbe(t=t, eps=float(eps), verdict=verdict, delta=best_delta)
-            )
+                break
+        else:  # even the smallest delta admits a refuting sample
+            report.probes.append(ContinuityProbe(
+                t=t, eps=float(eps), verdict="REFUTED", delta=delta,
+                witness=float(samples[np.flatnonzero(bad)[0]]),
+            ))
     return report

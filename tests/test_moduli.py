@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from stieltjes import BoundInapplicableError, Derivator, ModulusOverflowError
+from stieltjes import (
+    BoundInapplicableError,
+    ConfigurationError,
+    Derivator,
+    ModulusOverflowError,
+)
 from stieltjes.moduli import (
     OmegaTransform,
     _reciprocal_integral,
@@ -147,6 +152,12 @@ class TestOsgoodCheck:
     def test_u0_validation(self):
         with pytest.raises(ValueError):
             osgood_check(lambda s: s, u0=0.0)
+
+    @pytest.mark.parametrize("u0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_u0_is_refused(self, u0):
+        # nan used to give DIVERGENT and inf a NaN sample of the modulus
+        with pytest.raises(ConfigurationError, match="u0"):
+            osgood_check(lambda s: s, u0)
 
 
 class TestOsgoodModulus:

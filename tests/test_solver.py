@@ -79,6 +79,12 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(p, n_steps=0)
 
+    @pytest.mark.parametrize("n_steps", [2.5, math.nan])
+    def test_a_non_integer_step_count_is_refused(self, n_steps):
+        # it used to reach np.linspace and raise a raw TypeError
+        with pytest.raises(ConfigurationError, match="n_steps"):
+            build_grid(classical_problem(), n_steps=n_steps)
+
 
 class TestProblemValidation:
     def test_dimension_mismatch(self):
@@ -387,6 +393,16 @@ class TestPicard:
             solve_picard(p, build_grid(p, n_steps=128), tol=1e-14, max_iter=2)
         assert exc.value.last_change is not None
 
+    @pytest.mark.parametrize("kw", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
+        {"max_iter": 0}, {"max_iter": 2.5},
+    ])
+    def test_bad_tol_or_max_iter_is_refused(self, kw):
+        # tol=nan used to run all iterations and max_iter=0 to raise a raw TypeError
+        p = impulsive_problem()
+        with pytest.raises(ConfigurationError, match=next(iter(kw))):
+            solve_picard(p, build_grid(p, n_steps=8), **kw)
+
     def test_warm_start_independence(self):
         # certified-unique problem: the fixed point does not depend on the
         # initial iterate (x0-constant vs Euler warm start)
@@ -634,6 +650,16 @@ class TestUniquenessCertificate:
         assert report.violations
 
 
+    @pytest.mark.parametrize("n_samples", [0, -1, 2.5])
+    def test_no_samples_is_refused(self, n_samples):
+        # two solutions from x0 = 0; zero samples used to certify it OSGOOD-UNIQUE
+        g = Derivator.identity((0.0, 1.0))
+        f = lambda t, x: math.copysign(math.sqrt(abs(x[0])), x[0])
+        p = IVProblem(0.0, 1.0, [0.0], [g], [f], ball_radius=1.0, modulus=LINEAR)
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            uniqueness_certificate(p, n_samples=n_samples)
+
+
 class TestCaratheodoryCheck:
     def test_bounded_rhs_passes(self):
         p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))],
@@ -647,6 +673,16 @@ class TestCaratheodoryCheck:
         report = caratheodory_bound_check(p, r=1.0, h_r=lambda t: 0.0)
         assert not report.passed
         assert report.violations
+
+    @pytest.mark.parametrize("kw", [
+        {"n_samples": 0}, {"n_samples": -1}, {"r": math.nan}, {"r": math.inf},
+    ])
+    def test_bad_radius_or_sample_count_is_refused(self, kw):
+        # every sample violates this bound; zero samples used to pass it
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))],
+                      [lambda t, x: 1.0 + 0.0 * x[0]])
+        with pytest.raises(ConfigurationError, match=next(iter(kw))):
+            caratheodory_bound_check(p, h_r=lambda t: 0.0, **{"r": 1.0, **kw})
 
     def test_monotone_modulus_bound_passes(self):
         # |phi(t) omega_k(|x|)| <= phi(t) omega_k(|x0| + r) on the ball

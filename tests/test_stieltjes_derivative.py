@@ -23,7 +23,8 @@ from stieltjes import (
 )
 from stieltjes.derivative import (
     _FLAT_EPS,
-    DifferencingConfig,
+    _H_STEPS,
+    _TOL_MATCH,
     _extrapolate,
     check_ftc,
     indefinite_integral,
@@ -304,15 +305,27 @@ class TestFtc:
 
         real = derivative.stieltjes_derivative
 
-        def failing_at_jumps(F, g, t, cfg=None):
+        def failing_at_jumps(F, g, t):
             if g.jump(t) > 0.0:
                 raise IntegrandError(f"f returned nan at t={t}", point=t)
-            return real(F, g, t, cfg)
+            return real(F, g, t)
 
         monkeypatch.setattr(derivative, "stieltjes_derivative", failing_at_jumps)
         report = check_ftc(math.sin, idjump(), 0.0, 2.0, sample_count=5)
         assert [s.status for s in report.samples if s.t == 1.0] == ["no-derivative"]
         assert not report.ok()
+
+    def test_ladders_stay_right_of_a_start_inside_the_window(self):
+        # F is undefined below a: the left steps of the samples near a used
+        # to reach there and raise WindowDomainError
+        report = check_ftc(math.sin, Derivator.identity((0.0, 1.0)), 0.5, 1.0, sample_count=5)
+        assert [s.status for s in report.samples] == ["ok"] * 5
+        assert max(s.error for s in report.samples) <= 1e-5
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.75, 0.25)])
+    def test_an_empty_interval_is_refused(self, a, b):
+        with pytest.raises(WindowDomainError, match=f"a={a}, b={b}"):
+            check_ftc(math.sin, Derivator.identity((0.0, 1.0)), a, b)
 
     def test_constancy_samples_are_skipped(self):
         g = from_classification(Classification(constancy=[(0.0, 1.0)]), window=(-1.0, 2.0))
@@ -332,11 +345,11 @@ class TestFtc:
             assert not any(s.status == "no-derivative" for s in report.samples)
 
 
-def _one_sided_quotients(f, g, t, cfg, sign):
+def _one_sided_quotients(f, g, t, sign):
     """One side of the ladder at one point, as ``stieltjes_derivative``
     evaluated it before the ladders of many points went into one array."""
     left_w, right_w = g.window
-    s = np.concatenate(([t], t + sign * np.asarray(cfg.h_sequence)))
+    s = np.concatenate(([t], t + sign * np.asarray(_H_STEPS)))
     s = s[(s >= left_w) & (s <= right_w)]
     gs = g.eval(s)
     keep = np.concatenate(([True], np.abs(gs[1:] - gs[0]) >= _FLAT_EPS))
@@ -346,7 +359,7 @@ def _one_sided_quotients(f, g, t, cfg, sign):
     return ((fs[1:] - fs[0]) / (gs[1:] - gs[0])).tolist()
 
 
-def _reference_derivative(f, g, t, cfg=DifferencingConfig()):
+def _reference_derivative(f, g, t):
     """The reference g-derivative at a point where g does not jump."""
     t = float(t)
     for a, b in classify(g).constancy:
@@ -354,10 +367,10 @@ def _reference_derivative(f, g, t, cfg=DifferencingConfig()):
             raise DerivativeUndefinedError(
                 f"t={t} lies in the constancy interval ({a}, {b}) of the derivator"
             )
-    right = _one_sided_quotients(f, g, t, cfg, +1)
-    left = _one_sided_quotients(f, g, t, cfg, -1)
-    est_r = _extrapolate(right, cfg.richardson) if right else None
-    est_l = _extrapolate(left, cfg.richardson) if left else None
+    right = _one_sided_quotients(f, g, t, +1)
+    left = _one_sided_quotients(f, g, t, -1)
+    est_r = _extrapolate(right) if right else None
+    est_l = _extrapolate(left) if left else None
     if est_r is None and est_l is None:
         raise DerivativeUndefinedError(
             f"the derivator is numerically flat around t={t} at every tested scale"
@@ -366,7 +379,7 @@ def _reference_derivative(f, g, t, cfg=DifferencingConfig()):
         return est_l
     if est_l is None:
         return est_r
-    if abs(est_r - est_l) > cfg.tol_match * (1.0 + max(abs(est_r), abs(est_l))):
+    if abs(est_r - est_l) > _TOL_MATCH * (1.0 + max(abs(est_r), abs(est_l))):
         raise NoDerivativeError(
             f"one-sided g-derivative estimates at t={t} disagree: "
             f"left={est_l}, right={est_r}",
