@@ -295,8 +295,9 @@ class IndefiniteIntegral:
     ``integrate`` from the node in a call, the same panel sums in ``batch``.
     ``n_unresolved`` counts such pieces.
 
-    ``batch(ts)`` equals the calls one by one; through ``_sample_finite``,
-    difference ladders and sampled continuity checks use it.
+    ``batch(ts)``, which ``F(ts)`` calls on an array, equals the calls one by
+    one; through ``_sample_finite``, difference ladders and sampled
+    continuity checks use it, and so does the a-priori bound in ``solver``.
     ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).  ``quad`` is
     the Gauss-Legendre rule of the node table and of the fallback.
     """
@@ -366,6 +367,8 @@ class IndefiniteIntegral:
         self._rows = np.column_stack((base, mid, half, anti))
 
     def __call__(self, t):
+        if getattr(t, "ndim", 0):  # np.ndim costs a microsecond a call
+            return self.batch(t)
         t = float(t)
         if not self.a <= t <= self.g.window[1]:
             raise WindowDomainError(f"t={t} outside [{self.a}, {self.g.window[1]}]")
@@ -480,12 +483,14 @@ def check_ftc(f, g, a, b, sample_count=20):
     sample gets the status its own ladder gives.  Jump points go through
     ``stieltjes_derivative``.  f is evaluated once per sample; where f(t)
     or the derivative is not finite, the sample is ``"failed"``.  ``a >= b``
-    raises ``WindowDomainError``.
+    and ``b > R`` raise ``WindowDomainError``.
     """
     if not a < b:
         raise WindowDomainError(f"check_ftc needs a < b, got a={a}, b={b}")
-    F = indefinite_integral(f, g, a)
     right = g.window[1]
+    if b > right:
+        raise WindowDomainError(f"check_ftc needs b <= R, got b={b}, R={right}")
+    F = indefinite_integral(f, g, a)
     jump_pts = [d for d in g.jump_points.tolist() if a <= d < b]
 
     guard = 4.0 * _H_STEPS[-1]

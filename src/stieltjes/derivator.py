@@ -211,10 +211,6 @@ class Derivator:
         """The right limit g(t+), i.e. eval(t) plus the jump at t."""
         return self.eval(self._require_inside(t, include_right=False)) + self.jump(t)
 
-    def total_variation(self):
-        """g(R) - g(L); finite by construction."""
-        return self.eval(self.window[1]) - self.anchor
-
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other):

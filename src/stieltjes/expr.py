@@ -25,20 +25,20 @@ or used state component and every domain violation (log of a nonpositive
 value, division by zero, overflow, ...) raise ``ExprDomainError`` carrying
 the byte offset of the variable or subexpression.
 
-``eval_expr`` walks the tree and is the reference semantics.
 ``ExprFunction`` writes the tree out as one straight-line Python function
 per backend, a local per node with every rule and finiteness check inline,
 from one table (``_OPS``) that spells each operation and rule once.  The
 backends differ only in the names they bind and in what a failed check does:
 
-* ``f(t, x)`` binds ``math`` and raises, so it returns the walk's bits or
-  raises the walk's ``ExprDomainError`` (message and offset) or
-  ``ModulusOverflowError``.  Only this scalar path reports errors.
+* ``f(t, x)`` binds ``math`` and raises ``ExprDomainError`` (message and
+  offset) or ``ModulusOverflowError``.  It is the reference semantics, and
+  only this scalar path reports errors.  The tests check it bit for bit
+  against a recursive walk of the tree.
 * ``f.batch(ts, xs) -> array`` binds numpy and evaluates ``m`` samples at
   once: ``ts`` has shape ``(m,)`` and ``xs`` shape ``(m, n)``, or is omitted
   for expressions in ``t`` alone.  It returns ``None`` when any sample
   breaks a rule; callers then run the scalar path, which raises the error.
-  Batched values agree with the walk up to the last-bit differences between
+  Batched values agree with ``f`` up to the last-bit differences between
   numpy's and libm's ``exp``, ``log`` and ``pow``.
 
 This is the batch protocol that the sampling code of the package looks for
@@ -47,7 +47,6 @@ This is the batch protocol that the sampling code of the package looks for
 
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -56,10 +55,10 @@ import numpy as np
 from .errors import ExprDomainError, ExprParseError, ModulusOverflowError
 from .moduli import omega_k
 
-__all__ = ["parse", "eval_expr", "to_source", "ExprFunction", "FUNCTIONS", "MAX_DEPTH"]
+__all__ = ["parse", "to_source", "ExprFunction", "FUNCTIONS", "MAX_DEPTH"]
 
 # the deepest tree ``parse`` accepts, in nodes from root to leaf; it keeps the
-# recursive parser, walk and printer far from Python's recursion limit
+# recursive parser, emitter and printer far from Python's recursion limit
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
@@ -288,93 +287,6 @@ def _children(node):
     return tuple(node.args) if isinstance(node, Call) else ()
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_PLAIN = {"sin": math.sin, "cos": math.cos, "abs": abs, "min": min, "max": max}
-
-
-def _fin(value, node, message="non-finite value {}"):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ExprDomainError(message.format(value), node.pos)
-    return value
-
-
-def eval_expr(tree, t, x=()):
-    """Evaluate a parsed expression; finite result or ExprDomainError."""
-    if isinstance(tree, Num):
-        return tree.value
-    if isinstance(tree, VarT):
-        return _fin(float(t), tree, "non-finite input t = {}")
-    if isinstance(tree, VarX):
-        try:
-            value = float(x[tree.index - 1])
-        except IndexError:
-            raise ExprDomainError(f"state vector too short for x{tree.index}", tree.pos) from None
-        return _fin(value, tree, f"non-finite input x{tree.index} = {{}}")
-    if isinstance(tree, Neg):
-        return -eval_expr(tree.operand, t, x)
-    if isinstance(tree, BinOp):
-        a = eval_expr(tree.left, t, x)
-        b = eval_expr(tree.right, t, x)
-        op = tree.op
-        if op in _ARITH:
-            return _fin(_ARITH[op](a, b), tree)
-        if op == "/":
-            if b == 0.0:
-                raise ExprDomainError("division by zero", tree.pos)
-            return _fin(a / b, tree)
-        if op == "^":
-            if a < 0.0 and b != int(b):
-                raise ExprDomainError(f"negative base {a} with non-integer exponent {b}", tree.pos)
-            if a == 0.0 and b < 0.0:
-                raise ExprDomainError("zero base with negative exponent", tree.pos)
-            try:
-                return _fin(math.pow(a, b), tree)
-            except OverflowError:
-                raise ExprDomainError("overflow in power", tree.pos) from None
-    if isinstance(tree, Call):
-        return _eval_call(tree, t, x)
-    raise TypeError(f"not an expression node: {tree!r}")
-
-
-def _eval_call(tree, t, x):
-    name = tree.name
-    if name == "norm_inf":
-        if len(x) == 0:
-            raise ExprDomainError("norm_inf(x) with an empty state vector", tree.pos)
-        values = [abs(float(v)) for v in x]
-        if not all(map(math.isfinite, values)):
-            raise ExprDomainError("non-finite input in the state vector x", tree.args[0].pos)
-        return max(values)
-    if name == "omega_k":
-        k = int(tree.args[0].value)
-        s = eval_expr(tree.args[1], t, x)
-        if s < 0:
-            raise ExprDomainError(f"omega_k of negative value {s}", tree.pos)
-        return _fin(float(omega_k(k, s)), tree)
-    args = [eval_expr(arg, t, x) for arg in tree.args]
-    if name in _PLAIN:
-        return _PLAIN[name](*args)
-    a = args[0]
-    if name == "exp":
-        try:
-            return _fin(math.exp(a), tree)
-        except OverflowError:
-            raise ExprDomainError(f"overflow in exp({a})", tree.pos) from None
-    if name == "log":
-        if a <= 0.0:
-            raise ExprDomainError(f"log of nonpositive value {a}", tree.pos)
-        return math.log(a)
-    if name == "sqrt":
-        if a < 0.0:
-            raise ExprDomainError(f"sqrt of negative value {a}", tree.pos)
-        return math.sqrt(a)
-    if name == "sign":
-        return float((a > 0.0) - (a < 0.0))
-    if name == "heaviside":
-        return 1.0 if a > 0.0 else 0.0
-    raise TypeError(f"unhandled function {name!r}")
-
-
 # -- the emitter -------------------------------------------------------------
 #
 # ``_OPS`` holds, per operation: the spelling of its value, its domain rules
@@ -544,9 +456,9 @@ class ExprFunction:
 
     Construction emits and compiles two straight-line functions from the
     tree, and refuses with ``TypeError`` a tree that ``parse`` cannot
-    produce.  ``f(t, x)`` returns what ``eval_expr(tree, t, x)`` returns,
-    bit for bit, or raises what it raises; ``f.batch(ts, xs)`` evaluates
-    many samples at once or returns ``None`` (see the module docstring).
+    produce.  ``f(t, x)`` is the reference value of the tree, or raises its
+    domain error; ``f.batch(ts, xs)`` evaluates many samples at once or
+    returns ``None`` (see the module docstring).
     Expressions in ``t`` alone (``n = 0``) are called as ``f(t)`` and
     batched as ``f.batch(ts)``.
     """

@@ -51,7 +51,6 @@ __all__ = [
 # narrower than _BISECT_TOL * (1 + |log r|), or after _BISECT_STEPS halvings
 _BISECT_TOL = 1e-15
 _BISECT_STEPS = 100
-_EXP_ITER_MAX = 3  # exp_iter(4, 1) ~ exp(3.8e6): far beyond double range
 
 
 def exp_iter(k, t):
@@ -369,7 +368,7 @@ class BihariBound:
     """The nondecreasing bound ``t -> Omega^{-1}(Omega(kappa) + h(t) - h(a))``."""
 
     kappa: float
-    h: object  # Derivator
+    h: object  # a nondecreasing map, called as h(t) on a float and on an array
     a: float
     b: float
     transform: OmegaTransform
@@ -381,7 +380,7 @@ class BihariBound:
         if not np.all((self.a <= t) & (t <= self.b)):
             raise ValueError(f"bound evaluated outside [{self.a}, {self.b}]")
         return self.transform.inverse(
-            self.omega_kappa + self.h.eval(t) - self.h.eval(self.a)
+            self.omega_kappa + self.h(t) - self.h(self.a)
         )
 
 
@@ -396,7 +395,7 @@ def bihari_bound(kappa, h, a, b, transform):
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     omega_kappa = transform.omega_of(kappa)
-    required = omega_kappa + h.eval(b) - h.eval(a)
+    required = omega_kappa + h(b) - h(a)
     if required >= transform.upper:
         raise BoundInapplicableError(
             f"Omega(kappa) + h(b) - h(a) = {required} reaches the estimated "

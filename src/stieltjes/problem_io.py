@@ -73,7 +73,6 @@ class LoadedProblem:
     max_iter: int
     trace_csv: str | None
     summary_json: str | None
-    source_path: str
 
 
 def _fail(where, message):
@@ -247,7 +246,6 @@ def load_problem_file(path):
         max_iter=max_iter,
         trace_csv=out.get("trace_csv"),
         summary_json=out.get("summary_json"),
-        source_path=str(path),
     )
 
 

@@ -40,6 +40,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
+from .derivative import IndefiniteIntegral
 from .derivator import Derivator, sum_derivators
 from .errors import (
     BoundInapplicableError,
@@ -111,9 +112,8 @@ class IVProblem:
     Euler step loop and the impulses at the atoms always use the scalar
     call.  Problem files build every expression as an ``expr.ExprFunction``:
     it compiles the tree into two straight-line functions, one over numpy
-    for ``batch`` and one over ``math`` for the scalar call, which gives the
-    bits and errors of the ``expr.eval_expr`` tree walk without walking the
-    tree.
+    for ``batch`` and one over ``math`` for the scalar call, which is the
+    reference value of the expression and reports its errors.
     """
 
     t0: float
@@ -531,35 +531,31 @@ def horizon_for_ball(problem):
     )
 
 
-def _weighted_derivator(weight, ghat, t0, t1, n_sub=200, order=8):
-    """Pre-sample t -> integral of weight d ghat over [t0, t) as a derivator.
+def _weight_integral(phi, ghat, t0, end):
+    """The ``IndefiniteIntegral`` of phi from t0 against ghat cut to [t0, end].
 
-    The continuous part is resampled piecewise linearly on the union of the
-    ghat breakpoints and a uniform refinement; the atoms are exact:
-    weight(d) * jump(d).
+    The cut keeps the breakpoints, slopes and jumps strictly inside, so phi
+    is not sampled past ``end``, and leaves out the atom at t0: it would add
+    phi(t0) * omega(|x(t0) - x0|) * jump = 0 to the Bihari integral, as
+    x(t0) = x0 and omega(0) = 0.  phi must be finite and nonnegative at the
+    Gauss-Legendre nodes of the cut's sloped segments and at its atoms.
     """
-    bp = ghat.breakpoints
-    inner = bp[(bp > t0) & (bp < t1)]
-    edges = np.unique(np.concatenate((np.linspace(t0, t1, n_sub + 1), inner)))
-    lo, hi = edges[:-1], edges[1:]
-    slope = ghat.slopes[ghat._segment(lo)]
-    live = slope != 0.0
-    ts = _gl_nodes(lo[live], hi[live], QuadratureConfig(order=order, panels=1))[0]
-    wts = _gl_rule(order)[1]
-    atoms = (ghat.jump_points > t0) & (ghat.jump_points < t1)
-    pts, deltas = ghat.jump_points[atoms], ghat.jump_sizes[atoms]
-    samples = np.concatenate((ts, pts))
-    vals = _sample_finite(weight, samples, lambda v, q: IntegrandError(
+    bp, jp = ghat.breakpoints, ghat.jump_points
+    edges = np.concatenate(([t0], bp[(bp > t0) & (bp < end)], [end]))
+    slopes = ghat.slopes[ghat._segment(edges[:-1])]
+    inside = (jp > t0) & (jp < end)
+    cut = Derivator((t0, end), breakpoints=edges, slopes=slopes,
+                    jumps=zip(jp[inside], ghat.jump_sizes[inside]))
+    live = slopes != 0.0
+    samples = np.concatenate((_gl_nodes(edges[:-1][live], edges[1:][live], _LIGHT_QUAD)[0],
+                              cut.jump_points))
+    vals = _sample_finite(phi, samples, lambda v, q: IntegrandError(
         f"weight returned {v} at t={samples[q]}; it must be finite and nonnegative",
         point=samples[q],
     ))
     if np.any(vals < 0):
         raise IntegrandError("weight must be finite and nonnegative")
-    slopes = np.zeros(edges.size - 1)
-    slopes[live] = slope[live] * (vals[: ts.size].reshape(-1, order) @ wts) / 2.0
-    w = vals[ts.size:] * deltas
-    jumps = list(zip(pts[w > 0], w[w > 0]))
-    return Derivator((t0, t1), breakpoints=edges, slopes=slopes, jumps=jumps, anchor=0.0)
+    return IndefiniteIntegral(phi, cut, t0)
 
 
 @dataclass
@@ -604,7 +600,8 @@ def apriori_bound(problem):
     growth must stay below the top of the transform table, which is widened
     by 10^4 at a time up to r = 1e120.  The candidates are t1 = t0 + k *
     horizon / 16, k = 16..1, and kappa is read for all of them from one
-    ``_cumulative`` table over [t0, t0+horizon).
+    ``_cumulative`` table over [t0, t0+horizon).  The weighted measure h is
+    an ``IndefiniteIntegral`` of phi, exact to rounding (``_weight_integral``).
     """
     if problem.modulus is None:
         raise ConfigurationError("apriori_bound needs a declared modulus")
@@ -617,38 +614,26 @@ def apriori_bound(problem):
 
     t0 = problem.t0
     end = t0 + problem.horizon
-    phi = _phi_or_one(problem)
     ghat = sum_derivators(problem.derivators)
-    gbar = _weighted_derivator(phi, ghat, t0, end)
+    h = _weight_integral(_phi_or_one(problem), ghat, t0, end)
     biggest = _AbsRhsAtX0(problem.rhs, problem._center)
 
     ends = np.linspace(end, t0 + problem.horizon / 16, 16)
     kappas = _cumulative(ghat, biggest, t0, ends, _LIGHT_QUAD)
     for t1, kappa in zip(ends.tolist(), kappas.tolist()):
         if kappa <= 0.0:
-            return AprioriBound(
-                t0=t0, t1=t1, kappa=0.0, bound=lambda t: 0.0, zero_kappa=True
-            )
-        growth = gbar.eval(t1) - gbar.eval(t0)
+            return AprioriBound(t0=t0, t1=t1, kappa=0.0, bound=lambda t: 0.0, zero_kappa=True)
         r_max = max(u0, kappa) * 100.0
-        transform = None
-        while r_max <= 1e120:
-            tr = OmegaTransform(
-                problem.modulus, u0, r_min=min(kappa, u0) * 1e-6, r_max=r_max
-            )
-            if tr.omega_of(kappa) + growth < tr.upper:
-                transform = tr
-                break
-            r_max *= 1e4
-        if transform is None:
-            continue  # precondition fails on [t0, t1]; try a shorter horizon
-        inner = bihari_bound(kappa, gbar, t0, t1, transform)
-        return AprioriBound(
-            t0=t0, t1=t1, kappa=kappa, bound=inner, transform=transform
-        )
-    raise BoundInapplicableError(
-        "the Bihari precondition failed on every tested sub-horizon"
-    )
+        while r_max <= 1e120:  # past it, try a shorter horizon
+            r_min = min(kappa, u0) * 1e-6
+            transform = OmegaTransform(problem.modulus, u0, r_min=r_min, r_max=r_max)
+            try:
+                inner = bihari_bound(kappa, h, t0, t1, transform)
+            except BoundInapplicableError:
+                r_max *= 1e4
+                continue
+            return AprioriBound(t0=t0, t1=t1, kappa=kappa, bound=inner, transform=transform)
+    raise BoundInapplicableError("the Bihari precondition failed on every tested sub-horizon")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Expression language: grammar, precedence, evaluation, and totality."""
 
 import math
+import operator
 import os
 import struct
 import subprocess
@@ -21,15 +22,107 @@ from stieltjes.expr import (
     BinOp,
     Call,
     ExprFunction,
+    Neg,
     Num,
     VarT,
     VarX,
     VecX,
-    eval_expr,
     parse,
     to_source,
 )
 from stieltjes.measure import _sample_finite
+from stieltjes.moduli import omega_k
+
+# -- the reference tree walk --------------------------------------------------
+#
+# A recursive evaluation of a parsed tree, rule by rule.  ExprFunction's scalar
+# function must return its bits and raise its errors (message and offset).
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_PLAIN = {"sin": math.sin, "cos": math.cos, "abs": abs, "min": min, "max": max}
+
+
+def _fin(value, node, message="non-finite value {}"):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ExprDomainError(message.format(value), node.pos)
+    return value
+
+
+def eval_expr(tree, t, x=()):
+    """Evaluate a parsed expression; finite result or ExprDomainError."""
+    if isinstance(tree, Num):
+        return tree.value
+    if isinstance(tree, VarT):
+        return _fin(float(t), tree, "non-finite input t = {}")
+    if isinstance(tree, VarX):
+        try:
+            value = float(x[tree.index - 1])
+        except IndexError:
+            raise ExprDomainError(f"state vector too short for x{tree.index}", tree.pos) from None
+        return _fin(value, tree, f"non-finite input x{tree.index} = {{}}")
+    if isinstance(tree, Neg):
+        return -eval_expr(tree.operand, t, x)
+    if isinstance(tree, BinOp):
+        a = eval_expr(tree.left, t, x)
+        b = eval_expr(tree.right, t, x)
+        op = tree.op
+        if op in _ARITH:
+            return _fin(_ARITH[op](a, b), tree)
+        if op == "/":
+            if b == 0.0:
+                raise ExprDomainError("division by zero", tree.pos)
+            return _fin(a / b, tree)
+        if op == "^":
+            if a < 0.0 and b != int(b):
+                raise ExprDomainError(f"negative base {a} with non-integer exponent {b}", tree.pos)
+            if a == 0.0 and b < 0.0:
+                raise ExprDomainError("zero base with negative exponent", tree.pos)
+            try:
+                return _fin(math.pow(a, b), tree)
+            except OverflowError:
+                raise ExprDomainError("overflow in power", tree.pos) from None
+    if isinstance(tree, Call):
+        return _eval_call(tree, t, x)
+    raise TypeError(f"not an expression node: {tree!r}")
+
+
+def _eval_call(tree, t, x):
+    name = tree.name
+    if name == "norm_inf":
+        if len(x) == 0:
+            raise ExprDomainError("norm_inf(x) with an empty state vector", tree.pos)
+        values = [abs(float(v)) for v in x]
+        if not all(map(math.isfinite, values)):
+            raise ExprDomainError("non-finite input in the state vector x", tree.args[0].pos)
+        return max(values)
+    if name == "omega_k":
+        k = int(tree.args[0].value)
+        s = eval_expr(tree.args[1], t, x)
+        if s < 0:
+            raise ExprDomainError(f"omega_k of negative value {s}", tree.pos)
+        return _fin(float(omega_k(k, s)), tree)
+    args = [eval_expr(arg, t, x) for arg in tree.args]
+    if name in _PLAIN:
+        return _PLAIN[name](*args)
+    a = args[0]
+    if name == "exp":
+        try:
+            return _fin(math.exp(a), tree)
+        except OverflowError:
+            raise ExprDomainError(f"overflow in exp({a})", tree.pos) from None
+    if name == "log":
+        if a <= 0.0:
+            raise ExprDomainError(f"log of nonpositive value {a}", tree.pos)
+        return math.log(a)
+    if name == "sqrt":
+        if a < 0.0:
+            raise ExprDomainError(f"sqrt of negative value {a}", tree.pos)
+        return math.sqrt(a)
+    if name == "sign":
+        return float((a > 0.0) - (a < 0.0))
+    if name == "heaviside":
+        return 1.0 if a > 0.0 else 0.0
+    raise TypeError(f"unhandled function {name!r}")
 
 
 def ev(src, t=0.0, x=(), n=None):

@@ -553,6 +553,32 @@ class TestAprioriBound:
         with pytest.raises(ConfigurationError):
             apriori_bound(impulsive_problem())
 
+    @staticmethod
+    def weighted_problem(phi):
+        g = Derivator.identity((0.0, 1.0)).with_jumps([(0.5, 0.2)])
+        return IVProblem(0.0, 1.0, [1.0], [g], [lambda t, x: x[0]], modulus=LINEAR, phi=phi)
+
+    @pytest.mark.parametrize("phi", [lambda t: -1.0, lambda t: math.cos(4.0 * t)],
+                             ids=["minus-one", "cos-4t"])
+    def test_a_negative_weight_is_refused(self, phi):
+        with pytest.raises(IntegrandError, match="nonnegative"):
+            apriori_bound(self.weighted_problem(phi))
+
+    @pytest.mark.parametrize("phi", [lambda t: t * t, lambda t: max(0.0, t - 0.5)],
+                             ids=["t-squared", "ramp"])
+    def test_a_weight_touching_zero_is_accepted(self, phi):
+        bound = apriori_bound(self.weighted_problem(phi))
+        assert bound.kappa > 0.0 and not bound.zero_kappa
+
+    def test_the_weighted_measure_is_exact(self):
+        # h(t) = integral of phi over [0, t) against t + 0.2 [t > 0.5]
+        phi = lambda t: 1.0 + 0.3 * math.cos(t)
+        bound = apriori_bound(self.weighted_problem(phi)).bound
+        ts = np.random.default_rng(11).uniform(bound.a, bound.b, 1000)
+        got = bound.h(ts) - bound.h(bound.a)
+        expected = ts + 0.3 * np.sin(ts) + phi(0.5) * 0.2 * (ts > 0.5)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
 
 class TestCandidateTables:
     """horizon_for_ball and apriori_bound read all candidates from one table each."""

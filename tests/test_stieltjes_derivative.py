@@ -327,6 +327,13 @@ class TestFtc:
         with pytest.raises(WindowDomainError, match=f"a={a}, b={b}"):
             check_ftc(math.sin, Derivator.identity((0.0, 1.0)), a, b)
 
+    def test_an_end_beyond_the_window_is_refused(self):
+        # F is defined on [a, R] only: samples past R used to raise part-way
+        with pytest.raises(WindowDomainError, match=r"b=2\.0, R=1\.0"):
+            check_ftc(math.sin, Derivator.identity((0.0, 1.0)), 0.0, 2.0, sample_count=4)
+        report = check_ftc(math.sin, Derivator.identity((0.0, 1.0)), 0.0, 1.0, sample_count=4)
+        assert report.ok()
+
     def test_constancy_samples_are_skipped(self):
         g = from_classification(Classification(constancy=[(0.0, 1.0)]), window=(-1.0, 2.0))
         report = check_ftc(lambda t: t, g, -1.0, 2.0, sample_count=12)
