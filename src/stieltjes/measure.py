@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.ma  # noqa: F401  numpy >= 2 would import it (1.2 MB) in the first np.unique call
 
 from .errors import IntegrandError, WindowDomainError
 

@@ -14,17 +14,16 @@ up) but still Osgood, which is what makes it a useful stress test for
 uniqueness machinery.  ``e_k`` denotes the k-fold iterated exponential of 1;
 ``e_4`` already overflows doubles, so k is effectively capped at 3.
 
-``OmegaTransform`` tabulates ``Omega(r) = integral from u0 to r of
-1/omega``, the strictly increasing transform behind the Bihari inequality:
-any function satisfying the corresponding integral inequality is dominated
-by ``Omega^{-1}(Omega(kappa) + h(t) - h(a))``.
+``OmegaTransform`` tabulates ``Omega(r) = integral from u0 to r of 1/omega``
+(a cubic Hermite between nodes, with exact slopes capped to stay monotone),
+the increasing transform behind the Bihari inequality: any function that
+satisfies it is dominated by ``Omega^{-1}(Omega(kappa) + h(t) - h(a))``.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BoundInapplicableError,
@@ -51,6 +50,7 @@ __all__ = [
 # narrower than _BISECT_TOL * (1 + |log r|), or after _BISECT_STEPS halvings
 _BISECT_TOL = 1e-15
 _BISECT_STEPS = 100
+_RECIPROCAL_ORDER = 16  # Gauss-Legendre nodes per panel of _reciprocal_integral
 
 
 def exp_iter(k, t):
@@ -186,31 +186,33 @@ def _as_modulus(omega):
     return omega if isinstance(omega, OsgoodModulus) else OsgoodModulus(evaluator=omega)
 
 
-def _reciprocal_integral(omega, lo, hi, panels=16, order=16):
+def _reciprocal_sample(omega, us):
+    """``e^u / omega(e^u)`` at every u; a modulus value <= 0 or not finite raises."""
+    ss = np.exp(us)
+    ws = _sample_finite(omega, ss, lambda v, q: IntegrandError(
+        f"modulus returned {v} at s={ss[q]}", point=ss[q]))
+    nonpositive = np.flatnonzero(ws <= 0.0)
+    if nonpositive.size:
+        q = nonpositive[0]
+        raise IntegrandError(f"modulus returned {ws[q]} at s={ss[q]}", point=ss[q])
+    vals = ss / ws
+    if not np.all(np.isfinite(vals)):
+        raise IntegrandError("non-finite reciprocal-modulus sample")
+    return vals
+
+
+def _reciprocal_integral(omega, lo, hi, panels=16):
     """integral of 1/omega(s) ds over each [lo[i], hi[i]], via the log substitution.
 
     With s = e^u the integrand becomes e^u / omega(e^u), which is smooth for
     every modulus that behaves like s times slowly varying factors.  All
     intervals go through one ``_gl_sums`` call; an empty one gives 0.0.
     """
-    def sample(us):
-        ss = np.exp(us)
-        ws = _sample_finite(omega, ss, lambda v, q: IntegrandError(
-            f"modulus returned {v} at s={ss[q]}", point=ss[q]))
-        nonpositive = np.flatnonzero(ws <= 0.0)
-        if nonpositive.size:
-            q = nonpositive[0]
-            raise IntegrandError(f"modulus returned {ws[q]} at s={ss[q]}", point=ss[q])
-        vals = ss / ws
-        if not np.all(np.isfinite(vals)):
-            raise IntegrandError("non-finite reciprocal-modulus sample")
-        return vals
-
     def logs(rs):  # math.log: numpy's log can differ from it in the last bit
         return np.fromiter(map(math.log, rs), float, rs.size)
 
-    quad = QuadratureConfig(order=order, panels=panels)
-    return _gl_sums(sample, logs(lo), logs(hi), np.ones_like, quad)
+    quad = QuadratureConfig(order=_RECIPROCAL_ORDER, panels=panels)
+    return _gl_sums(lambda u: _reciprocal_sample(omega, u), logs(lo), logs(hi), np.ones_like, quad)
 
 
 @dataclass
@@ -282,9 +284,10 @@ class OmegaTransform:
 
     Built on a logarithmic grid (24 points per decade, 8 at least) with
     Gauss-Legendre in the log variable (one ``_reciprocal_integral`` call
-    for all cells), interpolated by a monotone piecewise cubic, and inverted
-    by bracketed root finding, so ``Omega`` and ``Omega^{-1}`` are both
-    strictly monotone on the covered range.
+    for all cells), interpolated by the cubic Hermite in log r with the
+    exact slopes r / omega(r), capped to keep each cell monotone (Fritsch &
+    Carlson 1980), and inverted by bisection on it, so ``Omega`` and
+    ``Omega^{-1}`` are both monotone on the covered range.
     """
 
     def __init__(self, modulus, u0, r_min=None, r_max=None):
@@ -311,7 +314,20 @@ class OmegaTransform:
         self.r_grid = grid
         self.values = values
         self._x = np.log(grid)
-        self._forward = PchipInterpolator(self._x, values, extrapolate=False)
+        # exact slopes r / omega(r); a cell whose pair has hypot > 3 * secant scales it to that
+        d = _reciprocal_sample(self.modulus, self._x)
+        h = np.diff(self._x)
+        m = np.diff(values) / h
+        cap = np.minimum(1.0, 3.0 * m / np.hypot(d[:-1], d[1:]))
+        d0, d1 = cap * d[:-1], cap * d[1:]
+        self._coef = np.stack(((d0 + d1 - 2.0 * m) / h**2, (3.0 * m - 2.0 * d0 - d1) / h,
+                               d0, values[:-1]))
+
+    def _forward(self, u):
+        """The cubic at u = log r (a float or an array) in the cell that holds it."""
+        k = np.clip(np.searchsorted(self._x, u, side="right") - 1, 0, self._x.size - 2)
+        c, s = self._coef[:, k], u - self._x[k]
+        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
 
     @property
     def lower(self):

@@ -672,6 +672,7 @@ class UniquenessReport:
 # per-call overhead vanishes, small enough that the temporaries of a block
 # stay far below the size of the drawn samples.
 _CERT_BLOCK = 1024
+_ROUNDING_ULPS = 8  # a sampled inequality fails beyond this many ulps of the values compared
 
 
 def _modulus_violations(problem, phi, ts, xs, ys):
@@ -688,12 +689,14 @@ def _modulus_violations(problem, phi, ts, xs, ys):
     t2 = np.repeat(ts, 2)
     states = np.stack((xs, ys), axis=1).reshape(-1, n)
     lhs = np.empty((ts.size, n))
+    slack = np.empty((ts.size, n))
     for i, f in enumerate(problem.rhs):
         vals = _sample_finite(f, t2, lambda v, q: SolverError(
             f"rhs component {i} returned {v} at t={t2[q]}"
         ), xs=states)
         lhs[:, i] = np.abs(vals[0::2] - vals[1::2])
-    bad = lhs > (allowance + 1e-9 * (1.0 + allowance))[:, None]
+        slack[:, i] = _ROUNDING_ULPS * np.spacing(np.abs(vals[0::2]) + np.abs(vals[1::2]))
+    bad = lhs > allowance[:, None] + slack
     return [
         (float(ts[q]), int(i), float(lhs[q, i]), float(allowance[q]))
         for q, i in zip(*np.nonzero(bad))
@@ -805,7 +808,7 @@ def caratheodory_bound_check(problem, r, h_r, n_samples=4000, seed=0):
         bound[:, i] = _sample_finite(h, ts, lambda v, q: SolverError(
             f"domination bound {i} returned {v} at t={ts[q]}"
         ))
-    bad = lhs > bound + 1e-9 * (1.0 + np.abs(bound))
+    bad = lhs > bound + _ROUNDING_ULPS * np.spacing(lhs + np.abs(bound))
     violations = [
         (float(ts[q]), int(i), float(lhs[q, i]), float(bound[q, i]))
         for q, i in zip(*np.nonzero(bad))

@@ -1,7 +1,10 @@
-"""Every name in a module's ``__all__`` exists in that module."""
+"""Every name in a module's ``__all__`` exists in that module; no module imports scipy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,3 +24,18 @@ def test_every_exported_name_exists(name):
 
 def test_the_modules_are_found():
     assert {"stieltjes.derivative", "stieltjes.solver", "stieltjes.moduli"} <= set(MODULES)
+
+
+def test_no_module_imports_scipy():
+    # a fresh interpreter: the tests themselves import scipy as a reference
+    code = (
+        "import importlib, sys\n"
+        f"for name in {MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    root = os.path.dirname(os.path.dirname(stieltjes.__file__))  # where stieltjes imports from
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

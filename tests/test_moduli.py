@@ -208,6 +208,20 @@ class TestOmegaTransform:
             values[k - 1] = values[k] - cell(k - 1)
         assert np.array_equal(tr.values, values)
 
+    def test_between_nodes_matches_the_closed_form(self):
+        # omega_k(1)(s) = s log(1/s): Omega(r) = log log(1/u0) - log log(1/r)
+        tr = OmegaTransform(omega_k_modulus(1), 0.25, r_min=1e-10, r_max=0.3)
+        for r in np.geomspace(1.01e-10, 0.299, 5000).tolist():
+            exact = math.log(math.log(4.0)) - math.log(math.log(1.0 / r))
+            assert abs(tr.omega_of(r) - exact) <= 1e-6 * (1.0 + abs(exact))
+
+    def test_nondecreasing_between_nodes(self):
+        # 1/omega changes by orders of magnitude per cell near r_min, where
+        # uncapped Hermite slopes overshoot
+        tr = OmegaTransform(lambda s: s * math.exp(-1.0 / s), 0.5, r_min=0.02, r_max=5.0)
+        values = tr._forward(np.linspace(tr._x[0], tr._x[-1], 200_001))
+        assert np.all(np.diff(values) >= 0.0)
+
     def test_inverse_round_trip(self):
         tr = OmegaTransform(omega_k_modulus(2), u0=0.05, r_min=1e-9, r_max=10.0)
         for r in np.geomspace(1e-8, 5.0, 40):

@@ -675,6 +675,15 @@ class TestUniquenessCertificate:
         assert report.verdict == "UNVERIFIED"
         assert report.violations
 
+    def test_a_violation_below_1e_9_is_seen(self):
+        # |f(x) - f(y)| = 2e-10 |x - y| exceeds 1e-10 |x - y| on every pair
+        g = Derivator.identity((0.0, 1.0))
+        p = IVProblem(0.0, 1.0, [0.0], [g], [lambda t, x: 2e-10 * x[0]], ball_radius=1.0,
+                      modulus=OsgoodModulus(evaluator=lambda s: 1e-10 * s))
+        report = uniqueness_certificate(p, n_samples=200)
+        assert all(v == "DIVERGENT" for v in report.osgood_verdicts.values())
+        assert report.verdict == "UNVERIFIED"
+        assert report.violations
 
     @pytest.mark.parametrize("n_samples", [0, -1, 2.5])
     def test_no_samples_is_refused(self, n_samples):
@@ -699,6 +708,13 @@ class TestCaratheodoryCheck:
         report = caratheodory_bound_check(p, r=1.0, h_r=lambda t: 0.0)
         assert not report.passed
         assert report.violations
+
+    def test_a_violation_below_1e_9_is_seen(self):
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))],
+                      [lambda t, x: 1e-10 + 0.0 * x[0]])
+        report = caratheodory_bound_check(p, r=1.0, h_r=lambda t: 0.0, n_samples=200)
+        assert not report.passed
+        assert len(report.violations) == 200
 
     @pytest.mark.parametrize("kw", [
         {"n_samples": 0}, {"n_samples": -1}, {"r": math.nan}, {"r": math.inf},
