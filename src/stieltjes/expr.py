@@ -43,6 +43,11 @@ backends differ only in the names they bind and in what a failed check does:
 
 This is the batch protocol that the sampling code of the package looks for
 (see ``solver.IVProblem``).
+
+The emitter also writes the scalar statements into other code: the Euler
+step loop of ``solver`` inlines each ``ExprFunction`` rhs, with its own
+local names and its reads of t and the state from the loop's locals, so
+every operation, check, message and offset is still spelled once, here.
 """
 
 import itertools
@@ -294,16 +299,17 @@ def _children(node):
 # check on its value (None: the value is finite whenever its operands are),
 # and the exception its value may raise with the message that replaces it.
 # Spellings name the operands {a} and {b}, the value {v}, a state index {j}
-# (0-based) or {k} (1-based), and backend names such as ``sin`` or ``trunc``.
-# Predicates use ``&`` so that they also hold elementwise.
+# (0-based) or {k} (1-based), the read of an input {read} (``_READS``), and
+# backend names such as ``sin`` or ``trunc``.  Predicates use ``&`` so that
+# they also hold elementwise.
 
 _NONFINITE = "non-finite value {v}"
 
 _OPS = {
-    "t": ("real(t)", (), "non-finite input t = {v}", None),
-    "x<k>": ("real(x[{j}])", (), "non-finite input x{k} = {v}",
+    "t": ("{read}", (), "non-finite input t = {v}", None),
+    "x<k>": ("{read}", (), "non-finite input x{k} = {v}",
              ("IndexError", "state vector too short for x{k}")),
-    "x": ("x", (("nonfinite(x)", "non-finite input in the state vector x"),), None, None),
+    "x": ("{read}", (("nonfinite({read})", "non-finite input in the state vector x"),), None, None),
     "neg": ("-{a}", (), None, None),
     "+": ("{a} + {b}", (), _NONFINITE, None),
     "-": ("{a} - {b}", (), _NONFINITE, None),
@@ -328,6 +334,12 @@ _OPS = {
     "omega_k": ("real(omega_k({k}, {b}))", (("{b} < 0.0", "omega_k of negative value {b}"),),
                 _NONFINITE, None),
 }
+
+
+# How the inputs are read from the arguments of ``f(t, x)``.  Code that holds
+# the inputs elsewhere, such as the Euler step loop with its state in locals,
+# passes its own spellings.
+_READS = {"t": "real(t)", "x<k>": "real(x[{j}])", "x": "x"}
 
 
 class _Bail(Exception):
@@ -397,12 +409,24 @@ def _key(node):
     raise TypeError(f"not a parsed expression: {node!r}")
 
 
-def _source(tree, test, nonfinite, fail):
-    """The source of ``f(t, x)``: one local per node, every check inline.
+def _walk(tree):
+    """Every node of ``tree``, level by level."""
+    level = [tree]
+    while level:
+        yield from level
+        level = [child for node in level for child in _children(node)]
 
-    A node's value takes the name of a value no longer needed, so that a
-    batch holds about as many arrays at once as a recursive evaluation.
+
+def _source(tree, backend, prefix="v", reads=_READS, target="return {}"):
+    """The statements that compute ``tree``: one local per node, every check inline.
+
+    The locals are named ``prefix`` and a number, the inputs are read as
+    ``reads`` spells them, and the last statement is ``target`` with the
+    value's name or literal in place of ``{}``.  A node's value takes the name
+    of a value no longer needed, so that a batch holds about as many arrays
+    at once as a recursive evaluation.
     """
+    _, test, nonfinite, fail = backend
     lines, inputs, temps, free, serial = [], {}, set(), [], itertools.count()
 
     def emit(node, vector=False):
@@ -417,9 +441,11 @@ def _source(tree, test, nonfinite, fail):
         value, rules, finite, guard = _OPS[key]
         operands = [emit(c, key == "norm_inf") for c in _children(node)]
         free.extend(o for o in operands if o in temps)  # each is read by this node alone
-        v = free.pop() if free else f"v{next(serial)}"
+        v = free.pop() if free else f"{prefix}{next(serial)}"
         (temps.add if operands else temps.discard)(v)
         names = dict(zip("ab", operands), v=v)
+        if key in reads:
+            fields = {**fields, "read": reads[key].format(**fields)}
         code = {**names, **fields}
         text = {**fields, **{n: "{" + s + "}" for n, s in names.items()}}
 
@@ -437,18 +463,24 @@ def _source(tree, test, nonfinite, fail):
         return v
 
     result = emit(tree)
-    return "def f(t, x):\n" + "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
+    return [*lines, target.format(result)]
+
+
+def _define(source, name, backend, **extra):
+    """The function ``name`` that ``source`` defines, run in a namespace of
+    the backend's names and ``extra`` whose only builtin is ``__import__``:
+    numpy's C code imports some helpers on first use (``ndarray.any`` does)
+    through the builtins of the calling frame."""
+    scope = {"__builtins__": {"__import__": __import__}, "omega_k": omega_k, "IndexError": IndexError,
+             "OverflowError": OverflowError, "ValueError": ValueError, **backend[0], **extra}
+    exec(compile(source, "<expr>", "exec"), scope)
+    return scope[name]
 
 
 def _function(tree, backend):
-    """Compile ``tree`` for one backend in a namespace whose only builtin is
-    ``__import__``: numpy's C code imports some helpers on first use
-    (``ndarray.any`` does) through the builtins of the calling frame."""
-    names, *spellings = backend
-    scope = {"__builtins__": {"__import__": __import__}, "omega_k": omega_k, "IndexError": IndexError,
-             "OverflowError": OverflowError, "ValueError": ValueError, **names}
-    exec(compile(_source(tree, *spellings), "<expr>", "exec"), scope)
-    return scope["f"]
+    """``tree`` compiled for one backend as ``f(t, x)``."""
+    body = "".join(f"    {line}\n" for line in _source(tree, backend))
+    return _define("def f(t, x):\n" + body, "f", backend)
 
 
 class ExprFunction:

@@ -35,8 +35,9 @@ provably maps the domain ball into itself.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from numbers import Integral
-from operator import add, mul, sub
+from operator import sub
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .errors import (
     NonConvergenceError,
     SolverError,
 )
+from .expr import _SCALAR, ExprFunction, VarX, _define, _source, _walk
 from .measure import QuadratureConfig, _cumulative, _gl_nodes, _gl_rule, _sample_finite, integrate
 from .moduli import OmegaTransform, OsgoodModulus, bihari_bound, osgood_check
 
@@ -108,12 +110,17 @@ class IVProblem:
     all their samples in one call.  ``batch`` returns ``None`` when it
     cannot answer (a domain violation, say); the scalar call is then made
     sample by sample.  The scalar call is the reference: ``batch`` must
-    agree with it, and errors are always reported from it.  The sequential
-    Euler step loop and the impulses at the atoms always use the scalar
-    call.  Problem files build every expression as an ``expr.ExprFunction``:
-    it compiles the tree into two straight-line functions, one over numpy
-    for ``batch`` and one over ``math`` for the scalar call, which is the
-    reference value of the expression and reports its errors.
+    agree with it, and errors are always reported from it.  The impulses at
+    the atoms of Picard and the residual use the scalar call.  Problem files
+    build every expression as an ``expr.ExprFunction``: it compiles the tree
+    into two straight-line functions, one over numpy for ``batch`` and one
+    over ``math`` for the scalar call, which is the reference value of the
+    expression and reports its errors.
+
+    The sequential Euler step loop is emitted and compiled once per problem,
+    at its first ``solve_euler``.  It writes the scalar function of each
+    ``ExprFunction`` rhs out inline, from the same emitter, so its values
+    and errors are those of the scalar call; any other rhs is called.
     """
 
     t0: float
@@ -167,15 +174,25 @@ class IVProblem:
     def _center(self):
         return tuple(self.x0.tolist())
 
+    @cached_property
+    def _euler_steps(self):
+        """The step loop of ``solve_euler`` for this problem, compiled on first use."""
+        return _define(_euler_source(self), "steps", _SCALAR, zip=zip, isfinite=math.isfinite,
+                       rhs_error=_rhs_error, check_ball=_check_ball)
+
     def eval_rhs(self, t, x):
         """The n rhs values at float ``t`` and state tuple ``x``, as a list of floats."""
         out = []
         for i, f in enumerate(self.rhs):
             v = float(f(t, x))
             if not math.isfinite(v):
-                raise SolverError(f"rhs component {i} returned {v} at t={t}")
+                raise _rhs_error(i, v, t)
             out.append(v)
         return out
+
+
+def _rhs_error(i, v, t):
+    return SolverError(f"rhs component {i} returned {v} at t={t}")
 
 
 @dataclass
@@ -335,8 +352,10 @@ class _GridData:
             ts, ws, cell_idx = self.quad[i]
             if ts.size == 0:
                 continue
-            frac = (ts - self.grid[cell_idx]) / widths[cell_idx]
-            states = rights[cell_idx] + (values[cell_idx + 1] - rights[cell_idx]) * frac[:, None]
+            # ``take`` gathers far faster than fancy indexing on these sizes
+            frac = (ts - self.grid.take(cell_idx)) / widths.take(cell_idx)
+            left = rights.take(cell_idx, axis=0)
+            states = left + (values.take(cell_idx + 1, axis=0) - left) * frac[:, None]
             contrib = _sample_finite(problem.rhs[i], ts, lambda v, q: SolverError(
                 f"rhs component {i} returned {v} at t={ts[q]} during quadrature"
             ), xs=states)
@@ -349,37 +368,86 @@ class _GridData:
         return out
 
 
+def _euler_source(problem):
+    """The source of ``steps(problem, ts, deltas, incs, jumps)``, the Euler step loop.
+
+    The state components are the locals ``s0, s1, ...``.  The body of each
+    ``ExprFunction`` rhs is written inline by the expression emitter, reading
+    t and the state from the locals; any other rhs is called with a float t
+    and the state tuple, and its value checked as ``eval_rhs`` checks it.
+    """
+    n = problem.n
+
+    def names(letter):
+        return ", ".join(f"{letter}{j}" for j in range(n)) + ","
+
+    row = f"({names('s')})"
+    reads = {"t": "t", "x<k>": "s{j}", "x": row}  # Python floats already: no ``real``
+    rhs = []
+    for i, f in enumerate(problem.rhs):
+        # a tree that reads past x_n is called: its IndexError guard reports it
+        if type(f) is ExprFunction and all(v.index <= n for v in _walk(f.tree) if isinstance(v, VarX)):
+            rhs += _source(f.tree, _SCALAR, f"v{i}_", reads, f"f{i} = {{}}")
+        else:
+            rhs += [f"f{i} = real(rhs{i}(t, {row}))", f"if not isfinite(f{i}): raise rhs_error({i}, f{i}, t)"]
+
+    def ball(at):
+        if problem.ball_radius is None:
+            return []
+        gaps = ", ".join(f"abs(s{j} - z{j})" for j in range(n))
+        return [f"if {f'max({gaps})' if n > 1 else gaps} > radius: check_ball(problem, {row}, {at})"]
+
+    def step(by):
+        return [f"s{j} = s{j} + f{j} * {by}{j}" for j in range(n)]
+
+    def block(indent, lines):
+        return [" " * indent + line for line in lines]
+
+    return "\n".join([
+        "def steps(problem, ts, deltas, incs, jumps):",
+        f"    {names('rhs')} = problem.rhs",
+        f"    {names('z')} = problem._center",
+        "    radius = problem.ball_radius",
+        f"    {names('s')} = problem._center",
+        f"    values, rights = [{row}], []",
+        f"    for t, t_next, ({names('d')}), ({names('c')}), jump in zip(ts, ts[1:], deltas, incs, jumps):",
+        *block(8, rhs),
+        "        if jump:",  # the impulse, with the pre-jump state
+        *block(12, [*step("d"), *ball("t"), *rhs]),
+        f"        rights.append({row})",
+        *block(8, [*step("c"), *ball("t_next")]),
+        f"        values.append({row})",
+        f"    rights.append({row})",
+        "    return values, rights",
+        "",
+    ])
+
+
 def solve_euler(problem, grid, compute_residual=True):
     """Forward Euler in the derivator increments, impulse-first.
 
     Per step ``t_k -> t_{k+1}``: all components apply their impulse with the
     shared pre-jump state, then the continuous sub-step uses the post-jump
     state and the increments of the continuous parts.  Pure-jump steps are
-    exact by construction.  The steps run on Python floats: each rhs call
-    gets a float ``t`` and the state as a tuple of floats (see ``IVProblem``),
-    and the rows are stacked into arrays once, at the end.
+    exact by construction.  The steps run on Python floats, in one loop
+    emitted and compiled for the problem at its first solve: the state
+    components are locals, ``expr`` right-hand sides are written out inline,
+    and any other rhs is called with a float ``t`` and the state as a tuple
+    of floats (see ``IVProblem``).  The rows are stacked into arrays once, at
+    the end.
     """
     data = _GridData(problem, grid)
     grid = data.grid
     ts = grid.tolist()
-    x = problem._center
-    values, rights = [x], []
     jumps_at = np.any(data.deltas > 0, axis=1).tolist()
     # rows as tuples from column lists: a list per row would make the
     # garbage collector sweep the whole heap while the loop runs
     deltas, incs = zip(*data.deltas.T.tolist()), zip(*data.cont_inc.T.tolist())
-    for t, t_next, delta, inc, jumps in zip(ts, ts[1:], deltas, incs, jumps_at):
-        fx = problem.eval_rhs(t, x)
-        if jumps:
-            x = tuple(map(add, x, map(mul, fx, delta)))  # impulse with the pre-jump state
-            _check_ball(problem, x, t)
-            fx = problem.eval_rhs(t, x)
-        rights.append(x)
-        x = tuple(map(add, x, map(mul, fx, inc)))
-        _check_ball(problem, x, t_next)
-        values.append(x)
-    rights.append(x)
-    values, rights = np.array(values), np.array(rights)
+    n = problem.n
+    values, rights = (
+        np.fromiter(chain.from_iterable(rows), float, n * len(rows)).reshape(-1, n)
+        for rows in problem._euler_steps(problem, ts, deltas, incs, jumps_at)
+    )
 
     res = None
     if compute_residual:

@@ -9,6 +9,7 @@ Oracles used here:
 
 import dataclasses
 import math
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from stieltjes import (
     ConfigurationError,
     Derivator,
     DomainExitError,
+    ExprDomainError,
     IntegrandError,
     NoCertifiedHorizonError,
     NonConvergenceError,
     SolverError,
+    StieltjesError,
 )
 from stieltjes.expr import ExprFunction, parse
 from stieltjes.moduli import OsgoodModulus, omega_k, omega_k_modulus
@@ -39,6 +42,7 @@ from stieltjes.solver import (
     solve_picard,
     uniqueness_certificate,
 )
+from test_expr import random_source
 
 LINEAR = OsgoodModulus(evaluator=lambda s: s, name="linear")
 
@@ -269,6 +273,30 @@ def _ndarray_euler(problem, grid):
     return values, rights, np.max(np.abs(values - mapped), axis=0)
 
 
+def _float_euler(problem, grid):
+    """The Euler step loop on Python floats, one ``eval_rhs`` call per state, as
+    ``solve_euler`` ran it before its loop was emitted per problem; returns
+    values and right values."""
+    data = _GridData(problem, grid)
+    ts = data.grid.tolist()
+    x = problem._center
+    values, rights = [x], []
+    jumps_at = np.any(data.deltas > 0, axis=1).tolist()
+    deltas, incs = zip(*data.deltas.T.tolist()), zip(*data.cont_inc.T.tolist())
+    for t, t_next, delta, inc, jumps in zip(ts, ts[1:], deltas, incs, jumps_at):
+        fx = problem.eval_rhs(t, x)
+        if jumps:
+            x = tuple(map(add, x, map(mul, fx, delta)))  # impulse with the pre-jump state
+            _check_ball(problem, x, t)
+            fx = problem.eval_rhs(t, x)
+        rights.append(x)
+        x = tuple(map(add, x, map(mul, fx, inc)))
+        _check_ball(problem, x, t_next)
+        values.append(x)
+    rights.append(x)
+    return np.array(values), np.array(rights)
+
+
 def _random_system(rng, n):
     """n components on [0, 1]: every g_i jumps at one shared atom and at one
     atom of its own, g_1 has a flat segment, g_n (n > 1) is pure-jump, the
@@ -356,6 +384,116 @@ class TestFloatStepLoop:
         built.clear()
         tr = solve_picard(p, grid)  # one build for all its iterations
         assert tr.n_iterations > 1 and len(built) == p.n
+
+
+def _euler_outcome(solve, problem, grid):
+    """The bits of the values and right values, or everything the error carries."""
+    try:
+        values, rights = solve(problem, grid)
+    except StieltjesError as exc:
+        state = getattr(exc, "state", None)
+        return ("raised", type(exc), str(exc), getattr(exc, "offset", None),
+                getattr(exc, "time", None), None if state is None else state.tobytes())
+    return ("value", values.tobytes(), rights.tobytes())
+
+
+def _emitted(problem, grid):
+    trace = solve_euler(problem, grid, compute_residual=False)
+    return trace.values, trace.right_values
+
+
+def _same_as_the_reference(problem, grid):
+    emitted = _euler_outcome(_emitted, problem, grid)
+    assert emitted == _euler_outcome(_float_euler, problem, grid)
+    return emitted
+
+
+def _expr(src, n):
+    return ExprFunction(parse(src, n), src)
+
+
+def _omega_k_problems(**kw):
+    cls = TestBatchedPathMatchesScalar
+    return _expr_and_lambda_problems(cls.SOURCES, cls.LAMBDAS, **kw)
+
+
+class TestEmittedStepLoop:
+    """``solve_euler``'s emitted loop against the float loop it replaced."""
+
+    # radius 2 is left in the impulse at the atom t = 1, radius 1.5 before it
+    @pytest.mark.parametrize("radius, in_impulse", [(2.0, True), (1.5, False)])
+    @pytest.mark.parametrize("as_expr", [True, False])
+    def test_domain_exit_in_the_impulse_and_in_the_continuous_step(self, radius, in_impulse, as_expr):
+        g = Derivator.identity((0.0, 2.0)).with_jumps([(1.0, 1.0)])
+        rhs = _expr("x1", 1) if as_expr else (lambda t, x: x[0])
+        p = IVProblem(0.0, 2.0, [1.0], [g], [rhs], ball_radius=radius)
+        outcome = _same_as_the_reference(p, build_grid(p, n_steps=400))
+        assert outcome[:2] == ("raised", DomainExitError)
+        assert (outcome[4] == 1.0) == in_impulse
+
+    @pytest.mark.parametrize("g", [
+        Derivator((0.0, 1.0), slopes=[1.0], jumps=[(0.5, 1e300)]),  # overflows in the impulse
+        Derivator((0.0, 1.0), slopes=[1e300]),  # in a continuous sub-step
+    ])
+    def test_a_state_overflowing_to_inf_fails_at_the_next_rhs(self, g):
+        rhs = [_expr("x1 + 1e300", 2), lambda t, x: math.cos(x[1])]
+        p = IVProblem(0.0, 1.0, [1.0, 0.5], [g, Derivator.identity((0.0, 1.0))], rhs)
+        outcome = _same_as_the_reference(p, build_grid(p, n_steps=8))
+        assert outcome[:2] == ("raised", ExprDomainError) and outcome[3] == 0
+        assert outcome[2].startswith("non-finite input x1 = inf")
+
+    def test_a_callable_returning_nan_fails_with_the_same_error(self):
+        g = Derivator((0.0, 1.0), slopes=[1.0], jumps=[(0.5, 0.2)])
+        rhs = [_expr("sin(x2)", 2), lambda t, x: math.nan if t > 0.5 else -x[0]]
+        p = IVProblem(0.0, 1.0, [0.3, -0.2], [g, Derivator.identity((0.0, 1.0))], rhs)
+        outcome = _same_as_the_reference(p, build_grid(p, n_steps=16))
+        assert outcome[:2] == ("raised", SolverError)
+        assert outcome[2].startswith("rhs component 1 returned nan at t=0.5625")
+
+    def test_a_tree_reading_past_the_state_fails_as_its_call_does(self):
+        g = Derivator.identity((0.0, 1.0))
+        p = IVProblem(0.0, 1.0, [1.0, 2.0], [g, g], [_expr("x1", 3), _expr("t + x3", 3)])
+        outcome = _same_as_the_reference(p, build_grid(p, n_steps=4))
+        assert outcome[:2] == ("raised", ExprDomainError) and outcome[3] == 4
+        assert outcome[2].startswith("state vector too short for x3")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mixed_expr_and_plain_rhs(self, n):
+        """Random trees, each an ``ExprFunction`` written inline or a plain
+        callable around one; values, -0.0 and errors all match."""
+        rng = np.random.default_rng([n, 13])
+        for _ in range(8):
+            p = _random_system(rng, n)
+            rhs = []
+            for i in range(n):
+                f = _expr(random_source(rng, n, 3), n)
+                rhs.append(f if rng.random() < 0.6 else (lambda t, x, f=f: f(t, x)))
+            x0 = p.x0.copy()
+            x0[rng.random(n) < 0.3] = -0.0
+            ball = float(rng.choice([1e6, 1.0]))
+            p = dataclasses.replace(p, x0=x0, rhs=rhs, ball_radius=ball)
+            _same_as_the_reference(p, build_grid(p, n_steps=int(rng.integers(20, 120))))
+
+    def test_an_omega_k_rhs(self):
+        p, _ = _omega_k_problems(ball_radius=0.5)
+        outcome = _same_as_the_reference(p, build_grid(p, n_steps=300))
+        assert outcome[0] == "value"
+
+    def test_the_loop_is_compiled_once_per_problem(self, monkeypatch):
+        from stieltjes import solver
+
+        emitted = []
+        real = solver._euler_source
+        monkeypatch.setattr(solver, "_euler_source", lambda p: emitted.append(p) or real(p))
+        p, _ = _omega_k_problems()
+        grid = build_grid(p, n_steps=50)
+        residual(p, solve_picard(p, grid))
+        assert emitted == []  # only solve_euler compiles it
+        solve_euler(p, grid)
+        solve_euler(p, build_grid(p, n_steps=20), compute_residual=False)
+        assert len(emitted) == 1 and emitted[0] is p
+        solve_euler(dataclasses.replace(p), grid)
+        assert len(emitted) == 2
 
 
 class TestPicard:
