@@ -23,9 +23,9 @@ array and samples g and f over all of it in one call each.
 blocks of ``_LADDER_BLOCK`` points.
 
 ``indefinite_integral`` builds ``F(t) = integral of f over [a, t) against
-dg`` once, as a piecewise polynomial: a quadrature table of F at the
-breakpoints and jumps of ``g``, and between them a Chebyshev fit of f,
-integrated exactly (Greengard 1991; Trefethen, *Approximation Theory and
+dg`` once, as a piecewise polynomial: between the breakpoints and jumps of
+``g``, a Chebyshev fit of f, integrated exactly and summed into the table of
+F at those points (Greengard 1991; Trefethen, *Approximation Theory and
 Approximation Practice*, ch. 19).  Evaluating F inside the derivative
 estimator then samples f no more, and its exact ``right_increment`` makes
 the recovered derivative at jump points exact to machine precision.
@@ -48,8 +48,7 @@ from .errors import (
     WindowDomainError,
 )
 from .measure import (
-    _QUAD_BLOCK, QuadratureConfig, _atom_terms, _cumulative, _sample_finite, _slope_sums,
-    integrate,
+    _QUAD_BLOCK, QuadratureConfig, _atom_terms, _sample_finite, _slope_sums, integrate,
 )
 
 __all__ = [
@@ -206,9 +205,11 @@ def stieltjes_derivative(f, g, t):
 # _FIT_NODES first-kind Chebyshev points of a piece (interior points only); a
 # piece is resolved when its last three Chebyshev coefficients are at most
 # _FIT_TAIL times its largest one, and is halved otherwise, up to _FIT_DEPTH
-# times.  Evaluation works in blocks of _EVAL_BLOCK points, so the
-# temporaries of a many-point batch stay small.
+# times, and so is one wider than 1/_FIT_SPAN of the window.  Evaluation works
+# in blocks of _EVAL_BLOCK points, so the temporaries of a many-point batch
+# stay small.
 _FIT_NODES = 16
+_FIT_SPAN = 16
 _FIT_TAIL = 1e-14
 _FIT_DEPTH = 6
 _EVAL_BLOCK = 256
@@ -249,12 +250,14 @@ def _sample_blocks(f, ts):
     return vals
 
 
-def _fit_pieces(f, lo, hi):
+def _fit_pieces(f, lo, hi, widest):
     """Split each ``[lo[i], hi[i]]`` into pieces on which f is resolved.
 
     Returns the pieces' ends, the index i of the interval each comes from,
     whether it is resolved, and the Chebyshev coefficients of f on it.
     Pieces still unresolved after ``_FIT_DEPTH`` halvings are returned too.
+    A piece wider than ``widest`` is halved even when resolved: no two
+    neighbouring samples lie more than ``(pi / 32) * min(hi[i] - lo[i], widest)`` apart.
     """
     of = np.arange(lo.size)
     out = []
@@ -265,7 +268,7 @@ def _fit_pieces(f, lo, hi):
         size = np.abs(coef)
         ok = size[:, -3:].max(axis=1) <= _FIT_TAIL * size.max(axis=1)
         # a piece too narrow to halve in floating point is kept as it is
-        done = ok | (depth == _FIT_DEPTH) | (mid == lo) | (mid == hi)
+        done = ok & (hi - lo <= widest) | (depth == _FIT_DEPTH) | (mid == lo) | (mid == hi)
         out.append((lo[done], hi[done], of[done], ok[done], coef[done]))
         split = ~done
         lo = np.concatenate((lo[split], mid[split]))
@@ -279,27 +282,30 @@ def _fit_pieces(f, lo, hi):
 class IndefiniteIntegral:
     """F(t) = integral of f over [a, t) against dg, as a callable on [a, R].
 
-    F is a piecewise polynomial built once.  The table of F at every
-    breakpoint and jump of ``g`` (the nodes) comes from ``measure``'s
-    quadrature, so F at a node equals a chain of ``integrate`` calls bit for
-    bit.  Between two nodes, on a slope segment, f is interpolated at
-    Chebyshev points, halving the piece until the interpolant is resolved to
-    rounding.  F there is the table value, plus the atom at the node, plus
-    the slope times the exact integral of the interpolant, summed by
-    Clenshaw's recurrence.  So F(t) and ``batch(ts)`` do not sample f after
-    the build, and ``right_limit`` samples it once, at the atom.
+    F is a piecewise polynomial built in one pass over f.  Between two nodes
+    (breakpoints and jumps of ``g``), on a slope segment, f is interpolated
+    at Chebyshev points, halving each piece until the interpolant is
+    resolved to rounding and the piece is at most 1/16 of the window wide.
+    F there is F at the node, plus the node's atom, plus the slope times the
+    exact integral of the interpolant, summed by Clenshaw's recurrence; F at
+    the next node adds the integrals of all the interval's pieces.  So F
+    agrees with a chain of ``integrate`` calls to rounding, F(t) and
+    ``batch(ts)`` do not sample f after the build, and ``right_limit``
+    samples it once, at the atom.  The build samples f at every atom, and
+    no two neighbouring samples in a slope interval of width w lie more than
+    (pi / 32) * min(w, W / 16) apart, W the window's width: f non-finite on
+    a wider patch raises ``IntegrandError`` at build.
 
-    ``integrate`` is the reference that F is tested against.  A piece still
-    unresolved after ``_FIT_DEPTH`` halvings, such as one holding a kink of
-    f, falls back with the rest of its interval to that quadrature:
-    ``integrate`` from the node in a call, the same panel sums in ``batch``.
-    ``n_unresolved`` counts such pieces.
+    A piece still unresolved after ``_FIT_DEPTH`` halvings, such as one
+    holding a kink of f, falls back with the rest of its interval to the
+    quadrature of ``measure`` with the rule ``quad``: ``integrate`` from the
+    node in a call, the same panel sums in ``batch`` and for F at the
+    interval's end.  ``n_unresolved`` counts such pieces.
 
     ``batch(ts)``, which ``F(ts)`` calls on an array, equals the calls one by
     one; through ``_sample_finite``, difference ladders and sampled
     continuity checks use it, and so does the a-priori bound in ``solver``.
-    ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).  ``quad`` is
-    the Gauss-Legendre rule of the node table and of the fallback.
+    ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).
     """
 
     quad = QuadratureConfig(order=16, panels=4)
@@ -312,25 +318,13 @@ class IndefiniteIntegral:
         self.f = f
         self.g = g
         self.a = a
-        nodes = np.unique(np.concatenate((
-            g.breakpoints[(g.breakpoints >= a)],
-            g.jump_points[(g.jump_points >= a)],
-            [a],
-        )))
-        self._nodes = nodes
-        self._cum = _cumulative(g, f, a, nodes, self.quad)
-        self._jumps = np.append(g.jump(nodes[:-1]), 0.0)  # jump size at each node
-
-        # F just right of each node: the table value plus the node's atom
-        start = self._cum[:-1].copy()
-        at = np.flatnonzero(self._jumps[:-1] > 0.0)
-        start[at] += _atom_terms(f, nodes[at], self._jumps[at])
-
+        bp, jp = g.breakpoints, g.jump_points
+        self._nodes = nodes = np.unique(np.concatenate((bp[bp >= a], jp[jp >= a], [a])))
         lo, hi = nodes[:-1], nodes[1:]
         slope = g.slopes[g._segment(lo)]
         live = np.flatnonzero(slope != 0.0)
         flat = np.flatnonzero(slope == 0.0)
-        plo, phi, of, ok, coef = _fit_pieces(f, lo[live], hi[live])
+        plo, phi, of, ok, coef = _fit_pieces(f, lo[live], hi[live], (right_w - left_w) / _FIT_SPAN)
         of = live[of]
         # a flat interval is one resolved piece with F constant on it
         plo, phi = np.concatenate((plo, lo[flat])), np.concatenate((phi, hi[flat]))
@@ -342,21 +336,28 @@ class IndefiniteIntegral:
         mid, half = (plo + phi) / 2.0, (phi - plo) / 2.0
         anti *= (slope[of] * half)[:, None]
 
-        # F at each piece's left end: the node's value plus the pieces before
-        # it in its interval.  From an unresolved piece to the end of its
-        # interval, F is integrated from the node, as a chain of integrate
-        # calls would do.
+        # the table: each interval adds its atom and the exact integrals of
+        # its pieces or, where a piece is unresolved, the quadrature that a
+        # chain of integrate calls takes
         whole = anti.sum(axis=1)
-        base = np.empty(plo.size)
-        fitted = ok.copy()
-        prev = -1
-        for p, k in enumerate(of.tolist()):
-            if k == prev:
-                base[p] = base[p - 1] + whole[p - 1]
-                fitted[p] &= fitted[p - 1]
-            else:
-                base[p] = start[k]
-            prev = k
+        inc = np.bincount(of, weights=whole, minlength=lo.size)
+        rough = np.unique(of[~ok])
+        inc[rough] = _slope_sums(g, f, lo[rough], hi[rough], self.quad)
+        jumps = g.jump(lo)
+        at = np.flatnonzero(jumps > 0.0)
+        self._atoms = np.zeros(lo.size)  # f times the jump, at each node
+        self._atoms[at] = _atom_terms(f, lo[at], jumps[at])
+        self._cum = np.concatenate(([0.0], np.cumsum(inc + self._atoms)))
+        start = self._cum[:-1] + self._atoms  # F just right of each node
+
+        # F at each piece's left end: F right of its node plus the pieces
+        # before it in its interval.  From an unresolved piece to the end of
+        # its interval, F is integrated from the node, as a chain of integrate
+        # calls would do.
+        first = np.searchsorted(of, of)  # the first piece of each piece's interval
+        before, bad = np.cumsum(whole) - whole, np.cumsum(~ok)
+        base = start[of] + (before - before[first])
+        fitted = bad == (bad - ~ok)[first]
 
         self.n_unresolved = int(np.count_nonzero(~ok))
         self._lo = plo  # piece left ends, ascending; every node but the last is one
@@ -406,9 +407,7 @@ class IndefiniteIntegral:
         fb = np.flatnonzero(~self._fitted[p] & (nodes[k] < ts) & (ts < nodes[-1]))
         if fb.size:
             kf = k[fb]
-            inc = _slope_sums(self.g, self.f, nodes[kf], ts[fb], self.quad)
-            at = np.flatnonzero(self._jumps[kf] > 0.0)
-            inc[at] += _atom_terms(self.f, nodes[kf[at]], self._jumps[kf[at]])
+            inc = _slope_sums(self.g, self.f, nodes[kf], ts[fb], self.quad) + self._atoms[kf]
             out[fb] = self._cum[kf] + inc
         on = np.flatnonzero(nodes[k] == ts)
         out[on] = self._cum[k[on]]

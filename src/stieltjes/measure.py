@@ -13,7 +13,8 @@ Integration against ``dg`` splits into the absolutely continuous part
 package's one quadrature kernel is here: ``_gl_nodes`` alone builds composite
 Gauss-Legendre panels, ``_gl_sums`` sums over many intervals at once and
 ``_cumulative`` gives the integral over ``[a, t)`` for many ``t`` from one
-table; every integral in ``derivative``, ``solver`` and ``moduli`` uses them.
+table.  ``solver`` and ``moduli`` use them for every integral, and
+``derivative.IndefiniteIntegral`` where its Chebyshev fit does not resolve f.
 """
 
 import math
@@ -52,9 +53,9 @@ class QuadratureConfig:
 
 
 # Samples per _sample_finite call of the quadrature (32 intervals of the
-# indefinite integral's 16-node, 4-panel rule).  It bounds the temporaries:
-# larger blocks raise the memory peak of a many-interval table such as the
-# one an IndefiniteIntegral builds.
+# indefinite integral's 16-node, 4-panel rule) and of the indefinite
+# integral's fit.  It bounds the temporaries: larger blocks raise the memory
+# peak of a many-interval table or fit.
 _QUAD_BLOCK = 2048
 
 

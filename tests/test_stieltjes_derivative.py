@@ -41,6 +41,30 @@ def idjump():
     return Derivator.identity((0.0, 2.0)).with_jumps([(1.0, 1.0)])
 
 
+def _closed_form(g, p, P, a, ts):
+    """The integral of p over [a, t) against dg for each t of ``ts``, from an
+    antiderivative P of p: slope-weighted differences of P plus the atoms."""
+    bp, slopes = g.breakpoints, g.slopes
+    at_bp = np.concatenate(([0.0], np.cumsum(slopes * np.diff(P(bp)))))
+    atoms = np.concatenate(([0.0], np.cumsum(p(g.jump_points) * g.jump_sizes)))
+
+    def from_left(ts):
+        k = np.minimum(np.searchsorted(bp, ts, side="right") - 1, slopes.size - 1)
+        return (at_bp[k] + slopes[k] * (P(ts) - P(bp[k]))
+                + atoms[np.searchsorted(g.jump_points, ts, side="left")])
+
+    return from_left(ts) - from_left(np.array([a]))
+
+
+def _segments_derivator(rng, m=200, n_jumps=20):
+    """m slope segments on a regular grid of [0, 1], 30 % of them flat, and
+    n_jumps atoms: the shape of the benchmark's ftc-segments derivator."""
+    slopes = rng.uniform(0.5, 2.0, m)
+    slopes[rng.choice(m, size=round(0.3 * m), replace=False)] = 0.0
+    jumps = zip(np.sort(rng.uniform(0.02, 0.98, n_jumps)), rng.uniform(0.02, 0.2, n_jumps))
+    return Derivator((0.0, 1.0), breakpoints=np.arange(m + 1) / m, slopes=slopes, jumps=jumps)
+
+
 class TestDerivative:
     def test_derivator_derivative_of_itself_is_one(self, rng):
         for _ in range(10):
@@ -179,7 +203,20 @@ class TestIndefiniteIntegral:
             cum = [0.0]
             for lo, hi in zip(nodes[:-1], nodes[1:]):
                 cum.append(cum[-1] + integrate(g, f, lo, hi, F.quad))
-            assert np.array_equal([F(t) for t in nodes], cum)
+            # the table sums the fit's exact piece integrals, so it agrees
+            # with the chain to rounding, not bit for bit
+            cum = np.array(cum)
+            assert np.all(np.abs([F(t) for t in nodes] - cum) <= 1e-14 * (1.0 + np.abs(cum)))
+
+    def test_the_table_on_a_segments_derivator_matches_its_closed_form(self, rng):
+        p = lambda t: np.sin(3.0 * t) + t * t
+        P = lambda t: -np.cos(3.0 * t) / 3.0 + t ** 3 / 3.0
+        for _ in range(3):
+            g = _segments_derivator(rng)
+            F = indefinite_integral(lambda t: math.sin(3.0 * t) + t * t, g, 0.0)
+            nodes = np.union1d(g.breakpoints, g.jump_points)
+            exact = _closed_form(g, p, P, 0.0, nodes)
+            assert np.all(np.abs(F.batch(nodes) - exact) <= 1e-14 * (1.0 + np.abs(exact)))
 
     def test_no_integrand_calls_after_the_build(self, rng):
         for _ in range(4):
@@ -202,21 +239,20 @@ class TestIndefiniteIntegral:
 
     @pytest.mark.parametrize("degree", [0, 1, 7, 15])
     def test_polynomials_of_degree_below_the_fit_are_exact(self, rng, degree):
-        # closed form: slope-weighted antiderivative plus the atoms before t
+        # at random points and at every node, from the window's left end, a
+        # breakpoint and a random start
         for g in [Derivator.identity((0.0, 1.0)).with_jumps([(0.3, 0.5)]),
-                  random_derivator(rng, max_segments=200, max_jumps=20)]:
+                  random_derivator(rng, max_segments=200, max_jumps=20),
+                  _segments_derivator(rng)]:
             p = np.polynomial.Chebyshev(rng.normal(size=degree + 1), domain=[0.0, 1.0])
-            P = p.integ()
-            F = indefinite_integral(lambda t: float(p(t)), g, 0.0)
-            ts = np.concatenate((rng.uniform(0.0, 1.0, 200), g.breakpoints, g.jump_points))
-            bp, slopes = g.breakpoints, g.slopes
-            at_bp = np.concatenate(([0.0], np.cumsum(slopes * np.diff(P(bp)))))
-            k = np.minimum(np.searchsorted(bp, ts, side="right") - 1, slopes.size - 1)
-            atoms = np.concatenate(([0.0], np.cumsum(p(g.jump_points) * g.jump_sizes)))
-            exact = (at_bp[k] + slopes[k] * (P(ts) - P(bp[k]))
-                     + atoms[np.searchsorted(g.jump_points, ts, side="left")])
-            got = F.batch(ts)
-            assert np.all(np.abs(got - exact) <= 1e-14 * (1.0 + np.abs(exact)))
+            for a in [0.0, float(g.breakpoints[len(g.breakpoints) // 3]),
+                      float(rng.uniform(0.0, 0.5))]:
+                F = indefinite_integral(lambda t: float(p(t)), g, a)
+                ts = np.concatenate((rng.uniform(a, 1.0, 200), [a], g.breakpoints, g.jump_points))
+                ts = ts[ts >= a]
+                exact = _closed_form(g, p, p.integ(), a, ts)
+                got = F.batch(ts)
+                assert np.all(np.abs(got - exact) <= 1e-14 * (1.0 + np.abs(exact)))
 
     def test_random_smooth_integrands_agree_with_integrate(self, rng):
         from stieltjes import integrate
@@ -270,6 +306,34 @@ class TestIndefiniteIntegral:
         with pytest.raises(IntegrandError) as exc:
             indefinite_integral(f, idjump(), 0.0)
         assert 0.41 < exc.value.point < 0.43
+
+    @pytest.mark.parametrize("g, lo, hi", [
+        (Derivator.identity((0.0, 2.0)), 0.0, 2.0),
+        (Derivator((0.0, 2.0), breakpoints=[0.0, 0.7, 0.73, 2.0], slopes=[0.0, 1.5, 0.0]),
+         0.7, 0.73),
+    ])
+    def test_a_nan_patch_wider_than_the_sample_gap_raises_at_build(self, rng, g, lo, hi):
+        # no two neighbouring build samples in a sloped interval of width w
+        # lie more than (pi / 32) * min(w, W / 16) apart, W the window's width
+        width = 1.01 * math.pi / 32.0 * min(hi - lo, (g.window[1] - g.window[0]) / 16.0)
+        for c in np.concatenate((np.linspace(lo, hi - width, 17),
+                                 rng.uniform(lo, hi - width, 8))).tolist():
+            f = lambda t, c=c: math.nan if c < t < c + width else math.cos(5.0 * t)
+            with pytest.raises(IntegrandError) as exc:
+                indefinite_integral(f, g, 0.0)
+            assert c < exc.value.point < c + width
+
+    def test_a_build_samples_f_once_per_fit_node_and_atom(self, rng):
+        # 16 Chebyshev samples per sloped interval, 32 per halving (two
+        # halves), one per atom; the node table takes no samples of its own
+        g = _segments_derivator(rng)
+        calls = []
+        F = indefinite_integral(lambda t: calls.append(t) or math.sin(3.0 * t) + t * t, g, 0.0)
+        nodes = np.union1d(g.breakpoints, g.jump_points)
+        n_sloped = int(np.count_nonzero(g.eval(nodes[1:]) > g.eval_right(nodes[:-1])))
+        halvings = F._lo.size - (nodes.size - 1)
+        assert F.n_unresolved == 0
+        assert len(calls) <= 16 * n_sloped + 32 * halvings + g.jump_points.size
 
     def test_batch_rejects_points_outside(self):
         F = indefinite_integral(lambda t: 1.0, idjump(), 0.5)
@@ -481,7 +545,12 @@ class TestBlockLadderParity:
         # f afresh at each evaluation.  The NaN patch lies between the
         # abscissae that F's build samples, so the build succeeds.
         g = Derivator((0.0, 1.0), breakpoints=[0.0, 0.5, 1.0], slopes=[1.0, 1.5])
-        f = lambda t: math.nan if 0.424 < t < 0.427 else abs(t - 0.2517) + math.sin(t)
+        kinked = lambda t: abs(t - 0.2517) + math.sin(t)
+        built = []
+        indefinite_integral(lambda t: built.append(t) or kinked(t), g, 0.0)
+        patch = (0.424, 0.426)
+        assert not any(patch[0] < t < patch[1] for t in built)
+        f = lambda t: math.nan if patch[0] < t < patch[1] else kinked(t)
         assert indefinite_integral(f, g, 0.0).n_unresolved >= 1
         statuses = _check_ftc_against_the_reference(f, g, 40)
         # the first block of 16 points meets the patch in one ladder only
