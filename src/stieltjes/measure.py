@@ -7,13 +7,14 @@ finite sequence of such intervals; ``disjointify`` reduces it to the
 connected components of its union, after which the outer measure of the
 union is a plain finite sum.
 
-Integration against ``dg`` splits into the absolutely continuous part
-(piecewise-constant density given by the slopes) and the purely atomic part
-(a finite sum of ``f(d) * delta`` over the jumps inside ``[a, b)``).  The
-package's one quadrature kernel is here: ``_gl_nodes`` alone builds composite
-Gauss-Legendre panels, ``_gl_sums`` sums over many intervals at once and
-``_cumulative`` gives the integral over ``[a, t)`` for many ``t`` from one
-table.  ``solver`` and ``moduli`` use them for every integral, and
+The LS integral against ``dg`` splits into the slope part, f times the
+piecewise-constant slope, cut only where the slope changes, and the atoms, a
+separate running sum of ``f(d) * jump(d)`` over the jumps ``a <= d < t``.
+The package's one quadrature kernel is here: ``_gl_nodes`` alone builds
+composite Gauss-Legendre panels, ``_gl_sums`` sums over many intervals at
+once, and ``_cumulative`` gives the integral over ``[a, t)`` for many ``t``
+from one table; ``integrate`` is its one-end case.  ``solver`` and
+``moduli`` use them for every integral, and
 ``derivative.IndefiniteIntegral`` where its Chebyshev fit does not resolve f.
 """
 
@@ -199,24 +200,23 @@ def _atom_terms(f, atoms, sizes):
 def _cumulative(g, f, a, ts, quad):
     """The LS integral of ``f`` over ``[a, t)`` for every ``t >= a`` in ``ts``.
 
-    One table is cut at ``a``, at every ``t`` and at the breakpoints and
-    jumps of ``g`` in between; ``f`` is sampled only in ``[a, max(ts)]``.
+    The slope part is cut at ``a``, at every ``t`` and at the breakpoints
+    in between, and the atoms in ``[a, max(ts))`` are a second table; each
+    is one sequential ``cumsum`` from 0.0, and an atom at ``t`` is not
+    counted.  ``f`` is sampled only in ``[a, max(ts)]``.
     """
     end = ts.max()
-    bp, jp = g.breakpoints, g.jump_points
-    nodes = np.unique(np.concatenate((
-        [a], ts, bp[(bp > a) & (bp < end)], jp[(jp > a) & (jp < end)],
-    )))
-    lo, hi = nodes[:-1], nodes[1:]
-    inc = _slope_sums(g, f, lo, hi, quad)
-    jumps = g.jump(lo)
-    at = np.flatnonzero(jumps > 0.0)
-    inc[at] += _atom_terms(f, lo[at], jumps[at])
-    return np.concatenate(([0.0], np.cumsum(inc)))[np.searchsorted(nodes, ts)]
+    lo, hi = np.searchsorted(g.jump_points, (a, end))
+    atoms = g.jump_points[lo:hi]
+    atomic = np.cumsum(np.concatenate(([0.0], _atom_terms(f, atoms, g.jump_sizes[lo:hi]))))
+    bp = g.breakpoints
+    nodes = np.unique(np.concatenate(([a], ts, bp[(bp > a) & (bp < end)])))
+    smooth = np.cumsum(np.concatenate(([0.0], _slope_sums(g, f, nodes[:-1], nodes[1:], quad))))
+    return smooth[np.searchsorted(nodes, ts)] + atomic[np.searchsorted(atoms, ts, side="left")]
 
 
 def integrate(g, f, a, b, quad=None):
-    """The Lebesgue-Stieltjes integral of f over [a, b) against dg.
+    """The Lebesgue-Stieltjes integral of f over [a, b) against dg: ``_cumulative`` at b.
 
     The atom at ``a`` is included and the atom at ``b`` excluded, matching
     the half-open convention used everywhere in this package.  ``f`` is a
@@ -225,19 +225,4 @@ def integrate(g, f, a, b, quad=None):
     """
     a, b = float(a), float(b)
     _check_interval(g, a, b)
-    quad = quad or QuadratureConfig()
-
-    lo, hi = np.searchsorted(g.jump_points, (a, b))
-    atomic = 0.0
-    for term in _atom_terms(f, g.jump_points[lo:hi], g.jump_sizes[lo:hi]):
-        atomic += term  # in point order, as a running sum
-
-    # only the slope segments [bp[k], bp[k+1]) with bp[k] < b and bp[k+1] > a
-    # meet [a, b)
-    bp = g.breakpoints
-    k = np.arange(np.searchsorted(bp, a, side="right") - 1, np.searchsorted(bp, b, side="left"))
-    smooth = 0.0
-    for part in _slope_sums(g, f, np.maximum(bp[k], a), np.minimum(bp[k + 1], b), quad):
-        smooth += part  # in segment order, as a running sum
-
-    return smooth + atomic
+    return _cumulative(g, f, a, np.array([b]), quad or QuadratureConfig())[0]

@@ -543,6 +543,30 @@ def _phi_or_one(problem):
     return _One() if problem.phi is None else problem.phi
 
 
+def _weight(problem, ghat, t0, end):
+    """The problem's weight phi on [t0, end), or phi = 1 when it declares none.
+
+    Both growth bounds need phi >= 0.  A declared phi is sampled at the
+    Gauss-Legendre nodes of ghat's sloped segments in [t0, end] and at its
+    atoms in [t0, end); a negative or non-finite value raises
+    ``IntegrandError``.  phi = 1 takes no samples.
+    """
+    if problem.phi is None:
+        return _One()
+    bp, jp = ghat.breakpoints, ghat.jump_points
+    edges = np.concatenate(([t0], bp[(bp > t0) & (bp < end)], [end]))
+    live = ghat.slopes[ghat._segment(edges[:-1])] != 0.0
+    samples = np.concatenate((_gl_nodes(edges[:-1][live], edges[1:][live], _LIGHT_QUAD)[0],
+                              jp[(jp >= t0) & (jp < end)]))
+    vals = _sample_finite(problem.phi, samples, lambda v, q: IntegrandError(
+        f"weight returned {v} at t={samples[q]}; it must be finite and nonnegative",
+        point=samples[q],
+    ))
+    if np.any(vals < 0):
+        raise IntegrandError("weight must be finite and nonnegative")
+    return problem.phi
+
+
 class _AbsRhsAtX0:
     """``s -> max_i |f_i(s, x0)|`` over some rhs components; NaN propagates."""
 
@@ -573,19 +597,19 @@ def horizon_for_ball(problem):
     the rhs at x0 must stay below the ball radius R.  Sufficient, not
     necessary; failure for every tested sigma raises.  The candidates are
     the 64 multiples k * horizon / 64, k = 64..1, all read from one
-    ``_cumulative`` table per integral over [t0, t0+horizon).
+    ``_cumulative`` table per integral over [t0, t0+horizon).  A declared
+    phi must be finite and nonnegative (``_weight``).
     """
     if problem.ball_radius is None or problem.modulus is None:
         raise ConfigurationError("horizon_for_ball needs ball_radius and modulus")
     R = problem.ball_radius
     omega_R = float(problem.modulus(R))
-    phi = _phi_or_one(problem)
     ghat = sum_derivators(problem.derivators)
     t0 = problem.t0
 
     sigmas = np.linspace(problem.horizon, problem.horizon / 64, 64)
     ends = t0 + sigmas
-    weighted = _cumulative(ghat, phi, t0, ends, _LIGHT_QUAD)
+    weighted = _cumulative(ghat, _weight(problem, ghat, t0, ends[0]), t0, ends, _LIGHT_QUAD)
     accumulated = sum(
         _cumulative(g, _AbsRhsAtX0([f], problem._center), t0, ends, _LIGHT_QUAD)
         for g, f in zip(problem.derivators, problem.rhs)
@@ -605,8 +629,7 @@ def _weight_integral(phi, ghat, t0, end):
     The cut keeps the breakpoints, slopes and jumps strictly inside, so phi
     is not sampled past ``end``, and leaves out the atom at t0: it would add
     phi(t0) * omega(|x(t0) - x0|) * jump = 0 to the Bihari integral, as
-    x(t0) = x0 and omega(0) = 0.  phi must be finite and nonnegative at the
-    Gauss-Legendre nodes of the cut's sloped segments and at its atoms.
+    x(t0) = x0 and omega(0) = 0.
     """
     bp, jp = ghat.breakpoints, ghat.jump_points
     edges = np.concatenate(([t0], bp[(bp > t0) & (bp < end)], [end]))
@@ -614,15 +637,6 @@ def _weight_integral(phi, ghat, t0, end):
     inside = (jp > t0) & (jp < end)
     cut = Derivator((t0, end), breakpoints=edges, slopes=slopes,
                     jumps=zip(jp[inside], ghat.jump_sizes[inside]))
-    live = slopes != 0.0
-    samples = np.concatenate((_gl_nodes(edges[:-1][live], edges[1:][live], _LIGHT_QUAD)[0],
-                              cut.jump_points))
-    vals = _sample_finite(phi, samples, lambda v, q: IntegrandError(
-        f"weight returned {v} at t={samples[q]}; it must be finite and nonnegative",
-        point=samples[q],
-    ))
-    if np.any(vals < 0):
-        raise IntegrandError("weight must be finite and nonnegative")
     return IndefiniteIntegral(phi, cut, t0)
 
 
@@ -683,7 +697,7 @@ def apriori_bound(problem):
     t0 = problem.t0
     end = t0 + problem.horizon
     ghat = sum_derivators(problem.derivators)
-    h = _weight_integral(_phi_or_one(problem), ghat, t0, end)
+    h = _weight_integral(_weight(problem, ghat, t0, end), ghat, t0, end)
     biggest = _AbsRhsAtX0(problem.rhs, problem._center)
 
     ends = np.linspace(end, t0 + problem.horizon / 16, 16)

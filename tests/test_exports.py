@@ -1,4 +1,5 @@
-"""Every name in a module's ``__all__`` exists in that module; no module imports scipy."""
+"""Every name in a module's ``__all__`` exists in that module; no module imports scipy;
+the attributes that the benchmark's tracer patches exist."""
 
 import importlib
 import os
@@ -39,3 +40,18 @@ def test_no_module_imports_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module, name", [
+    ("stieltjes.solver", "integrate"),
+    ("stieltjes.derivative", "integrate"),
+    ("stieltjes.solver", "OmegaTransform"),
+    ("stieltjes.solver", "osgood_check"),
+    ("stieltjes.derivator", "Derivator.eval"),
+])
+def test_the_names_the_benchmark_tracer_patches_exist(module, name):
+    # bench/tracer.py wraps these attributes in place to count and time them
+    obj = importlib.import_module(module)
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)

@@ -23,6 +23,7 @@ from stieltjes import (
     sum_derivators,
 )
 from stieltjes import Classification
+from stieltjes.measure import _atom_terms, _check_interval, _cumulative, _slope_sums
 
 from conftest import random_cover, random_derivator
 
@@ -202,3 +203,104 @@ class TestIntegrate:
         whole = integrate(g, f, 0.0, 1.0)
         split = integrate(g, f, 0.0, 0.37) + integrate(g, f, 0.37, 1.0)
         assert whole == pytest.approx(split, abs=1e-12)
+
+
+def _reference_integrate(g, f, a, b, quad=None):
+    """The earlier ``integrate``: its own atom and segment searches and two running sums."""
+    a, b = float(a), float(b)
+    _check_interval(g, a, b)
+    quad = quad or QuadratureConfig()
+
+    lo, hi = np.searchsorted(g.jump_points, (a, b))
+    atomic = 0.0
+    for term in _atom_terms(f, g.jump_points[lo:hi], g.jump_sizes[lo:hi]):
+        atomic += term  # in point order, as a running sum
+
+    # only the slope segments [bp[k], bp[k+1]) with bp[k] < b and bp[k+1] > a
+    # meet [a, b)
+    bp = g.breakpoints
+    k = np.arange(np.searchsorted(bp, a, side="right") - 1, np.searchsorted(bp, b, side="left"))
+    smooth = 0.0
+    for part in _slope_sums(g, f, np.maximum(bp[k], a), np.minimum(bp[k + 1], b), quad):
+        smooth += part  # in segment order, as a running sum
+
+    return smooth + atomic
+
+
+class _Wavy:
+    """A smooth integrand with a numpy ``batch``, so that many rules stay cheap."""
+
+    def __init__(self, rng):
+        self.a, self.b, self.w = rng.normal(), rng.normal(), rng.uniform(1.0, 20.0)
+
+    def __call__(self, t):
+        return self.a + self.b * np.sin(self.w * t) - t * t
+
+    def batch(self, ts):
+        return self.a + self.b * np.sin(self.w * ts) - ts * ts
+
+
+class _Counting:
+    """A plain integrand that counts its samples."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return 1.0 + t
+
+
+class TestOneKernel:
+    RULES = [None, QuadratureConfig(order=8, panels=8), QuadratureConfig(order=16, panels=4)]
+
+    def test_integrate_has_the_bits_of_the_reference(self, rng):
+        for _ in range(200):
+            g = random_derivator(rng, max_segments=30, max_jumps=10)
+            f = _Wavy(rng)
+            left, right = g.window
+            ends = np.unique(np.concatenate((
+                g.breakpoints, g.jump_points, rng.uniform(left, right, 3))))
+            pairs = [(left, right), (left, rng.choice(ends[1:]))]
+            if g.jump_points.size:  # an end on an atom, the other on a breakpoint
+                d, p = rng.choice(g.jump_points), rng.choice(g.breakpoints)
+                if d != p:
+                    pairs.append((min(d, p), max(d, p)))
+            pairs += [tuple(np.sort(rng.choice(ends, 2, replace=False))) for _ in range(2)]
+            for a, b in pairs:
+                for quad in self.RULES:
+                    got = float(integrate(g, f, a, b, quad))
+                    want = float(_reference_integrate(g, f, a, b, quad))
+                    assert got.hex() == want.hex(), (a, b, quad)
+
+    @staticmethod
+    def hundred_jumps():
+        pts = np.linspace(0.0, 1.0, 102)[1:-1]
+        return Derivator.identity((0.0, 1.0)).with_jumps([(d, 0.01) for d in pts])
+
+    def test_integrate_samples_one_rule_per_segment_and_one_per_atom(self):
+        g = self.hundred_jumps()
+        for quad in self.RULES:
+            f = _Counting()
+            integrate(g, f, 0.0, 1.0, quad)
+            quad = quad or QuadratureConfig()
+            assert f.calls == quad.order * quad.panels + 100
+
+    @pytest.mark.parametrize("cuts", [(), (0.3, 0.55)], ids=["one-segment", "three-segments"])
+    @pytest.mark.parametrize("on_atoms", [False, True], ids=["ends-between-atoms", "ends-on-atoms"])
+    def test_cumulative_cuts_at_ends_and_breakpoints_not_at_atoms(self, cuts, on_atoms):
+        g = self.hundred_jumps()
+        g = Derivator(g.window, breakpoints=(0.0, *cuts, 1.0), slopes=[1.0] * (len(cuts) + 1),
+                      jumps=zip(g.jump_points, g.jump_sizes))
+        quad = QuadratureConfig(order=8, panels=8)
+        if on_atoms:
+            ends = np.concatenate(([1.0], g.jump_points[::7]))  # 15 of the 16 on atoms
+        else:
+            ends = np.linspace(1.0, 1.0 / 16, 16)
+        pieces = np.unique(np.concatenate(([0.0], ends, cuts))).size - 1
+        f = _Counting()
+        got = _cumulative(g, f, 0.0, ends, quad)
+        assert f.calls == pieces * quad.order * quad.panels + 100
+        # the atom at an end is left out of that end's integral
+        want = [integrate(g, lambda t: 1.0 + t, 0.0, t, quad) for t in ends]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)

@@ -694,13 +694,16 @@ class TestAprioriBound:
     @staticmethod
     def weighted_problem(phi):
         g = Derivator.identity((0.0, 1.0)).with_jumps([(0.5, 0.2)])
-        return IVProblem(0.0, 1.0, [1.0], [g], [lambda t, x: x[0]], modulus=LINEAR, phi=phi)
+        return IVProblem(0.0, 1.0, [1.0], [g], [lambda t, x: x[0]], modulus=LINEAR, phi=phi,
+                         ball_radius=1.0)
 
-    @pytest.mark.parametrize("phi", [lambda t: -1.0, lambda t: math.cos(4.0 * t)],
-                             ids=["minus-one", "cos-4t"])
-    def test_a_negative_weight_is_refused(self, phi):
+    @pytest.mark.parametrize("bound, phi", [
+        (apriori_bound, lambda t: -1.0), (apriori_bound, lambda t: math.cos(4.0 * t)),
+        (horizon_for_ball, lambda t: -1.0), (horizon_for_ball, lambda t: math.cos(4.0 * t)),
+    ], ids=["minus-one", "cos-4t", "horizon-minus-one", "horizon-cos-4t"])
+    def test_a_negative_weight_is_refused(self, bound, phi):
         with pytest.raises(IntegrandError, match="nonnegative"):
-            apriori_bound(self.weighted_problem(phi))
+            bound(self.weighted_problem(phi))
 
     @pytest.mark.parametrize("phi", [lambda t: t * t, lambda t: max(0.0, t - 0.5)],
                              ids=["t-squared", "ramp"])

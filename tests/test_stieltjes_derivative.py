@@ -16,6 +16,7 @@ from stieltjes import (
     DerivativeUndefinedError,
     IntegrandError,
     NoDerivativeError,
+    RightLimitError,
     StieltjesError,
     WindowDomainError,
     classify,
@@ -142,6 +143,30 @@ class TestDerivative:
         combo = stieltjes_derivative(lambda s: a * f1(s) + b * f2(s), g, t)
         parts = a * stieltjes_derivative(f1, g, t) + b * stieltjes_derivative(f2, g, t)
         assert combo == pytest.approx(parts, abs=1e-5)
+
+
+class TestRightLimit:
+    """The three refusals of the right-limit estimate at a jump d of a plain f."""
+
+    @staticmethod
+    def jump_at(d):
+        return Derivator.identity((0.0, 1.0)).with_jumps([(d, 1.0)])
+
+    def test_no_room_right_of_the_jump(self):
+        d = 1.0 - 2.0 ** -19  # only the steps 2^-19 and 2^-20 fit
+        with pytest.raises(RightLimitError, match="not enough room"):
+            stieltjes_derivative(lambda t: t, self.jump_at(d), d)
+
+    def test_non_finite_samples_right_of_the_jump(self):
+        f = lambda t: math.nan if t > 0.5 else t
+        with pytest.raises(RightLimitError, match="non-finite samples"):
+            stieltjes_derivative(f, self.jump_at(0.5), 0.5)
+
+    def test_a_ladder_of_plus_and_minus_one_does_not_converge(self):
+        # cos(pi * log2(2^-k)) = (-1)^k at every step of the ladder
+        f = lambda t: math.cos(math.pi * math.log2(t - 0.5)) if t > 0.5 else 0.0
+        with pytest.raises(RightLimitError, match="do not converge"):
+            stieltjes_derivative(f, self.jump_at(0.5), 0.5)
 
 
 class TestIndefiniteIntegral:
