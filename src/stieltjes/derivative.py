@@ -26,12 +26,14 @@ blocks of ``_LADDER_BLOCK`` points.
 dg`` once, as a piecewise polynomial: between the breakpoints and jumps of
 ``g``, a Chebyshev fit of f, integrated exactly and summed into the table of
 F at those points (Greengard 1991; Trefethen, *Approximation Theory and
-Approximation Practice*, ch. 19).  Evaluating F inside the derivative
-estimator then samples f no more, and its exact ``right_increment`` makes
-the recovered derivative at jump points exact to machine precision.
-``measure.integrate`` is the reference that F is tested against; a piece
-where the fit does not resolve f, such as one holding a kink, falls back to
-that quadrature.
+Approximation Practice*, ch. 19).  Only the pieces where the fit does not
+yet resolve f are halved, so a kink, a step or a cusp is split off by
+bisection (Pachon, Platte & Trefethen, *IMA J. Numer. Anal.* 30, 2010).  A
+piece is resolved when the error it adds to the integral is at most 1e-14
+of f's scale times the window's width; an f still unresolved when 4,096
+pieces would be live raises ``IntegrandError`` at build.  F then samples f
+no more, and its exact ``right_increment`` makes the recovered derivative
+at jump points exact to machine precision.
 """
 
 import math
@@ -47,9 +49,10 @@ from .errors import (
     RightLimitError,
     WindowDomainError,
 )
-from .measure import (
-    _QUAD_BLOCK, QuadratureConfig, _atom_terms, _sample_finite, _slope_sums, integrate,
-)
+from .measure import _QUAD_BLOCK, _atom_terms, _sample_finite
+# F never calls integrate; the benchmark's tracer (bench/tracer.py) patches
+# derivative.integrate, so the name stays importable from this module
+from .measure import integrate  # noqa: F401
 
 __all__ = [
     "stieltjes_derivative",
@@ -80,29 +83,20 @@ def _extrapolate(values):
     return (4.0 * w2 - w1) / 3.0
 
 
-def _converged(values, tol):
-    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    if not diffs:
-        return True
-    scale = 1.0 + abs(values[-1])
-    if diffs[-1] <= tol * scale:
-        return True
-    # non-convergent sequences keep oscillating at full amplitude
-    return diffs[-1] < 0.5 * max(diffs)
-
-
 def _right_limit(f, t, upper):
-    """Estimate f(t+) by sampling f along the step ladder right of t."""
+    """Estimate f(t+) from f along the step ladder right of t: the Richardson
+    estimates with and without the finest step must agree within ``_TOL_MATCH``."""
     samples = [f(t + h) for h in _H_STEPS if t + h <= upper]
-    if len(samples) < 3:
+    if len(samples) < 4:
         raise RightLimitError(f"not enough room right of t={t} to estimate f(t+)")
     if not all(math.isfinite(v) for v in samples):
         raise RightLimitError(f"f produced non-finite samples right of t={t}")
-    if not _converged(samples, _TOL_MATCH):
+    limit = _extrapolate(samples)
+    if abs(limit - _extrapolate(samples[:-1])) > _TOL_MATCH * (1.0 + abs(limit)):
         raise RightLimitError(
             f"samples of f right of t={t} do not converge; the right limit may not exist"
         )
-    return _extrapolate(samples)
+    return limit
 
 
 def _ladder_estimates(f, g, ts, lo, hi):
@@ -201,17 +195,16 @@ def stieltjes_derivative(f, g, t):
     return _decide(t, est_l, est_r)
 
 
-# The piecewise-polynomial fit of IndefiniteIntegral: f is interpolated at
-# _FIT_NODES first-kind Chebyshev points of a piece (interior points only); a
-# piece is resolved when its last three Chebyshev coefficients are at most
-# _FIT_TAIL times its largest one, and is halved otherwise, up to _FIT_DEPTH
-# times, and so is one wider than 1/_FIT_SPAN of the window.  Evaluation works
+# The piecewise-polynomial fit of IndefiniteIntegral (_fit_pieces): f is
+# interpolated at _FIT_NODES first-kind Chebyshev points of a piece (interior
+# points only), on pieces at most 1/_FIT_SPAN of the window wide, halved until
+# resolved to _FIT_TAIL with at most _FIT_BUDGET of them live.  Evaluation works
 # in blocks of _EVAL_BLOCK points, so the temporaries of a many-point batch
 # stay small.
 _FIT_NODES = 16
 _FIT_SPAN = 16
 _FIT_TAIL = 1e-14
-_FIT_DEPTH = 6
+_FIT_BUDGET = 4096
 _EVAL_BLOCK = 256
 # check_ftc evaluates the ladders of this many points at once: larger blocks
 # raise the memory peak of a round trip, smaller ones the per-call overhead
@@ -250,27 +243,43 @@ def _sample_blocks(f, ts):
     return vals
 
 
-def _fit_pieces(f, lo, hi, widest):
+def _fit_pieces(f, lo, hi, width):
     """Split each ``[lo[i], hi[i]]`` into pieces on which f is resolved.
 
     Returns the pieces' ends, the index i of the interval each comes from,
-    whether it is resolved, and the Chebyshev coefficients of f on it.
-    Pieces still unresolved after ``_FIT_DEPTH`` halvings are returned too.
-    A piece wider than ``widest`` is halved even when resolved: no two
-    neighbouring samples lie more than ``(pi / 32) * min(hi[i] - lo[i], widest)`` apart.
+    and the Chebyshev coefficients of f on it.  An interval is first cut into
+    equal pieces at most W / 16 wide, W = ``width`` the window's.  A piece of
+    half-width h is resolved when h times its last three coefficients is at
+    most 1e-14 * W times the larger of its own largest coefficient and the
+    largest of its interval's first fit: the error it adds to the integral,
+    not to f.  Unresolved pieces are halved, except one too narrow to halve
+    in floating point; when more than ``_FIT_BUDGET`` would be live, the fit
+    raises ``IntegrandError``.
     """
-    of = np.arange(lo.size)
+    scale = np.zeros(lo.size)  # the largest coefficient of each interval's first fit
+    n = np.maximum(np.ceil((hi - lo) * (_FIT_SPAN / width)), 1.0).astype(np.intp)
+    of = np.repeat(np.arange(lo.size), n)
+    j = np.arange(of.size) - np.repeat(np.cumsum(n) - n, n)  # a piece's rank in its interval
+    lo, hi, n = lo[of], hi[of], n[of]
+    lo, hi = lo + (hi - lo) * j / n, np.where(j + 1 == n, hi, lo + (hi - lo) * (j + 1) / n)
     out = []
-    for depth in range(_FIT_DEPTH + 1):
+    while True:
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         vals = _sample_blocks(f, (mid[:, None] + half[:, None] * _CHEB_X).ravel())
         coef = vals.reshape(lo.size, _FIT_NODES) @ _CHEB_FIT.T
         size = np.abs(coef)
-        ok = size[:, -3:].max(axis=1) <= _FIT_TAIL * size.max(axis=1)
-        # a piece too narrow to halve in floating point is kept as it is
-        done = ok & (hi - lo <= widest) | (depth == _FIT_DEPTH) | (mid == lo) | (mid == hi)
-        out.append((lo[done], hi[done], of[done], ok[done], coef[done]))
+        top = size.max(axis=1)
+        if not out:
+            np.maximum.at(scale, of, top)
+        tol = _FIT_TAIL * width * np.maximum(top, scale[of])
+        done = (size[:, -3:].max(axis=1) * half <= tol) | (mid == lo) | (mid == hi)
+        out.append((lo[done], hi[done], of[done], coef[done]))
         split = ~done
+        if 2 * np.count_nonzero(split) > _FIT_BUDGET:
+            t = float(mid[split][0])
+            raise IntegrandError(
+                f"the fit of f does not resolve it near t={t} within {_FIT_BUDGET} pieces",
+                point=t)
         lo = np.concatenate((lo[split], mid[split]))
         hi = np.concatenate((mid[split], hi[split]))
         of = np.concatenate((of[split], of[split]))
@@ -284,23 +293,17 @@ class IndefiniteIntegral:
 
     F is a piecewise polynomial built in one pass over f.  Between two nodes
     (breakpoints and jumps of ``g``), on a slope segment, f is interpolated
-    at Chebyshev points, halving each piece until the interpolant is
-    resolved to rounding and the piece is at most 1/16 of the window wide.
-    F there is F at the node, plus the node's atom, plus the slope times the
-    exact integral of the interpolant, summed by Clenshaw's recurrence; F at
-    the next node adds the integrals of all the interval's pieces.  So F
-    agrees with a chain of ``integrate`` calls to rounding, F(t) and
-    ``batch(ts)`` do not sample f after the build, and ``right_limit``
-    samples it once, at the atom.  The build samples f at every atom, and
-    no two neighbouring samples in a slope interval of width w lie more than
-    (pi / 32) * min(w, W / 16) apart, W the window's width: f non-finite on
-    a wider patch raises ``IntegrandError`` at build.
-
-    A piece still unresolved after ``_FIT_DEPTH`` halvings, such as one
-    holding a kink of f, falls back with the rest of its interval to the
-    quadrature of ``measure`` with the rule ``quad``: ``integrate`` from the
-    node in a call, the same panel sums in ``batch`` and for F at the
-    interval's end.  ``n_unresolved`` counts such pieces.
+    at Chebyshev points on pieces at most 1/16 of the window's width W wide,
+    each halved until the error it adds to F is at most 1e-14 * W times the
+    scale of f (``_fit_pieces``), so F is exact to rounding across a kink, a
+    step or a cusp.  F there is F at the node, plus the node's atom, plus
+    the slope times the exact integral of the interpolant, summed by
+    Clenshaw's recurrence; F at the next node adds the integrals of all the
+    interval's pieces.  The build samples f at every atom and at the fit's
+    nodes, no two neighbouring ones in a slope interval of width w more than
+    (pi / 32) * min(w, W / 16) apart.  It raises ``IntegrandError`` where f
+    is not finite, where F would not be, and where f is still unresolved
+    with ``_FIT_BUDGET`` = 4,096 pieces live.  After it, F never samples f.
 
     ``batch(ts)``, which ``F(ts)`` calls on an array, equals the calls one by
     one; through ``_sample_finite``, difference ladders and sampled
@@ -308,8 +311,8 @@ class IndefiniteIntegral:
     ``right_limit`` is exact: F(t+) = F(t) + f(t) * jump(t).
     """
 
-    quad = QuadratureConfig(order=16, panels=4)
-
+    # a sum that overflows leaves a non-finite entry, which the build refuses
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, f, g, a):
         left_w, right_w = g.window
         a = float(a)
@@ -324,25 +327,20 @@ class IndefiniteIntegral:
         slope = g.slopes[g._segment(lo)]
         live = np.flatnonzero(slope != 0.0)
         flat = np.flatnonzero(slope == 0.0)
-        plo, phi, of, ok, coef = _fit_pieces(f, lo[live], hi[live], (right_w - left_w) / _FIT_SPAN)
+        plo, phi, of, coef = _fit_pieces(f, lo[live], hi[live], right_w - left_w)
         of = live[of]
-        # a flat interval is one resolved piece with F constant on it
+        # a flat interval is one piece with F constant on it
         plo, phi = np.concatenate((plo, lo[flat])), np.concatenate((phi, hi[flat]))
         of = np.concatenate((of, flat))
-        ok = np.concatenate((ok, np.ones(flat.size, bool)))
         anti = np.concatenate((coef @ _CHEB_INT.T, np.zeros((flat.size, _FIT_NODES + 1))))
         order = np.argsort(plo, kind="stable")
-        plo, phi, of, ok, anti = plo[order], phi[order], of[order], ok[order], anti[order]
+        plo, phi, of, anti = plo[order], phi[order], of[order], anti[order]
         mid, half = (plo + phi) / 2.0, (phi - plo) / 2.0
         anti *= (slope[of] * half)[:, None]
 
-        # the table: each interval adds its atom and the exact integrals of
-        # its pieces or, where a piece is unresolved, the quadrature that a
-        # chain of integrate calls takes
+        # the table: each interval adds its atom and the exact integrals of its pieces
         whole = anti.sum(axis=1)
         inc = np.bincount(of, weights=whole, minlength=lo.size)
-        rough = np.unique(of[~ok])
-        inc[rough] = _slope_sums(g, f, lo[rough], hi[rough], self.quad)
         jumps = g.jump(lo)
         at = np.flatnonzero(jumps > 0.0)
         self._atoms = np.zeros(lo.size)  # f times the jump, at each node
@@ -351,36 +349,37 @@ class IndefiniteIntegral:
         start = self._cum[:-1] + self._atoms  # F just right of each node
 
         # F at each piece's left end: F right of its node plus the pieces
-        # before it in its interval.  From an unresolved piece to the end of
-        # its interval, F is integrated from the node, as a chain of integrate
-        # calls would do.
+        # before it in its interval
         first = np.searchsorted(of, of)  # the first piece of each piece's interval
-        before, bad = np.cumsum(whole) - whole, np.cumsum(~ok)
+        before = np.cumsum(whole) - whole
         base = start[of] + (before - before[first])
-        fitted = bad == (bad - ~ok)[first]
 
-        self.n_unresolved = int(np.count_nonzero(~ok))
         self._lo = plo  # piece left ends, ascending; every node but the last is one
         self._of = of  # node index of each piece's interval
-        self._fitted = fitted  # whether F on the piece comes from its fit
         # one row per piece: F at its left end, its midpoint, its half-width,
         # then the Chebyshev coefficients of F - base in the variable (t - mid) / half
         self._rows = np.column_stack((base, mid, half, anti))
+        # Clenshaw's partial sums on [-1, 1] stay within 34 times a row's sum
+        bound = np.abs(self._rows).sum(axis=1) * (2.0 * (_FIT_NODES + 1))
+        if not (np.isfinite(self._cum).all() and np.isfinite(bound).all()):
+            raise IntegrandError("the integral of f is not finite in double precision")
+
+    def _inside(self, t):
+        t = float(t)
+        if not self.a <= t <= self.g.window[1]:
+            raise WindowDomainError(f"t={t} outside [{self.a}, {self.g.window[1]}]")
+        return t
 
     def __call__(self, t):
         if getattr(t, "ndim", 0):  # np.ndim costs a microsecond a call
             return self.batch(t)
-        t = float(t)
-        if not self.a <= t <= self.g.window[1]:
-            raise WindowDomainError(f"t={t} outside [{self.a}, {self.g.window[1]}]")
+        t = self._inside(t)
         if t == self._nodes[-1]:
             return float(self._cum[-1])
         p = int(np.searchsorted(self._lo, t, side="right")) - 1
         k = int(self._of[p])
         if t == self._nodes[k]:
             return float(self._cum[k])
-        if not self._fitted[p]:
-            return float(self._cum[k] + integrate(self.g, self.f, self._nodes[k], t, self.quad))
         base, mid, half, *coef = self._rows[p].tolist()
         return base + _clenshaw(coef, (t - mid) / half)
 
@@ -397,21 +396,13 @@ class IndefiniteIntegral:
         return out
 
     def _batch_block(self, ts):
-        nodes = self._nodes
         p = np.searchsorted(self._lo, ts, side="right") - 1
         k = self._of[p]
         rows = self._rows[p]
         out = rows[:, 0] + _clenshaw(rows[:, 3:].T, (ts - rows[:, 1]) / rows[:, 2])
-        # [nodes[k], t) of an unresolved piece lies in one slope segment and
-        # holds no jump but the one at nodes[k]
-        fb = np.flatnonzero(~self._fitted[p] & (nodes[k] < ts) & (ts < nodes[-1]))
-        if fb.size:
-            kf = k[fb]
-            inc = _slope_sums(self.g, self.f, nodes[kf], ts[fb], self.quad) + self._atoms[kf]
-            out[fb] = self._cum[kf] + inc
-        on = np.flatnonzero(nodes[k] == ts)
+        on = np.flatnonzero(self._nodes[k] == ts)
         out[on] = self._cum[k[on]]
-        out[ts == nodes[-1]] = self._cum[-1]
+        out[ts == self._nodes[-1]] = self._cum[-1]
         return out
 
     def right_limit(self, t):
@@ -419,8 +410,10 @@ class IndefiniteIntegral:
         return self(t) + self.right_increment(t)
 
     def right_increment(self, t):
-        """F(t+) - F(t) without cancellation; zero off the jump set."""
-        return self.f(t) * self.g.jump(t)
+        """F(t+) - F(t), the atom term f(t) * jump(t) of the build; zero off the jump set."""
+        t = self._inside(t)
+        k = int(np.searchsorted(self._nodes, t))
+        return float(self._atoms[k]) if k < self._atoms.size and self._nodes[k] == t else 0.0
 
 
 def indefinite_integral(f, g, a):
@@ -477,10 +470,9 @@ def check_ftc(f, g, a, b, sample_count=20):
     outside it are dropped, as ``stieltjes_derivative`` drops those outside
     the window.  The ladders of the uniform points where g is continuous
     are evaluated ``_LADDER_BLOCK`` points at a time, with one ``g.eval``
-    and one ``F.batch`` call per block; the points of a block that meets a
-    non-finite value of F are evaluated again one at a time, so every
-    sample gets the status its own ladder gives.  Jump points go through
-    ``stieltjes_derivative``.  f is evaluated once per sample; where f(t)
+    and one ``F.batch`` call per block; F is finite and samples f no more
+    after its build, so a block never fails as a whole.  Jump points go
+    through ``stieltjes_derivative``.  f is evaluated once per sample; where f(t)
     or the derivative is not finite, the sample is ``"failed"``.  ``a >= b``
     and ``b > R`` raise ``WindowDomainError``.
     """
@@ -514,10 +506,7 @@ def check_ftc(f, g, a, b, sample_count=20):
     estimates = {}
     for s in range(0, plain.size, _LADDER_BLOCK):
         block = plain[s:s + _LADDER_BLOCK]
-        try:
-            estimates.update(zip(block.tolist(), _ladder_estimates(F, g, ts[block], a, right)))
-        except IntegrandError:
-            pass  # the block's points are evaluated one at a time below
+        estimates.update(zip(block.tolist(), _ladder_estimates(F, g, ts[block], a, right)))
 
     report = FtcReport()
     for i, t in enumerate(ts.tolist()):
@@ -527,8 +516,7 @@ def check_ftc(f, g, a, b, sample_count=20):
             continue
         try:
             if continuous[i]:
-                est = estimates.get(i) or _ladder_estimates(F, g, ts[i:i + 1], a, right)[0]
-                d = _decide(t, *est)
+                d = _decide(t, *estimates[i])
             else:
                 d = stieltjes_derivative(F, g, t)
         except DerivativeUndefinedError:

@@ -14,8 +14,10 @@ The package's one quadrature kernel is here: ``_gl_nodes`` alone builds
 composite Gauss-Legendre panels, ``_gl_sums`` sums over many intervals at
 once, and ``_cumulative`` gives the integral over ``[a, t)`` for many ``t``
 from one table; ``integrate`` is its one-end case.  ``solver`` and
-``moduli`` use them for every integral, and
-``derivative.IndefiniteIntegral`` where its Chebyshev fit does not resolve f.
+``moduli`` use them for every integral.  ``derivative.IndefiniteIntegral``
+fits f instead: it halves each piece of its Chebyshev fit until the piece
+adds at most 1e-14 of f's scale times the window's width to the integral,
+and refuses an f still unresolved with 4,096 pieces live.
 """
 
 import math
@@ -54,9 +56,9 @@ class QuadratureConfig:
 
 
 # Samples per _sample_finite call of the quadrature (32 intervals of the
-# indefinite integral's 16-node, 4-panel rule) and of the indefinite
-# integral's fit.  It bounds the temporaries: larger blocks raise the memory
-# peak of a many-interval table or fit.
+# growth bounds' 8-node, 8-panel rule) and of the indefinite integral's fit.
+# It bounds the temporaries: larger blocks raise the memory peak of a
+# many-interval table or fit.
 _QUAD_BLOCK = 2048
 
 

@@ -543,28 +543,27 @@ def _phi_or_one(problem):
     return _One() if problem.phi is None else problem.phi
 
 
-def _weight(problem, ghat, t0, end):
-    """The problem's weight phi on [t0, end), or phi = 1 when it declares none.
+class _Nonnegative:
+    """A weight phi that refuses, with ``IntegrandError``, a sample that is not
+    finite and nonnegative: the growth bounds check phi on their integrals' samples."""
 
-    Both growth bounds need phi >= 0.  A declared phi is sampled at the
-    Gauss-Legendre nodes of ghat's sloped segments in [t0, end] and at its
-    atoms in [t0, end); a negative or non-finite value raises
-    ``IntegrandError``.  phi = 1 takes no samples.
-    """
-    if problem.phi is None:
-        return _One()
-    bp, jp = ghat.breakpoints, ghat.jump_points
-    edges = np.concatenate(([t0], bp[(bp > t0) & (bp < end)], [end]))
-    live = ghat.slopes[ghat._segment(edges[:-1])] != 0.0
-    samples = np.concatenate((_gl_nodes(edges[:-1][live], edges[1:][live], _LIGHT_QUAD)[0],
-                              jp[(jp >= t0) & (jp < end)]))
-    vals = _sample_finite(problem.phi, samples, lambda v, q: IntegrandError(
-        f"weight returned {v} at t={samples[q]}; it must be finite and nonnegative",
-        point=samples[q],
-    ))
-    if np.any(vals < 0):
-        raise IntegrandError("weight must be finite and nonnegative")
-    return problem.phi
+    def __init__(self, phi):
+        self.phi = phi
+
+    def __call__(self, t):
+        return float(self.batch(np.array([float(t)]))[0])
+
+    def batch(self, ts):
+        def refuse(v, q):
+            return IntegrandError(
+                f"weight returned {v} at t={ts[q]}; it must be finite and nonnegative",
+                point=ts[q])
+
+        vals = _sample_finite(self.phi, ts, refuse)
+        negative = np.flatnonzero(vals < 0.0)
+        if negative.size:
+            raise refuse(vals[negative[0]], negative[0])
+        return vals
 
 
 class _AbsRhsAtX0:
@@ -598,7 +597,7 @@ def horizon_for_ball(problem):
     necessary; failure for every tested sigma raises.  The candidates are
     the 64 multiples k * horizon / 64, k = 64..1, all read from one
     ``_cumulative`` table per integral over [t0, t0+horizon).  A declared
-    phi must be finite and nonnegative (``_weight``).
+    phi must be finite and nonnegative at every sample (``_Nonnegative``).
     """
     if problem.ball_radius is None or problem.modulus is None:
         raise ConfigurationError("horizon_for_ball needs ball_radius and modulus")
@@ -609,7 +608,7 @@ def horizon_for_ball(problem):
 
     sigmas = np.linspace(problem.horizon, problem.horizon / 64, 64)
     ends = t0 + sigmas
-    weighted = _cumulative(ghat, _weight(problem, ghat, t0, ends[0]), t0, ends, _LIGHT_QUAD)
+    weighted = _cumulative(ghat, _Nonnegative(_phi_or_one(problem)), t0, ends, _LIGHT_QUAD)
     accumulated = sum(
         _cumulative(g, _AbsRhsAtX0([f], problem._center), t0, ends, _LIGHT_QUAD)
         for g, f in zip(problem.derivators, problem.rhs)
@@ -683,7 +682,8 @@ def apriori_bound(problem):
     by 10^4 at a time up to r = 1e120.  The candidates are t1 = t0 + k *
     horizon / 16, k = 16..1, and kappa is read for all of them from one
     ``_cumulative`` table over [t0, t0+horizon).  The weighted measure h is
-    an ``IndefiniteIntegral`` of phi, exact to rounding (``_weight_integral``).
+    an ``IndefiniteIntegral`` of phi, exact to rounding (``_weight_integral``);
+    phi must be finite and nonnegative at its samples and at an atom at t0.
     """
     if problem.modulus is None:
         raise ConfigurationError("apriori_bound needs a declared modulus")
@@ -697,7 +697,10 @@ def apriori_bound(problem):
     t0 = problem.t0
     end = t0 + problem.horizon
     ghat = sum_derivators(problem.derivators)
-    h = _weight_integral(_weight(problem, ghat, t0, end), ghat, t0, end)
+    phi = _Nonnegative(_phi_or_one(problem))
+    if ghat.jump(t0) > 0.0:
+        phi.batch(np.array([t0]))  # h leaves out the atom at t0; phi must be >= 0 there too
+    h = _weight_integral(phi, ghat, t0, end)
     biggest = _AbsRhsAtX0(problem.rhs, problem._center)
 
     ends = np.linspace(end, t0 + problem.horizon / 16, 16)

@@ -711,6 +711,15 @@ class TestAprioriBound:
         bound = apriori_bound(self.weighted_problem(phi))
         assert bound.kappa > 0.0 and not bound.zero_kappa
 
+    @pytest.mark.parametrize("bound", [apriori_bound, horizon_for_ball])
+    def test_a_weight_negative_only_at_an_atom_at_t0_is_refused(self, bound):
+        # the weighted measure of apriori_bound leaves that atom out
+        g = Derivator.identity((-1.0, 1.0)).with_jumps([(0.0, 0.3)])
+        p = IVProblem(0.0, 1.0, [1.0], [g], [lambda t, x: x[0]], modulus=LINEAR,
+                      phi=lambda t: -1.0 if t == 0.0 else 1.0, ball_radius=1.0)
+        with pytest.raises(IntegrandError, match=r"-1\.0 at t=0\.0; .* nonnegative"):
+            bound(p)
+
     def test_the_weighted_measure_is_exact(self):
         # h(t) = integral of phi over [0, t) against t + 0.2 [t > 0.5]
         phi = lambda t: 1.0 + 0.3 * math.cos(t)

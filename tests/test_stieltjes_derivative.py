@@ -6,6 +6,8 @@ machine precision because the atom increment is computed symbolically.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from stieltjes.derivative import (
     stieltjes_derivative,
 )
 from stieltjes.expr import ExprFunction, parse
-from stieltjes.measure import _sample_finite
+from stieltjes.measure import QuadratureConfig, _sample_finite
 from stieltjes.topology import check_g_continuity_sampled
 
 from conftest import random_derivator, random_smooth_function
@@ -55,6 +57,22 @@ def _closed_form(g, p, P, a, ts):
                 + atoms[np.searchsorted(g.jump_points, ts, side="left")])
 
     return from_left(ts) - from_left(np.array([a]))
+
+
+# the 16-node, 4-panel rule that integrate takes per interval in the
+# comparisons with a chain of integrate calls
+_GL16 = QuadratureConfig(order=16, panels=4)
+
+# integrands with a kink, a step and a cusp at _C, each with an antiderivative
+_C = 0.3173
+_SINGULAR = {
+    "kink": (lambda t: np.abs(t - _C) + np.sin(t),
+             lambda t: (t - _C) * np.abs(t - _C) / 2.0 - np.cos(t)),
+    "step": (lambda t: np.where(t >= _C, 1.0, 0.0),
+             lambda t: np.maximum(t - _C, 0.0)),
+    "cusp": (lambda t: np.sqrt(np.abs(t - _C)),
+             lambda t: np.sign(t - _C) * np.abs(t - _C) ** 1.5 * (2.0 / 3.0)),
+}
 
 
 def _segments_derivator(rng, m=200, n_jumps=20):
@@ -168,6 +186,21 @@ class TestRightLimit:
         with pytest.raises(RightLimitError, match="do not converge"):
             stieltjes_derivative(f, self.jump_at(0.5), 0.5)
 
+    @pytest.mark.parametrize("right, at", [
+        (lambda h: math.sin(1.0 / h), 0.0),  # no right limit
+        (lambda h: 2.0 + math.sqrt(h), 1.0),  # f(0.5+) = 2, but not a series in h
+        (lambda h: h ** 0.25, 0.0),  # f(0.5+) = 0, as slowly
+    ], ids=["sin-of-reciprocal", "two-plus-sqrt", "fourth-root"])
+    def test_a_ladder_that_does_not_pin_the_limit_down_raises(self, right, at):
+        f = lambda t: right(t - 0.5) if t > 0.5 else at
+        with pytest.raises(RightLimitError, match="do not converge"):
+            stieltjes_derivative(f, self.jump_at(0.5), 0.5)
+
+    def test_a_smooth_f_with_a_jump_keeps_its_derivative(self):
+        # f(0.5+) - f(0.5) = 1 over the unit jump of g
+        f = lambda t: math.cos(t) + (t > 0.5)
+        assert abs(stieltjes_derivative(f, self.jump_at(0.5), 0.5) - 1.0) <= 1e-12
+
 
 class TestIndefiniteIntegral:
     def test_constant_integrand_recovers_g(self):
@@ -227,7 +260,7 @@ class TestIndefiniteIntegral:
                 ([a], g.breakpoints[g.breakpoints > a], g.jump_points[g.jump_points >= a])))
             cum = [0.0]
             for lo, hi in zip(nodes[:-1], nodes[1:]):
-                cum.append(cum[-1] + integrate(g, f, lo, hi, F.quad))
+                cum.append(cum[-1] + integrate(g, f, lo, hi, _GL16))
             # the table sums the fit's exact piece integrals, so it agrees
             # with the chain to rounding, not bit for bit
             cum = np.array(cum)
@@ -250,17 +283,15 @@ class TestIndefiniteIntegral:
             calls = []
             f = lambda t: calls.append(t) or smooth(t)
             F = indefinite_integral(f, g, 0.0)
-            assert F.n_unresolved == 0
             calls.clear()
             ts = rng.uniform(0.0, 1.0, 300)
             for t in np.concatenate((ts, g.breakpoints, g.jump_points)):
                 F(t)
+                F.right_limit(t)
+                F.right_increment(t)
             F.batch(ts)
             check_g_continuity_sampled(F, g, [(0.5, 1e-3)])
             assert calls == []
-            for d in g.jump_points:
-                F.right_limit(d)
-            assert calls == g.jump_points.tolist()
 
     @pytest.mark.parametrize("degree", [0, 1, 7, 15])
     def test_polynomials_of_degree_below_the_fit_are_exact(self, rng, degree):
@@ -287,7 +318,7 @@ class TestIndefiniteIntegral:
             f = random_smooth_function(rng)
             F = indefinite_integral(f, g, 0.0)
             for t in rng.uniform(0.0, 1.0, 20).tolist():
-                ref = integrate(g, f, 0.0, t, F.quad)
+                ref = integrate(g, f, 0.0, t, _GL16)
                 assert abs(F(t) - ref) <= 1e-13 * (1.0 + abs(ref))
 
     @pytest.mark.parametrize("f", [
@@ -305,26 +336,71 @@ class TestIndefiniteIntegral:
             ref = integrate(g, f, 0.0, t)
             assert abs(F(t) - ref) <= 1e-13 * (1.0 + abs(ref))
 
-    def test_a_kink_falls_back_to_quadrature(self, rng):
-        from stieltjes import integrate
-
+    def test_a_kink_matches_its_closed_form(self, rng):
         # the kink at 0.2517 lies inside the slope segment [0.25, 0.5), in its
-        # first piece; the jump sits on a breakpoint, so the table and
-        # integrate cut alike
+        # first piece, next to the jump at 0.25
         g = Derivator((0.0, 1.0), breakpoints=[0.0, 0.25, 0.5, 1.0],
                       slopes=[1.0, 2.0, 0.5], jumps=[(0.25, 0.7)])
+        p = lambda t: np.abs(t - 0.2517) + np.sin(t)
+        P = lambda t: (t - 0.2517) * np.abs(t - 0.2517) / 2.0 - np.cos(t)
         calls = []
-        f = lambda t: calls.append(t) or abs(t - 0.2517) + math.sin(t)
-        F = indefinite_integral(f, g, 0.0)
-        assert F.n_unresolved >= 1
+        F = indefinite_integral(lambda t: calls.append(t) or float(p(t)), g, 0.0)
         calls.clear()
-        assert np.array_equal(F.batch(g.breakpoints), [F(t) for t in g.breakpoints])
+        ts = np.concatenate((rng.uniform(0.0, 1.0, 200), np.linspace(0.24, 0.27, 31),
+                             g.breakpoints))
+        exact = _closed_form(g, p, P, 0.0, ts)
+        got = F.batch(ts)
+        assert np.all(np.abs(got - exact) <= 1e-14 * (1.0 + np.abs(exact)))
+        assert np.array_equal(got, [F(t) for t in ts])
         assert calls == []
-        ts = np.concatenate((rng.uniform(0.0, 1.0, 200), np.linspace(0.24, 0.27, 31)))
-        for t in ts.tolist():
-            ref = integrate(g, f, 0.0, t, F.quad)
-            assert abs(F(t) - ref) <= 1e-13 * (1.0 + abs(ref))
-        assert np.array_equal(F.batch(ts), [F(t) for t in ts])
+
+    @pytest.mark.parametrize("kind", sorted(_SINGULAR))
+    @pytest.mark.parametrize("g", [
+        Derivator.identity((0.0, 1.0)),
+        Derivator((0.0, 1.0), breakpoints=[0.0, 0.25, 0.5, 1.0], slopes=[1.0, 2.0, 0.5],
+                  jumps=[(0.25, 0.7), (0.6, 0.3)]),
+        Derivator.identity((0.0, 1.0)).with_jumps([(0.1, 0.5), (_C, 0.2)]),
+    ], ids=["identity", "slopes-and-atoms", "atom-at-the-singularity"])
+    def test_a_singular_integrand_matches_its_closed_form(self, rng, kind, g):
+        # bisection splits the singularity off: F is exact to rounding, the
+        # build takes a bounded number of samples and F then takes none
+        p, P = _SINGULAR[kind]
+        calls = []
+        F = indefinite_integral(lambda t: calls.append(t) or float(p(t)), g, 0.0)
+        assert len(calls) <= 2000
+        calls.clear()
+        ts = np.concatenate((rng.uniform(0.0, 1.0, 300), _C + np.linspace(-1e-3, 1e-3, 101),
+                             [_C, 1.0], g.breakpoints, g.jump_points))
+        exact = _closed_form(g, p, P, 0.0, ts)
+        got = F.batch(ts)
+        assert np.all(np.abs(got - exact) <= 1e-14 * (1.0 + np.abs(exact)))
+        assert np.array_equal(got, [F(t) for t in ts])
+        for d, size in g.jumps:
+            assert F.right_limit(d) == F(d) + float(p(d)) * size
+            assert F.right_increment(d) == float(p(d)) * size
+        assert calls == []
+
+    def test_an_unresolvable_integrand_raises_at_build_within_the_budget(self):
+        # sin(1/(t - c)) oscillates ever faster towards c: the halving would
+        # go on without end; the piece budget stops it in seconds and a few MB
+        f = lambda t: math.sin(1.0 / (t - _C)) if t != _C else 0.0
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(IntegrandError, match="does not resolve") as exc:
+                indefinite_integral(f, Derivator.identity((0.0, 1.0)), 0.0)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(exc.value.point - _C) < 1e-3
+        assert elapsed < 20.0
+        assert peak < 32e6
+
+    def test_an_integral_beyond_double_precision_raises_at_build(self):
+        # every sample is finite, but F's table overflows
+        with pytest.raises(IntegrandError, match="not finite"):
+            indefinite_integral(lambda t: 1e308, Derivator((0.0, 4.0)), 0.0)
 
     def test_nan_on_a_subinterval_raises_at_build(self):
         f = lambda t: math.nan if 0.41 < t < 0.43 else t
@@ -357,13 +433,14 @@ class TestIndefiniteIntegral:
         nodes = np.union1d(g.breakpoints, g.jump_points)
         n_sloped = int(np.count_nonzero(g.eval(nodes[1:]) > g.eval_right(nodes[:-1])))
         halvings = F._lo.size - (nodes.size - 1)
-        assert F.n_unresolved == 0
         assert len(calls) <= 16 * n_sloped + 32 * halvings + g.jump_points.size
 
     def test_batch_rejects_points_outside(self):
         F = indefinite_integral(lambda t: 1.0, idjump(), 0.5)
         with pytest.raises(WindowDomainError):
             F.batch(np.array([0.7, 0.4]))
+        with pytest.raises(WindowDomainError):
+            F.right_increment(0.25)
 
 
 class TestFtc:
@@ -564,21 +641,3 @@ class TestBlockLadderParity:
                 f = random_smooth_function(rng)
                 statuses.update(_check_ftc_against_the_reference(f, g, n))
         assert statuses == {"ok", "skipped-constancy", "no-derivative"}
-
-    def test_a_nan_patch_of_f_fails_only_the_points_whose_ladder_meets_it(self):
-        # The kink leaves a piece of F unresolved, so right of it F integrates
-        # f afresh at each evaluation.  The NaN patch lies between the
-        # abscissae that F's build samples, so the build succeeds.
-        g = Derivator((0.0, 1.0), breakpoints=[0.0, 0.5, 1.0], slopes=[1.0, 1.5])
-        kinked = lambda t: abs(t - 0.2517) + math.sin(t)
-        built = []
-        indefinite_integral(lambda t: built.append(t) or kinked(t), g, 0.0)
-        patch = (0.424, 0.426)
-        assert not any(patch[0] < t < patch[1] for t in built)
-        f = lambda t: math.nan if patch[0] < t < patch[1] else kinked(t)
-        assert indefinite_integral(f, g, 0.0).n_unresolved >= 1
-        statuses = _check_ftc_against_the_reference(f, g, 40)
-        # the first block of 16 points meets the patch in one ladder only
-        assert statuses[:16].count("no-derivative") == 1
-        assert "no-derivative" in statuses[16:32] and "ok" in statuses[16:32]
-
