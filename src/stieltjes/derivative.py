@@ -172,11 +172,12 @@ def stieltjes_derivative(f, g, t):
     if not left_w <= t < right_w:
         raise WindowDomainError(f"t={t} outside [{left_w}, {right_w})")
 
-    for a, b in classify(g).constancy:
-        if a < t < b:
-            raise DerivativeUndefinedError(
-                f"t={t} lies in the constancy interval ({a}, {b}) of the derivator"
-            )
+    k = int(classify(g)._holding(t))
+    if k >= 0:
+        a, b = classify(g)._bounds[:, k].tolist()
+        raise DerivativeUndefinedError(
+            f"t={t} lies in the constancy interval ({a}, {b}) of the derivator"
+        )
 
     delta = g.jump(t)
     if delta > 0.0:
@@ -448,33 +449,23 @@ class FtcReport:
         )
 
 
-def _compared(f, t, derivative, relative):
-    """The sample comparing ``derivative`` with ``f(t)``; ``"failed"`` if either is not finite."""
-    expected = float(f(t))
-    error = abs(derivative - expected)
-    if relative:
-        error /= 1.0 + abs(expected)
-    if not math.isfinite(error):
-        return FtcSample(t=t, status="failed", derivative=derivative, expected=expected)
-    return FtcSample(t=t, status="ok", derivative=derivative, expected=expected, error=error)
-
-
 def check_ftc(f, g, a, b, sample_count=20):
     """Differentiate the indefinite integral of f and compare against f.
 
-    Samples every jump point in [a, b) plus ``sample_count`` uniform points;
-    points inside the constancy set are recorded as skipped (the derivative
-    is undefined there by design), and uniform points are nudged away from
-    jumps so the dyadic ladder of the estimator is not polluted by atoms.
-    F is defined on [a, R], R the right end of the window, and ladder steps
-    outside it are dropped, as ``stieltjes_derivative`` drops those outside
-    the window.  The ladders of the uniform points where g is continuous
-    are evaluated ``_LADDER_BLOCK`` points at a time, with one ``g.eval``
-    and one ``F.batch`` call per block; F is finite and samples f no more
-    after its build, so a block never fails as a whole.  Jump points go
-    through ``stieltjes_derivative``.  f is evaluated once per sample; where f(t)
-    or the derivative is not finite, the sample is ``"failed"``.  ``a >= b``
-    and ``b > R`` raise ``WindowDomainError``.
+    The samples are ``sample_count`` uniform points of [a, b), nudged away
+    from jumps so the dyadic ladder of the estimator is not polluted by
+    atoms, then every jump point in [a, b).  A sample inside the constancy
+    set, or where g is numerically flat at every tested scale, is skipped:
+    the derivative is undefined there by design.  At a jump
+    point ``stieltjes_derivative`` gives the derivative, compared relatively.
+    At any other point ``_decide`` takes its two ladder estimates, evaluated
+    ``_LADDER_BLOCK`` points at a time with one ``g.eval`` and one
+    ``F.batch`` call per block; F is finite and samples f no more after its
+    build, so a block never fails as a whole.  F is defined on [a, R], R the
+    right end of the window, and ladder steps outside it are dropped.  f is
+    evaluated once per sample; where f(t) or the derivative is not finite,
+    the sample is ``"failed"``.  ``a >= b`` and ``b > R`` raise
+    ``WindowDomainError``.
     """
     if not a < b:
         raise WindowDomainError(f"check_ftc needs a < b, got a={a}, b={b}")
@@ -494,15 +485,11 @@ def check_ftc(f, g, a, b, sample_count=20):
             if not a <= t < b:
                 continue
         points.append(t)
-    ts = np.array(sorted(set(points)), dtype=float)
+    ts = np.array(sorted(set(points)) + jump_pts, dtype=float)
 
-    # t lies in one of the disjoint open intervals (lo, hi) exactly when more
-    # of them start below t than end at or below it
-    lo, hi = np.array(classify(g).sorted_constancy(), dtype=float).reshape(-1, 2).T
-    skipped = np.searchsorted(lo, ts, side="left") > np.searchsorted(hi, ts, side="right")
-    continuous = ~skipped & (ts >= g.window[0]) & (ts < g.window[1])
-    continuous[continuous] = g.jump(ts[continuous]) == 0.0
-    plain = np.flatnonzero(continuous)
+    skipped = classify(g)._holding(ts) >= 0
+    at_jump = g.jump(ts) > 0.0
+    plain = np.flatnonzero(~skipped & ~at_jump)
     estimates = {}
     for s in range(0, plain.size, _LADDER_BLOCK):
         block = plain[s:s + _LADDER_BLOCK]
@@ -510,36 +497,28 @@ def check_ftc(f, g, a, b, sample_count=20):
 
     report = FtcReport()
     for i, t in enumerate(ts.tolist()):
-        if skipped[i]:
-            report.samples.append(FtcSample(t=t, status="skipped-constancy"))
-            report.n_skipped_constancy += 1
-            continue
+        d = None
         try:
-            if continuous[i]:
-                d = _decide(t, *estimates[i])
-            else:
+            if at_jump[i]:
                 d = stieltjes_derivative(F, g, t)
+            elif not skipped[i]:
+                d = _decide(t, *estimates[i])
         except DerivativeUndefinedError:
-            report.samples.append(FtcSample(t=t, status="skipped-constancy"))
-            report.n_skipped_constancy += 1
-            continue
+            pass
         except (NoDerivativeError, RightLimitError, IntegrandError):
             report.samples.append(FtcSample(t=t, status="no-derivative"))
             continue
-        sample = _compared(f, t, d, relative=False)
-        report.samples.append(sample)
-        if sample.status == "ok":
-            report.max_error_continuous = max(report.max_error_continuous, sample.error)
-
-    for d in jump_pts:
-        try:
-            got = stieltjes_derivative(F, g, d)
-        except (NoDerivativeError, RightLimitError, DerivativeUndefinedError, IntegrandError):
-            report.samples.append(FtcSample(t=d, status="no-derivative"))
+        if d is None:
+            report.samples.append(FtcSample(t=t, status="skipped-constancy"))
+            report.n_skipped_constancy += 1
             continue
-        sample = _compared(f, d, got, relative=True)
-        report.samples.append(sample)
-        if sample.status == "ok":
-            report.max_relative_error_jumps = max(report.max_relative_error_jumps, sample.error)
-
+        expected = float(f(t))
+        error = abs(d - expected) / (1.0 + abs(expected) if at_jump[i] else 1.0)
+        ok = math.isfinite(error)
+        report.samples.append(FtcSample(t=t, status="ok" if ok else "failed", derivative=d,
+                                        expected=expected, error=error if ok else None))
+        if ok and at_jump[i]:
+            report.max_relative_error_jumps = max(report.max_relative_error_jumps, error)
+        elif ok:
+            report.max_error_continuous = max(report.max_error_continuous, error)
     return report

@@ -15,9 +15,14 @@ equals the stored jump exactly at the jump abscissas and zero elsewhere.
 
 The classification of a derivator is the pair of its local-constancy set
 (maximal open intervals where the slope vanishes and no jump sits) and its
-discontinuity set.  ``from_classification`` inverts ``classify`` for maximal
-classifications, realising a prescribed pair as a concrete derivator whose
-continuous part has unit slope off the constancy set.
+discontinuity set.  A ``Classification`` keeps the sorted ends of its
+intervals, and ``Classification._holding`` names the interval that holds
+each of many points with two ``searchsorted`` calls: it is the one test of
+"t lies in the constancy set" that ``from_classification``, ``classify``,
+``stieltjes_derivative`` and ``check_ftc`` use.  ``from_classification``
+inverts ``classify`` for maximal classifications, realising a prescribed
+pair as a concrete derivator whose continuous part has unit slope off the
+constancy set.
 """
 
 import math
@@ -257,7 +262,7 @@ class Classification:
     enumeration orders.
     """
 
-    __slots__ = ("constancy", "discontinuities")
+    __slots__ = ("constancy", "discontinuities", "_bounds")
 
     def __init__(self, constancy=(), discontinuities=()):
         ivals = []
@@ -272,17 +277,26 @@ class Classification:
                 raise ConfigurationError(
                     f"constancy intervals ({a1}, {b1}) and ({a2}, {b2}) overlap"
                 )
+        self.constancy = tuple(ivals)
+        self._bounds = np.array(ivals_sorted, dtype=float).reshape(-1, 2).T
         pts = [float(d) for d in discontinuities]
         if len(set(pts)) != len(pts):
             raise ConfigurationError("discontinuity points must be distinct")
-        for d in pts:
-            for a, b in ivals_sorted:
-                if a < d < b:
-                    raise ConfigurationError(
-                        f"discontinuity {d} lies inside constancy interval ({a}, {b})"
-                    )
-        self.constancy = tuple(ivals)
+        for d, k in zip(pts, self._holding(pts).tolist()):
+            if k >= 0:
+                a, b = self._bounds[:, k].tolist()
+                raise ConfigurationError(
+                    f"discontinuity {d} lies inside constancy interval ({a}, {b})"
+                )
         self.discontinuities = tuple(pts)
+
+    def _holding(self, ts):
+        """For each t, the index in ``sorted_constancy()`` of the interval that
+        holds it, or -1: more intervals start below t than end at or below it."""
+        lo, hi = self._bounds
+        started = np.searchsorted(lo, ts, side="left")
+        ended = np.searchsorted(hi, ts, side="right")
+        return np.where(started > ended, ended, -1)
 
     def sorted_constancy(self):
         return tuple(sorted(self.constancy))
@@ -372,16 +386,14 @@ def from_classification(classification, window, weights=None):
     if any(not math.isfinite(w) or w <= 0 for w in weights):
         raise ConfigurationError("jump weights must be positive and finite")
 
-    ivals = classification.sorted_constancy()
-    bp = np.unique(np.concatenate([[left, right]] + [[a, b] for a, b in ivals]))
+    bp = np.unique(np.concatenate(([left, right], *classification._bounds)))
     mids = (bp[:-1] + bp[1:]) / 2.0
-    slopes = np.ones(bp.size - 1)
-    for a, b in ivals:
-        slopes[(mids > a) & (mids < b)] = 0.0
+    slopes = np.where(classification._holding(mids) >= 0, 0.0, 1.0)
 
     if left <= 0.0 <= right:
         # anchor = -(Lebesgue measure of [L, 0] minus its constancy part)
-        flat_below = sum(max(0.0, min(b, 0.0) - max(a, left)) for a, b in ivals)
+        flat_below = sum(max(0.0, min(b, 0.0) - max(a, left))
+                         for a, b in classification.sorted_constancy())
         anchor = -((0.0 - left) - flat_below)
     else:
         anchor = 0.0
@@ -410,30 +422,13 @@ def classify(g):
 
 
 def _classify(g):
-    left, right = g.window
-    runs = []
-    k = 0
-    while k < g.slopes.size:
-        if g.slopes[k] == 0.0:
-            start = g.breakpoints[k]
-            while k < g.slopes.size and g.slopes[k] == 0.0:
-                k += 1
-            runs.append((start, g.breakpoints[k]))
-        else:
-            k += 1
-
-    intervals = []
-    for a, b in runs:
-        cuts = [d for d in g.jump_points if a < d < b]
-        lo = a
-        for d in cuts:
-            intervals.append((lo, d))
-            lo = d
-        intervals.append((lo, b))
-    # open intervals inside (L, R); run endpoints already lie in [L, R]
-    intervals = [(a, b) for a, b in intervals if a < b]
-
+    # the runs of zero slope, each split at the jumps strictly inside it
+    flat = np.concatenate(([False], g.slopes == 0.0, [False]))
+    ends = g.breakpoints[np.flatnonzero(flat[1:] != flat[:-1])]
+    runs = Classification(zip(ends[0::2], ends[1::2]))
+    cuts = g.jump_points[runs._holding(g.jump_points) >= 0]
     return Classification(
-        constancy=intervals,
+        constancy=zip(np.sort(np.concatenate((ends[0::2], cuts))).tolist(),
+                      np.sort(np.concatenate((cuts, ends[1::2]))).tolist()),
         discontinuities=g.jump_points.tolist(),
     )

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.ma  # noqa: F401  numpy >= 2 would import it (1.2 MB) in the first np.unique call
 
-from .errors import IntegrandError, WindowDomainError
+from .errors import ConfigurationError, IntegrandError, WindowDomainError
 
 __all__ = [
     "QuadratureConfig",
@@ -52,7 +52,7 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if self.order < 1 or self.panels < 1:
-            raise ValueError("quadrature order and panel count must be >= 1")
+            raise ConfigurationError("quadrature order and panel count must be >= 1")
 
 
 # Samples per _sample_finite call of the quadrature (32 intervals of the

@@ -56,7 +56,7 @@ _RECIPROCAL_ORDER = 16  # Gauss-Legendre nodes per panel of _reciprocal_integral
 def exp_iter(k, t):
     """The k-fold iterated exponential; exp_iter(0, t) = t."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ConfigurationError("k must be >= 0")
     v = float(t)
     for i in range(k):
         try:
@@ -75,7 +75,7 @@ def exp_iter(k, t):
 def log_iter(k, t):
     """The k-fold iterated logarithm; requires t > exp_iter(k-1, 0)."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigurationError("k must be >= 1")
     t = float(t)
     if t <= exp_iter(k - 1, 0.0):
         raise ValueError(
@@ -107,7 +107,7 @@ def omega_k(k, t):
     branch point by construction.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigurationError("k must be >= 1")
     ek = _e_k(k)  # raises ModulusOverflowError for k >= 4
     plateau = _omega_k_plateau(k)
 
@@ -151,14 +151,14 @@ class OsgoodModulus:
     def validate(self, u0=1.0):
         """Sampled sanity check on 200 points of [1e-12, u0]: omega(0)=0, positive, nondecreasing."""
         if abs(float(self.evaluator(0.0))) > 1e-15:
-            raise ValueError(f"{self.name}: omega(0) must be 0")
+            raise ConfigurationError(f"{self.name}: omega(0) must be 0")
         grid = np.geomspace(1e-12, max(u0, 1e-12), 200)
         vals = _sample_finite(self, grid, lambda v, q: ConfigurationError(
             f"{self.name}: omega returned {v} at s={grid[q]}"))
         if np.any(vals <= 0):
-            raise ValueError(f"{self.name}: omega must be positive for s > 0")
+            raise ConfigurationError(f"{self.name}: omega must be positive for s > 0")
         if np.any(np.diff(vals) < -1e-12 * np.maximum(vals[:-1], 1.0)):
-            raise ValueError(f"{self.name}: omega must be nondecreasing")
+            raise ConfigurationError(f"{self.name}: omega must be nondecreasing")
         return self
 
 
@@ -294,11 +294,11 @@ class OmegaTransform:
         self.modulus = _as_modulus(modulus)
         self.u0 = float(u0)
         if self.u0 <= 0:
-            raise ValueError("u0 must be positive")
+            raise ConfigurationError("u0 must be positive")
         r_min = float(r_min) if r_min is not None else self.u0 * 1e-8
         r_max = float(r_max) if r_max is not None else self.u0 * 1e8
         if not 0 < r_min < self.u0 < r_max:
-            raise ValueError("need 0 < r_min < u0 < r_max")
+            raise ConfigurationError("need 0 < r_min < u0 < r_max")
 
         # decades as a difference of logs: r_max / r_min may overflow
         n = max(int(round(24 * (math.log10(r_max) - math.log10(r_min)))), 8)
@@ -409,7 +409,7 @@ def bihari_bound(kappa, h, a, b, transform):
     """
     kappa = float(kappa)
     if kappa <= 0:
-        raise ValueError("kappa must be positive")
+        raise ConfigurationError("kappa must be positive")
     omega_kappa = transform.omega_of(kappa)
     required = omega_kappa + h(b) - h(a)
     if required >= transform.upper:

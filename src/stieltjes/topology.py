@@ -82,11 +82,13 @@ class ContinuityReport:
 def check_g_continuity_sampled(f, g, probes):
     """Look for epsilon-delta counterexamples to g-continuity of f.
 
-    For each probe ``(t, eps)`` a delta ladder of nine rungs a decade apart,
-    from max(1, range of g) down, is scanned; a probe is REFUTED when even
-    the smallest delta admits a grid sample ``s`` with
-    ``|g(s) - g(t)| < delta`` but ``|f(s) - f(t)| >= eps``.  The sample grid
-    is 2000 uniform points over the window, augmented with the jump
+    Each probe ``(t, eps)`` has a delta ladder of nine rungs a decade apart,
+    from max(1, range of g) down.  A grid sample ``s`` refutes a delta when
+    ``|g(s) - g(t)| < delta`` but ``|f(s) - f(t)| >= eps``.  So the probe is
+    CONSISTENT at the largest rung that is at most the smallest g-gap of the
+    samples whose f-gap is at least eps, and REFUTED, with the first sample
+    that refutes the smallest rung as witness, when no rung is.  The sample
+    grid is 2000 uniform points over the window, augmented with the jump
     abscissas, the probes, and points on both sides of them (where
     left-continuous maps hide their limits).  ``f`` is sampled once on that
     grid, through ``f.batch`` when it offers one, and a non-finite value
@@ -113,23 +115,20 @@ def check_g_continuity_sampled(f, g, probes):
     f_samples = _sample_finite(f, samples, lambda v, q: IntegrandError(
         f"f returned {v} at t={samples[q]}", point=samples[q]))
 
+    deltas = [delta0 * (10.0 ** -j) for j in range(9)]
     report = ContinuityReport()
     for t, eps in probes:
         t = float(t)
         i = np.searchsorted(samples, t)  # every probe is a sample
-        f_gap = np.abs(f_samples - f_samples[i])
-        gt = g_samples[i]
-        for j in range(9):
-            delta = delta0 * (10.0 ** -j)
-            bad = (np.abs(g_samples - gt) < delta) & (f_gap >= eps)
-            if not bad.any():
-                report.probes.append(
-                    ContinuityProbe(t=t, eps=float(eps), verdict="CONSISTENT", delta=delta)
-                )
-                break
-        else:  # even the smallest delta admits a refuting sample
-            report.probes.append(ContinuityProbe(
-                t=t, eps=float(eps), verdict="REFUTED", delta=delta,
-                witness=float(samples[np.flatnonzero(bad)[0]]),
-            ))
+        g_gap = np.abs(g_samples - g_samples[i])
+        far = np.abs(f_samples - f_samples[i]) >= eps
+        # a delta admits no refuting sample when it is at most every far one's g-gap
+        closest = g_gap[far].min(initial=np.inf)
+        refuted = closest < deltas[-1]  # even the smallest delta admits a refuting sample
+        report.probes.append(ContinuityProbe(
+            t=t, eps=float(eps), verdict="REFUTED" if refuted else "CONSISTENT",
+            delta=next((d for d in deltas if d <= closest), deltas[-1]),
+            witness=float(samples[np.flatnonzero(far & (g_gap < deltas[-1]))[0]])
+            if refuted else None,
+        ))
     return report

@@ -214,6 +214,51 @@ class TestClassification:
         c = Classification(constancy=[(0, 1), (1, 2)], discontinuities=[1.0])
         assert len(c.constancy) == 2
 
+    def test_a_discontinuity_inside_names_the_first_one_and_its_interval(self):
+        with pytest.raises(ConfigurationError, match=(
+                r"discontinuity 2\.5 lies inside constancy interval \(2\.0, 3\.0\)")):
+            Classification(constancy=[(2, 3), (0, 1)], discontinuities=[1.0, 2.5, 0.5])
+
+    def test_holding_names_the_interval_a_scan_finds(self, rng):
+        for _ in range(200):
+            c = random_classification(rng)
+            ivals = c.sorted_constancy()
+            ts = np.concatenate((np.ravel(ivals), rng.uniform(-0.1, 1.1, 50),
+                                 c.discontinuities, [-np.inf, np.inf]))
+            expected = [next((k for k, (a, b) in enumerate(ivals) if a < t < b), -1)
+                        for t in ts]
+            assert c._holding(ts).tolist() == expected
+
+    def test_classify_matches_a_scan_of_the_segments(self, rng):
+        # on a grid of eighths, adjacent flat segments and jumps on breakpoints are common
+        for _ in range(1000):
+            bp = np.unique(np.concatenate(([0.0, 1.0], rng.integers(1, 8, 6) / 8)))
+            slopes = rng.uniform(0.5, 2.0, bp.size - 1)
+            slopes[rng.random(bp.size - 1) < 0.6] = 0.0
+            pts = np.unique(rng.integers(1, 16, int(rng.integers(0, 5))) / 16)
+            g = Derivator((0.0, 1.0), breakpoints=bp, slopes=slopes,
+                          jumps=zip(pts, np.ones(pts.size)))
+            c = classify(g)
+            assert c.constancy == _scan_constancy(g)
+            assert c.discontinuities == tuple(pts.tolist())
+
+
+def _scan_constancy(g):
+    """The constancy intervals by a scan over the segments: each run of zero
+    slope, cut at the jumps strictly inside it."""
+    intervals, k, m = [], 0, g.slopes.size
+    while k < m:
+        if g.slopes[k] != 0.0:
+            k += 1
+            continue
+        start = k
+        while k < m and g.slopes[k] == 0.0:
+            k += 1
+        a, b = g.breakpoints[start], g.breakpoints[k]
+        ends = [a, *(d for d in g.jump_points if a < d < b), b]
+        intervals += zip(ends[:-1], ends[1:])
+    return tuple((float(a), float(b)) for a, b in intervals)
+
 
 class TestFromClassification:
     def test_paper_style_harmonic_jumps(self):

@@ -16,7 +16,9 @@ from stieltjes import (
     ConfigurationError,
     Derivator,
     ModulusOverflowError,
+    StieltjesError,
 )
+from stieltjes.measure import QuadratureConfig
 from stieltjes.moduli import (
     OmegaTransform,
     _reciprocal_integral,
@@ -28,6 +30,30 @@ from stieltjes.moduli import (
     omega_k_modulus,
     osgood_check,
 )
+
+
+# each refuses an argument at construction, as a ValueError that is also a named error
+@pytest.mark.parametrize("build", [
+    lambda: QuadratureConfig(order=0),
+    lambda: QuadratureConfig(panels=0),
+    lambda: exp_iter(-1, 1.0),
+    lambda: log_iter(0, 2.0),
+    lambda: omega_k(0, 0.5),
+    lambda: OsgoodModulus(evaluator=lambda s: s + 1.0).validate(),
+    lambda: OsgoodModulus(evaluator=lambda s: -s).validate(),
+    lambda: OsgoodModulus(evaluator=lambda s: s * (1.5 - s)).validate(u0=1.4),
+    lambda: OmegaTransform(lambda s: s, 0.0),
+    lambda: OmegaTransform(lambda s: s, 1.0, r_min=2.0),
+    lambda: bihari_bound(0.0, lambda t: t, 0.0, 1.0, OmegaTransform(lambda s: s, 1.0)),
+], ids=[
+    "quadrature-order", "quadrature-panels", "exp-iter-k", "log-iter-k",
+    "omega-k-k", "modulus-at-zero", "modulus-negative", "modulus-decreasing",
+    "transform-u0", "transform-range", "bihari-kappa",
+])
+def test_bad_construction_arguments_raise_configuration_error(build):
+    with pytest.raises(ConfigurationError) as exc:
+        build()
+    assert isinstance(exc.value, StieltjesError) and isinstance(exc.value, ValueError)
 
 
 class TestIteratedExpLog:

@@ -8,6 +8,7 @@ Oracles used here:
 """
 
 import dataclasses
+import json
 import math
 from operator import add, mul
 
@@ -31,6 +32,7 @@ from stieltjes.moduli import OsgoodModulus, omega_k, omega_k_modulus
 from stieltjes.solver import (
     AprioriBound,
     IVProblem,
+    _AbsRhsAtX0,
     _check_ball,
     _GridData,
     apriori_bound,
@@ -1017,3 +1019,36 @@ class TestBatchedPathMatchesScalar:
         b = uniqueness_certificate(p_plain, n_samples=3000, seed=5)
         assert rhs[0].calls == 3  # three blocks, the second one scalar
         assert a.violations == b.violations
+
+    def test_reports_serialize_to_json(self):
+        p_expr, _ = self.cert_problems()
+        u = uniqueness_certificate(p_expr, n_samples=2000).to_dict()
+        c = caratheodory_bound_check(p_expr, 1.0, lambda t: 1.0, n_samples=2000).to_dict()
+        assert set(u) == {"verdict", "sampled", "n_samples", "osgood_verdicts",
+                          "n_violations", "violations", "phi_integrals"}
+        assert set(c) == {"passed", "r", "n_samples", "n_violations", "violations"}
+        assert (u["n_violations"], c["n_violations"]) == (138, 908)
+        assert len(u["violations"]) == len(c["violations"]) == 10  # the first ten only
+        assert set(u["violations"][0]) == {"t", "component", "lhs", "rhs"}
+        assert set(c["violations"][0]) == {"t", "component", "lhs", "bound"}
+        assert json.loads(json.dumps(u))["verdict"] == "UNVERIFIED"
+        assert json.loads(json.dumps(c))["passed"] is False
+
+    def test_growth_bounds_take_the_batched_max_of_expr_rhs(self, monkeypatch):
+        p_expr, p_plain = _omega_k_problems(ball_radius=0.5, modulus=omega_k_modulus(1))
+        answers = []
+        real = _AbsRhsAtX0.batch
+
+        def recorded(self, ss):
+            answers.append(real(self, ss))
+            return answers[-1]
+
+        monkeypatch.setattr(_AbsRhsAtX0, "batch", recorded)
+        sigma, bound = horizon_for_ball(p_expr), apriori_bound(p_expr)
+        assert answers and all(a is not None for a in answers)
+        answers.clear()
+        plain = apriori_bound(p_plain)
+        assert answers and all(a is None for a in answers)  # lambdas have no batch
+        assert sigma == horizon_for_ball(p_plain) == 0.296875
+        assert bound.t1 == plain.t1 == 1.0
+        assert bound.kappa == pytest.approx(plain.kappa, rel=1e-14, abs=0.0)

@@ -458,6 +458,16 @@ class TestFtc:
         assert 1.0 in [s.t for s in report.samples]
         assert all(type(s.t) is float for s in report.samples)
 
+    def test_jump_samples_are_compared_relatively(self, monkeypatch):
+        from stieltjes import derivative
+
+        monkeypatch.setattr(derivative, "stieltjes_derivative", lambda F, g, t: math.sin(t) + 1.0)
+        report = check_ftc(math.sin, idjump(), 0.0, 2.0, sample_count=4)
+        assert [s.t for s in report.samples] == [0.25, 0.75, 1.25, 1.75, 1.0]
+        expected = ((math.sin(1.0) + 1.0) - math.sin(1.0)) / (1.0 + math.sin(1.0))
+        assert report.samples[-1].error == report.max_relative_error_jumps == expected
+        assert report.max_error_continuous <= 1e-5
+
     def test_a_nan_value_of_f_is_failed_not_ok(self):
         # as a maximum, the NaN error would be hidden
         f = lambda t: math.nan if t == 0.25 else math.sin(t)

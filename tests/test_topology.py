@@ -170,3 +170,69 @@ class TestSampledContinuity:
                         vec_refuted = False
                         break
                 assert vec_refuted == (probe.verdict == "REFUTED")
+
+    def test_one_pass_matches_the_nine_rung_scan(self, rng):
+        verdicts, deltas = set(), set()
+        for _ in range(40):
+            g = random_derivator(rng, max_segments=8, max_jumps=3)
+            other = random_derivator(rng, max_segments=8, max_jumps=3)
+            f = _Recorded([g.eval, other.eval, lambda t: np.sin(20.0 * t)][rng.integers(3)])
+            probes = [(float(t), float(eps)) for t, eps in
+                      zip(rng.uniform(0.0, 1.0, 8), 10.0 ** rng.uniform(-6.0, 0.5, 8))]
+            probes += [(float(d), 1e-3) for d in other.jump_points]
+            got = [(p.verdict, p.delta.hex(), p.witness)
+                   for p in check_g_continuity_sampled(f, g, probes).probes]
+            assert got == _nine_rung_scan(f.samples, f(f.samples), g.eval(f.samples), probes)
+            verdicts.update(v for v, _, _ in got)
+            deltas.update(d for _, d, _ in got)
+        assert verdicts == {"CONSISTENT", "REFUTED"}
+        assert len(deltas) > 9  # rungs of several ladders
+
+    def test_g_gaps_that_equal_a_rung(self):
+        # delta0 = 1: a g-gap equal to a rung does not refute it, and a witness
+        # must refute the smallest rung, 1e-8, strictly
+        for g, f, t, delta, refuted in [
+            (Derivator.constant((0.0, 1.0)).with_jumps([(0.5, 1.0)]),
+             lambda s: float(s > 0.5), 0.25, 1.0, False),
+            (Derivator.constant((0.0, 1.0)).with_jumps([(0.2, 10.0 ** -8)]),
+             lambda s: float(s < 0.1 or 0.7 < s < 0.8), 0.5, 10.0 ** -8, True),
+        ]:
+            f = _Recorded(np.vectorize(f, otypes=[float]))
+            [probe] = check_g_continuity_sampled(f, g, [(t, 0.5)]).probes
+            witness = float(f.samples[f.samples > 0.7][0]) if refuted else None
+            assert (probe.delta, probe.witness) == (delta, witness)
+            assert [(probe.verdict, probe.delta.hex(), probe.witness)] == _nine_rung_scan(
+                f.samples, f(f.samples), g.eval(f.samples), [(t, 0.5)])
+
+
+class _Recorded:
+    """f, keeping the array of samples it was batched on."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, t):
+        return self.f(t)
+
+    def batch(self, ts):
+        self.samples = ts
+        return self.f(ts)
+
+
+def _nine_rung_scan(samples, f_samples, g_samples, probes):
+    """Each probe's verdict, delta bits and witness: every rung of the ladder
+    is a mask over all samples, from the largest delta down."""
+    delta0 = max(float(g_samples[-1] - g_samples[0]), 1.0)
+    out = []
+    for t, eps in probes:
+        i = np.searchsorted(samples, t)
+        f_gap = np.abs(f_samples - f_samples[i])
+        for j in range(9):
+            delta = delta0 * (10.0 ** -j)
+            bad = (np.abs(g_samples - g_samples[i]) < delta) & (f_gap >= eps)
+            if not bad.any():
+                out.append(("CONSISTENT", delta.hex(), None))
+                break
+        else:
+            out.append(("REFUTED", delta.hex(), float(samples[np.flatnonzero(bad)[0]])))
+    return out
