@@ -377,7 +377,7 @@ class IndefiniteIntegral:
         t = self._inside(t)
         if t == self._nodes[-1]:
             return float(self._cum[-1])
-        p = int(np.searchsorted(self._lo, t, side="right")) - 1
+        p = int(self._lo.searchsorted(t, "right")) - 1
         k = int(self._of[p])
         if t == self._nodes[k]:
             return float(self._cum[k])
@@ -413,7 +413,7 @@ class IndefiniteIntegral:
     def right_increment(self, t):
         """F(t+) - F(t), the atom term f(t) * jump(t) of the build; zero off the jump set."""
         t = self._inside(t)
-        k = int(np.searchsorted(self._nodes, t))
+        k = int(self._nodes.searchsorted(t))
         return float(self._atoms[k]) if k < self._atoms.size and self._nodes[k] == t else 0.0
 
 

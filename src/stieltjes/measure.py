@@ -60,6 +60,10 @@ class QuadratureConfig:
 # It bounds the temporaries: larger blocks raise the memory peak of a
 # many-interval table or fit.
 _QUAD_BLOCK = 2048
+# Samples per block of _sample_finite's scalar loop, which holds a block's
+# abscissas and values as Python lists: at 2,048 samples these lists take
+# about 130 KB, which would raise the memory peak of an FTC round trip.
+_SCALAR_BLOCK = 128
 
 
 @lru_cache(maxsize=32)
@@ -122,14 +126,19 @@ def outer_measure(g, cover):
 def _sample_finite(f, ts, fail, xs=None):
     """``f`` at every sample as a float array; non-finite values raise.
 
-    Samples are ``f(ts[q])``, or ``f(t, x)`` when states ``xs`` are given,
-    with ``t`` the float ``ts[q]`` and ``x`` the row ``xs[q]`` as a tuple of
-    floats (the scalar rhs protocol of ``solver.IVProblem``).  A callable
-    with a ``batch`` method is evaluated in one
-    ``f.batch(ts)`` / ``f.batch(ts, xs)`` call; when that returns ``None`` or
-    any non-finite value, or ``f`` has no ``batch``, the samples go through
-    the scalar loop, which is the reference and raises ``fail(v, q)`` at
-    the first non-finite sample ``q`` (or whatever ``f`` itself raises).
+    Samples are ``f(t)``, or ``f(t, x)`` when states ``xs`` are given, with
+    ``t`` the Python float ``ts[q]`` and ``x`` the row ``xs[q]`` (an array
+    or nested lists) as a tuple of floats (the scalar rhs protocol of
+    ``solver.IVProblem``).  A callable with a ``batch`` method is evaluated
+    in one ``f.batch(ts)`` / ``f.batch(ts, xs)`` call; when that returns
+    ``None`` or any non-finite value, or ``f`` has no ``batch``, the samples
+    go through the scalar loop, which is the reference and raises
+    ``fail(v, q)`` at the first non-finite sample ``q`` (or whatever ``f``
+    itself raises), sampling f no further.  The loop converts ``ts`` (and
+    ``xs``) to Python floats ``_SCALAR_BLOCK`` samples at a time and writes
+    each block's values into the array at once.  So f computes in Python
+    float arithmetic: ``1.0 / 0.0`` raises ``ZeroDivisionError`` in f, where
+    a numpy scalar would give ``inf`` and ``fail``.
     """
     batch = getattr(f, "batch", None)
     if batch is not None:
@@ -137,11 +146,23 @@ def _sample_finite(f, ts, fail, xs=None):
         if vals is not None and np.isfinite(vals).all():
             return vals
     vals = np.empty(len(ts))
-    for q, t in enumerate(ts):
-        v = float(f(t) if xs is None else f(float(t), tuple(xs[q].tolist())))
-        if not math.isfinite(v):
-            raise fail(v, q)
-        vals[q] = v
+    isfinite = math.isfinite
+    for s in range(0, len(ts), _SCALAR_BLOCK):
+        block = []
+        if xs is None:
+            for t in ts[s:s + _SCALAR_BLOCK].tolist():
+                v = float(f(t))
+                if not isfinite(v):
+                    raise fail(v, s + len(block))
+                block.append(v)
+        else:
+            rows = np.asarray(xs[s:s + _SCALAR_BLOCK], dtype=float).tolist()
+            for t, x in zip(ts[s:s + _SCALAR_BLOCK].tolist(), rows):
+                v = float(f(t, tuple(x)))
+                if not isfinite(v):
+                    raise fail(v, s + len(block))
+                block.append(v)
+        vals[s:s + len(block)] = block
     return vals
 
 

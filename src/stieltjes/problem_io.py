@@ -30,8 +30,8 @@ Expressions use the `expr` grammar; the rhs sees ``t`` and ``x1..xn``,
 while ``phi`` and an expression-defined modulus are unary maps written in
 the variable ``t``.  Each is compiled once, at load, into an
 ``expr.ExprFunction``, so the loaded problem speaks the batch protocol
-described on ``solver.IVProblem``.  The ``solver`` block accepts only the
-keys shown; output paths are strings.
+described on ``solver.IVProblem``.  The ``solver`` and ``output`` blocks
+accept only the keys shown; output paths are strings.
 
 Trace CSV columns are ``t, post_jump, x_1..x_n`` with one extra
 ``post_jump = 1`` row per grid point where any component jumps; floats are
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _SOLVER_DEFAULTS = {"method": "euler", "n_steps": 1000, "tol": 1e-10, "max_iter": 100}
+_OUTPUT_KEYS = ("trace_csv", "summary_json")
 
 
 @dataclass
@@ -77,6 +78,12 @@ class LoadedProblem:
 
 def _fail(where, message):
     raise ProblemFileError(f"{where}: {message}")
+
+
+def _refuse_unknown(where, section, known):
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        _fail(where, f"unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def _require(data, key, where, kind=None):
@@ -213,9 +220,7 @@ def load_problem_file(path):
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):
         _fail("solver", "expected an object")
-    unknown = sorted(set(solver) - set(_SOLVER_DEFAULTS))
-    if unknown:
-        _fail("solver", f"unknown key(s) {', '.join(map(repr, unknown))}")
+    _refuse_unknown("solver", solver, _SOLVER_DEFAULTS)
     sv = {**_SOLVER_DEFAULTS, **solver}
     method = sv["method"]
     if method not in ("euler", "picard"):
@@ -233,7 +238,8 @@ def load_problem_file(path):
     out = doc.get("output", {})
     if not isinstance(out, dict):
         _fail("output", "expected an object")
-    for key in ("trace_csv", "summary_json"):
+    _refuse_unknown("output", out, _OUTPUT_KEYS)
+    for key in _OUTPUT_KEYS:
         if out.get(key) is not None and not isinstance(out[key], str):
             _fail(f"output.{key}", "expected a path string")
 

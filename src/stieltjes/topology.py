@@ -117,9 +117,8 @@ def check_g_continuity_sampled(f, g, probes):
 
     deltas = [delta0 * (10.0 ** -j) for j in range(9)]
     report = ContinuityReport()
-    for t, eps in probes:
-        t = float(t)
-        i = np.searchsorted(samples, t)  # every probe is a sample
+    at = samples.searchsorted(probe_ts).tolist()  # every probe is a sample
+    for t, (_, eps), i in zip(probe_ts.tolist(), probes, at):
         g_gap = np.abs(g_samples - g_samples[i])
         far = np.abs(f_samples - f_samples[i]) >= eps
         # a delta admits no refuting sample when it is at most every far one's g-gap

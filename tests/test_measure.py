@@ -5,6 +5,8 @@ measure-sum identity runs to 1e-10 relative and integral additivity over sum
 derivators to 1e-8, matching the package-wide contracts.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,14 @@ from stieltjes import (
     sum_derivators,
 )
 from stieltjes import Classification
-from stieltjes.measure import _atom_terms, _check_interval, _cumulative, _slope_sums
+from stieltjes.measure import (
+    _SCALAR_BLOCK,
+    _atom_terms,
+    _check_interval,
+    _cumulative,
+    _sample_finite,
+    _slope_sums,
+)
 
 from conftest import random_cover, random_derivator
 
@@ -304,3 +313,103 @@ class TestOneKernel:
         # the atom at an end is left out of that end's integral
         want = [integrate(g, lambda t: 1.0 + t, 0.0, t, quad) for t in ends]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def _reference_sample(f, ts, fail, xs=None):
+    """The scalar loop of ``_sample_finite`` as it read when it iterated the array."""
+    vals = np.empty(len(ts))
+    for q, t in enumerate(ts):
+        v = float(f(t) if xs is None else f(float(t), tuple(xs[q].tolist())))
+        if not math.isfinite(v):
+            raise fail(v, q)
+        vals[q] = v
+    return vals
+
+
+class _Recording:
+    """A plain f of ``t`` or ``(t, x)`` that records its arguments; NaN at call ``bad``."""
+
+    def __init__(self, bad=None):
+        self.args, self.bad = [], bad
+
+    def __call__(self, t, x=None):
+        self.args.append((t, x))
+        if len(self.args) - 1 == self.bad:
+            return math.nan
+        v = math.sin(0.5 * t) + t / 3.0 + math.sqrt(abs(t))
+        return v if x is None else v + sum(x)
+
+
+def _edge_ts(rng, n):
+    ts = rng.uniform(-2.0, 2.0, n)
+    ts[rng.choice(n, 3, replace=False)] = [-0.0, 5e-324, 1e308]
+    return ts
+
+
+def _refuse(v, q):
+    return IntegrandError(f"f returned {v} at sample {q}", point=q)
+
+
+B = _SCALAR_BLOCK
+
+
+class TestScalarSampling:
+    SIZES = [0, 1, B - 1, B, B + 1, 3 * B + 17]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_plain_f_gets_python_floats_and_the_bits_of_the_reference(self, rng, n):
+        ts = _edge_ts(rng, max(n, 3))[:n]
+        f = _Recording()
+        got = _sample_finite(f, ts, _refuse)
+        assert [t for t, _ in f.args] == ts.tolist()
+        assert all(type(t) is float for t, _ in f.args)
+        want = _reference_sample(_Recording(), ts, _refuse)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_reach_f_as_tuples_of_floats(self, rng, n):
+        ts = _edge_ts(rng, max(n, 3))[:n]
+        xs = rng.uniform(-1.0, 1.0, (n, 2))
+        want = _reference_sample(_Recording(), ts, _refuse, xs)
+        for rows in (xs, xs.tolist()):
+            f = _Recording()
+            got = _sample_finite(f, ts, _refuse, xs=rows)
+            assert got.tobytes() == want.tobytes()
+            assert [x for _, x in f.args] == [tuple(row) for row in xs.tolist()]
+            assert all(type(t) is float for t, _ in f.args)
+            assert all(type(x) is tuple and all(type(c) is float for c in x)
+                       for _, x in f.args)
+
+    def test_integer_rows_become_floats(self):
+        f = _Recording()
+        _sample_finite(f, np.array([0.0, 1.0]), _refuse, xs=[[1, 2], [3, 4]])
+        assert [x for _, x in f.args] == [(1.0, 2.0), (3.0, 4.0)]
+        assert all(type(c) is float for _, x in f.args for c in x)
+
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["t", "t-and-x"])
+    @pytest.mark.parametrize("q", [0, B - 1, B, B + 1, 3 * B + 5])
+    def test_first_non_finite_sample_raises_at_its_index_and_stops(self, rng, q, with_rows):
+        n = 3 * B + 17  # q = 3B + 5 lies in the last, partial block
+        ts = rng.uniform(0.0, 1.0, n)
+        xs = rng.uniform(-1.0, 1.0, (n, 2)) if with_rows else None
+        seen = []
+
+        def fail(v, k):
+            seen.append((v, k, ts[k]))
+            return IntegrandError(f"f returned {v} at t={ts[k]}", point=ts[k])
+
+        f = _Recording(bad=q)
+        with pytest.raises(IntegrandError) as info:
+            _sample_finite(f, ts, fail, xs=xs)
+        assert len(f.args) == q + 1
+        [(v, k, t)] = seen
+        assert math.isnan(v) and k == q and t == ts[q]
+        assert info.value.point == ts[q]
+
+    def test_f_computes_in_python_float_arithmetic(self):
+        # a numpy scalar would give inf here, and fail(inf, 1)
+        calls = []
+        f = lambda t: calls.append(t) or 1.0 / (t - 0.5)
+        with pytest.raises(ZeroDivisionError):
+            _sample_finite(f, np.array([0.25, 0.5, 0.75]), _refuse)
+        assert calls == [0.25, 0.5]

@@ -181,6 +181,12 @@ class TestValidation:
         with pytest.raises(ProblemFileError, match="n_stpes"):
             load_problem_file(write_doc(tmp_path, doc))
 
+    def test_unknown_output_key(self, tmp_path):
+        # a misspelt trace_csv would otherwise run and write no CSV
+        doc = edited(output={"picard.csv": "trace.csv"})
+        with pytest.raises(ProblemFileError, match=r"output: unknown key\(s\) 'picard\.csv'"):
+            load_problem_file(write_doc(tmp_path, doc))
+
     def test_output_paths_are_strings(self, tmp_path):
         with pytest.raises(ProblemFileError, match="output.trace_csv"):
             load_problem_file(write_doc(tmp_path, edited(output={"trace_csv": 3})))

@@ -248,6 +248,26 @@ class TestIndefiniteIntegral:
             ts = ts[ts >= a]
             assert np.array_equal(F.batch(ts), [F(t) for t in ts])
 
+    def test_scalar_lookup_at_the_fits_own_piece_ends(self, rng):
+        # a kink and a square-root cusp make the fit halve, so its pieces end
+        # at points that are neither breakpoints nor jumps of g
+        f = lambda t: abs(t - 0.37) + math.sqrt(abs(t - 0.61))
+        for g in [Derivator.identity((0.0, 1.0)).with_jumps([(0.3, 0.5), (0.61, 0.25)]),
+                  _segments_derivator(rng)]:
+            right = g.window[1]
+            for a in [0.0, float(g.breakpoints[len(g.breakpoints) // 3])]:
+                F = indefinite_integral(f, g, a)
+                assert np.diff(F._lo).min() < 1e-6  # halved down to the cusp
+                ends = np.concatenate((F._lo, [a, right]))
+                ts = np.concatenate((ends, np.nextafter(ends, -np.inf),
+                                     np.nextafter(ends, np.inf)))
+                for t in ts[(ts >= a) & (ts <= right)].tolist():
+                    assert F(t) == F.batch([t])[0], t
+                for d in g.jump_points[g.jump_points >= a].tolist():
+                    assert F.right_increment(d) == f(d) * g.jump(d), d
+                    assert F.right_increment(np.nextafter(d, -np.inf)) == 0.0
+                    assert F.right_increment(np.nextafter(d, np.inf)) == 0.0
+
     def test_table_equals_a_chain_of_integrate_calls(self, rng):
         from stieltjes import integrate
 
