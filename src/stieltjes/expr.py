@@ -26,20 +26,27 @@ value, division by zero, overflow, ...) raise ``ExprDomainError`` carrying
 the byte offset of the variable or subexpression.
 
 ``ExprFunction`` writes the tree out as one straight-line Python function
-per backend, a local per node with every rule and finiteness check inline,
-from one table (``_OPS``) that spells each operation and rule once.  The
-backends differ only in the names they bind and in what a failed check does:
+per backend, a local per node with every rule inline, from one table
+(``_OPS``) that spells each operation and rule once.  The backends differ in
+the names they bind, in where they check that a value is finite, and in what
+a failed check does:
 
 * ``f(t, x)`` binds ``math`` and raises ``ExprDomainError`` (message and
   offset) or ``ModulusOverflowError``.  It is the reference semantics, and
-  only this scalar path reports errors.  The tests check it bit for bit
-  against a recursive walk of the tree.
+  only this scalar path reports errors.  It checks every input and every
+  value that can overflow, because its error names the first subexpression
+  that went non-finite.  The tests check it bit for bit against a recursive
+  walk of the tree.
 * ``f.batch(ts, xs) -> array`` binds numpy and evaluates ``m`` samples at
   once: ``ts`` has shape ``(m,)`` and ``xs`` shape ``(m, n)``, or is omitted
   for expressions in ``t`` alone.  It returns ``None`` when any sample
   breaks a rule; callers then run the scalar path, which raises the error.
-  Batched values agree with ``f`` up to the last-bit differences between
-  numpy's and libm's ``exp``, ``log`` and ``pow``.
+  It only needs to know that some sample went non-finite, not where, so it
+  checks the operands of the operations in ``_HIDES``, which can turn inf
+  or NaN into a finite value or must not receive one, and the result once;
+  every other operation carries inf or NaN through to the result or trips
+  a rule.  Batched values agree with ``f`` up to the last-bit differences
+  between numpy's and libm's ``exp``, ``log`` and ``pow``.
 
 This is the batch protocol that the sampling code of the package looks for
 (see ``solver.IVProblem``).
@@ -336,6 +343,12 @@ _OPS = {
 }
 
 
+# The operations that can map a non-finite operand to a finite value (1/inf,
+# inf^0, exp(-inf), sign, heaviside, min, max) or must not receive one
+# (omega_k raises ValueError): the batch backend checks their operands.
+_HIDES = frozenset({"/", "^", "exp", "sign", "heaviside", "min", "max", "omega_k"})
+
+
 # How the inputs are read from the arguments of ``f(t, x)``.  Code that holds
 # the inputs elsewhere, such as the Euler step loop with its state in locals,
 # passes its own spellings.
@@ -347,8 +360,10 @@ class _Bail(Exception):
 
 
 # A backend: the names of the table, the test of a rule's predicate, the test
-# that a value is not finite, and the statement that ends a failed check.  The
-# batch function takes ``x`` transposed, so that ``x[j]`` is component j in both.
+# that a value is not finite, the statement that ends a failed check, and the
+# operations whose operands are checked, or None to check each value that
+# ``_OPS`` gives a finiteness message.  The batch function takes ``x``
+# transposed, so that ``x[j]`` is component j in both.
 _SCALAR = (
     {
         "real": float, "trunc": int, "sin": math.sin, "cos": math.cos, "exp": math.exp,
@@ -358,6 +373,7 @@ _SCALAR = (
         "fail": ExprDomainError,
     },
     "{}", "{v} - {v} != 0.0", "raise fail({msg}, {pos}) from None",  # v - v is NaN for inf, NaN
+    None,
 )
 _BATCH = (
     {
@@ -372,7 +388,7 @@ _BATCH = (
         "any": np.logical_or.reduce, "isfinite": np.isfinite, "fail": _Bail,
     },
     # a subexpression without variables is a Python float, and its rule a bool
-    "any({}, axis=None)", "not isfinite({v}).all()", "raise fail",
+    "any({}, axis=None)", "not isfinite({v}).all()", "raise fail", _HIDES,
 )
 
 
@@ -418,15 +434,19 @@ def _walk(tree):
 
 
 def _source(tree, backend, prefix="v", reads=_READS, target="return {}"):
-    """The statements that compute ``tree``: one local per node, every check inline.
+    """The statements that compute ``tree``: one local per node, its checks inline.
 
+    Every backend checks every rule.  The scalar backend also checks each
+    value that ``_OPS`` gives a finiteness message, so that its error names
+    the subexpression; the batch backend checks only the operands of the
+    operations in ``_HIDES`` (``ExprFunction.batch`` checks the result).
     The locals are named ``prefix`` and a number, the inputs are read as
     ``reads`` spells them, and the last statement is ``target`` with the
     value's name or literal in place of ``{}``.  A node's value takes the name
     of a value no longer needed, so that a batch holds about as many arrays
     at once as a recursive evaluation.
     """
-    _, test, nonfinite, fail = backend
+    _, test, nonfinite, fail, checked = backend
     lines, inputs, temps, free, serial = [], {}, set(), [], itertools.count()
 
     def emit(node, vector=False):
@@ -452,11 +472,14 @@ def _source(tree, backend, prefix="v", reads=_READS, target="return {}"):
         def fails(message):
             return fail.format(msg="f" + repr(message.format(**text)), pos=node.pos)
 
+        if checked is not None and key in checked:  # a literal is finite
+            lines.extend(f"if {nonfinite.format(v=o)}: {fail}"
+                         for c, o in zip(_children(node), operands) if not isinstance(c, Num))
         lines.extend(f"if {test.format(pred.format(**code))}: {fails(msg)}" for pred, msg in rules)
         statement = f"{v} = {value.format(**code)}"
         lines.extend([statement] if guard is None else [
             "try:", f"    {statement}", f"except {guard[0]}:", f"    {fails(guard[1])}"])
-        if finite is not None:
+        if finite is not None and checked is None:
             lines.append(f"if {nonfinite.format(v=v)}: {fails(finite)}")
         if not operands:
             inputs[slot] = v
@@ -514,7 +537,13 @@ class ExprFunction:
                 out = self._batched(ts, xs.T)
         except (_Bail, ModulusOverflowError):
             return None
-        return np.array(np.broadcast_to(out, ts.shape), dtype=float)
+        if not np.isfinite(out).all():
+            return None
+        # a constant is a float and a bare variable a view of ts or xs; any
+        # other value is an array the batch function made
+        if np.ndim(out) == 0 or isinstance(self.tree, (VarT, VarX)):
+            return np.full(ts.shape, out, dtype=float)
+        return out
 
     def __repr__(self):
         return f"ExprFunction({self.source!r})"

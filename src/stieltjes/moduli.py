@@ -22,6 +22,7 @@ satisfies it is dominated by ``Omega^{-1}(Omega(kappa) + h(t) - h(a))``.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,16 +88,43 @@ def log_iter(k, t):
     return v
 
 
-def _e_k(k):
-    return exp_iter(k, 1.0)
-
-
-def _omega_k_plateau(k):
-    ek = _e_k(k)
+@lru_cache(maxsize=None)
+def _omega_k_constants(k):
+    """``(1/e_k, plateau)`` of ``omega_k``, computed once per k."""
+    if k < 1:
+        raise ConfigurationError("k must be >= 1")
+    ek = exp_iter(k, 1.0)  # raises ModulusOverflowError for k >= 4
     prod = 1.0
     for j in range(1, k + 1):
-        prod *= _e_k(j)
-    return prod / (ek * ek)
+        prod *= exp_iter(j, 1.0)
+    return 1.0 / ek, prod / (ek * ek)
+
+
+def _omega_k_branch(k, t):
+    """``t * prod_j log_iter(j, 1/t)`` for ``0 < t < 1/e_k``, a float or an array.
+
+    A float goes through the same numpy ``log`` as an array, so both give the
+    same bits."""
+    inner = -np.log(t)  # log(1/t); 1/t itself overflows below about 5.6e-309
+    acc = t * inner
+    for _ in range(k - 1):
+        inner = np.log(inner)
+        acc *= inner
+    return acc
+
+
+def _omega_k_array(k, t):
+    """``omega_k(k, t)`` on a float array, or ``None`` unless every t is finite and >= 0."""
+    cut, plateau = _omega_k_constants(k)
+    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
+        return None
+    inside = (t > 0.0) & (t < cut)
+    # the points outside take cut / 2, where every logarithm is finite and positive
+    branch = _omega_k_branch(k, np.where(inside, t, 0.5 * cut))
+    return np.where(inside, branch, np.where(t > 0.0, plateau, 0.0))
+
+
+_OMEGA_K_DOMAIN = "omega_k is defined for finite t >= 0"
 
 
 def omega_k(k, t):
@@ -104,28 +132,20 @@ def omega_k(k, t):
 
     Piecewise: 0 at 0, ``t * prod_j log_iter(j, 1/t)`` for ``0 < t < 1/e_k``
     and the constant plateau value from ``t = 1/e_k`` on.  Continuous at the
-    branch point by construction.
+    branch point by construction.  A Python float (or int) takes a scalar
+    branch that gives the bits of the array path.
     """
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
-    ek = _e_k(k)  # raises ModulusOverflowError for k >= 4
-    plateau = _omega_k_plateau(k)
-
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("omega_k is defined for finite t >= 0")
-
-    out = np.full(t_arr.shape, plateau)
-    out[t_arr == 0.0] = 0.0
-    branch = (t_arr > 0.0) & (t_arr < 1.0 / ek)
-    if np.any(branch):
-        tb = t_arr[branch]
-        inner = -np.log(tb)  # log(1/t); 1/t itself overflows below about 5.6e-309
-        acc = tb * inner
-        for _ in range(k - 1):
-            inner = np.log(inner)
-            acc *= inner
-        out[branch] = acc
+    cut, plateau = _omega_k_constants(k)
+    if isinstance(t, (float, int)):
+        t = float(t)
+        if not 0.0 <= t < math.inf:
+            raise ValueError(_OMEGA_K_DOMAIN)
+        if 0.0 < t < cut:
+            return float(_omega_k_branch(k, t))
+        return plateau if t > 0.0 else 0.0
+    out = _omega_k_array(k, np.asarray(t, dtype=float))
+    if out is None:
+        raise ValueError(_OMEGA_K_DOMAIN)
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,10 +192,8 @@ class _OmegaK:
         return omega_k(self.k, s)
 
     def batch(self, ss):
-        ss = np.asarray(ss, dtype=float)
-        if not np.all(np.isfinite(ss)) or np.any(ss < 0):
-            return None  # the scalar path raises omega_k's ValueError
-        return omega_k(self.k, ss)
+        # None for a sample omega_k refuses: the scalar path raises its ValueError
+        return _omega_k_array(self.k, np.asarray(ss, dtype=float))
 
 
 def omega_k_modulus(k):

@@ -493,7 +493,12 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, initial=None):
         values = new_values
         atom_f = data.atom_rhs(values)
         rights = data.impulse_rights(values, atom_f)
-        if problem.ball_radius is not None:
+        # one reduction per array; fmax passes over NaN, as the row test does
+        if problem.ball_radius is not None and np.fmax(
+            np.fmax.reduce(np.abs(values - problem.x0), axis=None),
+            np.fmax.reduce(np.abs(rights - problem.x0), axis=None),
+        ) > problem.ball_radius:
+            # the first row outside, its pre-jump state before its post-jump one
             dev = np.maximum(
                 np.max(np.abs(values - problem.x0), axis=1),
                 np.max(np.abs(rights - problem.x0), axis=1),

@@ -417,6 +417,124 @@ class TestBatch:
         assert getattr(sampled.value, "offset", None) == getattr(scalar.value, "offset", None)
 
 
+# -- where the batch backend checks finiteness ------------------------------
+#
+# The batch function checks only the operands of the operations in
+# ``expr._HIDES`` and its result.  That is sound when every other operation
+# carries a non-finite operand to a non-finite value or trips a rule, and
+# each operation in the set needs its check.
+
+_NON_FINITE = (math.inf, -math.inf, math.nan)
+_PARTNERS = (0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300)
+
+# every ``_OPS`` key as an expression whose operands are inputs
+_OP_SOURCES = {
+    "t": "t", "x<k>": "x1", "x": "norm_inf(x)", "norm_inf": "norm_inf(x)", "neg": "-x1",
+    **{op: f"x1 {op} x2" for op in "+-*/^"},
+    **{name: f"{name}(x1)" for name in ("sin", "cos", "exp", "log", "sqrt", "abs", "sign", "heaviside")},
+    "min": "min(x1, x2)", "max": "max(x1, x2)", "omega_k": "omega_k(1, x1)",
+}
+
+# an operand that is not finite (t, x1, x2) and the finite value it gives
+_WITNESSES = {
+    "/": ((0.0, 1.0, math.inf), 0.0),
+    "^": ((0.0, math.inf, 0.0), 1.0),
+    "exp": ((0.0, -math.inf, 0.0), 0.0),
+    "sign": ((0.0, math.inf, 0.0), 1.0),
+    "heaviside": ((0.0, math.nan, 0.0), 0.0),
+    "min": ((0.0, math.inf, 1.0), 1.0),
+    "max": ((0.0, -math.inf, 1.0), 1.0),
+}
+
+
+def _unchecked(src):
+    """The batch function of ``src`` without finiteness checks: its operations and rules."""
+    return expr._function(parse(src, 2), (*expr._BATCH[:-1], frozenset()))
+
+
+def _one_sample(fn, t, x):
+    """The value of a batch function at one sample, or None when a rule fires."""
+    try:
+        with np.errstate(all="ignore"):
+            return float(np.reshape(fn(np.array([t]), np.array([x]).T), -1)[0])
+    except expr._Bail:
+        return None
+
+
+def _inputs(src):
+    """The positions in (t, x1, x2) that ``src`` reads."""
+    used = {0 if isinstance(node, VarT) else node.index for node in expr._walk(parse(src, 2))
+            if isinstance(node, (VarT, VarX))}
+    return sorted(used | ({1, 2} if "norm_inf" in src else set()))
+
+
+class TestWhereBatchChecks:
+    def test_every_operation_is_classified(self):
+        assert set(_OP_SOURCES) == set(expr._OPS)
+        assert expr._HIDES == set(_WITNESSES) | {"omega_k"}
+
+    @pytest.mark.parametrize("key", sorted(set(expr._OPS) - expr._HIDES))
+    def test_outside_the_set_non_finite_stays_non_finite(self, key):
+        fn = _unchecked(_OP_SOURCES[key])
+        positions = _inputs(_OP_SOURCES[key])
+        for bad in _NON_FINITE:
+            for partner in _PARTNERS:
+                for where in positions:
+                    sample = [partner] * 3
+                    sample[where] = bad
+                    value = _one_sample(fn, sample[0], sample[1:])
+                    assert value is None or not math.isfinite(value), (key, sample, value)
+
+    @pytest.mark.parametrize("key", sorted(_WITNESSES))
+    def test_inside_the_set_a_finite_value_comes_out(self, key):
+        (t, *x), value = _WITNESSES[key]
+        assert _one_sample(_unchecked(_OP_SOURCES[key]), t, x) == value
+
+    def test_omega_k_must_not_receive_a_non_finite_operand(self):
+        # -inf trips the rule against negative values first
+        assert _one_sample(_unchecked(_OP_SOURCES["omega_k"]), 0.0, (-math.inf, 0.0)) is None
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                _one_sample(_unchecked(_OP_SOURCES["omega_k"]), 0.0, (bad, 0.0))
+
+    @pytest.mark.parametrize("src", [
+        "1/exp(800*x1)",
+        "exp(-exp(800*x1))",
+        "sign(x1*1e308*10)",
+        "heaviside(x1*1e308*10)",
+        "min(x1*1e308*10, 1)",
+        "(x1*1e308*10)^0",
+        "omega_k(1, abs(x1*1e308*10))",
+    ])
+    def test_a_hidden_non_finite_value_defers_to_the_scalar_error(self, src):
+        f = ExprFunction(parse(src, 1))
+        ts, xs = np.array([0.0, 0.5]), np.array([[0.5], [1.0]])
+        assert f.batch(ts, xs) is None  # and no ValueError
+        walk, call = _walk_and_call(f, 0.5, (1.0,))
+        assert walk[:2] == ("raised", ExprDomainError)
+        assert call == walk
+
+    @pytest.mark.parametrize("root", sorted(_KINDS))
+    def test_no_value_where_the_scalar_path_raises(self, rng, root):
+        special = np.array([math.inf, -math.inf, math.nan, 1e300, -1e300, 0.0, 5e-324])
+        for _ in range(12):
+            f = ExprFunction(parse(random_source(rng, 2, 4, root), 2))
+            points = rng.uniform(-2, 2, (6, 3))
+            points[rng.random((6, 3)) < 0.2] = rng.choice(special)
+            for t, *x in points:
+                batched = f.batch(np.array([t]), np.array([x]))
+                if _walk_and_call(f, t, x)[1][0] == "raised":
+                    assert batched is None, (f, t, x)
+
+    @pytest.mark.parametrize("src", ["x1", "t", "2"])
+    def test_batch_returns_a_fresh_array(self, src):
+        ts, xs = np.linspace(0.0, 1.0, 4), np.ones((4, 2))
+        out = ExprFunction(parse(src, 2)).batch(ts, xs)
+        assert not np.shares_memory(out, ts) and not np.shares_memory(out, xs)
+        out[:] = 7.0
+        assert np.array_equal(ts, np.linspace(0.0, 1.0, 4)) and np.all(xs == 1.0)
+
+
 # -- the compiled scalar evaluator -----------------------------------------
 
 def _outcome(fn, *args):

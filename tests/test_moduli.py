@@ -6,6 +6,7 @@ omega(s)=sqrt(s) the integral converges to 2*sqrt(u0).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,37 @@ class TestOmegaK:
             lhs = np.abs(omega_k(k, np.abs(x)) - omega_k(k, np.abs(y)))
             rhs = omega_k(k, np.abs(x - y))
             assert np.all(lhs <= rhs + 1e-12)
+
+
+class TestOmegaKScalarBranch:
+    """A float takes a scalar branch with numpy's log: the bits of the array path."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_same_bits_as_the_array_path(self, rng, k):
+        cut = 1.0 / exp_iter(k, 1.0)
+        tiny = np.finfo(float).tiny  # the smallest normal double
+        ts = np.concatenate([
+            [0.0, -0.0, 5e-324, tiny, np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0), 1e300],
+            rng.uniform(0.0, tiny, 10_000),  # subnormals
+            np.geomspace(5e-324, 1e300, 50_000),
+            rng.uniform(0.0, cut, 30_000),
+            rng.uniform(cut, 2.0, 10_000),  # the plateau
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            array = omega_k(k, ts)
+        scalar = [omega_k(k, t) for t in ts.tolist()]
+        assert all(type(v) is float for v in scalar)
+        assert array.tobytes() == np.array(scalar).tobytes()
+        assert omega_k(k, cut) == omega_k(k, 1e300)  # the plateau starts at 1/e_k
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [-5e-324, -1.0, -math.inf, math.inf, math.nan])
+    def test_same_error_for_a_float_and_an_array(self, k, bad):
+        for t in (bad, np.array([0.5, bad]), np.array(bad)):
+            with pytest.raises(ValueError, match="omega_k is defined for finite t >= 0"):
+                omega_k(k, t)
+        assert omega_k_modulus(k).batch(np.array([0.5, bad])) is None
 
 
 class TestOsgoodCheck:

@@ -553,6 +553,27 @@ class TestPicard:
         warm = solve_picard(p, grid, tol=tol, initial=solve_euler(p, grid))
         assert cold.sup_distance(warm) <= 10 * tol
 
+    # x' = x dg, x0 = 1, g(t) = t with a unit jump at t = 1, on the grid
+    # 0, 0.5, ..., 2: the first iterate is 1 + t up to the atom, where the
+    # pre-jump state is 2 and the post-jump state 4.  Radius 0.9 is left at
+    # the atom before the jump, radius 1.5 only after it.
+    @pytest.mark.parametrize("radius, post_jump", [(0.9, False), (1.5, True)])
+    def test_ball_exit_reports_the_first_row_outside(self, radius, post_jump):
+        p = impulsive_problem(ball_radius=radius)
+        grid = build_grid(p, n_steps=4)
+        data = _GridData(p, grid)
+        start = np.tile(p.x0, (grid.size, 1))
+        atom_f = data.atom_rhs(start)
+        first = data.integral_map(start, data.impulse_rights(start, atom_f), atom_f)
+        rights = data.impulse_rights(first, data.atom_rhs(first))
+        k = int(np.searchsorted(grid, 1.0))
+        assert np.all(np.abs(first[:k] - 1.0) <= 0.5) and np.all(rights[:k] == first[:k])
+        assert first[k, 0] == pytest.approx(2.0) and rights[k, 0] == pytest.approx(4.0)
+        with pytest.raises(DomainExitError) as exc:
+            solve_picard(p, grid)
+        assert type(exc.value.time) is float and exc.value.time == 1.0
+        assert np.array_equal(exc.value.state, (rights if post_jump else first)[k])
+
     def test_atom_rhs_is_evaluated_once_per_iterate(self):
         # the impulses and the next map share one rhs value per atom: one
         # call for the initial iterate and one for each accepted iterate
