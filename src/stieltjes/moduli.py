@@ -213,7 +213,8 @@ def _reciprocal_sample(omega, us):
     if nonpositive.size:
         q = nonpositive[0]
         raise IntegrandError(f"modulus returned {ws[q]} at s={ss[q]}", point=ss[q])
-    vals = ss / ws
+    with np.errstate(over="ignore"):  # a tiny omega overflows the quotient: raised below
+        vals = ss / ws
     if not np.all(np.isfinite(vals)):
         raise IntegrandError("non-finite reciprocal-modulus sample")
     return vals
@@ -264,7 +265,9 @@ def osgood_check(omega, u0):
     above an absolute floor, CONVERGENT when they shrink geometrically
     (sustained ratio below 0.5), INCONCLUSIVE otherwise.  A heuristic by
     necessity; the verdict is evidence, not proof.  ``u0`` must be finite
-    and positive, or ``ConfigurationError`` is raised.
+    and positive, or ``ConfigurationError`` is raised.  ``u0`` shapes only
+    the partial integrals, not the verdict: the increments are the integrals
+    over the decades [10^-(m+1), 10^-m], m = 1..11, whatever ``u0`` is.
     """
     omega = _as_modulus(omega)
     if not (math.isfinite(u0) and u0 > 0):

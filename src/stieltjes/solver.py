@@ -726,6 +726,11 @@ def apriori_bound(problem):
     raise BoundInapplicableError("the Bihari precondition failed on every tested sub-horizon")
 
 
+def _listed(violations, bound_key):
+    """The first ten ``(t, i, lhs, bound)`` violations as dicts, for ``to_dict``."""
+    return [dict(zip(("t", "component", "lhs", bound_key), v)) for v in violations[:10]]
+
+
 @dataclass
 class UniquenessReport:
     """Sampled uniqueness certificate; evidence, not proof.
@@ -733,7 +738,8 @@ class UniquenessReport:
     ``verdict`` is OSGOOD-UNIQUE when the declared weight is identically
     one, MONTEL-TONELLI-UNIQUE when an integrable weight was declared, and
     UNVERIFIED when any sampled inequality fails or the osgood check is
-    not DIVERGENT.
+    not DIVERGENT; ``osgood_verdicts`` lists that one verdict under the
+    anchors u0 = 1 and u0 = 0.01, since it does not depend on u0.
     """
 
     verdict: str
@@ -750,59 +756,49 @@ class UniquenessReport:
             "n_samples": self.n_samples,
             "osgood_verdicts": dict(self.osgood_verdicts),
             "n_violations": len(self.violations),
-            "violations": [
-                {"t": t, "component": i, "lhs": lhs, "rhs": rhs}
-                for (t, i, lhs, rhs) in self.violations[:10]
-            ],
+            "violations": _listed(self.violations, "rhs"),
             "phi_integrals": list(self.phi_integrals),
         }
 
 
-# Samples per batched block of the uniqueness certificate: large enough that
+# Samples per batched block of the sampled checks: large enough that
 # per-call overhead vanishes, small enough that the temporaries of a block
 # stay far below the size of the drawn samples.
 _CERT_BLOCK = 1024
 _ROUNDING_ULPS = 8  # a sampled inequality fails beyond this many ulps of the values compared
 
 
-def _modulus_violations(problem, phi, ts, xs, ys):
-    """Violations of |f_i(t,x) - f_i(t,y)| <= phi(t) omega(|x-y|), sample-major."""
-    n = problem.n
-    allowance = _sample_finite(phi, ts, lambda v, q: SolverError(
-        f"phi returned {v} at t={ts[q]}"
-    ))
-    gaps = np.max(np.abs(xs - ys), axis=1)
-    allowance = allowance * _sample_finite(problem.modulus, gaps, lambda v, q: SolverError(
-        f"modulus returned {v} at s={gaps[q]} (t={ts[q]})"
-    ))
-    # x and y states interleaved, so the scalar path calls f(t, x) then f(t, y)
-    t2 = np.repeat(ts, 2)
-    states = np.stack((xs, ys), axis=1).reshape(-1, n)
-    lhs = np.empty((ts.size, n))
-    slack = np.empty((ts.size, n))
-    for i, f in enumerate(problem.rhs):
-        vals = _sample_finite(f, t2, lambda v, q: SolverError(
-            f"rhs component {i} returned {v} at t={t2[q]}"
-        ), xs=states)
-        lhs[:, i] = np.abs(vals[0::2] - vals[1::2])
-        slack[:, i] = _ROUNDING_ULPS * np.spacing(np.abs(vals[0::2]) + np.abs(vals[1::2]))
-    bad = lhs > allowance[:, None] + slack
-    return [
-        (float(ts[q]), int(i), float(lhs[q, i]), float(allowance[q]))
-        for q, i in zip(*np.nonzero(bad))
-    ]
+def _sample_named(f, ts, name, xs=None):
+    """``_sample_finite`` whose failure is ``SolverError("<name> returned <v> at t=<t>")``."""
+    return _sample_finite(f, ts, lambda v, q: SolverError(f"{name} returned {v} at t={ts[q]}"),
+                          xs=xs)
+
+
+def _sampled_violations(ts, check):
+    """``(t, i, lhs, bound)`` wherever ``lhs > bound + slack``, sample-major.
+
+    ``check(block)`` gets a slice of ``_CERT_BLOCK`` samples and returns
+    their ``(m, n)`` arrays ``lhs``, ``bound`` and ``slack``.
+    """
+    violations = []
+    for start in range(0, ts.size, _CERT_BLOCK):
+        lhs, bound, slack = check(slice(start, start + _CERT_BLOCK))
+        violations += [(float(ts[start + q]), int(i), float(lhs[q, i]), float(bound[q, i]))
+                       for q, i in zip(*np.nonzero(lhs > bound + slack))]
+    return violations
 
 
 def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     """Spot-check the modulus-of-continuity inequality behind uniqueness.
 
-    Verifies (a) the declared modulus passes the osgood check at the two
-    anchors u0 = 1 and u0 = 0.01, (b)
+    Verifies (a) the declared modulus passes the osgood check, run once
+    (at u0 = 1: the verdict does not depend on u0), (b)
     ``|f_i(t,x) - f_i(t,y)| <= phi(t) * omega(||x-y||)`` on a randomized
     sample of the domain, (c) the weight is integrable against
     every component derivator.  All three are sampled evidence; the report
     says so.  The samples are drawn at once and evaluated in blocks of
-    ``_CERT_BLOCK``; violations are listed in (sample, component) order.  A
+    ``_CERT_BLOCK``: phi, the modulus at the gaps, then each rhs at x and y
+    of every sample; violations are listed in (sample, component) order.  A
     non-finite value of a rhs, phi or the modulus raises ``SolverError``
     naming it and the sample time.  ``n_samples`` must be an integer >= 1:
     no samples would be no evidence.
@@ -811,8 +807,8 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
         raise ConfigurationError("uniqueness_certificate needs a declared modulus")
     _require_count("n_samples", n_samples)
     report = UniquenessReport(verdict="UNVERIFIED")
-    for u0 in (1.0, 0.01):
-        report.osgood_verdicts[u0] = osgood_check(problem.modulus, u0).verdict
+    osgood = osgood_check(problem.modulus, 1.0).verdict
+    report.osgood_verdicts = {1.0: osgood, 0.01: osgood}
 
     phi = _phi_or_one(problem)
     t_end = problem.t0 + problem.horizon
@@ -831,20 +827,24 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     ys = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
     report.n_samples = n_samples
 
-    for start in range(0, n_samples, _CERT_BLOCK):
-        block = slice(start, start + _CERT_BLOCK)
-        report.violations.extend(
-            _modulus_violations(problem, phi, ts[block], xs[block], ys[block])
-        )
+    def check(block):
+        t = ts[block]
+        gaps = np.max(np.abs(xs[block] - ys[block]), axis=1)
+        allowance = _sample_named(phi, t, "phi") * _sample_finite(
+            problem.modulus, gaps, lambda v, q: SolverError(
+                f"modulus returned {v} at s={gaps[q]} (t={t[q]})"))
+        # x and y states interleaved, so the scalar path calls f(t, x) then f(t, y)
+        t2 = np.repeat(t, 2)
+        states = np.stack((xs[block], ys[block]), axis=1).reshape(-1, problem.n)
+        vals = np.array([_sample_named(f, t2, f"rhs component {i}", states)
+                         for i, f in enumerate(problem.rhs)])  # one row per component
+        fx, fy = vals[:, 0::2].T, vals[:, 1::2].T
+        slack = _ROUNDING_ULPS * np.spacing(np.abs(fx) + np.abs(fy))
+        return np.abs(fx - fy), np.broadcast_to(allowance[:, None], fx.shape), slack
 
-    if report.violations or any(
-        v != "DIVERGENT" for v in report.osgood_verdicts.values()
-    ):
-        report.verdict = "UNVERIFIED"
-    elif problem.phi is None:
-        report.verdict = "OSGOOD-UNIQUE"
-    else:
-        report.verdict = "MONTEL-TONELLI-UNIQUE"
+    report.violations = _sampled_violations(ts, check)
+    if not report.violations and osgood == "DIVERGENT":
+        report.verdict = "OSGOOD-UNIQUE" if problem.phi is None else "MONTEL-TONELLI-UNIQUE"
     return report
 
 
@@ -863,10 +863,7 @@ class CaratheodoryReport:
             "r": self.r,
             "n_samples": self.n_samples,
             "n_violations": len(self.violations),
-            "violations": [
-                {"t": t, "component": i, "lhs": lhs, "bound": b}
-                for (t, i, lhs, b) in self.violations[:10]
-            ],
+            "violations": _listed(self.violations, "bound"),
         }
 
 
@@ -875,8 +872,11 @@ def caratheodory_bound_check(problem, r, h_r, n_samples=4000, seed=0):
 
     ``h_r`` may be a single callable (shared by all components) or one per
     component.  Violations carry witnesses; the check is sampled evidence.
-    A non-finite rhs or bound value raises ``SolverError``.  ``r`` must be
-    finite and positive and ``n_samples`` an integer >= 1.
+    It runs in blocks of ``_CERT_BLOCK`` samples, rhs_i then h_r_i for each
+    i in turn.  A non-finite rhs or bound value raises ``SolverError``; of
+    two in different blocks, the earlier block's is raised, even when it is
+    a later component's.  ``r`` must be finite and positive and
+    ``n_samples`` an integer >= 1.
     """
     _require_positive("r", r)
     _require_count("n_samples", n_samples)
@@ -889,20 +889,16 @@ def caratheodory_bound_check(problem, r, h_r, n_samples=4000, seed=0):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(problem.t0, problem.t0 + problem.horizon, size=n_samples)
     xs = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
-    lhs = np.empty((n_samples, problem.n))
-    bound = np.empty((n_samples, problem.n))
-    for i, (f, h) in enumerate(zip(problem.rhs, h_r)):
-        lhs[:, i] = np.abs(_sample_finite(f, ts, lambda v, q: SolverError(
-            f"rhs component {i} returned {v} at t={ts[q]}"
-        ), xs=xs))
-        bound[:, i] = _sample_finite(h, ts, lambda v, q: SolverError(
-            f"domination bound {i} returned {v} at t={ts[q]}"
-        ))
-    bad = lhs > bound + _ROUNDING_ULPS * np.spacing(lhs + np.abs(bound))
-    violations = [
-        (float(ts[q]), int(i), float(lhs[q, i]), float(bound[q, i]))
-        for q, i in zip(*np.nonzero(bad))
-    ]
+
+    def check(block):
+        t = ts[block]
+        lhs, bound = np.empty((2, t.size, problem.n))
+        for i, (f, h) in enumerate(zip(problem.rhs, h_r)):
+            lhs[:, i] = np.abs(_sample_named(f, t, f"rhs component {i}", xs[block]))
+            bound[:, i] = _sample_named(h, t, f"domination bound {i}")
+        return lhs, bound, _ROUNDING_ULPS * np.spacing(lhs + np.abs(bound))
+
+    violations = _sampled_violations(ts, check)
     return CaratheodoryReport(
         passed=not violations, r=float(r), n_samples=n_samples, violations=violations
     )

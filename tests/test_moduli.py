@@ -6,6 +6,7 @@ omega(s)=sqrt(s) the integral converges to 2*sqrt(u0).
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from stieltjes import (
     BoundInapplicableError,
     ConfigurationError,
     Derivator,
+    IntegrandError,
     ModulusOverflowError,
     StieltjesError,
 )
@@ -207,6 +209,33 @@ class TestOsgoodCheck:
             partial.append(partial[-1] + j)
         assert report.partial_integrals == partial
 
+    @pytest.mark.parametrize("modulus", [
+        lambda s: s, lambda s: s * s, math.sqrt, lambda s: 3000.0 * s,
+        lambda s: s * math.log(1.0 / s) ** 1.5,
+        omega_k_modulus(1), omega_k_modulus(2), omega_k_modulus(3),
+    ], ids=["s", "s^2", "sqrt", "3000s", "s-log^1.5", "omega_1", "omega_2", "omega_3"])
+    def test_the_verdict_does_not_depend_on_u0(self, modulus):
+        # the verdict reads per-decade increments over [1e-12, 0.1]; u0 only
+        # moves the first partial integral
+        one, small = osgood_check(modulus, 1.0), osgood_check(modulus, 0.01)
+        assert one.increments == small.increments
+        assert one.verdict == small.verdict
+
+    def test_a_modulus_vanishing_near_zero_is_named(self):
+        with pytest.raises(IntegrandError, match=r"modulus returned 0\.0 at s=") as info:
+            osgood_check(lambda s: max(s - 1e-6, 0.0), 1.0)
+        assert 0.0 < info.value.point <= 1e-6
+
+    @pytest.mark.parametrize("build", [
+        lambda omega: osgood_check(omega, 1.0), lambda omega: OmegaTransform(omega, 1.0),
+    ], ids=["osgood_check", "OmegaTransform"])
+    def test_a_tiny_modulus_raises_the_named_error_not_a_warning(self, build):
+        # s / omega(s) = 1e310 overflows; numpy used to warn before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrandError, match="non-finite reciprocal-modulus sample"):
+                build(lambda s: 1e-310 * s)
+
     def test_u0_validation(self):
         with pytest.raises(ValueError):
             osgood_check(lambda s: s, u0=0.0)
@@ -316,6 +345,13 @@ class TestOmegaTransform:
                                       tr._x[k], xtol=1e-15, rtol=1e-15))
             assert r == pytest.approx(ref, rel=1e-12)
             assert tr.inverse(y) == r and isinstance(tr.inverse(y), float)
+
+    @pytest.mark.parametrize("r", [1e-9, 1e9])
+    def test_omega_of_refuses_r_outside_the_table(self, r):
+        tr = OmegaTransform(lambda s: s, u0=1.0)  # r from 1e-8 to 1e8
+        with pytest.raises(ValueError, match=re.escape(
+                f"r={r} outside the tabulated range [1e-08, 100000000.0]")):
+            tr.omega_of(r)
 
     def test_inverse_rejects_targets_outside_the_table(self):
         tr = OmegaTransform(lambda s: s, u0=1.0)

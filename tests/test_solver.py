@@ -17,6 +17,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from stieltjes import (
+    BoundInapplicableError,
     ConfigurationError,
     Derivator,
     DomainExitError,
@@ -714,6 +715,30 @@ class TestAprioriBound:
         with pytest.raises(ConfigurationError):
             apriori_bound(impulsive_problem())
 
+    def test_a_convergent_modulus_is_refused(self):
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
+                      modulus=OsgoodModulus(evaluator=math.sqrt))
+        with pytest.raises(BoundInapplicableError,
+                           match=r"not certified Osgood \(osgood_check: CONVERGENT\)"):
+            apriori_bound(p)
+
+    def test_a_weight_too_large_for_every_sub_horizon_is_refused(self):
+        # Omega(kappa) plus the growth of h = 1e4 t passes the top of every
+        # table up to r = 1e120, on all 16 candidate horizons; the modulus s
+        # is batched, since about 500 tables are built
+        linear = OsgoodModulus(evaluator=ExprFunction(parse("t", 0)), name="s")
+        p = IVProblem(0.0, 1.0, [1.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
+                      modulus=linear, phi=lambda t: 1e4, ball_radius=1.0)
+        with pytest.raises(BoundInapplicableError, match="failed on every tested sub-horizon"):
+            apriori_bound(p)
+
+    def test_check_trace_holds_when_no_grid_point_is_inside(self):
+        p = classical_problem()
+        tr = solve_euler(p, build_grid(p, n_steps=4))  # grid 0, 0.25, ..., 1
+        bound = AprioriBound(t0=0.3, t1=0.4, kappa=1.0,
+                             bound=lambda t: pytest.fail("bound evaluated at no point"))
+        assert bound.check_trace(tr) == (True, -math.inf)
+
     @staticmethod
     def weighted_problem(phi):
         g = Derivator.identity((0.0, 1.0)).with_jumps([(0.5, 0.2)])
@@ -858,6 +883,30 @@ class TestUniquenessCertificate:
         assert report.verdict == "UNVERIFIED"
         assert report.violations
 
+    @pytest.mark.parametrize("modulus, verdict", [
+        (LINEAR, "DIVERGENT"), (OsgoodModulus(evaluator=math.sqrt), "CONVERGENT"),
+    ], ids=["linear", "sqrt"])
+    def test_one_osgood_check_serves_both_anchors(self, modulus, verdict, monkeypatch):
+        from stieltjes import solver
+
+        anchors = []
+        real = solver.osgood_check
+        monkeypatch.setattr(solver, "osgood_check",
+                            lambda omega, u0: anchors.append(u0) or real(omega, u0))
+        report = uniqueness_certificate(impulsive_problem(ball_radius=5.0, modulus=modulus),
+                                        n_samples=100)
+        assert anchors == [1.0]
+        assert list(report.osgood_verdicts.items()) == [(1.0, verdict), (0.01, verdict)]
+        assert (report.verdict == "OSGOOD-UNIQUE") == (verdict == "DIVERGENT")
+
+    def test_a_weight_that_fails_to_integrate_leaves_it_unverified_unsampled(self):
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
+                      ball_radius=1.0, modulus=LINEAR,
+                      phi=lambda t: math.nan if t > 0.5 else 1.0)
+        report = uniqueness_certificate(p, n_samples=100)
+        assert report.verdict == "UNVERIFIED"
+        assert (report.n_samples, report.violations, report.phi_integrals) == (0, [], [])
+
     @pytest.mark.parametrize("n_samples", [0, -1, 2.5])
     def test_no_samples_is_refused(self, n_samples):
         # two solutions from x0 = 0; zero samples used to certify it OSGOOD-UNIQUE
@@ -909,6 +958,41 @@ class TestCaratheodoryCheck:
         h_r = lambda t: phi(t) * float(omega_k(k, 0.2 + r))
         report = caratheodory_bound_check(p, r=r, h_r=h_r)
         assert report.passed
+
+
+    @staticmethod
+    def recording(name, value, calls):
+        """A callable whose batch records (name, number of samples) and returns ``value``."""
+        class Recorded:
+            def __call__(self, *args):
+                return value
+
+            def batch(self, ts, xs=None):
+                calls.append((name, ts.size))
+                return np.full(ts.size, value)
+
+        return Recorded()
+
+    def test_samples_are_checked_in_blocks_rhs_then_bound(self):
+        calls = []
+        g = Derivator.identity((0.0, 1.0))
+        p = IVProblem(0.0, 1.0, [0.0, 0.0], [g, g],
+                      [self.recording(f"f{i}", 0.5, calls) for i in range(2)])
+        h_r = [self.recording(f"h{i}", 1.0, calls) for i in range(2)]
+        report = caratheodory_bound_check(p, r=1.0, h_r=h_r, n_samples=2500)
+        assert report.passed
+        assert calls == [(name, size) for size in (1024, 1024, 452)
+                         for name in ("f0", "h0", "f1", "h1")]
+
+    def test_the_first_block_with_a_non_finite_value_raises(self):
+        # component 0 fails only in the third block, component 1 in the first
+        ts = np.random.default_rng(0).uniform(0.0, 1.0, size=3000).tolist()
+        g = Derivator.identity((0.0, 1.0))
+        p = IVProblem(0.0, 1.0, [0.0, 0.0], [g, g],
+                      [lambda t, x: math.nan if t == ts[2500] else 0.0,
+                       lambda t, x: math.nan if t == ts[10] else 0.0])
+        with pytest.raises(SolverError, match=f"rhs component 1 returned nan at t={ts[10]}"):
+            caratheodory_bound_check(p, r=1.0, h_r=lambda t: 1.0, n_samples=3000)
 
 
 class TestNonFiniteSamples:
@@ -1054,6 +1138,15 @@ class TestBatchedPathMatchesScalar:
         assert set(c["violations"][0]) == {"t", "component", "lhs", "bound"}
         assert json.loads(json.dumps(u))["verdict"] == "UNVERIFIED"
         assert json.loads(json.dumps(c))["passed"] is False
+
+    def test_reports_list_the_first_ten_violations_in_order(self):
+        p_expr, _ = self.cert_problems()
+        u = uniqueness_certificate(p_expr, n_samples=2000)
+        c = caratheodory_bound_check(p_expr, 1.0, lambda t: 1.0, n_samples=2000)
+        for report, key in ((u, "rhs"), (c, "bound")):
+            listed = report.to_dict()["violations"]
+            assert [list(d) for d in listed] == [["t", "component", "lhs", key]] * 10
+            assert [tuple(d.values()) for d in listed] == report.violations[:10]
 
     def test_growth_bounds_take_the_batched_max_of_expr_rhs(self, monkeypatch):
         p_expr, p_plain = _omega_k_problems(ball_radius=0.5, modulus=omega_k_modulus(1))

@@ -537,6 +537,14 @@ class TestFtc:
         skipped = [s.t for s in report.samples if s.status == "skipped-constancy"]
         assert all(0.0 <= t <= 1.0 for t in skipped)
 
+    def test_a_numerically_flat_derivator_is_skipped_everywhere(self):
+        # slope 1e-16: g is flat at every scale of the ladder
+        g = Derivator((0.0, 1.0), slopes=[1e-16])
+        report = check_ftc(math.sin, g, 0.0, 1.0, sample_count=5)
+        assert [s.status for s in report.samples] == ["skipped-constancy"] * 5
+        assert report.n_skipped_constancy == 5
+        assert report.ok()
+
     def test_round_trip_randomized(self, rng):
         # 50 random pairs; tolerances match the package-wide FTC contract
         for _ in range(50):
