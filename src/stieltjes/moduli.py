@@ -14,15 +14,16 @@ up) but still Osgood, which is what makes it a useful stress test for
 uniqueness machinery.  ``e_k`` denotes the k-fold iterated exponential of 1;
 ``e_4`` already overflows doubles, so k is effectively capped at 3.
 
-``OmegaTransform`` tabulates ``Omega(r) = integral from u0 to r of 1/omega``
-(a cubic Hermite between nodes, with exact slopes capped to stay monotone),
-the increasing transform behind the Bihari inequality: any function that
-satisfies it is dominated by ``Omega^{-1}(Omega(kappa) + h(t) - h(a))``.
+Each ``OsgoodModulus`` keeps one table of the integrals of 1/omega over the
+cells ``[10^(j/32), 10^((j+1)/32)]``, which ``osgood_check`` sums by decade
+and ``OmegaTransform`` views: ``Omega(r) = integral from u0 to r of
+1/omega``, the increasing transform behind the Bihari inequality: any
+function that satisfies it is dominated by ``Omega^{-1}(Omega(kappa) + h(t) - h(a))``.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,7 +52,9 @@ __all__ = [
 # narrower than _BISECT_TOL * (1 + |log r|), or after _BISECT_STEPS halvings
 _BISECT_TOL = 1e-15
 _BISECT_STEPS = 100
-_RECIPROCAL_ORDER = 16  # Gauss-Legendre nodes per panel of _reciprocal_integral
+_CELLS_PER_DECADE = 32  # at 24, omega_k(1)'s kink at 1/e leaves Omega 3.6e-6 off its closed form
+_CELL_RULE = QuadratureConfig(order=16, panels=2)
+_ROUNDING_ULPS = 8  # a sampled inequality fails beyond this many ulps of the values compared
 
 
 def exp_iter(k, t):
@@ -59,14 +62,14 @@ def exp_iter(k, t):
     if k < 0:
         raise ConfigurationError("k must be >= 0")
     v = float(t)
+    if math.isnan(v):
+        raise ValueError(f"exp_iter({k}, t) needs a number, got t=nan")
     for i in range(k):
         try:
             v = math.exp(v)
-        except OverflowError as exc:
-            raise ModulusOverflowError(
-                f"exp_iter({k}, {t}) overflows double precision at stage {i + 1}"
-            ) from exc
-        if not math.isfinite(v):
+        except OverflowError:
+            v = math.inf
+        if v == math.inf:
             raise ModulusOverflowError(
                 f"exp_iter({k}, {t}) overflows double precision at stage {i + 1}"
             )
@@ -78,10 +81,8 @@ def log_iter(k, t):
     if k < 1:
         raise ConfigurationError("k must be >= 1")
     t = float(t)
-    if t <= exp_iter(k - 1, 0.0):
-        raise ValueError(
-            f"log_iter({k}, t) needs t > {exp_iter(k - 1, 0.0)}, got t={t}"
-        )
+    if not t > exp_iter(k - 1, 0.0):  # NaN fails too
+        raise ValueError(f"log_iter({k}, t) needs t > {exp_iter(k - 1, 0.0)}, got t={t}")
     v = t
     for _ in range(k):
         v = math.log(v)
@@ -154,7 +155,8 @@ class OsgoodModulus:
     """A modulus with a name and an optional prior about its Osgood status.
 
     ``batch(ss)`` forwards to ``evaluator.batch`` and returns ``None`` when
-    the evaluator has none, so that callers take the scalar path.
+    the evaluator has none, so that callers take the scalar path.  ``_cells``
+    is its table of integrals of 1/omega, built on first use and kept.
     """
 
     evaluator: object
@@ -168,18 +170,9 @@ class OsgoodModulus:
         batch = getattr(self.evaluator, "batch", None)
         return None if batch is None else batch(ss)
 
-    def validate(self, u0=1.0):
-        """Sampled sanity check on 200 points of [1e-12, u0]: omega(0)=0, positive, nondecreasing."""
-        if abs(float(self.evaluator(0.0))) > 1e-15:
-            raise ConfigurationError(f"{self.name}: omega(0) must be 0")
-        grid = np.geomspace(1e-12, max(u0, 1e-12), 200)
-        vals = _sample_finite(self, grid, lambda v, q: ConfigurationError(
-            f"{self.name}: omega returned {v} at s={grid[q]}"))
-        if np.any(vals <= 0):
-            raise ConfigurationError(f"{self.name}: omega must be positive for s > 0")
-        if np.any(np.diff(vals) < -1e-12 * np.maximum(vals[:-1], 1.0)):
-            raise ConfigurationError(f"{self.name}: omega must be nondecreasing")
-        return self
+    @cached_property
+    def _cells(self):
+        return _CellTable(self)
 
 
 @dataclass(frozen=True)
@@ -204,9 +197,8 @@ def _as_modulus(omega):
     return omega if isinstance(omega, OsgoodModulus) else OsgoodModulus(evaluator=omega)
 
 
-def _reciprocal_sample(omega, us):
-    """``e^u / omega(e^u)`` at every u; a modulus value <= 0 or not finite raises."""
-    ss = np.exp(us)
+def _reciprocal_sample(omega, ss):
+    """``s / omega(s)`` and ``omega(s)`` at every s; a modulus value <= 0 or not finite raises."""
     ws = _sample_finite(omega, ss, lambda v, q: IntegrandError(
         f"modulus returned {v} at s={ss[q]}", point=ss[q]))
     nonpositive = np.flatnonzero(ws <= 0.0)
@@ -217,11 +209,11 @@ def _reciprocal_sample(omega, us):
         vals = ss / ws
     if not np.all(np.isfinite(vals)):
         raise IntegrandError("non-finite reciprocal-modulus sample")
-    return vals
+    return vals, ws
 
 
-def _reciprocal_integral(omega, lo, hi, panels=16):
-    """integral of 1/omega(s) ds over each [lo[i], hi[i]], via the log substitution.
+def _reciprocal_integral(omega, lo, hi):
+    """integral of 1/omega(s) ds over each [lo[i], hi[i]], by the cell rule in log s.
 
     With s = e^u the integrand becomes e^u / omega(e^u), which is smooth for
     every modulus that behaves like s times slowly varying factors.  All
@@ -230,8 +222,38 @@ def _reciprocal_integral(omega, lo, hi, panels=16):
     def logs(rs):  # math.log: numpy's log can differ from it in the last bit
         return np.fromiter(map(math.log, rs), float, rs.size)
 
-    quad = QuadratureConfig(order=_RECIPROCAL_ORDER, panels=panels)
-    return _gl_sums(lambda u: _reciprocal_sample(omega, u), logs(lo), logs(hi), np.ones_like, quad)
+    return _gl_sums(lambda u: _reciprocal_sample(omega, np.exp(u))[0], logs(lo), logs(hi),
+                    np.ones_like, _CELL_RULE)
+
+
+def _edge(j):  # by Python's float power: numpy's can differ in the last bit
+    return 10.0 ** (j / _CELLS_PER_DECADE)
+
+
+def _cell_of(r):  # the cell j with 10^(j/32) <= r < 10^((j+1)/32), for a finite r > 0
+    j = math.floor(_CELLS_PER_DECADE * math.log10(r))
+    return j - (_edge(j) > r) + (_edge(j + 1) <= r)  # log10 may round across an edge
+
+
+class _CellTable:
+    """The integrals of 1/omega over a run of cells; ``cells(j0, j1)`` extends
+    it over cells j0..j1-1 by the cells it lacks and returns their edges and integrals."""
+
+    def __init__(self, modulus):
+        self.modulus, self.first, self.integrals = modulus, None, np.empty(0)
+
+    def cells(self, j0, j1):
+        first = j0 if self.first is None else self.first
+        end = first + self.integrals.size
+        lo, hi = min(j0, first), max(j1, end)
+        if (lo, hi) != (first, end):
+            edges = np.array([_edge(j) for j in range(lo, hi + 1)])
+            below = _reciprocal_integral(self.modulus, edges[:first - lo], edges[1:first - lo + 1])
+            above = _reciprocal_integral(self.modulus, edges[end - lo:-1], edges[end - lo + 1:])
+            self.first, self.edges = lo, edges
+            self.integrals = np.concatenate((below, self.integrals, above))
+        k = j0 - lo
+        return self.edges[k:k + j1 - j0 + 1], self.integrals[k:k + j1 - j0]
 
 
 @dataclass
@@ -264,23 +286,27 @@ def osgood_check(omega, u0):
     trend of the per-decade increments: DIVERGENT when the last six stay
     above an absolute floor, CONVERGENT when they shrink geometrically
     (sustained ratio below 0.5), INCONCLUSIVE otherwise.  A heuristic by
-    necessity; the verdict is evidence, not proof.  ``u0`` must be finite
-    and positive, or ``ConfigurationError`` is raised.  ``u0`` shapes only
+    necessity; the verdict is evidence, not proof.  ``u0`` must be in
+    (0, 1e308], or ``ConfigurationError`` is raised.  ``u0`` shapes only
     the partial integrals, not the verdict: the increments are the integrals
-    over the decades [10^-(m+1), 10^-m], m = 1..11, whatever ``u0`` is.
+    over the decades [10^-(m+1), 10^-m], m = 1..11, whatever ``u0`` is, each
+    the ``math.fsum`` of its cells; I(eps_1) adds one piece, up to u0.
     """
     omega = _as_modulus(omega)
-    if not (math.isfinite(u0) and u0 > 0):
-        raise ConfigurationError(f"u0 must be positive and finite, got {u0}")
+    if not 0 < u0 <= 1e308:  # the cell edges end at 10^308.25
+        raise ConfigurationError(f"u0 must be in (0, 1e308], got {u0}")
 
     eps = [10.0 ** -(m + 1) for m in range(_N_DECADES)]
-    # the per-decade increments I(eps_{m+1}) - I(eps_m), then [eps_1, u0]
-    parts = _reciprocal_integral(
-        omega, np.array(eps[1:] + [min(eps[0], u0)]), np.array(eps[:-1] + [max(eps[0], u0)])
-    ).tolist()
-    increments = parts[:-1]
-    first = -parts[-1] if eps[0] > u0 else parts[-1]
-    partial = np.cumsum([first] + increments).tolist()
+    # cells bottom..top-1 tile [1e-12, 0.1]; u0 lies in cell ju
+    bottom, top, ju = -_N_DECADES * _CELLS_PER_DECADE, -_CELLS_PER_DECADE, _cell_of(u0)
+    lo = min(bottom, ju)
+    edges, cells = omega._cells.cells(lo, max(top, ju))
+    decades = cells[bottom - lo:top - lo].reshape(-1, _CELLS_PER_DECADE)[::-1]
+    increments = [math.fsum(row) for row in decades.tolist()]
+    whole = math.fsum(cells[min(top, ju) - lo:max(top, ju) - lo].tolist())
+    piece = float(_reciprocal_integral(omega, edges[ju - lo:ju - lo + 1], np.array([u0]))[0])
+    # I(eps_1) is the integral over [0.1, u0]
+    partial = np.cumsum([(whole if ju >= top else -whole) + piece] + increments).tolist()
 
     window = increments[-_WINDOW:]
     ratios = [b / a if a > 0 else math.inf for a, b in zip(window, window[1:])]
@@ -291,58 +317,55 @@ def osgood_check(omega, u0):
     else:
         verdict = "INCONCLUSIVE"
 
-    return OsgoodReport(
-        verdict=verdict,
-        u0=float(u0),
-        epsilons=eps,
-        partial_integrals=partial,
-        increments=increments,
-    )
+    return OsgoodReport(verdict=verdict, u0=float(u0), epsilons=eps, partial_integrals=partial,
+                        increments=increments)
 
 
 class OmegaTransform:
-    """Tabulated ``Omega(r) = integral from u0 to r of 1/omega(s) ds``.
+    """``Omega(r) = integral from u0 to r of 1/omega(s) ds``, a view on the modulus's cells.
 
-    Built on a logarithmic grid (24 points per decade, 8 at least) with
-    Gauss-Legendre in the log variable (one ``_reciprocal_integral`` call
-    for all cells), interpolated by the cubic Hermite in log r with the
-    exact slopes r / omega(r), capped to keep each cell monotone (Fritsch &
-    Carlson 1980), and inverted by bisection on it, so ``Omega`` and
-    ``Omega^{-1}`` are both monotone on the covered range.
+    Its nodes are the edges of the cells that cover [r_min, r_max] (default
+    u0 * 1e-8 and u0 * 1e8; at most 1e308), its values the running sums of the cells
+    shifted so that Omega(u0) = 0.  Between nodes it is the cubic Hermite in
+    log r with the exact slopes r / omega(r), capped to keep each cell
+    monotone (Fritsch & Carlson 1980), and it is inverted by bisection on it.
+    A drop of omega at the nodes beyond 8 ulps raises ``ConfigurationError``.
     """
 
     def __init__(self, modulus, u0, r_min=None, r_max=None):
         self.modulus = _as_modulus(modulus)
         self.u0 = float(u0)
-        if self.u0 <= 0:
-            raise ConfigurationError("u0 must be positive")
         r_min = float(r_min) if r_min is not None else self.u0 * 1e-8
         r_max = float(r_max) if r_max is not None else self.u0 * 1e8
-        if not 0 < r_min < self.u0 < r_max:
-            raise ConfigurationError("need 0 < r_min < u0 < r_max")
+        if not 0 < r_min < self.u0 < r_max <= 1e308:
+            raise ConfigurationError("need 0 < r_min < u0 < r_max <= 1e308")
 
-        # decades as a difference of logs: r_max / r_min may overflow
-        n = max(int(round(24 * (math.log10(r_max) - math.log10(r_min)))), 8)
-        grid = np.geomspace(r_min, r_max, n)
-        grid = np.unique(np.concatenate((grid, [self.u0])))
-        cells = _reciprocal_integral(self.modulus, grid[:-1], grid[1:], panels=4)
-        # running sums away from u0 in both directions, so Omega(u0) = 0
-        anchor = int(np.searchsorted(grid, self.u0))
-        values = np.concatenate((
-            -np.cumsum(cells[:anchor][::-1])[::-1], [0.0], np.cumsum(cells[anchor:]),
-        ))
+        first, top = _cell_of(r_min), _cell_of(r_max)
+        top += _edge(top) < r_max
+        grid, cells = self.modulus._cells.cells(first, top)
+        d, ws = _reciprocal_sample(self.modulus, grid)  # d: the exact slopes r / omega(r)
+        drops = np.flatnonzero(ws[1:] < ws[:-1] - _ROUNDING_ULPS * np.spacing(ws[:-1]))
+        if drops.size:
+            q = drops[0]
+            raise ConfigurationError(f"{self.modulus.name} must be nondecreasing, but omega("
+                                     f"{grid[q]}) = {ws[q]} > omega({grid[q + 1]}) = {ws[q + 1]}")
+        anchor = _cell_of(self.u0) - first  # running sums away from the node at or below u0
+        below, above = np.cumsum(cells[:anchor][::-1])[::-1], np.cumsum(cells[anchor:])
+        values = np.concatenate((-below, [0.0], above))
 
         self.r_grid = grid
-        self.values = values
         self._x = np.log(grid)
-        # exact slopes r / omega(r); a cell whose pair has hypot > 3 * secant scales it to that
-        d = _reciprocal_sample(self.modulus, self._x)
+        # a cell whose pair of slopes has hypot > 3 * secant scales it to that
         h = np.diff(self._x)
         m = np.diff(values) / h
         cap = np.minimum(1.0, 3.0 * m / np.hypot(d[:-1], d[1:]))
         d0, d1 = cap * d[:-1], cap * d[1:]
         self._coef = np.stack(((d0 + d1 - 2.0 * m) / h**2, (3.0 * m - 2.0 * d0 - d1) / h,
                                d0, values[:-1]))
+        # Omega(u0) = 0; the Bihari bound, a difference of Omega values, does not see the shift
+        shift = float(self._forward(math.log(self.u0)))
+        self._coef[3] -= shift
+        self.values = values - shift
 
     def _forward(self, u):
         """The cubic at u = log r (a float or an array) in the cell that holds it."""

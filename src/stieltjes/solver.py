@@ -54,7 +54,7 @@ from .errors import (
 )
 from .expr import _SCALAR, ExprFunction, VarX, _define, _source, _walk
 from .measure import QuadratureConfig, _cumulative, _gl_nodes, _gl_rule, _sample_finite, integrate
-from .moduli import OmegaTransform, OsgoodModulus, bihari_bound, osgood_check
+from .moduli import _ROUNDING_ULPS, OmegaTransform, OsgoodModulus, bihari_bound, osgood_check
 
 __all__ = [
     "IVProblem",
@@ -683,12 +683,13 @@ def apriori_bound(problem):
     Needs a declared Osgood modulus (the osgood check at u0 = 1 must say
     DIVERGENT) and works on the largest tested sub-horizon [t0, t1] on which
     the Bihari precondition holds: Omega(kappa(t1)) plus the weighted-measure
-    growth must stay below the top of the transform table, which is widened
-    by 10^4 at a time up to r = 1e120.  The candidates are t1 = t0 + k *
-    horizon / 16, k = 16..1, and kappa is read for all of them from one
-    ``_cumulative`` table over [t0, t0+horizon).  The weighted measure h is
-    an ``IndefiniteIntegral`` of phi, exact to rounding (``_weight_integral``);
-    phi must be finite and nonnegative at its samples and at an atom at t0.
+    growth must stay below the top of the Omega view, widened by 10^4 at a
+    time up to r = 1e120; every view reads the modulus's one table of cells,
+    which integrates a cell once (a decreasing modulus raises there).  The
+    candidates are t1 = t0 + k * horizon / 16, k = 16..1, with kappa read
+    from one ``_cumulative`` table over [t0, t0+horizon).  The weighted measure
+    h is an ``IndefiniteIntegral`` of phi, exact to rounding; phi must be
+    finite and nonnegative at its samples and at an atom at t0.
     """
     if problem.modulus is None:
         raise ConfigurationError("apriori_bound needs a declared modulus")
@@ -765,7 +766,6 @@ class UniquenessReport:
 # per-call overhead vanishes, small enough that the temporaries of a block
 # stay far below the size of the drawn samples.
 _CERT_BLOCK = 1024
-_ROUNDING_ULPS = 8  # a sampled inequality fails beyond this many ulps of the values compared
 
 
 def _sample_named(f, ts, name, xs=None):

@@ -25,7 +25,6 @@ from stieltjes.measure import QuadratureConfig
 from stieltjes.moduli import (
     OmegaTransform,
     _reciprocal_integral,
-    OsgoodModulus,
     bihari_bound,
     exp_iter,
     log_iter,
@@ -42,16 +41,19 @@ from stieltjes.moduli import (
     lambda: exp_iter(-1, 1.0),
     lambda: log_iter(0, 2.0),
     lambda: omega_k(0, 0.5),
-    lambda: OsgoodModulus(evaluator=lambda s: s + 1.0).validate(),
-    lambda: OsgoodModulus(evaluator=lambda s: -s).validate(),
-    lambda: OsgoodModulus(evaluator=lambda s: s * (1.5 - s)).validate(u0=1.4),
+    lambda: OmegaTransform(lambda s: s * (1.5 - s), 1.0, r_max=1.4),
     lambda: OmegaTransform(lambda s: s, 0.0),
     lambda: OmegaTransform(lambda s: s, 1.0, r_min=2.0),
+    lambda: OmegaTransform(lambda s: s, 1.0, r_min=math.nan),
+    lambda: OmegaTransform(lambda s: s, 1.0, r_max=math.inf),
+    lambda: OmegaTransform(lambda s: s, 1.0, r_max=1.79e308),  # its cell's top edge overflows
+    lambda: osgood_check(lambda s: s, 1.79e308),
     lambda: bihari_bound(0.0, lambda t: t, 0.0, 1.0, OmegaTransform(lambda s: s, 1.0)),
 ], ids=[
     "quadrature-order", "quadrature-panels", "exp-iter-k", "log-iter-k",
-    "omega-k-k", "modulus-at-zero", "modulus-negative", "modulus-decreasing",
-    "transform-u0", "transform-range", "bihari-kappa",
+    "omega-k-k", "modulus-decreasing", "transform-u0", "transform-range",
+    "transform-r-min-nan", "transform-r-max-inf", "transform-r-max-huge", "osgood-u0-huge",
+    "bihari-kappa",
 ])
 def test_bad_construction_arguments_raise_configuration_error(build):
     with pytest.raises(ConfigurationError) as exc:
@@ -75,6 +77,17 @@ class TestIteratedExpLog:
             log_iter(2, 1.0)  # needs t > e^0 = 1
         with pytest.raises(ValueError):
             log_iter(1, 0.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_exp_iter_refuses_nan(self, k):
+        # it used to return nan for k = 0 and report an overflow for k >= 1
+        with pytest.raises(ValueError, match="got t=nan"):
+            exp_iter(k, math.nan)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_log_iter_refuses_nan(self, k):
+        with pytest.raises(ValueError, match="got t=nan"):
+            log_iter(k, math.nan)
 
     def test_overflow_is_explicit(self):
         with pytest.raises(ModulusOverflowError):
@@ -198,13 +211,17 @@ class TestOsgoodCheck:
 
     @pytest.mark.parametrize("modulus", [omega_k_modulus(2), lambda s: math.sqrt(s)])
     @pytest.mark.parametrize("u0", [1.0, 0.1, 0.02, 3.0])
-    def test_one_batched_call_equals_one_call_per_interval(self, modulus, u0):
+    def test_increments_are_sums_of_cells_each_integrated_alone(self, modulus, u0):
+        # the cells [10^(j/32), 10^((j+1)/32)]: 32 to a decade, 0.1 the edge of cell -32
         report = osgood_check(modulus, u0)
-        eps = report.epsilons
         one = lambda lo, hi: float(_reciprocal_integral(modulus, np.array([lo]), np.array([hi]))[0])
-        assert report.increments == [one(eps[m + 1], eps[m]) for m in range(len(eps) - 1)]
-        first = one(min(eps[0], u0), max(eps[0], u0))
-        partial = [-first if eps[0] > u0 else first]
+        cell = lambda j: one(10.0 ** (j / 32), 10.0 ** ((j + 1) / 32))
+        assert report.increments == [
+            math.fsum(cell(j) for j in range(-32 * (m + 2), -32 * (m + 1))) for m in range(11)]
+        ju = math.floor(32 * math.log10(u0))  # u0 lies inside cell ju for these u0
+        assert 10.0 ** (ju / 32) <= u0 < 10.0 ** ((ju + 1) / 32)
+        whole = math.fsum(cell(j) for j in range(min(ju, -32), max(ju, -32)))
+        partial = [(whole if ju >= -32 else -whole) + one(10.0 ** (ju / 32), u0)]
         for j in report.increments:
             partial.append(partial[-1] + j)
         assert report.partial_integrals == partial
@@ -247,17 +264,41 @@ class TestOsgoodCheck:
             osgood_check(lambda s: s, u0)
 
 
-class TestOsgoodModulus:
-    def test_validate_accepts_good(self):
-        OsgoodModulus(evaluator=lambda s: s, name="linear").validate()
+class TestModulusRefusals:
+    """What makes a modulus: omega(0) = 0, omega > 0 beyond, nondecreasing.
 
-    def test_validate_rejects_nonzero_origin(self):
-        with pytest.raises(ValueError):
-            OsgoodModulus(evaluator=lambda s: s + 1.0).validate()
+    The osgood check reads omega(0) > 0 as a convergent integral, every
+    sample of omega must be positive, and the Omega view refuses a drop
+    between its nodes (``TestAprioriBound`` makes the same refusals).
+    """
 
-    def test_validate_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            OsgoodModulus(evaluator=lambda s: s * (1.5 - s)).validate(u0=1.4)
+    def test_a_modulus_positive_at_zero_is_convergent(self):
+        assert osgood_check(lambda s: s + 1.0, 1.0).verdict == "CONVERGENT"
+
+    @pytest.mark.parametrize("build", [
+        lambda omega: osgood_check(omega, 1.0), lambda omega: OmegaTransform(omega, 1.0),
+    ], ids=["osgood_check", "OmegaTransform"])
+    def test_a_negative_modulus_is_named(self, build):
+        with pytest.raises(IntegrandError, match=r"modulus returned -[0-9.e-]+ at s="):
+            build(lambda s: -s)
+
+    def test_a_decreasing_modulus_is_refused_by_the_view_only(self):
+        # s (1.5 - s) peaks at 0.75: the nodes 10^(-4/32) and 10^(-3/32) straddle it
+        with pytest.raises(ConfigurationError, match=(
+                r"must be nondecreasing, but omega\(0\.74989[0-9]*\) = 0\.56249[0-9]* > "
+                r"omega\(0\.80584[0-9]*\) = 0\.55938")):
+            OmegaTransform(lambda s: s * (1.5 - s), 1.0, r_max=1.4)
+        assert osgood_check(lambda s: s * (1.5 - s), 1.0).verdict == "DIVERGENT"
+
+    @pytest.mark.parametrize("modulus, r_min", [
+        (omega_k_modulus(1), 1e-14), (omega_k_modulus(2), 1e-14), (omega_k_modulus(3), 1e-14),
+        (lambda s: s, 1e-14), (math.sqrt, 1e-14), (lambda s: 2.0 * s + s * s, 1e-14),
+        (lambda s: min(s, 0.1), 1e-14), (lambda s: s * math.exp(-1.0 / s), 0.01),
+    ], ids=["omega_1", "omega_2", "omega_3", "s", "sqrt", "2s+s^2", "min-s-0.1", "s-exp"])
+    def test_nondecreasing_moduli_pass_the_view(self, modulus, r_min):
+        # s exp(-1/s) underflows to 0 below about 1.4e-3
+        tr = OmegaTransform(modulus, 1.0, r_min=r_min, r_max=1e9)
+        assert tr.r_grid[0] <= r_min and tr.r_grid[-1] >= 1e9
 
 
 class TestOmegaTransform:
@@ -281,19 +322,51 @@ class TestOmegaTransform:
         (lambda s: 2.0 * s + s * s, 0.01, 1e-9, 3.0),
     ])
     def test_table_equals_one_integral_per_cell(self, modulus, u0, r_min, r_max):
-        # the batched build against the running sums of per-cell integrals
+        # the nodes are the edges 10^(j/32) of the whole cells that cover
+        # [r_min, r_max]; the values, the running sums of the cells, each
+        # integrated alone, from the node at or below u0, shifted so Omega(u0) = 0
         tr = OmegaTransform(modulus, u0, r_min=r_min, r_max=r_max)
+        r_min, r_max = r_min or u0 * 1e-8, r_max or u0 * 1e8
         grid = tr.r_grid
-        cell = lambda k: float(
-            _reciprocal_integral(modulus, grid[k:k + 1], grid[k + 1:k + 2], panels=4)[0])
-        anchor = int(np.searchsorted(grid, u0))
-        values = np.empty(grid.size)
-        values[anchor] = 0.0
+        first = round(32 * math.log10(grid[0]))
+        assert grid.tolist() == [10.0 ** ((first + k) / 32) for k in range(grid.size)]
+        assert grid[0] <= r_min < grid[1] and grid[-2] < r_max <= grid[-1]
+        cell = lambda k: float(_reciprocal_integral(modulus, grid[k:k + 1], grid[k + 1:k + 2])[0])
+        anchor = int(np.searchsorted(grid, u0, side="right")) - 1
+        sums = np.empty(grid.size)
+        sums[anchor] = 0.0
         for k in range(anchor, grid.size - 1):
-            values[k + 1] = values[k] + cell(k)
+            sums[k + 1] = sums[k] + cell(k)
         for k in range(anchor, 0, -1):
-            values[k - 1] = values[k] - cell(k - 1)
-        assert np.array_equal(tr.values, values)
+            sums[k - 1] = sums[k] - cell(k - 1)
+        shift = -tr.values[anchor]
+        assert np.array_equal(tr.values, sums - shift)
+        assert abs(shift) <= tr.values[anchor + 1] - tr.values[anchor]  # inside u0's cell
+        assert abs(tr.omega_of(u0)) <= 1e-15 * (1.0 + abs(shift))
+
+    def test_omega_at_a_node_does_not_depend_on_the_range(self):
+        # one table of cells: two views share every node value they both hold
+        modulus = omega_k_modulus(1)
+        small = OmegaTransform(modulus, 1.0, r_min=1.3e-7, r_max=1e2)
+        large = OmegaTransform(modulus, 1.0, r_min=2e-8, r_max=1e6)
+        k = int(np.searchsorted(large.r_grid, small.r_grid[0]))
+        assert np.array_equal(large.r_grid[k:k + small.r_grid.size], small.r_grid)
+        assert np.array_equal(large.values[k:k + small.r_grid.size], small.values)
+
+    @pytest.mark.parametrize("r_min", [1e-7, 1.3e-7, 3.3e-7, 2e-8])
+    @pytest.mark.parametrize("r_max", [37.0, 100.0, 1e6])
+    def test_omega_k1_within_1e_6_of_the_closed_form(self, r_min, r_max):
+        # omega_k(1), u0 = 1: Omega(r) = 1 - e - log log(1/r) below 1/e and
+        # e (r - 1) above; the view's Omega^-1 of the exact Omega is r within 1e-6
+        def exact(r):
+            if r < 1.0 / math.e:
+                return 1.0 - math.e - math.log(math.log(1.0 / r))
+            return math.e * (r - 1.0)
+
+        tr = OmegaTransform(omega_k_modulus(1), 1.0, r_min=r_min, r_max=r_max)
+        rs = np.geomspace(r_min, r_max, 2001)[1:-1]
+        got = tr.inverse(np.array([exact(r) for r in rs.tolist()]))
+        assert np.max(np.abs(got - rs) / rs) <= 1e-6
 
     def test_between_nodes_matches_the_closed_form(self):
         # omega_k(1)(s) = s log(1/s): Omega(r) = log log(1/u0) - log log(1/r)
@@ -319,7 +392,7 @@ class TestOmegaTransform:
         # r_max / r_min overflows a double; the decade count must not
         tr = OmegaTransform(lambda s: s, 1.0, r_min=1e-300, r_max=1e300)
         assert tr.r_grid[0] == 1e-300 and tr.r_grid[-1] == 1e300
-        assert tr.r_grid.size == 24 * 600 + 1
+        assert tr.r_grid.size == 32 * 600 + 1
         assert np.all(np.diff(tr.values) > 0)
         for r in (2e-300, 1e-299, 5e299, 9e299):
             assert tr.omega_of(r) == pytest.approx(math.log(r), rel=1e-10)

@@ -724,13 +724,78 @@ class TestAprioriBound:
 
     def test_a_weight_too_large_for_every_sub_horizon_is_refused(self):
         # Omega(kappa) plus the growth of h = 1e4 t passes the top of every
-        # table up to r = 1e120, on all 16 candidate horizons; the modulus s
-        # is batched, since about 500 tables are built
+        # Omega view up to r = 1e120, on all 16 candidate horizons: 480 views,
+        # which read one table of cells; the modulus s is batched
         linear = OsgoodModulus(evaluator=ExprFunction(parse("t", 0)), name="s")
         p = IVProblem(0.0, 1.0, [1.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
                       modulus=linear, phi=lambda t: 1e4, ball_radius=1.0)
         with pytest.raises(BoundInapplicableError, match="failed on every tested sub-horizon"):
             apriori_bound(p)
+
+    def test_the_same_refusal_samples_a_plain_modulus_under_2m_times(self):
+        # the cells up to 1e120 once (about 130k samples), then each view's
+        # nodes; a table per view took 49.7M samples
+        calls = 0
+
+        def linear(s):
+            nonlocal calls
+            calls += 1
+            return s
+
+        p = IVProblem(0.0, 1.0, [1.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
+                      modulus=OsgoodModulus(evaluator=linear, name="s"), phi=lambda t: 1e4,
+                      ball_radius=1.0)
+        with pytest.raises(BoundInapplicableError, match="failed on every tested sub-horizon"):
+            apriori_bound(p)
+        assert calls < 2_000_000
+
+    @staticmethod
+    def declaring(modulus, rhs=lambda t, x: x[0], x0=1.0, end=1.0):
+        return IVProblem(0.0, end, [x0], [Derivator.identity((0.0, end))], [rhs],
+                         modulus=OsgoodModulus(evaluator=modulus))
+
+    def test_a_modulus_positive_at_zero_is_refused(self):
+        with pytest.raises(BoundInapplicableError,
+                           match=r"not certified Osgood \(osgood_check: CONVERGENT\)"):
+            apriori_bound(self.declaring(lambda s: s + 1.0))
+
+    def test_a_negative_modulus_is_named(self):
+        with pytest.raises(IntegrandError, match=r"modulus returned -[0-9.e-]+ at s="):
+            apriori_bound(self.declaring(lambda s: -s))
+
+    def test_a_decreasing_modulus_is_refused(self):
+        # 1.8 |sin(pi s)| is a modulus of 1 + 0.9 sin(2 pi x) for every pair,
+        # and Osgood, but it dips at s = 1, where Bihari's bound stalled below
+        # the trace (by 0.084 at t = 3); the Omega view names the first drop
+        p = self.declaring(lambda s: 1.8 * abs(math.sin(math.pi * s)) + 1e-12 * s,
+                           lambda t, x: 1.0 + 0.9 * math.sin(2.0 * math.pi * x[0]), 0.75, 3.0)
+        with pytest.raises(ConfigurationError,
+                           match=r"must be nondecreasing, but omega\(0\.48696[0-9]*\) = 1\.7984"):
+            apriori_bound(p)
+
+    def test_no_cell_of_1_over_omega_is_integrated_twice(self, monkeypatch):
+        # apriori_bound and uniqueness_certificate read the modulus's one table
+        # of cells: a second pair of calls integrates nothing, since the osgood
+        # check's u0 = 1 is a cell edge and leaves no piece outside the cells
+        from stieltjes import moduli
+
+        integrated = []
+        real = moduli._reciprocal_integral
+
+        def spy(omega, lo, hi):
+            integrated.extend((a, b) for a, b in zip(lo.tolist(), hi.tolist()) if a < b)
+            return real(omega, lo, hi)
+
+        monkeypatch.setattr(moduli, "_reciprocal_integral", spy)
+        p = impulsive_problem(ball_radius=5.0, modulus=omega_k_modulus(1))
+        pairs = []
+        for _ in range(2):
+            integrated.clear()
+            apriori_bound(p)
+            uniqueness_certificate(p, n_samples=100)
+            pairs.append(list(integrated))
+        assert len(pairs[0]) > 300 and len(set(pairs[0])) == len(pairs[0])
+        assert pairs[1] == []
 
     def test_check_trace_holds_when_no_grid_point_is_inside(self):
         p = classical_problem()
