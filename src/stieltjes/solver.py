@@ -54,7 +54,8 @@ from .errors import (
 )
 from .expr import _SCALAR, ExprFunction, VarX, _define, _source, _walk
 from .measure import QuadratureConfig, _cumulative, _gl_nodes, _gl_rule, _sample_finite, integrate
-from .moduli import _ROUNDING_ULPS, OmegaTransform, OsgoodModulus, bihari_bound, osgood_check
+from .moduli import (_ROUNDING_ULPS, OmegaTransform, OsgoodModulus, _as_modulus, _reciprocal_sample,
+                     bihari_bound, osgood_check)
 
 __all__ = [
     "IVProblem",
@@ -101,7 +102,8 @@ class IVProblem:
     ball of that radius around ``x0`` and solvers fail loudly on exit.
     ``modulus``/``phi`` declare the modulus-of-continuity structure of the
     rhs used by certificates and bounds; ``phi = None`` means the weight is
-    identically one.
+    identically one.  A plain callable ``modulus`` is wrapped into one
+    ``OsgoodModulus``, whose table of cells every bound and certificate reads.
 
     Batch protocol: a rhs may also offer ``f_i.batch(ts, xs) -> array``
     (``ts`` of shape ``(m,)``, states ``xs`` of shape ``(m, n)``), and
@@ -140,6 +142,8 @@ class IVProblem:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "derivators", tuple(self.derivators))
         object.__setattr__(self, "rhs", tuple(self.rhs))
+        if self.modulus is not None:
+            object.__setattr__(self, "modulus", _as_modulus(self.modulus))
         if not math.isfinite(self.t0):
             raise ConfigurationError(f"t0 must be finite, got {self.t0}")
         _require_positive("horizon", self.horizon)
@@ -534,23 +538,9 @@ def residual(problem, trace):
     return np.max(np.abs(trace.values - mapped), axis=0)
 
 
-class _One:
-    """The weight phi = 1 of a problem that declares none."""
-
-    def __call__(self, t):
-        return 1.0
-
-    def batch(self, ts):
-        return np.ones(len(ts))
-
-
-def _phi_or_one(problem):
-    return _One() if problem.phi is None else problem.phi
-
-
-class _Nonnegative:
-    """A weight phi that refuses, with ``IntegrandError``, a sample that is not
-    finite and nonnegative: the growth bounds check phi on their integrals' samples."""
+class _Weight:
+    """The weight phi of a problem (``None``: phi = 1) as the bounds and the certificate
+    read it: a sample that is not finite and nonnegative raises ``IntegrandError``."""
 
     def __init__(self, phi):
         self.phi = phi
@@ -559,6 +549,9 @@ class _Nonnegative:
         return float(self.batch(np.array([float(t)]))[0])
 
     def batch(self, ts):
+        if self.phi is None:
+            return np.ones(len(ts))
+
         def refuse(v, q):
             return IntegrandError(
                 f"weight returned {v} at t={ts[q]}; it must be finite and nonnegative",
@@ -572,52 +565,49 @@ class _Nonnegative:
 
 
 class _AbsRhsAtX0:
-    """``s -> max_i |f_i(s, x0)|`` over some rhs components; NaN propagates."""
+    """``s -> |f(s, x0)|`` for one rhs component ``f``; NaN propagates."""
 
-    def __init__(self, rhs, x0):
-        self.rhs = tuple(rhs)
-        self.x0 = x0  # a tuple of floats
+    def __init__(self, f, x0):
+        self.f, self.x0 = f, x0  # x0: a tuple of floats
 
     def __call__(self, s):
-        return float(np.max(np.abs([float(f(float(s), self.x0)) for f in self.rhs])))
+        return abs(float(self.f(float(s), self.x0)))
 
     def batch(self, ss):
-        xs = np.broadcast_to(self.x0, (len(ss), len(self.x0)))
-        out = None
-        for f in self.rhs:
-            batch = getattr(f, "batch", None)
-            vals = None if batch is None else batch(ss, xs)
-            if vals is None:
-                return None
-            out = np.abs(vals) if out is None else np.maximum(out, np.abs(vals))
-        return out
+        batch = getattr(self.f, "batch", None)
+        vals = None if batch is None else batch(ss, np.broadcast_to(self.x0, (len(ss), len(self.x0))))
+        return None if vals is None else np.abs(vals)
+
+
+def _rhs_at_x0_tables(problem, ends):
+    """Row i: A_i(t), the integral of |f_i(s, x0)| over [t0, t) against g_i, at each t of ends."""
+    return np.array([_cumulative(g, _AbsRhsAtX0(f, problem._center), problem.t0, ends, _LIGHT_QUAD)
+                     for g, f in zip(problem.derivators, problem.rhs)])
 
 
 def horizon_for_ball(problem):
     """Largest grid-searched sigma for which the ball-invariance inequality holds.
 
     The criterion is strict:  omega(R) * (phi-weighted measure of
-    [t0, t0+sigma) under the sum derivator)  plus the accumulated size of
-    the rhs at x0 must stay below the ball radius R.  Sufficient, not
-    necessary; failure for every tested sigma raises.  The candidates are
-    the 64 multiples k * horizon / 64, k = 64..1, all read from one
-    ``_cumulative`` table per integral over [t0, t0+horizon).  A declared
-    phi must be finite and nonnegative at every sample (``_Nonnegative``).
+    [t0, t0+sigma) under the sum derivator)  plus  sum_i A_i(t0+sigma)  must
+    stay below the ball radius R, with A_i as in ``apriori_bound``.
+    Sufficient, not necessary; failure for every tested sigma raises.  The
+    candidates are the 64 multiples k * horizon / 64, k = 64..1, all read
+    from one ``_cumulative`` table per integral over [t0, t0+horizon).
+    omega(R) must be finite and positive, and phi (``_Weight``) finite and
+    nonnegative at every sample, or ``IntegrandError`` is raised.
     """
     if problem.ball_radius is None or problem.modulus is None:
         raise ConfigurationError("horizon_for_ball needs ball_radius and modulus")
     R = problem.ball_radius
-    omega_R = float(problem.modulus(R))
+    omega_R = float(_reciprocal_sample(problem.modulus, np.array([R]))[1][0])
     ghat = sum_derivators(problem.derivators)
     t0 = problem.t0
 
     sigmas = np.linspace(problem.horizon, problem.horizon / 64, 64)
     ends = t0 + sigmas
-    weighted = _cumulative(ghat, _Nonnegative(_phi_or_one(problem)), t0, ends, _LIGHT_QUAD)
-    accumulated = sum(
-        _cumulative(g, _AbsRhsAtX0([f], problem._center), t0, ends, _LIGHT_QUAD)
-        for g, f in zip(problem.derivators, problem.rhs)
-    )
+    weighted = _cumulative(ghat, _Weight(problem.phi), t0, ends, _LIGHT_QUAD)
+    accumulated = sum(_rhs_at_x0_tables(problem, ends))
     inside = np.flatnonzero(omega_R * weighted + accumulated < R)
     if inside.size:
         return float(sigmas[inside[0]])
@@ -650,7 +640,7 @@ class AprioriBound:
 
     Built from the Bihari-type inequality; ``zero_kappa`` marks the
     degenerate case of a rhs vanishing along x0, where the bound collapses
-    to zero.
+    to zero (zeros of t's shape, elementwise, as every bound).
     """
 
     t0: float
@@ -678,18 +668,21 @@ class AprioriBound:
 
 
 def apriori_bound(problem):
-    """The nondecreasing bound dominating every solution near t0.
+    """The nondecreasing bound dominating every solution near t0, in the max norm.
 
+    kappa = max_i A_i, A_i(t) the integral of |f_i(s, x0)| over [t0, t) against
+    g_i: |x_i(t) - x0_i| <= A_i(t) + integral of phi * omega(||x - x0||) d ghat
+    for each i, with ghat the sum derivator, and Bihari's lemma bounds the max.
     Needs a declared Osgood modulus (the osgood check at u0 = 1 must say
     DIVERGENT) and works on the largest tested sub-horizon [t0, t1] on which
     the Bihari precondition holds: Omega(kappa(t1)) plus the weighted-measure
     growth must stay below the top of the Omega view, widened by 10^4 at a
     time up to r = 1e120; every view reads the modulus's one table of cells,
     which integrates a cell once (a decreasing modulus raises there).  The
-    candidates are t1 = t0 + k * horizon / 16, k = 16..1, with kappa read
+    candidates are t1 = t0 + k * horizon / 16, k = 16..1, with each A_i read
     from one ``_cumulative`` table over [t0, t0+horizon).  The weighted measure
-    h is an ``IndefiniteIntegral`` of phi, exact to rounding; phi must be
-    finite and nonnegative at its samples and at an atom at t0.
+    h is an ``IndefiniteIntegral`` of phi against ghat, exact to rounding; phi
+    is read through ``_Weight``, at its samples and at an atom at t0.
     """
     if problem.modulus is None:
         raise ConfigurationError("apriori_bound needs a declared modulus")
@@ -703,17 +696,17 @@ def apriori_bound(problem):
     t0 = problem.t0
     end = t0 + problem.horizon
     ghat = sum_derivators(problem.derivators)
-    phi = _Nonnegative(_phi_or_one(problem))
+    phi = _Weight(problem.phi)
     if ghat.jump(t0) > 0.0:
         phi.batch(np.array([t0]))  # h leaves out the atom at t0; phi must be >= 0 there too
     h = _weight_integral(phi, ghat, t0, end)
-    biggest = _AbsRhsAtX0(problem.rhs, problem._center)
 
     ends = np.linspace(end, t0 + problem.horizon / 16, 16)
-    kappas = _cumulative(ghat, biggest, t0, ends, _LIGHT_QUAD)
+    kappas = np.max(_rhs_at_x0_tables(problem, ends), axis=0)
     for t1, kappa in zip(ends.tolist(), kappas.tolist()):
         if kappa <= 0.0:
-            return AprioriBound(t0=t0, t1=t1, kappa=0.0, bound=lambda t: 0.0, zero_kappa=True)
+            return AprioriBound(t0=t0, t1=t1, kappa=0.0, zero_kappa=True,
+                                bound=lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0)
         r_max = max(u0, kappa) * 100.0
         while r_max <= 1e120:  # past it, try a shorter horizon
             r_min = min(kappa, u0) * 1e-6
@@ -796,12 +789,14 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     ``|f_i(t,x) - f_i(t,y)| <= phi(t) * omega(||x-y||)`` on a randomized
     sample of the domain, (c) the weight is integrable against
     every component derivator.  All three are sampled evidence; the report
-    says so.  The samples are drawn at once and evaluated in blocks of
-    ``_CERT_BLOCK``: phi, the modulus at the gaps, then each rhs at x and y
-    of every sample; violations are listed in (sample, component) order.  A
-    non-finite value of a rhs, phi or the modulus raises ``SolverError``
-    naming it and the sample time.  ``n_samples`` must be an integer >= 1:
-    no samples would be no evidence.
+    says so; a phi refused in (c) leaves the report UNVERIFIED and unsampled.
+    The samples are drawn at once and evaluated in blocks of ``_CERT_BLOCK``:
+    phi, the modulus at the gaps, then each rhs at x and y of every sample;
+    violations are listed in (sample, component) order.  A phi sample that
+    is not finite and nonnegative raises ``IntegrandError`` (``_Weight``),
+    a non-finite rhs or modulus value ``SolverError``, naming it and the
+    sample time.  ``n_samples`` must be an integer >= 1: no samples would be
+    no evidence.
     """
     if problem.modulus is None:
         raise ConfigurationError("uniqueness_certificate needs a declared modulus")
@@ -810,7 +805,7 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     osgood = osgood_check(problem.modulus, 1.0).verdict
     report.osgood_verdicts = {1.0: osgood, 0.01: osgood}
 
-    phi = _phi_or_one(problem)
+    phi = _Weight(problem.phi)
     t_end = problem.t0 + problem.horizon
     try:
         report.phi_integrals = [
@@ -830,7 +825,7 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     def check(block):
         t = ts[block]
         gaps = np.max(np.abs(xs[block] - ys[block]), axis=1)
-        allowance = _sample_named(phi, t, "phi") * _sample_finite(
+        allowance = phi.batch(t) * _sample_finite(
             problem.modulus, gaps, lambda v, q: SolverError(
                 f"modulus returned {v} at s={gaps[q]} (t={t[q]})"))
         # x and y states interleaved, so the scalar path calls f(t, x) then f(t, y)

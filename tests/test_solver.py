@@ -666,6 +666,17 @@ class TestHorizonForBall:
         with pytest.raises(ConfigurationError):
             horizon_for_ball(impulsive_problem())
 
+    @pytest.mark.parametrize("modulus, value", [
+        (lambda s: -s, r"-1\.0"), (lambda s: 0.0, r"0\.0"), (lambda s: math.nan, "nan"),
+    ], ids=["negative", "zero", "nan"])
+    def test_omega_at_the_radius_must_be_finite_and_positive(self, modulus, value):
+        # omega = s gives sigma = 0.328125; these gave 0.984375, 0.484375 and
+        # NoCertifiedHorizonError
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: 2.0],
+                      ball_radius=1.0, modulus=modulus)
+        with pytest.raises(IntegrandError, match=rf"modulus returned {value} at s=1\.0$"):
+            horizon_for_ball(p)
+
 
 class TestAprioriBound:
     def test_zero_rhs_collapses(self):
@@ -714,6 +725,33 @@ class TestAprioriBound:
     def test_needs_modulus(self):
         with pytest.raises(ConfigurationError):
             apriori_bound(impulsive_problem())
+
+    def test_the_zero_bound_is_elementwise(self):
+        p = IVProblem(0.0, 2.0, [1.0], impulsive_problem().derivators,
+                      [lambda t, x: 0.0], modulus=LINEAR)
+        bound = apriori_bound(p)
+        ts = np.linspace(0.0, bound.t1, 6).reshape(2, 3)
+        zeros = bound(ts)
+        assert zeros.shape == (2, 3) and not zeros.any()
+        assert type(bound(0.5)) is float and bound(0.5) == 0.0
+
+    def test_a_plain_modulus_is_wrapped_once(self):
+        # one OsgoodModulus per problem keeps one table of cells; a plain
+        # lambda used to be wrapped, and its table built, on every call
+        calls = 0
+
+        def linear(s):
+            nonlocal calls
+            calls += 1
+            return s
+
+        p = IVProblem(0.0, 1.0, [1.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
+                      modulus=linear)
+        apriori_bound(p)
+        calls = 0
+        apriori_bound(p)
+        assert calls < 1_000
+        assert isinstance(p.modulus, OsgoodModulus) and p.modulus.evaluator is linear
 
     def test_a_convergent_modulus_is_refused(self):
         p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
@@ -872,7 +910,7 @@ class TestCandidateTables:
         p = self.problem()
         horizon_for_ball(p)
         apriori_bound(p)
-        assert [len(c[3]) for c in calls] == [64, 64, 64, 16]
+        assert [len(c[3]) for c in calls] == [64, 64, 64, 16, 16]
         for g, f, a, ts, quad, out in calls:
             expected = [integrate(g, f, a, t, quad) for t in ts]
             np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
@@ -888,6 +926,62 @@ class TestCandidateTables:
         bound = apriori_bound(p)
         assert bound.t1 == 1.0
         assert bound.kappa == pytest.approx(0.1 * 1.2, rel=1e-12)
+
+
+class TestRhsAtX0Tables:
+    """kappa of apriori_bound is max_i A_i, A_i the integral of |f_i(., x0)| against g_i."""
+
+    @staticmethod
+    def crossing_problem():
+        # |f_1(t, x0)| = 0.98 + 0.5 sin(3t) and |f_2(t, x0)| = 0.05 + 2.5t cross
+        # near t = 0.4; each keeps its sign, so its integral is smooth
+        g1 = Derivator.identity((0.0, 1.0)).with_jumps([(0.4, 0.2)])
+        g2 = Derivator((0.0, 1.0), breakpoints=[0.0, 0.6, 1.0], slopes=[0.5, 2.0],
+                       jumps=[(0.7, 0.3)])
+        rhs = [lambda t, x: 1.0 + 0.5 * math.sin(3.0 * t) + 0.1 * x[1],
+               lambda t, x: -0.2 - 2.5 * t + 0.3 * x[0]]
+        return IVProblem(0.0, 1.0, [0.5, -0.2], [g1, g2], rhs, modulus=LINEAR)
+
+    def test_kappa_is_the_largest_component_integral(self):
+        from stieltjes import integrate, sum_derivators
+        from stieltjes.solver import _LIGHT_QUAD
+
+        p = self.crossing_problem()
+        bound = apriori_bound(p)
+        x0 = p._center
+        parts = [integrate(g, lambda s, f=f: abs(f(s, x0)), p.t0, bound.t1, _LIGHT_QUAD)
+                 for g, f in zip(p.derivators, p.rhs)]
+        assert bound.kappa == pytest.approx(max(parts), rel=1e-12, abs=0.0)
+        # the integral of max_i |f_i(., x0)| against the sum derivator dominates
+        biggest = integrate(sum_derivators(p.derivators),
+                            lambda s: max(abs(f(s, x0)) for f in p.rhs), p.t0, bound.t1)
+        assert max(parts) < sum(parts) < biggest
+        ok, worst = bound.check_trace(solve_picard(p, build_grid(p, n_steps=400), tol=1e-12))
+        assert ok, worst
+
+    @pytest.mark.parametrize("as_expr", [False, True], ids=["lambda", "expr"])
+    def test_one_component_reads_the_sum_derivator_table(self, as_expr):
+        # with one component, max_i A_i is the integral against the sum
+        # derivator of max_i |f_i(., x0)|, which kappa used to be, bit for bit
+        from stieltjes import sum_derivators
+        from stieltjes.measure import _cumulative
+        from stieltjes.moduli import bihari_bound
+        from stieltjes.solver import _LIGHT_QUAD
+
+        g = Derivator((0.0, 1.0), breakpoints=[0.0, 0.5, 1.0], slopes=[1.0, 2.0],
+                      jumps=[(0.3, 0.2)])
+        f = _expr("cos(5*t) + 0.2*x1", 1) if as_expr else (
+            lambda t, x: math.cos(5.0 * t) + 0.2 * x[0])
+        p = IVProblem(0.0, 1.0, [0.4], [g], [f], modulus=LINEAR)
+        bound = apriori_bound(p)
+        ends = np.linspace(1.0, 1.0 / 16.0, 16)
+        kappas = _cumulative(sum_derivators([g]), _AbsRhsAtX0(f, p._center), 0.0, ends,
+                             _LIGHT_QUAD)
+        k = ends.tolist().index(bound.t1)
+        assert bound.kappa == kappas[k]
+        ts = np.linspace(0.0, bound.t1, 9)
+        same = bihari_bound(kappas[k], bound.bound.h, 0.0, bound.t1, bound.transform)
+        np.testing.assert_array_equal(bound(ts), same(ts))
 
 
 class TestConvergenceOrder:
@@ -971,6 +1065,22 @@ class TestUniquenessCertificate:
         report = uniqueness_certificate(p, n_samples=100)
         assert report.verdict == "UNVERIFIED"
         assert (report.n_samples, report.violations, report.phi_integrals) == (0, [], [])
+
+    def test_a_negative_weight_leaves_it_unverified_unsampled(self):
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
+                      ball_radius=1.0, modulus=LINEAR, phi=lambda t: -1.0)
+        report = uniqueness_certificate(p, n_samples=100)
+        assert report.verdict == "UNVERIFIED"
+        assert (report.n_samples, report.violations, report.phi_integrals) == (0, [], [])
+
+    def test_a_weight_refused_at_a_sample_raises_integrand_error(self):
+        # NaN only at the first drawn time, which no quadrature node hits
+        first = float(np.random.default_rng(0).uniform(0.0, 1.0, size=100)[0])
+        p = IVProblem(0.0, 1.0, [0.0], [Derivator.identity((0.0, 1.0))], [lambda t, x: x[0]],
+                      ball_radius=1.0, modulus=LINEAR,
+                      phi=lambda t: math.nan if t == first else 1.0)
+        with pytest.raises(IntegrandError, match=rf"weight returned nan at t={first}; "):
+            uniqueness_certificate(p, n_samples=100)
 
     @pytest.mark.parametrize("n_samples", [0, -1, 2.5])
     def test_no_samples_is_refused(self, n_samples):
