@@ -122,7 +122,9 @@ class IVProblem:
     The sequential Euler step loop is emitted and compiled once per problem,
     at its first ``solve_euler``.  It writes the scalar function of each
     ``ExprFunction`` rhs out inline, from the same emitter, so its values
-    and errors are those of the scalar call; any other rhs is called.
+    and errors are those of the scalar call; any other rhs is called.  The
+    integrals both growth bounds read (``_growth_tables``) are built once
+    per problem, at its first bound call; later calls sample no phi or rhs.
     """
 
     t0: float
@@ -183,6 +185,11 @@ class IVProblem:
         """The step loop of ``solve_euler`` for this problem, compiled on first use."""
         return _define(_euler_source(self), "steps", _SCALAR, zip=zip, isfinite=math.isfinite,
                        rhs_error=_rhs_error, check_ball=_check_ball)
+
+    @cached_property
+    def _growth(self):
+        """``_growth_tables`` of this problem, built on first use."""
+        return _growth_tables(self)
 
     def eval_rhs(self, t, x):
         """The n rhs values at float ``t`` and state tuple ``x``, as a list of floats."""
@@ -579,10 +586,33 @@ class _AbsRhsAtX0:
         return None if vals is None else np.abs(vals)
 
 
-def _rhs_at_x0_tables(problem, ends):
-    """Row i: A_i(t), the integral of |f_i(s, x0)| over [t0, t) against g_i, at each t of ends."""
-    return np.array([_cumulative(g, _AbsRhsAtX0(f, problem._center), problem.t0, ends, _LIGHT_QUAD)
-                     for g, f in zip(problem.derivators, problem.rhs)])
+def _growth_tables(problem):
+    """What both growth bounds integrate: ``(sigmas, ends, at_t0, h, A)``.
+
+    The candidate horizons are sigmas = k * horizon / 64, k = 64..1, ending
+    at ends = t0 + sigmas.  h is the ``IndefiniteIntegral`` of phi
+    (``_Weight``) against the sum derivator ghat cut to [t0, t0 + horizon]:
+    phi is not sampled past the horizon, and the atom at t0 is left out; its
+    term phi(t0) * jump is at_t0 (phi is sampled at t0 only at an atom).
+    Row i of A is A_i, the integral of |f_i(s, x0)| over [t0, t) against
+    g_i, at every end, from one ``_cumulative`` table.
+    """
+    t0, end = problem.t0, problem.t0 + problem.horizon
+    ghat = sum_derivators(problem.derivators)
+    phi = _Weight(problem.phi)
+    jump = ghat.jump(t0)
+    at_t0 = phi(t0) * jump if jump > 0.0 else 0.0
+    bp, jp = ghat.breakpoints, ghat.jump_points
+    edges = np.concatenate(([t0], bp[(bp > t0) & (bp < end)], [end]))
+    inside = (jp > t0) & (jp < end)
+    cut = Derivator((t0, end), breakpoints=edges, slopes=ghat.slopes[ghat._segment(edges[:-1])],
+                    jumps=zip(jp[inside], ghat.jump_sizes[inside]))
+    h = IndefiniteIntegral(phi, cut, t0)
+    sigmas = np.linspace(problem.horizon, problem.horizon / 64, 64)
+    ends = t0 + sigmas
+    A = np.array([_cumulative(g, _AbsRhsAtX0(f, problem._center), t0, ends, _LIGHT_QUAD)
+                  for g, f in zip(problem.derivators, problem.rhs)])
+    return sigmas, ends, at_t0, h, A
 
 
 def horizon_for_ball(problem):
@@ -592,46 +622,23 @@ def horizon_for_ball(problem):
     [t0, t0+sigma) under the sum derivator)  plus  sum_i A_i(t0+sigma)  must
     stay below the ball radius R, with A_i as in ``apriori_bound``.
     Sufficient, not necessary; failure for every tested sigma raises.  The
-    candidates are the 64 multiples k * horizon / 64, k = 64..1, all read
-    from one ``_cumulative`` table per integral over [t0, t0+horizon).
-    omega(R) must be finite and positive, and phi (``_Weight``) finite and
-    nonnegative at every sample, or ``IntegrandError`` is raised.
+    candidates, the weighted measure at_t0 + h and the A_i are those of
+    ``_growth_tables``, built once per problem.  omega(R) must be finite and
+    positive, and phi (``_Weight``) finite and nonnegative at every sample,
+    or ``IntegrandError`` is raised.
     """
     if problem.ball_radius is None or problem.modulus is None:
         raise ConfigurationError("horizon_for_ball needs ball_radius and modulus")
     R = problem.ball_radius
     omega_R = float(_reciprocal_sample(problem.modulus, np.array([R]))[1][0])
-    ghat = sum_derivators(problem.derivators)
-    t0 = problem.t0
-
-    sigmas = np.linspace(problem.horizon, problem.horizon / 64, 64)
-    ends = t0 + sigmas
-    weighted = _cumulative(ghat, _Weight(problem.phi), t0, ends, _LIGHT_QUAD)
-    accumulated = sum(_rhs_at_x0_tables(problem, ends))
-    inside = np.flatnonzero(omega_R * weighted + accumulated < R)
+    sigmas, ends, at_t0, h, A = problem._growth
+    inside = np.flatnonzero(omega_R * (at_t0 + h.batch(ends)) + A.sum(axis=0) < R)
     if inside.size:
         return float(sigmas[inside[0]])
     raise NoCertifiedHorizonError(
         f"no sigma in (0, {problem.horizon}] satisfies the ball-invariance "
         f"inequality for radius {R}"
     )
-
-
-def _weight_integral(phi, ghat, t0, end):
-    """The ``IndefiniteIntegral`` of phi from t0 against ghat cut to [t0, end].
-
-    The cut keeps the breakpoints, slopes and jumps strictly inside, so phi
-    is not sampled past ``end``, and leaves out the atom at t0: it would add
-    phi(t0) * omega(|x(t0) - x0|) * jump = 0 to the Bihari integral, as
-    x(t0) = x0 and omega(0) = 0.
-    """
-    bp, jp = ghat.breakpoints, ghat.jump_points
-    edges = np.concatenate(([t0], bp[(bp > t0) & (bp < end)], [end]))
-    slopes = ghat.slopes[ghat._segment(edges[:-1])]
-    inside = (jp > t0) & (jp < end)
-    cut = Derivator((t0, end), breakpoints=edges, slopes=slopes,
-                    jumps=zip(jp[inside], ghat.jump_sizes[inside]))
-    return IndefiniteIntegral(phi, cut, t0)
 
 
 @dataclass
@@ -679,10 +686,10 @@ def apriori_bound(problem):
     growth must stay below the top of the Omega view, widened by 10^4 at a
     time up to r = 1e120; every view reads the modulus's one table of cells,
     which integrates a cell once (a decreasing modulus raises there).  The
-    candidates are t1 = t0 + k * horizon / 16, k = 16..1, with each A_i read
-    from one ``_cumulative`` table over [t0, t0+horizon).  The weighted measure
-    h is an ``IndefiniteIntegral`` of phi against ghat, exact to rounding; phi
-    is read through ``_Weight``, at its samples and at an atom at t0.
+    candidates are every fourth end of ``_growth_tables``, t1 = t0 + k *
+    horizon / 16, k = 16..1, and h and the A_i are its tables, built once
+    per problem: h leaves out the atom at t0, which adds
+    phi(t0) * omega(|x(t0) - x0|) * jump = 0, as x(t0) = x0 and omega(0) = 0.
     """
     if problem.modulus is None:
         raise ConfigurationError("apriori_bound needs a declared modulus")
@@ -694,16 +701,8 @@ def apriori_bound(problem):
         )
 
     t0 = problem.t0
-    end = t0 + problem.horizon
-    ghat = sum_derivators(problem.derivators)
-    phi = _Weight(problem.phi)
-    if ghat.jump(t0) > 0.0:
-        phi.batch(np.array([t0]))  # h leaves out the atom at t0; phi must be >= 0 there too
-    h = _weight_integral(phi, ghat, t0, end)
-
-    ends = np.linspace(end, t0 + problem.horizon / 16, 16)
-    kappas = np.max(_rhs_at_x0_tables(problem, ends), axis=0)
-    for t1, kappa in zip(ends.tolist(), kappas.tolist()):
+    _, ends, _, h, A = problem._growth
+    for t1, kappa in zip(ends[::4].tolist(), np.max(A[:, ::4], axis=0).tolist()):
         if kappa <= 0.0:
             return AprioriBound(t0=t0, t1=t1, kappa=0.0, zero_kappa=True,
                                 bound=lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0)

@@ -355,21 +355,23 @@ class TestFloatStepLoop:
         g1 = Derivator.identity((0.0, 2.0)).with_jumps([(1.0, 1.0)])
         g2 = Derivator((0.0, 2.0), slopes=[0.5], jumps=[(1.0, 0.5), (1.5, 0.25)])
         rhs = [recording(lambda t, x: 0.5 * x[0]), recording(lambda t, x: x[0] - x[1])]
-        p = IVProblem(0.0, 2.0, [1.0, 0.5], [g1, g2], rhs, ball_radius=50.0, modulus=LINEAR)
-        grid = build_grid(p, n_steps=16)
+        grid = build_grid(IVProblem(0.0, 2.0, [1.0, 0.5], [g1, g2], rhs), n_steps=16)
         phases = [
-            lambda: solve_euler(p, grid, compute_residual=False),
-            lambda: solve_euler(p, grid),
-            lambda: solve_picard(p, grid),
-            lambda: residual(p, solve_euler(p, grid, compute_residual=False)),
-            lambda: uniqueness_certificate(p, n_samples=20),
-            lambda: caratheodory_bound_check(p, 1.0, lambda t: 1e3, n_samples=20),
-            lambda: horizon_for_ball(p),
-            lambda: apriori_bound(p),
+            lambda p: solve_euler(p, grid, compute_residual=False),
+            lambda p: solve_euler(p, grid),
+            lambda p: solve_picard(p, grid),
+            lambda p: residual(p, solve_euler(p, grid, compute_residual=False)),
+            lambda p: uniqueness_certificate(p, n_samples=20),
+            lambda p: caratheodory_bound_check(p, 1.0, lambda t: 1e3, n_samples=20),
+            lambda p: horizon_for_ball(p),
+            lambda p: apriori_bound(p),
         ]
         for phase in phases:
+            # a fresh problem per phase: both growth bounds read one set of
+            # tables per problem, so the second would call no rhs
+            p = IVProblem(0.0, 2.0, [1.0, 0.5], [g1, g2], rhs, ball_radius=50.0, modulus=LINEAR)
             seen.clear()
-            phase()
+            phase(p)
             assert seen and set(seen) == {(float, tuple)}
 
     def test_grid_quadrature_is_built_only_for_the_residual(self, monkeypatch):
@@ -882,7 +884,7 @@ class TestAprioriBound:
 
 
 class TestCandidateTables:
-    """horizon_for_ball and apriori_bound read all candidates from one table each."""
+    """horizon_for_ball and apriori_bound read all candidates from one set of tables per problem."""
 
     @staticmethod
     def problem():
@@ -897,7 +899,7 @@ class TestCandidateTables:
                          modulus=LINEAR, phi=lambda t: 1.0 + 0.3 * math.cos(t))
 
     def test_candidates_match_one_integrate_call_each(self, monkeypatch):
-        from stieltjes import integrate, solver
+        from stieltjes import integrate, solver, sum_derivators
 
         calls = []
         real = solver._cumulative
@@ -910,10 +912,41 @@ class TestCandidateTables:
         p = self.problem()
         horizon_for_ball(p)
         apriori_bound(p)
-        assert [len(c[3]) for c in calls] == [64, 64, 64, 16, 16]
+        assert [len(c[3]) for c in calls] == [64, 64]  # one A_i table per component
         for g, f, a, ts, quad, out in calls:
             expected = [integrate(g, f, a, t, quad) for t in ts]
             np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+        # the weighted measure of horizon_for_ball at the same 64 ends
+        _, ends, at_t0, h, _ = p._growth
+        expected = [integrate(sum_derivators(p.derivators), p.phi, p.t0, t) for t in ends]
+        np.testing.assert_allclose(at_t0 + h.batch(ends), expected, rtol=1e-12, atol=0)
+
+    def test_a_second_bound_call_samples_neither_phi_nor_a_rhs(self):
+        calls = []
+
+        def counted(f):
+            return lambda *args: calls.append(f) or f(*args)
+
+        base = self.problem()
+        p = dataclasses.replace(base, phi=counted(base.phi), rhs=[counted(f) for f in base.rhs])
+        sigma = horizon_for_ball(p)
+        assert calls
+        calls.clear()
+        first, second = apriori_bound(p), apriori_bound(p)
+        assert horizon_for_ball(p) == sigma
+        assert calls == []
+        assert (first.t1, first.kappa) == (second.t1, second.kappa)
+        ts = np.linspace(p.t0, first.t1, 17)
+        np.testing.assert_array_equal(first(ts), second(ts))
+
+    def test_a_replaced_problem_gets_its_own_tables(self):
+        p = self.problem()
+        bound = apriori_bound(p)
+        doubled = dataclasses.replace(p, phi=lambda t: 2.0 * p.phi(t))
+        twice = apriori_bound(doubled)
+        assert doubled._growth is not p._growth
+        t = np.linspace(p.t0, min(bound.t1, twice.t1), 9)
+        np.testing.assert_allclose(twice.bound.h(t), 2.0 * bound.bound.h(t), rtol=1e-14, atol=0)
 
     def test_integrands_are_not_sampled_past_the_horizon(self):
         # the window reaches 3, the problem only 1; phi and the rhs are NaN past 1
@@ -959,29 +992,45 @@ class TestRhsAtX0Tables:
         ok, worst = bound.check_trace(solve_picard(p, build_grid(p, n_steps=400), tol=1e-12))
         assert ok, worst
 
+    @staticmethod
+    def one_component_problem(as_expr):
+        g = Derivator((0.0, 1.0), breakpoints=[0.0, 0.5, 1.0], slopes=[1.0, 2.0],
+                      jumps=[(0.3, 0.2)])
+        f = _expr("cos(5*t) + 0.2*x1", 1) if as_expr else (
+            lambda t, x: math.cos(5.0 * t) + 0.2 * x[0])
+        return IVProblem(0.0, 1.0, [0.4], [g], [f], modulus=LINEAR)
+
     @pytest.mark.parametrize("as_expr", [False, True], ids=["lambda", "expr"])
     def test_one_component_reads_the_sum_derivator_table(self, as_expr):
         # with one component, max_i A_i is the integral against the sum
-        # derivator of max_i |f_i(., x0)|, which kappa used to be, bit for bit
+        # derivator of max_i |f_i(., x0)|, which kappa used to be, bit for bit;
+        # its candidates are every fourth of the 64 ends
         from stieltjes import sum_derivators
         from stieltjes.measure import _cumulative
         from stieltjes.moduli import bihari_bound
         from stieltjes.solver import _LIGHT_QUAD
 
-        g = Derivator((0.0, 1.0), breakpoints=[0.0, 0.5, 1.0], slopes=[1.0, 2.0],
-                      jumps=[(0.3, 0.2)])
-        f = _expr("cos(5*t) + 0.2*x1", 1) if as_expr else (
-            lambda t, x: math.cos(5.0 * t) + 0.2 * x[0])
-        p = IVProblem(0.0, 1.0, [0.4], [g], [f], modulus=LINEAR)
+        p = self.one_component_problem(as_expr)
+        (g,), (f,) = p.derivators, p.rhs
         bound = apriori_bound(p)
-        ends = np.linspace(1.0, 1.0 / 16.0, 16)
+        ends = np.linspace(1.0, 1.0 / 64.0, 64)
         kappas = _cumulative(sum_derivators([g]), _AbsRhsAtX0(f, p._center), 0.0, ends,
                              _LIGHT_QUAD)
         k = ends.tolist().index(bound.t1)
-        assert bound.kappa == kappas[k]
+        assert k % 4 == 0 and bound.kappa == kappas[k]
         ts = np.linspace(0.0, bound.t1, 9)
         same = bihari_bound(kappas[k], bound.bound.h, 0.0, bound.t1, bound.transform)
         np.testing.assert_array_equal(bound(ts), same(ts))
+
+    def test_kappa_is_close_to_a_fine_reference(self):
+        from stieltjes import QuadratureConfig, integrate
+
+        p = self.one_component_problem(as_expr=False)
+        (g,), (f,) = p.derivators, p.rhs
+        bound = apriori_bound(p)
+        fine = QuadratureConfig(order=16, panels=8192)
+        expected = integrate(g, lambda s: abs(f(s, p._center)), p.t0, bound.t1, fine)
+        assert bound.kappa == pytest.approx(expected, rel=1e-7, abs=0.0)
 
 
 class TestConvergenceOrder:
