@@ -4,7 +4,9 @@
 file's ``n_steps``), solves with the file's method (Euler or Picard) and
 writes the trace CSV when ``output.trace_csv`` is set.  A relative output
 path is taken relative to the problem file's directory, so a run does not
-depend on the working directory.  Bad input exits with status 1 and the
+depend on the working directory.  It prints one line: the method, the cell
+count, the final state and, after Euler, the grid residual or, after Picard,
+the last iteration's change.  Bad input exits with status 1 and the
 library's error message on standard error.
 """
 
@@ -33,7 +35,7 @@ def _run(path):
     print(
         f"{lp.method}: {grid.size - 1} cells, final state "
         f"{', '.join(format(float(v), '.17g') for v in trace.final)}, "
-        f"residual {float(trace.residual.max()):.3g}"
+        f"{'residual' if lp.method == 'euler' else 'last change'} {float(trace.residual.max()):.3g}"
     )
     if lp.summary_json is not None:
         print("note: output.summary_json is not written yet", file=sys.stderr)

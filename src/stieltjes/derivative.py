@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivator import classify
+from .derivator import _sorted_unique, classify
 from .errors import (
     DerivativeUndefinedError,
     IntegrandError,
@@ -323,7 +323,7 @@ class IndefiniteIntegral:
         self.g = g
         self.a = a
         bp, jp = g.breakpoints, g.jump_points
-        self._nodes = nodes = np.unique(np.concatenate((bp[bp >= a], jp[jp >= a], [a])))
+        self._nodes = nodes = _sorted_unique(np.concatenate((bp[bp >= a], jp[jp >= a], [a])))
         lo, hi = nodes[:-1], nodes[1:]
         slope = g.slopes[g._segment(lo)]
         live = np.flatnonzero(slope != 0.0)

@@ -53,6 +53,19 @@ def _scalar_or_array(out):
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
+def _sorted_unique(a):
+    """``np.unique`` of a finite 1-d array, by the same sort and neighbour test.
+
+    ``np.unique`` itself imports ``numpy.ma`` (1.2 MB) on its first call under
+    numpy >= 2; no solve path of the package loads it.
+    """
+    s = np.sort(a)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 class Derivator:
     """Finite, validated, immutable representation of a derivator.
 
@@ -332,7 +345,7 @@ def sum_derivators(gs):
         if g.window != window:
             raise ConfigurationError(f"window mismatch: {g.window} != {window}")
 
-    bp = np.unique(np.concatenate([g.breakpoints for g in gs]))
+    bp = _sorted_unique(np.concatenate([g.breakpoints for g in gs]))
     slopes = np.zeros(bp.size - 1)
     for g in gs:
         slopes += g.slopes[g._segment(bp[:-1])]
@@ -386,7 +399,7 @@ def from_classification(classification, window, weights=None):
     if any(not math.isfinite(w) or w <= 0 for w in weights):
         raise ConfigurationError("jump weights must be positive and finite")
 
-    bp = np.unique(np.concatenate(([left, right], *classification._bounds)))
+    bp = _sorted_unique(np.concatenate(([left, right], *classification._bounds)))
     mids = (bp[:-1] + bp[1:]) / 2.0
     slopes = np.where(classification._holding(mids) >= 0, 0.0, 1.0)
 

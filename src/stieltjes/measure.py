@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import numpy.ma  # noqa: F401  numpy >= 2 would import it (1.2 MB) in the first np.unique call
 
+from .derivator import _sorted_unique
 from .errors import ConfigurationError, IntegrandError, WindowDomainError
 
 __all__ = [
@@ -233,7 +233,7 @@ def _cumulative(g, f, a, ts, quad):
     atoms = g.jump_points[lo:hi]
     atomic = np.cumsum(np.concatenate(([0.0], _atom_terms(f, atoms, g.jump_sizes[lo:hi]))))
     bp = g.breakpoints
-    nodes = np.unique(np.concatenate(([a], ts, bp[(bp > a) & (bp < end)])))
+    nodes = _sorted_unique(np.concatenate(([a], ts, bp[(bp > a) & (bp < end)])))
     smooth = np.cumsum(np.concatenate(([0.0], _slope_sums(g, f, nodes[:-1], nodes[1:], quad))))
     return smooth[np.searchsorted(nodes, ts)] + atomic[np.searchsorted(atoms, ts, side="left")]
 

@@ -25,7 +25,8 @@ abscissa):
   interpolation of the iterate between grid points (discontinuous across
   atoms: post-jump values start each segment).
 
-``residual`` measures how well any trace satisfies the integral equation;
+``residual`` measures how far any trace is from one application of the grid
+map (a defect, not an error; on a Picard trace it is the fixed-point defect);
 ``apriori_bound`` and ``uniqueness_certificate`` implement the growth-bound
 and uniqueness machinery built on Osgood moduli, and
 ``horizon_for_ball`` searches for a horizon on which the integral operator
@@ -42,7 +43,7 @@ from operator import sub
 import numpy as np
 
 from .derivative import IndefiniteIntegral
-from .derivator import Derivator, sum_derivators
+from .derivator import Derivator, _sorted_unique, sum_derivators
 from .errors import (
     BoundInapplicableError,
     ConfigurationError,
@@ -76,6 +77,11 @@ __all__ = [
 _LIGHT_QUAD = QuadratureConfig(order=8, panels=8)
 # Gauss-Legendre nodes per grid cell (and slope segment) of the integral map
 _GRID_QUAD_ORDER = 6
+# Quadrature nodes per block of the integral map.  The temporaries of a block
+# (its interpolated states among them) scale with it: a 10k-step residual
+# gathers ~60k nodes per component, and in one block they set the memory peak
+# of the whole solve.  A grid of up to ~1,300 cells runs as one block.
+_MAP_BLOCK = 8192
 
 
 def _require_positive(name, value):
@@ -214,7 +220,9 @@ class SolutionTrace:
     ``right_values[k]`` differs from it exactly at grid points where some
     component's derivator jumps, where it carries the post-impulse state.
     ``residual`` is per component: for Euler traces the integral-equation
-    residual, for Picard traces the sup-norm change at acceptance.
+    residual of ``residual()``, for Picard traces the sup-norm change of the
+    last iteration.  Neither is an error bound: on a Picard trace the grid
+    residual is the fixed-point defect of the very map Picard iterates.
     """
 
     grid: np.ndarray
@@ -256,7 +264,7 @@ def build_grid(problem, sigma=None, n_steps=256):
     for g in problem.derivators:
         pts = g.jump_points
         parts.append(pts[(pts >= t0) & (pts < end)])
-    return np.unique(np.concatenate(parts))
+    return _sorted_unique(np.concatenate(parts))
 
 
 def _check_ball(problem, state, t):
@@ -293,7 +301,7 @@ class _GridData:
             self.deltas[:-1, i] = g.jump(self.grid[:-1])
             pts = g.jump_points
             inside = pts[(pts >= self.grid[0]) & (pts < self.grid[-1])]
-            missed = inside[~np.isin(inside, self.grid)]
+            missed = inside[self.grid[np.searchsorted(self.grid, inside)] != inside]
             if missed.size:
                 raise ConfigurationError(
                     f"grid misses the atom of derivators[{i}] at t={missed[0]}; "
@@ -317,7 +325,7 @@ class _GridData:
         for g in self.problem.derivators:
             bp = g.breakpoints
             inner = bp[(bp > self.grid[0]) & (bp < self.grid[-1])]
-            edges = np.unique(np.concatenate((self.grid, inner)))
+            edges = _sorted_unique(np.concatenate((self.grid, inner)))
             lo, hi = edges[:-1], edges[1:]
             slope = g.slopes[g._segment(lo)]
             keep = slope > 0.0
@@ -360,17 +368,19 @@ class _GridData:
 
         widths = np.diff(self.grid)
         for i in range(n):
-            ts, ws, cell_idx = self.quad[i]
-            if ts.size == 0:
-                continue
-            # ``take`` gathers far faster than fancy indexing on these sizes
-            frac = (ts - self.grid.take(cell_idx)) / widths.take(cell_idx)
-            left = rights.take(cell_idx, axis=0)
-            states = left + (values.take(cell_idx + 1, axis=0) - left) * frac[:, None]
-            contrib = _sample_finite(problem.rhs[i], ts, lambda v, q: SolverError(
-                f"rhs component {i} returned {v} at t={ts[q]} during quadrature"
-            ), xs=states)
-            np.add.at(cells_total[:, i], cell_idx, contrib * ws)
+            quad = self.quad[i]
+            # blocks of nodes bound the gathered states; np.add.at adds in
+            # node order however the nodes are split
+            for lo in range(0, quad[0].size, _MAP_BLOCK):
+                ts, ws, cell_idx = (a[lo:lo + _MAP_BLOCK] for a in quad)
+                # ``take`` gathers far faster than fancy indexing on these sizes
+                frac = (ts - self.grid.take(cell_idx)) / widths.take(cell_idx)
+                left = rights.take(cell_idx, axis=0)
+                states = left + (values.take(cell_idx + 1, axis=0) - left) * frac[:, None]
+                contrib = _sample_finite(problem.rhs[i], ts, lambda v, q: SolverError(
+                    f"rhs component {i} returned {v} at t={ts[q]} during quadrature"
+                ), xs=states)
+                np.add.at(cells_total[:, i], cell_idx, contrib * ws)
 
         out = np.empty((N + 1, n))
         out[0] = problem.x0
@@ -539,7 +549,14 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, initial=None):
 
 
 def residual(problem, trace):
-    """Per-component max deviation of a trace from the integral equation."""
+    """Per-component max deviation of a trace's grid values from one application
+    of the grid integral map, ``_GridData.integral_map``.
+
+    This is a defect, not an error.  On an Euler trace it tracks the error.
+    A Picard trace is a fixed point of this same map on the same grid, so
+    there it reads the fixed-point defect, at most about the acceptance
+    ``tol`` however far the trace is from the solution.
+    """
     data = _GridData(problem, trace.grid)
     mapped = data.integral_map(trace.values, trace.right_values, data.atom_rhs(trace.values))
     return np.max(np.abs(trace.values - mapped), axis=0)

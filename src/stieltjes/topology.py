@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivator import classify
+from .derivator import _sorted_unique, classify
 from .errors import ConfigurationError, IntegrandError
 from .measure import _sample_finite
 
@@ -106,7 +106,7 @@ def check_g_continuity_sampled(f, g, probes):
         for signed in (off * span, -off * span):
             pts = anchors + signed
             extras.append(pts[(pts >= left) & (pts <= right)])
-    samples = np.unique(np.concatenate([base] + extras))
+    samples = _sorted_unique(np.concatenate([base] + extras))
     g_samples = g.eval(samples)
 
     g_range = float(g_samples[-1] - g_samples[0]) if samples.size else 1.0

@@ -23,10 +23,11 @@ def test_run_writes_the_trace_csv(tmp_path, capsys):
     path = write_doc(tmp_path, DOC)
     assert main(["run", str(path)]) == 0
     assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == expected_csv(path)
-    assert capsys.readouterr().out.startswith("euler: 200 cells")
+    out = capsys.readouterr().out
+    assert out.startswith("euler: 200 cells") and ", residual " in out
 
 
-def test_run_picard_and_relative_output_path(tmp_path):
+def test_run_picard_and_relative_output_path(tmp_path, capsys):
     (tmp_path / "sub").mkdir()
     doc = edited(solver={"method": "picard", "n_steps": 50, "tol": 1e-12},
                  output={"trace_csv": "out/picard.csv"})
@@ -35,6 +36,11 @@ def test_run_picard_and_relative_output_path(tmp_path):
     assert main(["run", str(path)]) == 0
     written = tmp_path / "sub" / "out" / "picard.csv"
     assert written.read_text(encoding="utf-8") == expected_csv(path)
+    # a Picard trace's grid residual is its fixed-point defect: the line
+    # reports what the number is, the last iteration's change
+    out = capsys.readouterr().out
+    assert out.startswith("picard: 52 cells") and ", last change " in out
+    assert "residual" not in out
 
 
 def test_bad_input_exits_nonzero_with_the_message(tmp_path, capsys):

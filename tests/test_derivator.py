@@ -16,12 +16,31 @@ from stieltjes import (
     from_classification,
     sum_derivators,
 )
+from stieltjes.derivator import _sorted_unique
 
 from conftest import random_classification, random_derivator
 
 
 def idjump():
     return Derivator.identity((0.0, 2.0)).with_jumps([(1.0, 1.0)])
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0, 1.0, 3.0, 3.0, -1.5],
+    [0.0, -0.0, 1.0, -0.0],
+    [-0.0, 0.0, -0.0],
+    (np.random.default_rng(5).integers(-8, 8, 300) / 4).tolist(),
+    [2.5],
+    [],
+])
+def test_sorted_unique_is_np_unique(values):
+    # np.unique sorts and keeps the first of each run; of +0.0 and -0.0 that
+    # is the one the sort puts first, so the signs must agree too
+    a = np.array(values, dtype=float)
+    got, want = _sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(a, values)  # the input is not sorted in place
 
 
 class TestEval:

@@ -10,6 +10,7 @@ Oracles used here:
 import dataclasses
 import json
 import math
+import tracemalloc
 from operator import add, mul
 
 import numpy as np
@@ -28,6 +29,7 @@ from stieltjes import (
     SolverError,
     StieltjesError,
 )
+from stieltjes import solver
 from stieltjes.expr import ExprFunction, parse
 from stieltjes.moduli import OsgoodModulus, omega_k, omega_k_modulus
 from stieltjes.solver import (
@@ -375,8 +377,6 @@ class TestFloatStepLoop:
             assert seen and set(seen) == {(float, tuple)}
 
     def test_grid_quadrature_is_built_only_for_the_residual(self, monkeypatch):
-        from stieltjes import solver
-
         built = []
         real = solver._gl_nodes
         monkeypatch.setattr(solver, "_gl_nodes", lambda *a: built.append(a) or real(*a))
@@ -485,8 +485,6 @@ class TestEmittedStepLoop:
         assert outcome[0] == "value"
 
     def test_the_loop_is_compiled_once_per_problem(self, monkeypatch):
-        from stieltjes import solver
-
         emitted = []
         real = solver._euler_source
         monkeypatch.setattr(solver, "_euler_source", lambda p: emitted.append(p) or real(p))
@@ -899,7 +897,7 @@ class TestCandidateTables:
                          modulus=LINEAR, phi=lambda t: 1.0 + 0.3 * math.cos(t))
 
     def test_candidates_match_one_integrate_call_each(self, monkeypatch):
-        from stieltjes import integrate, solver, sum_derivators
+        from stieltjes import integrate, sum_derivators
 
         calls = []
         real = solver._cumulative
@@ -1095,8 +1093,6 @@ class TestUniquenessCertificate:
         (LINEAR, "DIVERGENT"), (OsgoodModulus(evaluator=math.sqrt), "CONVERGENT"),
     ], ids=["linear", "sqrt"])
     def test_one_osgood_check_serves_both_anchors(self, modulus, verdict, monkeypatch):
-        from stieltjes import solver
-
         anchors = []
         real = solver.osgood_check
         monkeypatch.setattr(solver, "osgood_check",
@@ -1390,3 +1386,61 @@ class TestBatchedPathMatchesScalar:
         assert sigma == horizon_for_ball(p_plain) == 0.296875
         assert bound.t1 == plain.t1 == 1.0
         assert bound.kappa == pytest.approx(plain.kappa, rel=1e-14, abs=0.0)
+
+
+class TestBlockedIntegralMap:
+    """``integral_map`` runs each component's nodes in blocks of ``_MAP_BLOCK``."""
+
+    def map_of(self, problem, grid):
+        tr = solve_euler(problem, grid, compute_residual=False)
+        data = _GridData(problem, grid)
+        return data.integral_map(tr.values, tr.right_values, data.atom_rhs(tr.values))
+
+    def test_the_blocks_do_not_change_the_map(self, monkeypatch):
+        problems = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
+                                             TestBatchedPathMatchesScalar.LAMBDAS)
+        # 1,501 cells: more than one default block of nodes per component, and
+        # g1's breakpoint at 0.4 lies inside a cell
+        grid = build_grid(problems[0], n_steps=1501)
+        assert 0.4 not in grid
+        for p in problems:
+            assert min(q[0].size for q in _GridData(p, grid).quad) > solver._MAP_BLOCK
+            reference = self.map_of(p, grid)
+            for block in (7, 10**6):
+                monkeypatch.setattr(solver, "_MAP_BLOCK", block)
+                assert np.array_equal(self.map_of(p, grid), reference)
+                monkeypatch.undo()
+
+    def test_a_nan_in_a_later_block_is_named(self):
+        p_expr, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
+                                              TestBatchedPathMatchesScalar.LAMBDAS)
+        grid = build_grid(p_expr, n_steps=2000)
+        bad = float(_GridData(p_expr, grid).quad[1][0][solver._MAP_BLOCK + 1000])
+        f = p_expr.rhs[1]
+        rhs = [p_expr.rhs[0], lambda t, x: math.nan if t == bad else f(t, x)]
+        p = IVProblem(p_expr.t0, p_expr.horizon, p_expr.x0, p_expr.derivators, rhs)
+        data = _GridData(p, grid)
+        values = np.zeros((grid.size, 2))
+        with pytest.raises(SolverError, match=f"rhs component 1 returned nan at t={bad} during"):
+            data.integral_map(values, values, data.atom_rhs(values))
+
+    def test_the_memory_peak_grows_only_by_the_output_arrays(self):
+        p_expr, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
+                                              TestBatchedPathMatchesScalar.LAMBDAS)
+
+        def peak(n_steps):
+            data = _GridData(p_expr, build_grid(p_expr, n_steps=n_steps))
+            data.quad  # built before the measurement
+            values = np.ones((data.n_cells + 1, 2))
+            atom_f = data.atom_rhs(values)
+            tracemalloc.start()
+            try:
+                data.integral_map(values, values, atom_f)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the map's N x n arrays: the cell totals, their shift by x0 and the
+        # output; one block of all ~240k nodes per component grew by 16.7 MB
+        growth = peak(40_000) - peak(10_000)
+        assert growth <= 4 * 30_000 * 2 * 8
