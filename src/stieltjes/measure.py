@@ -9,15 +9,15 @@ union is a plain finite sum.
 
 The LS integral against ``dg`` splits into the slope part, f times the
 piecewise-constant slope, cut only where the slope changes, and the atoms, a
-separate running sum of ``f(d) * jump(d)`` over the jumps ``a <= d < t``.
+separate running sum of ``f(d) * jump(d)`` over the jumps ``a <= d < b``.
 The package's one quadrature kernel is here: ``_gl_nodes`` alone builds
 composite Gauss-Legendre panels, ``_gl_sums`` sums over many intervals at
-once, and ``_cumulative`` gives the integral over ``[a, t)`` for many ``t``
-from one table; ``integrate`` is its one-end case.  ``solver`` and
-``moduli`` use them for every integral.  ``derivative.IndefiniteIntegral``
-fits f instead: it halves each piece of its Chebyshev fit until the piece
-adds at most 1e-14 of f's scale times the window's width to the integral,
-and refuses an f still unresolved with 4,096 pieces live.
+once, and ``integrate`` gives the integral over one ``[a, b)``.  ``solver``
+and ``moduli`` use them for every integral they do not read from a fit.
+``derivative.IndefiniteIntegral`` fits f instead: it halves each piece of
+its Chebyshev fit until the tail of the piece's series is at most 1e-14 of
+f's scale times the window's width, and refuses an f still unresolved with
+4,096 pieces live.  The growth bounds of ``solver`` read such fits.
 """
 
 import math
@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .derivator import _sorted_unique
 from .errors import ConfigurationError, IntegrandError, WindowDomainError
 
 __all__ = [
@@ -55,10 +54,10 @@ class QuadratureConfig:
             raise ConfigurationError("quadrature order and panel count must be >= 1")
 
 
-# Samples per _sample_finite call of the quadrature (32 intervals of the
-# growth bounds' 8-node, 8-panel rule) and of the indefinite integral's fit.
+# Samples per _sample_finite call of the quadrature (32 intervals of an
+# 8-node, 8-panel rule) and of the indefinite integral's fit.
 # It bounds the temporaries: larger blocks raise the memory peak of a
-# many-interval table or fit.
+# many-interval sum or fit.
 _QUAD_BLOCK = 2048
 # Samples per block of _sample_finite's scalar loop, which holds a block's
 # abscissas and values as Python lists: at 2,048 samples these lists take
@@ -220,32 +219,21 @@ def _atom_terms(f, atoms, sizes):
         f"integrand returned {v} at atom t={atoms[q]}", point=atoms[q])) * sizes
 
 
-def _cumulative(g, f, a, ts, quad):
-    """The LS integral of ``f`` over ``[a, t)`` for every ``t >= a`` in ``ts``.
-
-    The slope part is cut at ``a``, at every ``t`` and at the breakpoints
-    in between, and the atoms in ``[a, max(ts))`` are a second table; each
-    is one sequential ``cumsum`` from 0.0, and an atom at ``t`` is not
-    counted.  ``f`` is sampled only in ``[a, max(ts)]``.
-    """
-    end = ts.max()
-    lo, hi = np.searchsorted(g.jump_points, (a, end))
-    atoms = g.jump_points[lo:hi]
-    atomic = np.cumsum(np.concatenate(([0.0], _atom_terms(f, atoms, g.jump_sizes[lo:hi]))))
-    bp = g.breakpoints
-    nodes = _sorted_unique(np.concatenate(([a], ts, bp[(bp > a) & (bp < end)])))
-    smooth = np.cumsum(np.concatenate(([0.0], _slope_sums(g, f, nodes[:-1], nodes[1:], quad))))
-    return smooth[np.searchsorted(nodes, ts)] + atomic[np.searchsorted(atoms, ts, side="left")]
-
-
 def integrate(g, f, a, b, quad=None):
-    """The Lebesgue-Stieltjes integral of f over [a, b) against dg: ``_cumulative`` at b.
+    """The Lebesgue-Stieltjes integral of f over [a, b) against dg.
 
     The atom at ``a`` is included and the atom at ``b`` excluded, matching
     the half-open convention used everywhere in this package.  ``f`` is a
-    scalar function of t; any non-finite sample raises ``IntegrandError``
-    with the offending abscissa.
+    scalar function of t, sampled first at the atoms in ``[a, b)``, then on
+    the slope part, cut at ``a``, ``b`` and the breakpoints in between (not
+    at atoms); each part is one sequential ``cumsum`` from 0.0.  Any
+    non-finite sample raises ``IntegrandError`` with the offending abscissa.
     """
     a, b = float(a), float(b)
     _check_interval(g, a, b)
-    return _cumulative(g, f, a, np.array([b]), quad or QuadratureConfig())[0]
+    lo, hi = np.searchsorted(g.jump_points, (a, b))
+    atomic = _atom_terms(f, g.jump_points[lo:hi], g.jump_sizes[lo:hi])
+    bp = g.breakpoints
+    nodes = np.concatenate(([a], bp[(bp > a) & (bp < b)], [b]))
+    smooth = _slope_sums(g, f, nodes[:-1], nodes[1:], quad or QuadratureConfig())
+    return np.cumsum(np.append(0.0, smooth))[-1] + np.cumsum(np.append(0.0, atomic))[-1]

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivator import Derivator
-from .errors import ConfigurationError, ExprParseError, ProblemFileError
+from .errors import ConfigurationError, ExprParseError, ModulusOverflowError, ProblemFileError
 from .expr import ExprFunction, parse
-from .moduli import OsgoodModulus, omega_k_modulus
+from .moduli import OsgoodModulus, _omega_k_constants, omega_k_modulus
 from .solver import IVProblem
 
 __all__ = [
@@ -128,11 +128,15 @@ def load_derivators(doc, where="derivators"):
 
 
 def parse_modulus_spec(spec, where="problem.modulus"):
-    """Accepts {"builtin": "omega_k", "k": int} or {"expr": "<unary in t>"}."""
+    """Accepts {"builtin": "omega_k", "k": 1, 2 or 3} or {"expr": "<unary in t>"}."""
     if isinstance(spec, dict) and spec.get("builtin") == "omega_k":
         k = spec.get("k")
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             _fail(where, "omega_k needs an integer k >= 1")
+        try:  # from k = 4 on, omega_k's constants overflow double precision
+            _omega_k_constants(k)
+        except ModulusOverflowError as exc:
+            _fail(where, f"omega_k({k}) is not representable: {exc}")
         return omega_k_modulus(k)
     if isinstance(spec, dict) and "expr" in spec:
         try:

@@ -54,7 +54,7 @@ from .errors import (
     SolverError,
 )
 from .expr import _SCALAR, ExprFunction, VarX, _define, _source, _walk
-from .measure import QuadratureConfig, _cumulative, _gl_nodes, _gl_rule, _sample_finite, integrate
+from .measure import QuadratureConfig, _gl_nodes, _gl_rule, _sample_finite, integrate
 from .moduli import (_ROUNDING_ULPS, OmegaTransform, OsgoodModulus, _as_modulus, _reciprocal_sample,
                      bihari_bound, osgood_check)
 
@@ -74,7 +74,6 @@ __all__ = [
     "CaratheodoryReport",
 ]
 
-_LIGHT_QUAD = QuadratureConfig(order=8, panels=8)
 # Gauss-Legendre nodes per grid cell (and slope segment) of the integral map
 _GRID_QUAD_ORDER = 6
 # Quadrature nodes per block of the integral map.  The temporaries of a block
@@ -603,31 +602,37 @@ class _AbsRhsAtX0:
         return None if vals is None else np.abs(vals)
 
 
+def _cut(g, lo, hi):
+    """The measure of g on the window [lo, hi], without its atoms at lo and hi."""
+    bp, jp = g.breakpoints, g.jump_points
+    edges = np.concatenate(([lo], bp[(bp > lo) & (bp < hi)], [hi]))
+    inside = (jp > lo) & (jp < hi)
+    return Derivator((lo, hi), breakpoints=edges, slopes=g.slopes[g._segment(edges[:-1])],
+                     jumps=zip(jp[inside], g.jump_sizes[inside]))
+
+
 def _growth_tables(problem):
     """What both growth bounds integrate: ``(sigmas, ends, at_t0, h, A)``.
 
     The candidate horizons are sigmas = k * horizon / 64, k = 64..1, ending
     at ends = t0 + sigmas.  h is the ``IndefiniteIntegral`` of phi
-    (``_Weight``) against the sum derivator ghat cut to [t0, t0 + horizon]:
+    (``_Weight``) against the sum derivator ghat ``_cut`` to [t0, t0 + horizon]:
     phi is not sampled past the horizon, and the atom at t0 is left out; its
     term phi(t0) * jump is at_t0 (phi is sampled at t0 only at an atom).
     Row i of A is A_i, the integral of |f_i(s, x0)| over [t0, t) against
-    g_i, at every end, from one ``_cumulative`` table.
+    g_i, at every end, read from the ``IndefiniteIntegral`` of |f_i(., x0)|
+    against g_i cut at t0 + horizon, which keeps the atom at t0.
     """
     t0, end = problem.t0, problem.t0 + problem.horizon
     ghat = sum_derivators(problem.derivators)
     phi = _Weight(problem.phi)
     jump = ghat.jump(t0)
     at_t0 = phi(t0) * jump if jump > 0.0 else 0.0
-    bp, jp = ghat.breakpoints, ghat.jump_points
-    edges = np.concatenate(([t0], bp[(bp > t0) & (bp < end)], [end]))
-    inside = (jp > t0) & (jp < end)
-    cut = Derivator((t0, end), breakpoints=edges, slopes=ghat.slopes[ghat._segment(edges[:-1])],
-                    jumps=zip(jp[inside], ghat.jump_sizes[inside]))
-    h = IndefiniteIntegral(phi, cut, t0)
+    h = IndefiniteIntegral(phi, _cut(ghat, t0, end), t0)
     sigmas = np.linspace(problem.horizon, problem.horizon / 64, 64)
     ends = t0 + sigmas
-    A = np.array([_cumulative(g, _AbsRhsAtX0(f, problem._center), t0, ends, _LIGHT_QUAD)
+    x0 = problem._center
+    A = np.array([IndefiniteIntegral(_AbsRhsAtX0(f, x0), _cut(g, g.window[0], end), t0).batch(ends)
                   for g, f in zip(problem.derivators, problem.rhs)])
     return sigmas, ends, at_t0, h, A
 
@@ -640,7 +645,7 @@ def horizon_for_ball(problem):
     stay below the ball radius R, with A_i as in ``apriori_bound``.
     Sufficient, not necessary; failure for every tested sigma raises.  The
     candidates, the weighted measure at_t0 + h and the A_i are those of
-    ``_growth_tables``, built once per problem.  omega(R) must be finite and
+    ``_growth_tables``, fits built once per problem.  omega(R) must be finite and
     positive, and phi (``_Weight``) finite and nonnegative at every sample,
     or ``IntegrandError`` is raised.
     """
@@ -704,7 +709,7 @@ def apriori_bound(problem):
     time up to r = 1e120; every view reads the modulus's one table of cells,
     which integrates a cell once (a decreasing modulus raises there).  The
     candidates are every fourth end of ``_growth_tables``, t1 = t0 + k *
-    horizon / 16, k = 16..1, and h and the A_i are its tables, built once
+    horizon / 16, k = 16..1, and h and the A_i are its fits, built once
     per problem: h leaves out the atom at t0, which adds
     phi(t0) * omega(|x(t0) - x0|) * jump = 0, as x(t0) = x0 and omega(0) = 0.
     """
@@ -803,9 +808,10 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     Verifies (a) the declared modulus passes the osgood check, run once
     (at u0 = 1: the verdict does not depend on u0), (b)
     ``|f_i(t,x) - f_i(t,y)| <= phi(t) * omega(||x-y||)`` on a randomized
-    sample of the domain, (c) the weight is integrable against
-    every component derivator.  All three are sampled evidence; the report
-    says so; a phi refused in (c) leaves the report UNVERIFIED and unsampled.
+    sample of the domain, (c) the weight is integrable against every
+    component derivator (one ``integrate`` each, with its default rule).
+    All three are sampled evidence; the report says so; a phi refused in
+    (c) leaves the report UNVERIFIED and unsampled.
     The samples are drawn at once and evaluated in blocks of ``_CERT_BLOCK``:
     phi, the modulus at the gaps, then each rhs at x and y of every sample;
     violations are listed in (sample, component) order.  A phi sample that
@@ -824,10 +830,7 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     phi = _Weight(problem.phi)
     t_end = problem.t0 + problem.horizon
     try:
-        report.phi_integrals = [
-            integrate(g, phi, problem.t0, t_end, _LIGHT_QUAD)
-            for g in problem.derivators
-        ]
+        report.phi_integrals = [integrate(g, phi, problem.t0, t_end) for g in problem.derivators]
     except IntegrandError:
         return report
 

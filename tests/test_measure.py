@@ -29,7 +29,6 @@ from stieltjes.measure import (
     _SCALAR_BLOCK,
     _atom_terms,
     _check_interval,
-    _cumulative,
     _sample_finite,
     _slope_sums,
 )
@@ -296,23 +295,21 @@ class TestOneKernel:
             assert f.calls == quad.order * quad.panels + 100
 
     @pytest.mark.parametrize("cuts", [(), (0.3, 0.55)], ids=["one-segment", "three-segments"])
-    @pytest.mark.parametrize("on_atoms", [False, True], ids=["ends-between-atoms", "ends-on-atoms"])
-    def test_cumulative_cuts_at_ends_and_breakpoints_not_at_atoms(self, cuts, on_atoms):
+    @pytest.mark.parametrize("on_atom", [False, True], ids=["end-between-atoms", "end-on-an-atom"])
+    def test_integrate_cuts_at_breakpoints_not_at_atoms(self, cuts, on_atom):
         g = self.hundred_jumps()
         g = Derivator(g.window, breakpoints=(0.0, *cuts, 1.0), slopes=[1.0] * (len(cuts) + 1),
                       jumps=zip(g.jump_points, g.jump_sizes))
         quad = QuadratureConfig(order=8, panels=8)
-        if on_atoms:
-            ends = np.concatenate(([1.0], g.jump_points[::7]))  # 15 of the 16 on atoms
-        else:
-            ends = np.linspace(1.0, 1.0 / 16, 16)
-        pieces = np.unique(np.concatenate(([0.0], ends, cuts))).size - 1
-        f = _Counting()
-        got = _cumulative(g, f, 0.0, ends, quad)
-        assert f.calls == pieces * quad.order * quad.panels + 100
-        # the atom at an end is left out of that end's integral
-        want = [integrate(g, lambda t: 1.0 + t, 0.0, t, quad) for t in ends]
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        atoms = g.jump_points
+        for b in (atoms[70] if on_atom else 0.7, 1.0):
+            pieces = 1 + sum(c < b for c in cuts)
+            before = atoms[atoms < b]  # the atom at b is left out
+            f = _Counting()
+            got = integrate(g, f, 0.0, b, quad)
+            assert f.calls == pieces * quad.order * quad.panels + before.size
+            want = b + b * b / 2.0 + float(np.sum((1.0 + before) * 0.01))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _reference_sample(f, ts, fail, xs=None):

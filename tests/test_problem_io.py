@@ -94,12 +94,20 @@ class TestRoundTrip:
         for f in (p.phi, p.modulus):
             np.testing.assert_allclose(f.batch(ts), [f(t) for t in ts], rtol=1e-14, atol=0)
 
-    def test_omega_k_modulus_batches(self, tmp_path, rng):
-        doc = edited(problem={"modulus": {"builtin": "omega_k", "k": 2}})
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_omega_k_modulus_batches(self, tmp_path, rng, k):
+        doc = edited(problem={"modulus": {"builtin": "omega_k", "k": k}})
         modulus = load_problem_file(write_doc(tmp_path, doc)).problem.modulus
         ss = np.concatenate(([0.0], rng.uniform(0.0, 0.2, 40)))
         np.testing.assert_array_equal(modulus.batch(ss), [modulus(s) for s in ss])
         assert modulus.batch(np.array([0.1, -1.0])) is None
+
+    @pytest.mark.parametrize("k", [True, False, 0, 2.0, "2", 4, 10 ** 6])
+    def test_an_omega_k_without_a_representable_k_is_refused(self, tmp_path, k):
+        # a boolean is no integer here, and from k = 4 on e_k overflows
+        doc = edited(problem={"modulus": {"builtin": "omega_k", "k": k}})
+        with pytest.raises(ProblemFileError, match=r"problem\.modulus"):
+            load_problem_file(write_doc(tmp_path, doc))
 
 
 # Written by the per-value ``format(v, ".17g")`` writer; any change to the

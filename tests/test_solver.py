@@ -16,6 +16,7 @@ from operator import add, mul
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from stieltjes import (
     BoundInapplicableError,
@@ -55,6 +56,23 @@ LINEAR = OsgoodModulus(evaluator=lambda s: s, name="linear")
 def impulsive_problem(**kw):
     g = Derivator.identity((0.0, 2.0)).with_jumps([(1.0, 1.0)])
     return IVProblem(0.0, 2.0, [1.0], [g], [lambda t, x: x[0]], **kw)
+
+
+def root_split_integral(g, f, x0, a, b, quad=None):
+    """``integrate`` of |f(., x0)| over [a, b) against g, cut at the roots of f(., x0).
+
+    The roots are found with ``brentq`` in every sign change of f(., x0) on
+    512 equal steps, so each piece integrates a smooth function.
+    """
+    from stieltjes import integrate
+
+    F = lambda s: f(s, x0)
+    ts = np.linspace(a, b, 513).tolist()
+    vs = [F(t) for t in ts]
+    roots = [brentq(F, lo, hi, xtol=1e-16) for lo, hi, u, v in zip(ts, ts[1:], vs, vs[1:])
+             if u * v < 0.0]
+    cuts = [a, *roots, b]
+    return sum(integrate(g, lambda s: abs(F(s)), lo, hi, quad) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def classical_problem():
@@ -896,26 +914,19 @@ class TestCandidateTables:
         return IVProblem(0.0, 1.0, [0.5, 0.2], [g1, g2], rhs, ball_radius=10.0,
                          modulus=LINEAR, phi=lambda t: 1.0 + 0.3 * math.cos(t))
 
-    def test_candidates_match_one_integrate_call_each(self, monkeypatch):
+    def test_candidates_match_root_split_integrals(self):
+        # every A_i at all 64 ends, g1's atom at t0 = 0 included, and the
+        # weighted measure of horizon_for_ball at the same ends
         from stieltjes import integrate, sum_derivators
 
-        calls = []
-        real = solver._cumulative
-
-        def spy(g, f, a, ts, quad):
-            calls.append((g, f, a, ts, quad, real(g, f, a, ts, quad)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(solver, "_cumulative", spy)
         p = self.problem()
         horizon_for_ball(p)
         apriori_bound(p)
-        assert [len(c[3]) for c in calls] == [64, 64]  # one A_i table per component
-        for g, f, a, ts, quad, out in calls:
-            expected = [integrate(g, f, a, t, quad) for t in ts]
-            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
-        # the weighted measure of horizon_for_ball at the same 64 ends
-        _, ends, at_t0, h, _ = p._growth
+        _, ends, at_t0, h, A = p._growth
+        assert A.shape == (2, 64)
+        for g, f, row in zip(p.derivators, p.rhs, A):
+            expected = [root_split_integral(g, f, p._center, p.t0, t) for t in ends]
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0)
         expected = [integrate(sum_derivators(p.derivators), p.phi, p.t0, t) for t in ends]
         np.testing.assert_allclose(at_t0 + h.batch(ends), expected, rtol=1e-12, atol=0)
 
@@ -975,12 +986,11 @@ class TestRhsAtX0Tables:
 
     def test_kappa_is_the_largest_component_integral(self):
         from stieltjes import integrate, sum_derivators
-        from stieltjes.solver import _LIGHT_QUAD
 
         p = self.crossing_problem()
         bound = apriori_bound(p)
         x0 = p._center
-        parts = [integrate(g, lambda s, f=f: abs(f(s, x0)), p.t0, bound.t1, _LIGHT_QUAD)
+        parts = [root_split_integral(g, f, x0, p.t0, bound.t1)
                  for g, f in zip(p.derivators, p.rhs)]
         assert bound.kappa == pytest.approx(max(parts), rel=1e-12, abs=0.0)
         # the integral of max_i |f_i(., x0)| against the sum derivator dominates
@@ -989,6 +999,13 @@ class TestRhsAtX0Tables:
         assert max(parts) < sum(parts) < biggest
         ok, worst = bound.check_trace(solve_picard(p, build_grid(p, n_steps=400), tol=1e-12))
         assert ok, worst
+
+    def test_a_rhs_the_fit_cannot_resolve_is_refused(self):
+        g = Derivator.identity((0.0, 1.0))
+        p = IVProblem(0.0, 1.0, [0.0], [g], [lambda t, x: math.sin(1.0 / (t - 0.3173)) + x[0]],
+                      modulus=LINEAR)
+        with pytest.raises(IntegrandError, match="does not resolve"):
+            apriori_bound(p)
 
     @staticmethod
     def one_component_problem(as_expr):
@@ -999,25 +1016,21 @@ class TestRhsAtX0Tables:
         return IVProblem(0.0, 1.0, [0.4], [g], [f], modulus=LINEAR)
 
     @pytest.mark.parametrize("as_expr", [False, True], ids=["lambda", "expr"])
-    def test_one_component_reads_the_sum_derivator_table(self, as_expr):
-        # with one component, max_i A_i is the integral against the sum
-        # derivator of max_i |f_i(., x0)|, which kappa used to be, bit for bit;
-        # its candidates are every fourth of the 64 ends
-        from stieltjes import sum_derivators
-        from stieltjes.measure import _cumulative
+    def test_every_end_matches_a_root_split_integral(self, as_expr):
+        # |cos 5t + 0.08| kinks twice in [0, 1]; kappa is A_1 at every fourth
+        # of the 64 ends, and the bound starts from it
         from stieltjes.moduli import bihari_bound
-        from stieltjes.solver import _LIGHT_QUAD
 
         p = self.one_component_problem(as_expr)
         (g,), (f,) = p.derivators, p.rhs
         bound = apriori_bound(p)
-        ends = np.linspace(1.0, 1.0 / 64.0, 64)
-        kappas = _cumulative(sum_derivators([g]), _AbsRhsAtX0(f, p._center), 0.0, ends,
-                             _LIGHT_QUAD)
+        _, ends, _, _, (A,) = p._growth
+        expected = [root_split_integral(g, f, p._center, 0.0, t) for t in ends]
+        np.testing.assert_allclose(A, expected, rtol=1e-12, atol=0)
         k = ends.tolist().index(bound.t1)
-        assert k % 4 == 0 and bound.kappa == kappas[k]
+        assert k % 4 == 0 and bound.kappa == A[k]
         ts = np.linspace(0.0, bound.t1, 9)
-        same = bihari_bound(kappas[k], bound.bound.h, 0.0, bound.t1, bound.transform)
+        same = bihari_bound(A[k], bound.bound.h, 0.0, bound.t1, bound.transform)
         np.testing.assert_array_equal(bound(ts), same(ts))
 
     def test_kappa_is_close_to_a_fine_reference(self):
@@ -1026,9 +1039,14 @@ class TestRhsAtX0Tables:
         p = self.one_component_problem(as_expr=False)
         (g,), (f,) = p.derivators, p.rhs
         bound = apriori_bound(p)
-        fine = QuadratureConfig(order=16, panels=8192)
-        expected = integrate(g, lambda s: abs(f(s, p._center)), p.t0, bound.t1, fine)
-        assert bound.kappa == pytest.approx(expected, rel=1e-7, abs=0.0)
+        F = lambda s: f(s, p._center)
+        # the two roots of cos 5t + 0.08 in [0, 1]
+        roots = [brentq(F, 0.2, 0.4, xtol=1e-16), brentq(F, 0.8, 1.0, xtol=1e-16)]
+        cuts = [p.t0, *[r for r in roots if r < bound.t1], bound.t1]
+        fine = QuadratureConfig(order=16, panels=256)
+        expected = sum(integrate(g, lambda s: abs(F(s)), lo, hi, fine)
+                       for lo, hi in zip(cuts, cuts[1:]))
+        assert bound.kappa == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 class TestConvergenceOrder:
