@@ -34,9 +34,9 @@ provably maps the domain ball into itself.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from numbers import Integral
 from operator import sub
 
@@ -54,7 +54,7 @@ from .errors import (
     SolverError,
 )
 from .expr import _SCALAR, ExprFunction, VarX, _define, _source, _walk
-from .measure import QuadratureConfig, _gl_nodes, _gl_rule, _sample_finite, integrate
+from .measure import QuadratureConfig, _gl_nodes, _gl_rule, _sample_finite, integrate, measure_interval
 from .moduli import (_ROUNDING_ULPS, OmegaTransform, OsgoodModulus, _as_modulus, _reciprocal_sample,
                      bihari_bound, osgood_check)
 
@@ -76,10 +76,10 @@ __all__ = [
 
 # Gauss-Legendre nodes per grid cell (and slope segment) of the integral map
 _GRID_QUAD_ORDER = 6
-# Quadrature nodes per block of the integral map.  The temporaries of a block
-# (its interpolated states among them) scale with it: a 10k-step residual
-# gathers ~60k nodes per component, and in one block they set the memory peak
-# of the whole solve.  A grid of up to ~1,300 cells runs as one block.
+# Quadrature nodes per block of the integral map: its nodes, weights and
+# interpolated states are built from ``_MAP_BLOCK // _GRID_QUAD_ORDER`` pieces
+# at a time, so a 10k-step residual never holds its ~60k nodes per component
+# at once.  A grid of up to ~1,300 cells runs as one block.
 _MAP_BLOCK = 8192
 
 
@@ -188,8 +188,9 @@ class IVProblem:
     @cached_property
     def _euler_steps(self):
         """The step loop of ``solve_euler`` for this problem, compiled on first use."""
-        return _define(_euler_source(self), "steps", _SCALAR, zip=zip, isfinite=math.isfinite,
-                       rhs_error=_rhs_error, check_ball=_check_ball)
+        return _define(_euler_source(self), "steps", _SCALAR, zip=zip, iter=iter, next=next,
+                       array=array, isfinite=math.isfinite, rhs_error=_rhs_error,
+                       check_ball=_check_ball)
 
     @cached_property
     def _growth(self):
@@ -280,9 +281,13 @@ def _check_ball(problem, state, t):
 
 
 class _GridData:
-    """Per-grid pre-computation shared by both solvers and the residual map."""
+    """Per-grid pre-computation shared by both solvers and the residual map.
 
-    def __init__(self, problem, grid):
+    With ``keep_nodes`` the quadrature nodes of every block are kept once
+    built, for a caller that runs the integral map on the grid many times.
+    """
+
+    def __init__(self, problem, grid, keep_nodes=False):
         self.problem = problem
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 1 or self.grid.size < 2 or not np.all(np.diff(self.grid) > 0):
@@ -308,18 +313,23 @@ class _GridData:
                 )
         self.atom_rows = np.flatnonzero(np.any(self.deltas > 0, axis=1))
 
-        # continuous-part increments per cell and component
-        self.cont_inc = np.empty((N, n))
-        for i, g in enumerate(problem.derivators):
-            vals = g.continuous(self.grid)
-            self.cont_inc[:, i] = np.diff(vals)
+        self._kept = {} if keep_nodes else None  # ``_nodes`` by (component, start)
+
+    @cached_property
+    def cont_inc(self):
+        """Continuous-part increments per cell and component, built on first
+        use; column-major, so that each component's column is contiguous."""
+        cont_inc = np.empty((self.n_cells, self.problem.n), order="F")
+        for i, g in enumerate(self.problem.derivators):
+            cont_inc[:, i] = np.diff(g.continuous(self.grid))
+        return cont_inc
 
     @cached_property
     def quad(self):
-        """Flattened Gauss-Legendre nodes of each component's continuous part,
-        built on first use; cells are intersected with the slope segments of g_i."""
-        order, N = _GRID_QUAD_ORDER, self.n_cells
-        rule = QuadratureConfig(order=order, panels=1)
+        """The pieces of each component's continuous part, built on first use:
+        the cells intersected with the slope segments of g_i where the slope is
+        positive, as arrays ``(lo, hi, slope, cell)`` with one entry per piece."""
+        N = self.n_cells
         quad = []
         for g in self.problem.derivators:
             bp = g.breakpoints
@@ -330,10 +340,21 @@ class _GridData:
             keep = slope > 0.0
             lo, hi, slope = lo[keep], hi[keep], slope[keep]
             cell = np.clip(np.searchsorted(self.grid, lo, side="right") - 1, 0, N - 1)
-            ts, half = _gl_nodes(lo, hi, rule)
-            ws = (slope[:, None] * half * _gl_rule(order)[1]).ravel()
-            quad.append((ts, ws, np.repeat(cell, order)))
+            quad.append((lo, hi, slope, cell))
         return quad
+
+    def _nodes(self, i, start):
+        """Gauss-Legendre nodes, weights and cells of the block of component
+        i's pieces from ``start``, kept with ``keep_nodes``."""
+        if self._kept is not None and (i, start) in self._kept:
+            return self._kept[i, start]
+        order = _GRID_QUAD_ORDER
+        lo, hi, slope, cell = (a[start:start + _MAP_BLOCK // order] for a in self.quad[i])
+        ts, half = _gl_nodes(lo, hi, QuadratureConfig(order=order, panels=1))
+        nodes = ts, (slope[:, None] * half * _gl_rule(order)[1]).ravel(), np.repeat(cell, order)
+        if self._kept is not None:
+            self._kept[i, start] = nodes
+        return nodes
 
     def atom_rhs(self, values):
         """The rhs at every atom row ``k``, with the pre-jump state ``values[k]``."""
@@ -359,7 +380,9 @@ class _GridData:
         """
         problem = self.problem
         N, n = self.n_cells, problem.n
-        cells_total = np.zeros((N, n))
+        out = np.zeros((N + 1, n))
+        out[0] = problem.x0
+        cells_total = out[1:]  # summed in place into the output
 
         # atomic contributions use the pre-jump state at the atom
         for k, fx in zip(self.atom_rows, atom_f):
@@ -367,11 +390,10 @@ class _GridData:
 
         widths = np.diff(self.grid)
         for i in range(n):
-            quad = self.quad[i]
-            # blocks of nodes bound the gathered states; np.add.at adds in
-            # node order however the nodes are split
-            for lo in range(0, quad[0].size, _MAP_BLOCK):
-                ts, ws, cell_idx = (a[lo:lo + _MAP_BLOCK] for a in quad)
+            # blocks of pieces bound the nodes and gathered states; np.add.at
+            # adds in node order however the pieces are split
+            for start in range(0, self.quad[i][0].size, _MAP_BLOCK // _GRID_QUAD_ORDER):
+                ts, ws, cell_idx = self._nodes(i, start)
                 # ``take`` gathers far faster than fancy indexing on these sizes
                 frac = (ts - self.grid.take(cell_idx)) / widths.take(cell_idx)
                 left = rights.take(cell_idx, axis=0)
@@ -381,10 +403,8 @@ class _GridData:
                 ), xs=states)
                 np.add.at(cells_total[:, i], cell_idx, contrib * ws)
 
-        out = np.empty((N + 1, n))
-        out[0] = problem.x0
         np.cumsum(cells_total, axis=0, out=cells_total)
-        out[1:] = problem.x0 + cells_total
+        cells_total += problem.x0
         return out
 
 
@@ -395,6 +415,9 @@ def _euler_source(problem):
     ``ExprFunction`` rhs is written inline by the expression emitter, reading
     t and the state from the locals; any other rhs is called with a float t
     and the state tuple, and its value checked as ``eval_rhs`` checks it.
+    ``incs`` yields one row of increments per step and ``deltas`` one row
+    of jumps per step that jumps; the states go, component by component,
+    into two ``array("d")`` buffers, which are returned.
     """
     n = problem.n
 
@@ -420,6 +443,9 @@ def _euler_source(problem):
     def step(by):
         return [f"s{j} = s{j} + f{j} * {by}{j}" for j in range(n)]
 
+    def put(into):
+        return [f"{into}(s{j})" for j in range(n)]
+
     def block(indent, lines):
         return [" " * indent + line for line in lines]
 
@@ -429,15 +455,19 @@ def _euler_source(problem):
         f"    {names('z')} = problem._center",
         "    radius = problem.ball_radius",
         f"    {names('s')} = problem._center",
-        f"    values, rights = [{row}], []",
-        f"    for t, t_next, ({names('d')}), ({names('c')}), jump in zip(ts, ts[1:], deltas, incs, jumps):",
+        "    deltas = iter(deltas)",
+        '    values, rights = array("d"), array("d")',
+        "    value, right = values.append, rights.append",
+        *block(4, put("value")),
+        f"    for t, t_next, ({names('c')}), jump in zip(ts, ts[1:], incs, jumps):",
         *block(8, rhs),
         "        if jump:",  # the impulse, with the pre-jump state
+        f"            {names('d')} = next(deltas)",
         *block(12, [*step("d"), *ball("t"), *rhs]),
-        f"        rights.append({row})",
+        *block(8, put("right")),
         *block(8, [*step("c"), *ball("t_next")]),
-        f"        values.append({row})",
-        f"    rights.append({row})",
+        *block(8, put("value")),
+        *block(4, put("right")),
         "    return values, rights",
         "",
     ])
@@ -453,21 +483,21 @@ def solve_euler(problem, grid, compute_residual=True):
     emitted and compiled for the problem at its first solve: the state
     components are locals, ``expr`` right-hand sides are written out inline,
     and any other rhs is called with a float ``t`` and the state as a tuple
-    of floats (see ``IVProblem``).  The rows are stacked into arrays once, at
-    the end.
+    of floats (see ``IVProblem``).  The loop reads the grid, the increments
+    and the jump flags one step at a time and a row of jumps only at a step
+    that jumps; it writes the states into two flat buffers, which become the
+    trace's arrays without a copy.
     """
     data = _GridData(problem, grid)
     grid = data.grid
-    ts = grid.tolist()
-    jumps_at = np.any(data.deltas > 0, axis=1).tolist()
-    # rows as tuples from column lists: a list per row would make the
-    # garbage collector sweep the whole heap while the loop runs
-    deltas, incs = zip(*data.deltas.T.tolist()), zip(*data.cont_inc.T.tolist())
-    n = problem.n
-    values, rights = (
-        np.fromiter(chain.from_iterable(rows), float, n * len(rows)).reshape(-1, n)
-        for rows in problem._euler_steps(problem, ts, deltas, incs, jumps_at)
-    )
+    # read lazily, through memoryviews of the arrays: nothing of N rows is
+    # turned into Python objects, and no heap of them builds up for the
+    # garbage collector to sweep while the loop runs
+    incs = zip(*map(memoryview, data.cont_inc.T))  # its columns are contiguous
+    deltas = data.deltas[data.atom_rows].tolist()
+    jumps_at = memoryview(np.any(data.deltas > 0, axis=1))
+    values, rights = (np.frombuffer(states).reshape(-1, problem.n) for states in
+                      problem._euler_steps(problem, memoryview(grid), deltas, incs, jumps_at))
 
     res = None
     if compute_residual:
@@ -490,7 +520,7 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, initial=None):
     """
     _require_positive("tol", tol)
     _require_count("max_iter", max_iter)
-    data = _GridData(problem, grid)
+    data = _GridData(problem, grid, keep_nodes=True)  # one map per iteration
     grid = data.grid
     N, n = data.n_cells, problem.n
 
@@ -558,7 +588,8 @@ def residual(problem, trace):
     """
     data = _GridData(problem, trace.grid)
     mapped = data.integral_map(trace.values, trace.right_values, data.atom_rhs(trace.values))
-    return np.max(np.abs(trace.values - mapped), axis=0)
+    mapped -= trace.values
+    return np.max(np.abs(mapped, out=mapped), axis=0)
 
 
 class _Weight:
@@ -809,7 +840,8 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     (at u0 = 1: the verdict does not depend on u0), (b)
     ``|f_i(t,x) - f_i(t,y)| <= phi(t) * omega(||x-y||)`` on a randomized
     sample of the domain, (c) the weight is integrable against every
-    component derivator (one ``integrate`` each, with its default rule).
+    component derivator (one ``integrate`` each, with its default rule; for
+    phi = 1 the integral is the measure of the horizon, ``measure_interval``).
     All three are sampled evidence; the report says so; a phi refused in
     (c) leaves the report UNVERIFIED and unsampled.
     The samples are drawn at once and evaluated in blocks of ``_CERT_BLOCK``:
@@ -829,10 +861,13 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
 
     phi = _Weight(problem.phi)
     t_end = problem.t0 + problem.horizon
-    try:
-        report.phi_integrals = [integrate(g, phi, problem.t0, t_end) for g in problem.derivators]
-    except IntegrandError:
-        return report
+    if problem.phi is None:
+        report.phi_integrals = [float(measure_interval(g, problem.t0, t_end)) for g in problem.derivators]
+    else:
+        try:
+            report.phi_integrals = [integrate(g, phi, problem.t0, t_end) for g in problem.derivators]
+        except IntegrandError:
+            return report
 
     rng = np.random.default_rng(seed)
     r = problem.ball_radius if problem.ball_radius is not None else 1.0

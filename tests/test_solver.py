@@ -1145,6 +1145,26 @@ class TestUniquenessCertificate:
         with pytest.raises(IntegrandError, match=rf"weight returned nan at t={first}; "):
             uniqueness_certificate(p, n_samples=100)
 
+    @pytest.mark.parametrize("phi", [None, lambda t: 1.0 + 0.5 * t], ids=["none", "declared"])
+    def test_phi_one_reads_the_measure_without_integrating(self, phi, monkeypatch):
+        calls = []
+        real = solver.integrate
+        monkeypatch.setattr(solver, "integrate", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        g1 = Derivator((-1.0, 2.0), breakpoints=[-1.0, 0.7, 2.0], slopes=[0.5, 1.5],
+                       jumps=[(0.0, 0.25), (1.0, 1.0), (1.5, 0.125)])
+        g2 = Derivator((-1.0, 2.0), slopes=[0.0], jumps=[(0.5, 0.25), (1.5, 0.5)])
+        p = IVProblem(0.0, 1.5, [1.0, 0.0], [g1, g2], [lambda t, x: x[0], lambda t, x: x[1]],
+                      ball_radius=5.0, modulus=LINEAR, phi=phi)
+        report = uniqueness_certificate(p, n_samples=100)
+        assert report.verdict == ("OSGOOD-UNIQUE" if phi is None else "MONTEL-TONELLI-UNIQUE")
+        if phi is None:
+            # the atom at t0 counts and the one at t0 + horizon does not
+            assert calls == []
+            assert report.phi_integrals == pytest.approx([0.25 + 0.35 + 1.0 + 1.2, 0.25], rel=1e-15)
+            assert all(type(v) is float for v in report.phi_integrals)
+        else:
+            assert [a[0] for a in calls] == [g1, g2]
+
     @pytest.mark.parametrize("n_samples", [0, -1, 2.5])
     def test_no_samples_is_refused(self, n_samples):
         # two solutions from x0 = 0; zero samples used to certify it OSGOOD-UNIQUE
@@ -1407,7 +1427,8 @@ class TestBatchedPathMatchesScalar:
 
 
 class TestBlockedIntegralMap:
-    """``integral_map`` runs each component's nodes in blocks of ``_MAP_BLOCK``."""
+    """``integral_map`` runs each component's pieces in blocks of ``_MAP_BLOCK // 6``,
+    which have about ``_MAP_BLOCK`` Gauss-Legendre nodes each."""
 
     def map_of(self, problem, grid):
         tr = solve_euler(problem, grid, compute_residual=False)
@@ -1417,12 +1438,13 @@ class TestBlockedIntegralMap:
     def test_the_blocks_do_not_change_the_map(self, monkeypatch):
         problems = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
                                              TestBatchedPathMatchesScalar.LAMBDAS)
-        # 1,501 cells: more than one default block of nodes per component, and
-        # g1's breakpoint at 0.4 lies inside a cell
+        # 1,501 cells: more than one default block of pieces per component,
+        # and g1's breakpoint at 0.4 lies inside a cell
         grid = build_grid(problems[0], n_steps=1501)
         assert 0.4 not in grid
         for p in problems:
-            assert min(q[0].size for q in _GridData(p, grid).quad) > solver._MAP_BLOCK
+            pieces = min(lo.size for lo, *_ in _GridData(p, grid).quad)
+            assert pieces > solver._MAP_BLOCK // solver._GRID_QUAD_ORDER
             reference = self.map_of(p, grid)
             for block in (7, 10**6):
                 monkeypatch.setattr(solver, "_MAP_BLOCK", block)
@@ -1433,7 +1455,14 @@ class TestBlockedIntegralMap:
         p_expr, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
                                               TestBatchedPathMatchesScalar.LAMBDAS)
         grid = build_grid(p_expr, n_steps=2000)
-        bad = float(_GridData(p_expr, grid).quad[1][0][solver._MAP_BLOCK + 1000])
+        # node 4 of piece 166 of the second block of component 1, which is node
+        # 1,000 of that block
+        lo, hi, *_ = _GridData(p_expr, grid).quad[1]
+        k = solver._MAP_BLOCK // solver._GRID_QUAD_ORDER + 166
+        assert lo.size > k
+        half = (hi[k] - lo[k]) / 2.0
+        bad = float(half * np.polynomial.legendre.leggauss(solver._GRID_QUAD_ORDER)[0][4]
+                    + (lo[k] + hi[k]) / 2.0)
         f = p_expr.rhs[1]
         rhs = [p_expr.rhs[0], lambda t, x: math.nan if t == bad else f(t, x)]
         p = IVProblem(p_expr.t0, p_expr.horizon, p_expr.x0, p_expr.derivators, rhs)
@@ -1441,6 +1470,24 @@ class TestBlockedIntegralMap:
         values = np.zeros((grid.size, 2))
         with pytest.raises(SolverError, match=f"rhs component 1 returned nan at t={bad} during"):
             data.integral_map(values, values, data.atom_rhs(values))
+
+    def test_picard_builds_the_nodes_of_each_block_once(self, monkeypatch):
+        p, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
+                                         TestBatchedPathMatchesScalar.LAMBDAS)
+        grid = build_grid(p, n_steps=3000)
+        pieces = [lo.size for lo, *_ in _GridData(p, grid).quad]
+        per_block = solver._MAP_BLOCK // solver._GRID_QUAD_ORDER
+        assert min(pieces) > per_block
+        built = []
+        real = solver._gl_nodes
+        monkeypatch.setattr(solver, "_gl_nodes", lambda lo, hi, q: built.append(lo.size) or real(lo, hi, q))
+        trace = solve_picard(p, grid, tol=1e-10)
+        assert trace.n_iterations > 2
+        every_block_once = [min(per_block, m - s) for m in pieces for s in range(0, m, per_block)]
+        assert built == every_block_once
+        built.clear()
+        residual(p, trace)
+        assert built == every_block_once
 
     def test_the_memory_peak_grows_only_by_the_output_arrays(self):
         p_expr, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
@@ -1458,7 +1505,47 @@ class TestBlockedIntegralMap:
             finally:
                 tracemalloc.stop()
 
-        # the map's N x n arrays: the cell totals, their shift by x0 and the
-        # output; one block of all ~240k nodes per component grew by 16.7 MB
+        # the map's arrays of N rows: the output, into which the cell totals
+        # are summed, and the cell widths; one block of all ~240k nodes per
+        # component grew by 16.7 MB
         growth = peak(40_000) - peak(10_000)
         assert growth <= 4 * 30_000 * 2 * 8
+
+
+class TestSolvePeaks:
+    """The memory of both solver phases grows only by their arrays of N rows."""
+
+    @staticmethod
+    def peak_growth(run):
+        """How much the tracemalloc peak of ``run(problem, grid, trace)`` grows
+        from 10k to 40k steps, on a two-component problem."""
+        p, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
+                                         TestBatchedPathMatchesScalar.LAMBDAS)
+
+        def peak(n_steps):
+            grid = build_grid(p, n_steps=n_steps)
+            trace = solve_euler(p, grid, compute_residual=False)
+            tracemalloc.start()
+            try:
+                run(p, grid, trace)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        return peak(40_000) - peak(10_000)
+
+    def test_the_euler_peak_grows_only_by_its_arrays(self):
+        # a row (n = 2) holds 8 floats: the output values and right values and
+        # the grid data's jumps and increments, which the loop reads in place;
+        # the rest is the jump flags and the output buffers' slack.  Rows of
+        # Python floats made up front would grow by about 410 B a row.
+        growth = self.peak_growth(lambda p, grid, trace: solve_euler(p, grid, compute_residual=False))
+        assert growth <= 30_000 * 8 * 8 * 1.25
+
+    def test_the_residual_peak_grows_only_by_its_arrays_and_not_by_its_nodes(self):
+        # on a fresh ``_GridData`` a row (n = 2) holds 13 floats: the output and
+        # the grid data's jumps (n each), four per piece of each component
+        # (lo, hi, slope, cell) and the cell width; the nodes come one block
+        # at a time.  Keeping every node would grow by about 385 B a row.
+        growth = self.peak_growth(lambda p, grid, trace: residual(p, trace))
+        assert growth <= 30_000 * 13 * 8 * 1.25
