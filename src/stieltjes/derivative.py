@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivator import _sorted_unique, classify
+from .derivator import classify
 from .errors import (
     DerivativeUndefinedError,
     IntegrandError,
@@ -325,10 +325,8 @@ class IndefiniteIntegral:
         self.f = f
         self.g = g
         self.a = a
-        bp, jp = g.breakpoints, g.jump_points
-        self._nodes = nodes = _sorted_unique(np.concatenate((bp[bp >= a], jp[jp >= a], [a])))
-        lo, hi = nodes[:-1], nodes[1:]
-        slope = g.slopes[g._segment(lo)]
+        self._nodes, slope = g._pieces(np.r_[a, g.jump_points[g.jump_points >= a], right_w])
+        lo, hi = self._nodes[:-1], self._nodes[1:]
         live = np.flatnonzero(slope != 0.0)
         flat = np.flatnonzero(slope == 0.0)
         plo, phi, of, coef = _fit_pieces(f, lo[live], hi[live], right_w - left_w)

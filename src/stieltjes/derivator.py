@@ -13,6 +13,9 @@ Left-continuity is structural, never a tolerance: ``g(t)`` collects the jump
 at ``d`` only when ``d < t`` strictly, and ``g.eval_right(t) - g.eval(t)``
 equals the stored jump exactly at the jump abscissas and zero elsewhere.
 
+``Derivator._pieces`` is the one cut of a derivator into slope pieces: the
+cut points and the breakpoints between them, with the slope on each piece.
+
 The classification of a derivator is the pair of its local-constancy set
 (maximal open intervals where the slope vanishes and no jump sits) and its
 discontinuity set.  A ``Classification`` keeps the sorted ends of its
@@ -198,6 +201,13 @@ class Derivator:
         """Index of the slope segment holding t in [L, R]; R belongs to the last one."""
         return np.minimum(np.searchsorted(self.breakpoints, t, side="right") - 1,
                           self.slopes.size - 1)
+
+    def _pieces(self, cuts):
+        """The points of ``cuts``, ascending, not empty, repeats allowed, and the breakpoints
+        strictly between the first and the last, sorted unique, with each piece's slope."""
+        bp = self.breakpoints
+        edges = _sorted_unique(np.concatenate((cuts, bp[(bp > cuts[0]) & (bp < cuts[-1])])))
+        return edges, self.slopes[self._segment(edges[:-1])]
 
     def _continuous_at(self, t):
         k = self._segment(t)

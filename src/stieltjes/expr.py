@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExprDomainError, ExprParseError, ModulusOverflowError
+from .errors import ConfigurationError, ExprDomainError, ExprParseError, ModulusOverflowError
 from .moduli import omega_k
 
 __all__ = ["parse", "to_source", "ExprFunction", "FUNCTIONS", "MAX_DEPTH"]
@@ -158,7 +158,7 @@ _BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 class _Parser:
     def __init__(self, src, n):
         if n < 0:
-            raise ValueError("n must be >= 0")
+            raise ConfigurationError(f"the number of state variables must be >= 0, got {n}")
         self.n = n
         self.tokens = _tokenize(src)
         self.i = 0

@@ -8,12 +8,13 @@ connected components of its union, after which the outer measure of the
 union is a plain finite sum.
 
 The LS integral against ``dg`` splits into the slope part, f times the
-piecewise-constant slope, cut only where the slope changes, and the atoms, a
-separate running sum of ``f(d) * jump(d)`` over the jumps ``a <= d < b``.
-The package's one quadrature kernel is here: ``_gl_nodes`` alone builds
+slope on each piece of ``Derivator._pieces``, and the atoms, a separate
+running sum of ``f(d) * jump(d)`` over the jumps ``a <= d < b``.  The
+package's one quadrature kernel is here: ``_gl_nodes`` alone builds
 composite Gauss-Legendre panels, ``_gl_sums`` sums over many intervals at
-once, and ``integrate`` gives the integral over one ``[a, b)``.  ``solver``
-and ``moduli`` use them for every integral they do not read from a fit.
+once, each times its entry of an array of factors, and ``integrate`` gives
+the integral over one ``[a, b)``.  ``solver`` and ``moduli`` use them for
+every integral they do not read from a fit.
 ``derivative.IndefiniteIntegral`` fits f instead: it halves each piece of
 its Chebyshev fit until the tail of the piece's series is at most 1e-14 of
 f's scale times the window's width, and refuses an f still unresolved with
@@ -176,41 +177,25 @@ def _gl_nodes(lo, hi, quad):
     return ts.ravel(), half
 
 
-def _gl_sums(sample, lo, hi, scale, quad):
+def _gl_sums(sample, lo, hi, factors, quad):
     """Gauss-Legendre sums of ``sample(ts) -> values`` over each ``[lo[i], hi[i]]``.
 
-    Each sum is multiplied by its interval's factor, which ``scale(lo)``
-    gives for any slice ``lo`` of the left ends; an empty interval, or one
-    whose factor is 0, gives 0.0 and takes no samples.  Intervals go in
-    order, in blocks of ``_QUAD_BLOCK`` samples (at least one interval), so
-    the temporaries stay small however many intervals there are; a sum does
-    not depend on its block.
+    Each sum is multiplied by its interval's factor ``factors[i]``; an empty
+    interval, or one whose factor is 0, gives 0.0 and takes no samples.
+    Intervals go in order, in blocks of ``_QUAD_BLOCK`` samples (at least
+    one interval), so the temporaries stay small however many intervals
+    there are; a sum does not depend on its block.
     """
     weights = _gl_rule(quad.order)[1]
     out = np.zeros(lo.size)
     per_block = max(1, _QUAD_BLOCK // (quad.panels * quad.order))
     for start in range(0, lo.size, per_block):
-        a, b = lo[start:start + per_block], hi[start:start + per_block]
-        s = scale(a)
+        a, b, s = (x[start:start + per_block] for x in (lo, hi, factors))
         live = np.flatnonzero((a < b) & (s != 0.0))
         ts, half = _gl_nodes(a[live], b[live], quad)
         vals = sample(ts).reshape(half.shape + (quad.order,))
         out[start + live] = s[live] * np.sum(half * (vals @ weights), axis=-1)
     return out
-
-
-def _slope_sums(g, f, lo, hi, quad):
-    """The continuous part of the LS integral of ``f`` over each ``[lo[i], hi[i])``.
-
-    Each interval lies in one slope segment of ``g``; an empty interval or a
-    flat segment gives 0.0 without samples.  A non-finite sample raises
-    ``IntegrandError`` with its abscissa.
-    """
-    def sample(ts):
-        return _sample_finite(f, ts, lambda v, q: IntegrandError(
-            f"integrand returned {v} at t={ts[q]}", point=ts[q]))
-
-    return _gl_sums(sample, lo, hi, lambda a: g.slopes[g._segment(a)], quad)
 
 
 def _atom_terms(f, atoms, sizes):
@@ -225,15 +210,19 @@ def integrate(g, f, a, b, quad=None):
     The atom at ``a`` is included and the atom at ``b`` excluded, matching
     the half-open convention used everywhere in this package.  ``f`` is a
     scalar function of t, sampled first at the atoms in ``[a, b)``, then on
-    the slope part, cut at ``a``, ``b`` and the breakpoints in between (not
-    at atoms); each part is one sequential ``cumsum`` from 0.0.  Any
-    non-finite sample raises ``IntegrandError`` with the offending abscissa.
+    the slope pieces ``g._pieces`` cuts from ``[a, b)`` (not cut at atoms);
+    each part is one sequential ``cumsum`` from 0.0.  Any non-finite sample
+    raises ``IntegrandError`` with the offending abscissa.
     """
     a, b = float(a), float(b)
     _check_interval(g, a, b)
     lo, hi = np.searchsorted(g.jump_points, (a, b))
     atomic = _atom_terms(f, g.jump_points[lo:hi], g.jump_sizes[lo:hi])
-    bp = g.breakpoints
-    nodes = np.concatenate(([a], bp[(bp > a) & (bp < b)], [b]))
-    smooth = _slope_sums(g, f, nodes[:-1], nodes[1:], quad or QuadratureConfig())
+
+    def sample(ts):
+        return _sample_finite(f, ts, lambda v, q: IntegrandError(
+            f"integrand returned {v} at t={ts[q]}", point=ts[q]))
+
+    edges, slopes = g._pieces((a, b))
+    smooth = _gl_sums(sample, edges[:-1], edges[1:], slopes, quad or QuadratureConfig())
     return np.cumsum(np.append(0.0, smooth))[-1] + np.cumsum(np.append(0.0, atomic))[-1]

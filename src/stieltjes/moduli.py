@@ -223,7 +223,7 @@ def _reciprocal_integral(omega, lo, hi):
         return np.fromiter(map(math.log, rs), float, rs.size)
 
     return _gl_sums(lambda u: _reciprocal_sample(omega, np.exp(u))[0], logs(lo), logs(hi),
-                    np.ones_like, _CELL_RULE)
+                    np.ones(lo.size), _CELL_RULE)
 
 
 def _edge(j):  # by Python's float power: numpy's can differ in the last bit

@@ -259,9 +259,32 @@ def load_problem_file(path):
     )
 
 
-# Rows are converted with ``tolist`` and joined this many at a time, which
-# keeps the writer's peak memory near twice the size of the text.
+# Rows are converted with ``tolist`` and joined this many at a time; the
+# writer writes each block as it renders it, so it holds one block at once.
 _CSV_BLOCK = 256
+
+
+def _csv_blocks(trace, problem):
+    """The pieces of ``trace_csv_text``: the header, once the jump rows are
+    known, then the rows of ``_CSV_BLOCK`` grid points each."""
+    grid, values, rights = trace.grid, trace.values, trace.right_values
+    jumps_here = np.zeros(grid.size, dtype=bool)
+    for g in problem.derivators:  # the grid ascends, as a solver's does
+        g._require_inside(grid[:-1], include_right=False)
+        at = np.searchsorted(grid[:-1], g.jump_points)
+        at = at[at < grid.size - 1]  # a prefix: the jump points ascend
+        jumps_here[at[grid[at] == g.jump_points[:at.size]]] = True
+    row = "%.17g,%d" + ",%.17g" * problem.n + "\n"
+    yield "t,post_jump," + ",".join(f"x_{i + 1}" for i in range(problem.n)) + "\n"
+    for lo in range(0, grid.size, _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        lines = []
+        for t, jump, left, right in zip(grid[rows].tolist(), jumps_here[rows].tolist(),
+                                        values[rows].tolist(), rights[rows]):
+            lines.append(row % (t, 0, *left))
+            if jump:
+                lines.append(row % (t, 1, *right.tolist()))
+        yield "".join(lines)
 
 
 def trace_csv_text(trace, problem):
@@ -272,27 +295,13 @@ def trace_csv_text(trace, problem):
     the post-impulse state, immediately after.  Each float is written as
     ``"%.17g" % v``, which is ``format(v, ".17g")``.
     """
-    n = problem.n
-    jumps_here = np.zeros(trace.grid.size, dtype=bool)
-    for g in problem.derivators:
-        jumps_here[:-1] |= g.jump(trace.grid[:-1]) > 0.0
-    row = "%.17g,%d" + ",%.17g" * n
-    blocks = ["t,post_jump," + ",".join(f"x_{i + 1}" for i in range(n))]
-    grid, values, rights = trace.grid, trace.values, trace.right_values
-    for lo in range(0, grid.size, _CSV_BLOCK):
-        rows = slice(lo, lo + _CSV_BLOCK)
-        lines = []
-        for t, jump, left, right in zip(grid[rows].tolist(), jumps_here[rows].tolist(),
-                                        values[rows].tolist(), rights[rows]):
-            lines.append(row % (t, 0, *left))
-            if jump:
-                lines.append(row % (t, 1, *right.tolist()))
-        blocks.append("\n".join(lines))
-    blocks.append("")  # the closing newline, without copying the text again
-    return "\n".join(blocks)
+    return "".join(_csv_blocks(trace, problem))
 
 
 def write_trace_csv(trace, problem, path):
-    text = trace_csv_text(trace, problem)
+    """Write ``trace_csv_text(trace, problem)`` to ``path``, one block at a time."""
+    blocks = _csv_blocks(trace, problem)
+    header = next(blocks)  # after the jump rows: a trace outside a window leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(header)
+        fh.writelines(blocks)

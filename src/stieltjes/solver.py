@@ -327,19 +327,14 @@ class _GridData:
     @cached_property
     def quad(self):
         """The pieces of each component's continuous part, built on first use:
-        the cells intersected with the slope segments of g_i where the slope is
-        positive, as arrays ``(lo, hi, slope, cell)`` with one entry per piece."""
-        N = self.n_cells
+        those ``g_i._pieces`` cuts from the grid where the slope is positive,
+        as arrays ``(lo, hi, slope, cell)`` with one entry per piece."""
         quad = []
         for g in self.problem.derivators:
-            bp = g.breakpoints
-            inner = bp[(bp > self.grid[0]) & (bp < self.grid[-1])]
-            edges = _sorted_unique(np.concatenate((self.grid, inner)))
-            lo, hi = edges[:-1], edges[1:]
-            slope = g.slopes[g._segment(lo)]
+            edges, slope = g._pieces(self.grid)
             keep = slope > 0.0
-            lo, hi, slope = lo[keep], hi[keep], slope[keep]
-            cell = np.clip(np.searchsorted(self.grid, lo, side="right") - 1, 0, N - 1)
+            lo, hi, slope = edges[:-1][keep], edges[1:][keep], slope[keep]
+            cell = np.clip(np.searchsorted(self.grid, lo, side="right") - 1, 0, self.n_cells - 1)
             quad.append((lo, hi, slope, cell))
         return quad
 
@@ -406,6 +401,12 @@ class _GridData:
         np.cumsum(cells_total, axis=0, out=cells_total)
         cells_total += problem.x0
         return out
+
+    def residual(self, values, rights):
+        """Per component, the max of |integral_map - values| over the grid."""
+        mapped = self.integral_map(values, rights, self.atom_rhs(values))
+        mapped -= values
+        return np.max(np.abs(mapped, out=mapped), axis=0)
 
 
 def _euler_source(problem):
@@ -499,10 +500,7 @@ def solve_euler(problem, grid, compute_residual=True):
     values, rights = (np.frombuffer(states).reshape(-1, problem.n) for states in
                       problem._euler_steps(problem, memoryview(grid), deltas, incs, jumps_at))
 
-    res = None
-    if compute_residual:
-        mapped = data.integral_map(values, rights, data.atom_rhs(values))
-        res = np.max(np.abs(values - mapped), axis=0)
+    res = data.residual(values, rights) if compute_residual else None
     return SolutionTrace(
         grid=grid, values=values, right_values=rights, method="euler", residual=res
     )
@@ -586,10 +584,7 @@ def residual(problem, trace):
     there it reads the fixed-point defect, at most about the acceptance
     ``tol`` however far the trace is from the solution.
     """
-    data = _GridData(problem, trace.grid)
-    mapped = data.integral_map(trace.values, trace.right_values, data.atom_rhs(trace.values))
-    mapped -= trace.values
-    return np.max(np.abs(mapped, out=mapped), axis=0)
+    return _GridData(problem, trace.grid).residual(trace.values, trace.right_values)
 
 
 class _Weight:
@@ -635,11 +630,9 @@ class _AbsRhsAtX0:
 
 def _cut(g, lo, hi):
     """The measure of g on the window [lo, hi], without its atoms at lo and hi."""
-    bp, jp = g.breakpoints, g.jump_points
-    edges = np.concatenate(([lo], bp[(bp > lo) & (bp < hi)], [hi]))
-    inside = (jp > lo) & (jp < hi)
-    return Derivator((lo, hi), breakpoints=edges, slopes=g.slopes[g._segment(edges[:-1])],
-                     jumps=zip(jp[inside], g.jump_sizes[inside]))
+    inside = (g.jump_points > lo) & (g.jump_points < hi)
+    return Derivator((lo, hi), *g._pieces((lo, hi)),  # breakpoints and slopes
+                     jumps=zip(g.jump_points[inside], g.jump_sizes[inside]))
 
 
 def _growth_tables(problem):

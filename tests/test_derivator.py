@@ -125,6 +125,92 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Derivator((0, 1), breakpoints=[0, 0.5], slopes=[1.0])
 
+    @pytest.mark.parametrize("breakpoints, slopes, jumps, message", [
+        ([[0.0, 1.0]], [1.0], (), "1-d grid"),
+        ([0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0], (), "strictly increasing"),
+        ([0.0, 0.6, 0.4, 1.0], [1.0, 1.0, 1.0], (), "strictly increasing"),
+        ([0.0, 0.5, 1.0], [1.0], (), "expected 2 slopes"),
+        ([0.0, 1.0], [1.0], [(0.5, 1.0), (0.5, 2.0)], "jump points must be distinct"),
+    ])
+    def test_refused_grids_slopes_and_jumps(self, breakpoints, slopes, jumps, message):
+        with pytest.raises(ConfigurationError, match=message):
+            Derivator((0.0, 1.0), breakpoints=breakpoints, slopes=slopes, jumps=jumps)
+
+    def test_empty_constancy_interval(self):
+        with pytest.raises(ConfigurationError, match="empty constancy interval"):
+            Classification(constancy=[(0.5, 0.5)])
+
+    def test_sum_of_no_derivators(self):
+        with pytest.raises(ConfigurationError, match="at least one derivator"):
+            sum_derivators([])
+
+    @pytest.mark.parametrize("classification, window, message", [
+        (Classification(), (1.0, 0.0), "invalid window"),
+        (Classification(constancy=[(0.5, 1.5)]), (0.0, 1.0), "not inside the window"),
+        (Classification(discontinuities=[1.0]), (0.0, 1.0), "not strictly inside the window"),
+    ])
+    def test_from_classification_refuses_what_the_window_cannot_hold(
+            self, classification, window, message):
+        with pytest.raises(ConfigurationError, match=message):
+            from_classification(classification, window)
+
+
+def _brute_pieces(g, cuts):
+    """``g._pieces(cuts)`` by a scan: every cut and every breakpoint strictly
+    between the least and the greatest cut, each piece's slope that of the
+    last segment starting at or before its left end."""
+    lo, hi = min(cuts), max(cuts)
+    bp, slopes = g.breakpoints.tolist(), g.slopes.tolist()
+    edges = sorted({*map(float, cuts), *(b for b in bp if lo < b < hi)})
+    return edges, [slopes[max(k for k in range(len(slopes)) if bp[k] <= a)] for a in edges[:-1]]
+
+
+class TestPieces:
+    def check(self, g, cuts):
+        edges, slopes = g._pieces(np.array(cuts, dtype=float))
+        want_edges, want_slopes = _brute_pieces(g, cuts)
+        assert edges.tolist() == want_edges
+        assert slopes.tolist() == want_slopes
+        return slopes
+
+    def test_random_cuts_match_a_scan(self, rng):
+        flat = 0
+        for _ in range(300):
+            g = random_derivator(rng, max_segments=12, max_jumps=4)
+            left, right = g.window
+            pool = np.concatenate((g.breakpoints, g.jump_points, rng.uniform(left, right, 4)))
+            cuts = np.sort(rng.choice(pool, int(rng.integers(2, 7)))).tolist()  # maybe repeated
+            if cuts[0] < cuts[-1]:
+                flat += int(np.count_nonzero(self.check(g, cuts) == 0.0))
+        assert flat > 0  # flat segments were cut
+
+    def test_cuts_on_breakpoints_and_at_the_window_ends(self, rng):
+        for _ in range(100):
+            g = random_derivator(rng, max_segments=12, max_jumps=4)
+            bp = g.breakpoints
+            self.check(g, [bp[0], bp[-1]])
+            self.check(g, bp.tolist())
+            if bp.size > 2:
+                self.check(g, [bp[1], bp[-1]])
+                self.check(g, [bp[0], bp[1], bp[-2]])
+
+    def test_cuts_at_jumps_to_the_window_end(self, rng):
+        for _ in range(100):
+            g = random_derivator(rng, max_segments=12, max_jumps=4)
+            a = float(rng.choice(np.concatenate((g.breakpoints[:-1], g.jump_points))))
+            jp = g.jump_points[g.jump_points >= a]  # may start at a
+            self.check(g, [a, *jp.tolist(), g.window[1]])
+
+    def test_a_cut_inside_one_segment_is_one_piece(self, rng):
+        for _ in range(100):
+            g = random_derivator(rng, max_segments=12, max_jumps=4)
+            k = int(rng.integers(g.slopes.size))
+            a, b = np.sort(rng.uniform(g.breakpoints[k], g.breakpoints[k + 1], 2))
+            if a < b:
+                edges, slopes = g._pieces((a, b))
+                assert edges.tolist() == [a, b] and slopes.tolist() == [g.slopes[k]]
+                self.check(g, [a, b])
+
 
 class TestSum:
     def test_singleton_sum_is_evaluation_equal(self, rng):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stieltjes import ExprDomainError, ExprParseError, StieltjesError
+from stieltjes import ConfigurationError, ExprDomainError, ExprParseError, StieltjesError
 from stieltjes import expr
 from stieltjes.expr import (
     FUNCTIONS,
@@ -144,6 +144,15 @@ class TestParsing:
         tree = parse("t*omega_k(1, norm_inf(x))", 3)
         assert isinstance(tree.right, Call)
         assert tree.right == Call(name="omega_k", args=(Num(1.0), Call(name="norm_inf", args=(VecX(),))))
+
+    def test_unexpected_character(self):
+        with pytest.raises(ExprParseError, match=r"unexpected character '\$'") as exc:
+            parse("x1 $ 2", 1)
+        assert exc.value.offset == 3
+
+    def test_a_negative_state_count_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="must be >= 0, got -1"):
+            parse("t", -1)
 
     def test_variable_out_of_range(self):
         with pytest.raises(ExprParseError):

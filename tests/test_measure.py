@@ -29,8 +29,8 @@ from stieltjes.measure import (
     _SCALAR_BLOCK,
     _atom_terms,
     _check_interval,
+    _gl_sums,
     _sample_finite,
-    _slope_sums,
 )
 
 from conftest import random_cover, random_derivator
@@ -75,6 +75,11 @@ class TestDisjointify:
 
     def test_already_disjoint(self):
         assert disjointify([(0, 1), (2, 3)]) == [(0, 1), (2, 3)]
+
+    @pytest.mark.parametrize("cover", [[(0, 1), (2, 2)], [(1, 0.5)], [(0, math.inf)], [(math.nan, 1)]])
+    def test_empty_or_non_finite_intervals_are_refused(self, cover):
+        with pytest.raises(WindowDomainError, match="is empty or not finite"):
+            disjointify(cover)
 
     def test_duplicates_collapse(self):
         assert disjointify([(0, 1), (0, 1)]) == [(0, 1)]
@@ -225,11 +230,16 @@ def _reference_integrate(g, f, a, b, quad=None):
         atomic += term  # in point order, as a running sum
 
     # only the slope segments [bp[k], bp[k+1]) with bp[k] < b and bp[k+1] > a
-    # meet [a, b)
+    # meet [a, b); each sum is weighted by its segment's slope
     bp = g.breakpoints
     k = np.arange(np.searchsorted(bp, a, side="right") - 1, np.searchsorted(bp, b, side="left"))
+
+    def sample(ts):
+        return _sample_finite(f, ts, lambda v, q: IntegrandError(
+            f"integrand returned {v} at t={ts[q]}", point=ts[q]))
+
     smooth = 0.0
-    for part in _slope_sums(g, f, np.maximum(bp[k], a), np.minimum(bp[k + 1], b), quad):
+    for part in _gl_sums(sample, np.maximum(bp[k], a), np.minimum(bp[k + 1], b), g.slopes[k], quad):
         smooth += part  # in segment order, as a running sum
 
     return smooth + atomic

@@ -4,11 +4,12 @@ the compiled expressions that loading produces."""
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stieltjes import Derivator, ProblemFileError, problem_io
+from stieltjes import Derivator, ProblemFileError, WindowDomainError, problem_io
 from stieltjes.expr import ExprFunction
 from stieltjes.problem_io import load_problem_file, trace_csv_text, write_trace_csv
 from stieltjes.solver import IVProblem, SolutionTrace, build_grid, solve_euler
@@ -157,6 +158,44 @@ class TestGoldenCsv:
         monkeypatch.setattr(problem_io, "_CSV_BLOCK", block)
         assert trace_csv_text(*self.trace_and_problem()) == GOLDEN_CSV
 
+    @pytest.mark.parametrize("block", [1, 2, 4, 5])
+    def test_the_file_is_the_same_for_any_row_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(problem_io, "_CSV_BLOCK", block)
+        write_trace_csv(*self.trace_and_problem(), tmp_path / "a.csv")
+        assert (tmp_path / "a.csv").read_bytes() == GOLDEN_CSV.encode("utf-8")
+
+    def test_a_refused_trace_leaves_no_file(self, tmp_path):
+        trace, problem = self.trace_and_problem()
+        trace.grid = trace.grid * 2.0  # past the window of g1 and g2
+        with pytest.raises(WindowDomainError, match="outside the working window"):
+            write_trace_csv(trace, problem, tmp_path / "a.csv")
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_jump_rows_only_at_jumps_on_the_grid_before_its_end(self):
+        g = Derivator.identity((0.0, 2.0)).with_jumps([(0.3, 1.0), (0.5, 1.0), (1.0, 1.0)])
+        problem = IVProblem(0.0, 1.0, [0.0], (g,), (lambda t, x: 0.0,))
+        grid, values = np.array([0.0, 0.5, 1.0]), np.zeros((3, 1))
+        trace = SolutionTrace(grid=grid, values=values, right_values=values + 1.0, method="euler")
+        assert trace_csv_text(trace, problem).splitlines()[1:] == [
+            "0,0,0", "0.5,0,0", "0.5,1,1", "1,0,0"]
+
+    def test_the_writer_holds_a_block_not_the_text(self, tmp_path):
+        g = Derivator.identity((0.0, 1.0)).with_jumps([(0.5, 1.0)])
+        problem = IVProblem(0.0, 1.0, [1.0, 2.0, 3.0], (g,) * 3, (lambda t, x: 0.0,) * 3)
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, (20_001, 3))
+        trace = SolutionTrace(grid=np.linspace(0.0, 1.0, 20_001), values=values,
+                              right_values=values + 1.0, method="euler")
+        path = tmp_path / "a.csv"
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, problem, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert path.read_text(encoding="utf-8") == trace_csv_text(trace, problem)
+        assert size > 1_000_000 and peak < size / 2, (size, peak)
+
     def test_written_bytes_are_identical_across_calls(self, tmp_path):
         trace, problem = self.trace_and_problem()
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -221,3 +260,56 @@ class TestValidation:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ProblemFileError):
             load_problem_file(tmp_path / "missing.json")
+
+
+def _changed(*path, to=None):
+    """DOC with the key at ``path`` (keys and indices) set to ``to``, or deleted when ``to`` is None."""
+    doc = copy.deepcopy(DOC)
+    *parents, key = path
+    section = doc
+    for p in parents:
+        section = section[p]
+    if to is None:
+        del section[key]
+    else:
+        section[key] = to
+    return doc
+
+
+class TestRefusals:
+    """Each refusal of ``load_problem_file`` names the field and what is wrong with it."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_changed("problem", "t0"), "problem: missing required key 't0'"),
+        (_changed("problem"), "document: missing required key 'problem'"),
+        (_changed("problem", "x0", to="1.0"), "problem.x0: expected list, got str"),
+        (_changed("problem", "components", to={}), "problem.components: expected list, got dict"),
+        (_changed("problem", "T", to="1"), "problem.T: expected a number"),
+        (_changed("problem", "t0", to=True), "problem.t0: expected a number"),
+        (_changed("derivators", "g2", to=[0, 1]), "derivators.g2: expected an object"),
+        (_changed("derivators", "g2", "window", to=[1, 0]), "derivators.g2: window must be"),
+        (_changed("derivators", "g2", "slopes", to=[1, 2]), "derivators.g2: expected 1 slopes"),
+        (_changed("derivators", "g2", "window"), "derivators.g2: 'window'"),
+        (_changed("derivators", to={}), "derivators: at least one derivator must be defined"),
+        (_changed("problem", "modulus", to={"expr": "t +"}), "problem.modulus: bad modulus expression"),
+        (_changed("problem", "modulus", to={"expr": "x1"}), "problem.modulus: bad modulus expression"),
+        (_changed("problem", "modulus", to={"builtin": "omega_2"}), 'problem.modulus: expected {"builtin"'),
+        (_changed("problem", "modulus", to="t"), 'problem.modulus: expected {"builtin"'),
+        (_changed("problem", "phi", to="1 +"), "problem.phi: bad expression"),
+        (_changed("problem", "phi", to=1.0), "problem.phi: expected an expression string"),
+        (_changed("problem", "components", to=DOC["problem"]["components"][:1]),
+         "problem.components: expected 2 components to match x0, got 1"),
+        (_changed("problem", "components", 0, to="x1"), r"problem.components\[0\]: expected an object"),
+        (_changed("problem", "components", 1, "derivator", to="g3"),
+         r"problem.components\[1\].derivator: unknown derivator name 'g3'"),
+        (_changed("problem", "T", to=2.0), r"problem: derivators\[0\] window \(0.0, 1.0\) does not contain"),
+        (_changed("output", to=["trace.csv"]), "output: expected an object"),
+    ])
+    def test_refused_documents(self, tmp_path, doc, message):
+        with pytest.raises(ProblemFileError, match=message):
+            load_problem_file(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("top", [[DOC], "problem", 1])
+    def test_the_top_level_must_be_an_object(self, tmp_path, top):
+        with pytest.raises(ProblemFileError, match="top level must be an object"):
+            load_problem_file(write_doc(tmp_path, top))

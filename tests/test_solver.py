@@ -141,6 +141,46 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             IVProblem(0.0, 1.0, [1.0], [g], [lambda t, x: 0.0], ball_radius=0.0)
 
+    def test_empty_state(self):
+        with pytest.raises(ConfigurationError, match="x0 must have at least one component"):
+            IVProblem(0.0, 1.0, [], [], [])
+
+    def test_derivators_must_be_derivators(self):
+        g = Derivator.identity((0.0, 1.0))
+        with pytest.raises(ConfigurationError, match=r"derivators\[1\] is not a Derivator"):
+            IVProblem(0.0, 1.0, [1.0, 2.0], [g, lambda t: t], [lambda t, x: 0.0] * 2)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 0.5, 2.0], [0.0, 1.5, 1.0, 2.0], [0.0], [[0.0, 2.0]]])
+    @pytest.mark.parametrize("solve", [solve_euler, solve_picard])
+    def test_grids_that_are_not_strictly_increasing(self, solve, grid):
+        with pytest.raises(ConfigurationError, match="grid must be strictly increasing"):
+            solve(impulsive_problem(), np.array(grid))
+
+    @pytest.mark.parametrize("shape", [(4, 1), (5, 2), (5,)])
+    def test_an_initial_iterate_of_the_wrong_shape(self, shape):
+        p = impulsive_problem()
+        with pytest.raises(ConfigurationError, match=r"initial iterate must have shape \(5, 1\)"):
+            solve_picard(p, build_grid(p, n_steps=4), initial=np.ones(shape))
+
+    def test_sup_distance_across_grids(self):
+        p = impulsive_problem()
+        a = solve_euler(p, build_grid(p, n_steps=4))
+        for n_steps in (4, 8):
+            b = solve_euler(p, build_grid(p, sigma=1.5, n_steps=n_steps))
+            with pytest.raises(ConfigurationError, match="traces live on different grids"):
+                a.sup_distance(b)
+
+    def test_a_certificate_needs_a_modulus(self):
+        with pytest.raises(ConfigurationError, match="uniqueness_certificate needs a declared modulus"):
+            uniqueness_certificate(impulsive_problem())
+
+    @pytest.mark.parametrize("bounds", [[], [lambda t: 1.0] * 2])
+    def test_one_domination_bound_per_component(self, bounds):
+        with pytest.raises(ConfigurationError, match=f"need 1 domination bounds, got {len(bounds)}"):
+            caratheodory_bound_check(impulsive_problem(), 1.0, bounds)
+
 
 class TestGridAtoms:
     def test_grid_missing_an_atom_is_refused(self):
@@ -617,6 +657,12 @@ class TestResidual:
         p = IVProblem(0.0, 1.0, [1.0], [g], [lambda t, x: 0.0])
         tr = solve_euler(p, build_grid(p, n_steps=32))
         assert residual(p, tr)[0] == 0.0
+
+    def test_the_euler_residual_is_that_of_residual(self, rng):
+        for n in (1, 2, 3):
+            p = _random_system(rng, n)
+            trace = solve_euler(p, build_grid(p, n_steps=200))
+            assert trace.residual.tobytes() == residual(p, trace).tobytes()
 
     def test_euler_residual_shrinks_with_refinement(self):
         p = impulsive_problem()

@@ -162,6 +162,11 @@ class TestDerivative:
         parts = a * stieltjes_derivative(f1, g, t) + b * stieltjes_derivative(f2, g, t)
         assert combo == pytest.approx(parts, abs=1e-5)
 
+    @pytest.mark.parametrize("t", [-0.5, 2.0, math.nan])
+    def test_a_derivative_outside_the_window(self, t):
+        with pytest.raises(WindowDomainError, match=rf"t={t} outside \[0.0, 2.0\)"):
+            stieltjes_derivative(lambda s: s, idjump(), t)
+
 
 class TestRightLimit:
     """The three refusals of the right-limit estimate at a jump d of a plain f."""
@@ -454,6 +459,11 @@ class TestIndefiniteIntegral:
         n_sloped = int(np.count_nonzero(g.eval(nodes[1:]) > g.eval_right(nodes[:-1])))
         halvings = F._lo.size - (nodes.size - 1)
         assert len(calls) <= 16 * n_sloped + 32 * halvings + g.jump_points.size
+
+    @pytest.mark.parametrize("a", [-0.5, 2.0, 3.0])
+    def test_a_start_outside_the_window(self, a):
+        with pytest.raises(WindowDomainError, match=rf"a={a} outside \[0.0, 2.0\)"):
+            indefinite_integral(lambda t: 1.0, idjump(), a)
 
     def test_batch_rejects_points_outside(self):
         F = indefinite_integral(lambda t: 1.0, idjump(), 0.5)

@@ -90,6 +90,10 @@ class TestTopologiesEqual:
             both = is_relatively_continuous(g1, g2) and is_relatively_continuous(g2, g1)
             assert both == topologies_equal(g1, g2)
 
+    def test_a_window_mismatch_is_refused(self):
+        with pytest.raises(ConfigurationError, match=r"window mismatch: \(0.0, 1.0\) != \(0.0, 2.0\)"):
+            topologies_equal(Derivator.identity((0.0, 1.0)), idjump())
+
     def test_independent_builds_from_one_classification(self, rng):
         from conftest import random_classification
 
