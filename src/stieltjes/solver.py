@@ -76,10 +76,11 @@ __all__ = [
 
 # Gauss-Legendre nodes per grid cell (and slope segment) of the integral map
 _GRID_QUAD_ORDER = 6
-# Quadrature nodes per block of the integral map: its nodes, weights and
-# interpolated states are built from ``_MAP_BLOCK // _GRID_QUAD_ORDER`` pieces
-# at a time, so a 10k-step residual never holds its ~60k nodes per component
-# at once.  A grid of up to ~1,300 cells runs as one block.
+# Quadrature nodes per block of the integral map: its pieces, nodes, weights
+# and interpolated states are built from ``_MAP_BLOCK // _GRID_QUAD_ORDER``
+# cells at a time (more nodes where a block holds breakpoints), so a 10k-step
+# residual never holds its ~60k nodes per component at once.  A grid of up to
+# ~1,300 cells runs as one block.
 _MAP_BLOCK = 8192
 
 
@@ -283,8 +284,13 @@ def _check_ball(problem, state, t):
 class _GridData:
     """Per-grid pre-computation shared by both solvers and the residual map.
 
-    With ``keep_nodes`` the quadrature nodes of every block are kept once
-    built, for a caller that runs the integral map on the grid many times.
+    It keeps the jumps at the atom rows only, the grid points where some
+    derivator jumps: ``jumps[a]`` holds each component's jump at grid point
+    ``atom_rows[a]``.  Euler's continuous increments ``cont_inc`` are built
+    on first use.  The integral map cuts each component's pieces and their
+    quadrature nodes one block of cells at a time; with ``keep_nodes`` the
+    nodes of every block are kept once built, for a caller that runs the
+    integral map on the grid many times.
     """
 
     def __init__(self, problem, grid, keep_nodes=False):
@@ -292,26 +298,29 @@ class _GridData:
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 1 or self.grid.size < 2 or not np.all(np.diff(self.grid) > 0):
             raise ConfigurationError("grid must be strictly increasing with >= 2 points")
-        n = problem.n
-        N = self.grid.size - 1
-        self.n_cells = N
+        self.n_cells = self.grid.size - 1
 
-        # jumps of each component at each grid point; the closing point gets
-        # none (the solution on the closed interval is the left limit there).
-        # An atom between grid points would be lost from both the jumps and
-        # the continuous increments, so such grids are refused.
-        self.deltas = np.zeros((N + 1, n))
+        # every window holds the grid points but the closing one, which gets
+        # no jump (the solution on the closed interval is the left limit
+        # there).  An atom between grid points would be lost from both the
+        # jumps and the continuous increments, so such grids are refused.
+        hits = []
         for i, g in enumerate(problem.derivators):
-            self.deltas[:-1, i] = g.jump(self.grid[:-1])
-            pts = g.jump_points
-            inside = pts[(pts >= self.grid[0]) & (pts < self.grid[-1])]
-            missed = inside[self.grid[np.searchsorted(self.grid, inside)] != inside]
+            g._require_inside(self.grid[:-1], include_right=False)
+            inside = (g.jump_points >= self.grid[0]) & (g.jump_points < self.grid[-1])
+            pts = g.jump_points[inside]
+            rows = np.searchsorted(self.grid, pts)
+            missed = pts[self.grid[rows] != pts]
             if missed.size:
                 raise ConfigurationError(
                     f"grid misses the atom of derivators[{i}] at t={missed[0]}; "
                     "build_grid includes every atom"
                 )
-        self.atom_rows = np.flatnonzero(np.any(self.deltas > 0, axis=1))
+            hits.append((rows, g.jump_sizes[inside]))
+        self.atom_rows = _sorted_unique(np.concatenate([rows for rows, _ in hits]))
+        self.jumps = np.zeros((self.atom_rows.size, problem.n))
+        for i, (rows, sizes) in enumerate(hits):
+            self.jumps[np.searchsorted(self.atom_rows, rows), i] = sizes
 
         self._kept = {} if keep_nodes else None  # ``_nodes`` by (component, start)
 
@@ -324,27 +333,19 @@ class _GridData:
             cont_inc[:, i] = np.diff(g.continuous(self.grid))
         return cont_inc
 
-    @cached_property
-    def quad(self):
-        """The pieces of each component's continuous part, built on first use:
-        those ``g_i._pieces`` cuts from the grid where the slope is positive,
-        as arrays ``(lo, hi, slope, cell)`` with one entry per piece."""
-        quad = []
-        for g in self.problem.derivators:
-            edges, slope = g._pieces(self.grid)
-            keep = slope > 0.0
-            lo, hi, slope = edges[:-1][keep], edges[1:][keep], slope[keep]
-            cell = np.clip(np.searchsorted(self.grid, lo, side="right") - 1, 0, self.n_cells - 1)
-            quad.append((lo, hi, slope, cell))
-        return quad
-
     def _nodes(self, i, start):
-        """Gauss-Legendre nodes, weights and cells of the block of component
-        i's pieces from ``start``, kept with ``keep_nodes``."""
+        """Gauss-Legendre nodes, weights and cells of component i on the block
+        of ``_MAP_BLOCK // _GRID_QUAD_ORDER`` cells from cell ``start``: of the
+        pieces ``g_i._pieces`` cuts from its grid points where the slope is
+        positive.  Kept with ``keep_nodes``."""
         if self._kept is not None and (i, start) in self._kept:
             return self._kept[i, start]
         order = _GRID_QUAD_ORDER
-        lo, hi, slope, cell = (a[start:start + _MAP_BLOCK // order] for a in self.quad[i])
+        cuts = self.grid[start:start + _MAP_BLOCK // order + 1]
+        edges, slope = self.problem.derivators[i]._pieces(cuts)
+        keep = slope > 0.0
+        lo, hi, slope = edges[:-1][keep], edges[1:][keep], slope[keep]
+        cell = np.searchsorted(self.grid, lo, side="right") - 1
         ts, half = _gl_nodes(lo, hi, QuadratureConfig(order=order, panels=1))
         nodes = ts, (slope[:, None] * half * _gl_rule(order)[1]).ravel(), np.repeat(cell, order)
         if self._kept is not None:
@@ -357,13 +358,13 @@ class _GridData:
         return [rhs(float(self.grid[k]), tuple(values[k].tolist())) for k in self.atom_rows]
 
     def impulse_rights(self, values, atom_f):
-        """Post-jump states: right[k] = value[k] + f(t_k, value[k]) * delta_k.
+        """Post-jump states: right[k] = value[k] + f(t_k, value[k]) * jump_k.
 
         ``atom_f`` is ``atom_rhs(values)``.
         """
         rights = values.copy()
-        for k, fx in zip(self.atom_rows, atom_f):
-            rights[k] = values[k] + fx * self.deltas[k]
+        for k, fx, jump in zip(self.atom_rows, atom_f, self.jumps):
+            rights[k] = values[k] + fx * jump
         return rights
 
     def integral_map(self, values, rights, atom_f):
@@ -371,26 +372,29 @@ class _GridData:
 
         The iterate is interpolated linearly inside each cell from the
         post-jump state at the left node to the value at the right node.
-        ``atom_f`` is ``atom_rhs(values)``.
+        ``atom_f`` is ``atom_rhs(values)``.  Besides its output, the map holds
+        one block of cells at a time: that block's pieces, nodes and gathered
+        states.
         """
-        problem = self.problem
+        problem, grid = self.problem, self.grid
         N, n = self.n_cells, problem.n
         out = np.zeros((N + 1, n))
         out[0] = problem.x0
         cells_total = out[1:]  # summed in place into the output
 
         # atomic contributions use the pre-jump state at the atom
-        for k, fx in zip(self.atom_rows, atom_f):
-            cells_total[k] += fx * self.deltas[k]
+        for k, fx, jump in zip(self.atom_rows, atom_f, self.jumps):
+            cells_total[k] += fx * jump
 
-        widths = np.diff(self.grid)
         for i in range(n):
-            # blocks of pieces bound the nodes and gathered states; np.add.at
-            # adds in node order however the pieces are split
-            for start in range(0, self.quad[i][0].size, _MAP_BLOCK // _GRID_QUAD_ORDER):
+            # the pieces of consecutive blocks are the pieces of the whole
+            # grid, in order, so np.add.at adds in node order however the
+            # cells are split
+            for start in range(0, N, _MAP_BLOCK // _GRID_QUAD_ORDER):
                 ts, ws, cell_idx = self._nodes(i, start)
                 # ``take`` gathers far faster than fancy indexing on these sizes
-                frac = (ts - self.grid.take(cell_idx)) / widths.take(cell_idx)
+                t_left = grid.take(cell_idx)
+                frac = (ts - t_left) / (grid.take(cell_idx + 1) - t_left)
                 left = rights.take(cell_idx, axis=0)
                 states = left + (values.take(cell_idx + 1, axis=0) - left) * frac[:, None]
                 contrib = _sample_finite(problem.rhs[i], ts, lambda v, q: SolverError(
@@ -495,10 +499,11 @@ def solve_euler(problem, grid, compute_residual=True):
     # turned into Python objects, and no heap of them builds up for the
     # garbage collector to sweep while the loop runs
     incs = zip(*map(memoryview, data.cont_inc.T))  # its columns are contiguous
-    deltas = data.deltas[data.atom_rows].tolist()
-    jumps_at = memoryview(np.any(data.deltas > 0, axis=1))
-    values, rights = (np.frombuffer(states).reshape(-1, problem.n) for states in
-                      problem._euler_steps(problem, memoryview(grid), deltas, incs, jumps_at))
+    jumps_at = np.zeros(grid.size, dtype=bool)
+    jumps_at[data.atom_rows] = True
+    steps = problem._euler_steps(problem, memoryview(grid), data.jumps.tolist(), incs,
+                                 memoryview(jumps_at))
+    values, rights = (np.frombuffer(states).reshape(-1, problem.n) for states in steps)
 
     res = data.residual(values, rights) if compute_residual else None
     return SolutionTrace(
@@ -509,8 +514,9 @@ def solve_euler(problem, grid, compute_residual=True):
 def solve_picard(problem, grid, tol=1e-10, max_iter=100, initial=None):
     """Fixed-point iteration of the integral-equation map on the grid.
 
-    Starts from the constant initial iterate (or ``initial``: a trace or an
-    ``(N+1, n)`` array of grid values, e.g. an Euler warm start) and stops
+    Starts from the constant initial iterate (or ``initial``: a trace on the
+    same grid or an ``(N+1, n)`` array of grid values, e.g. an Euler warm
+    start; a trace on another grid raises ``ConfigurationError``) and stops
     when the sup-norm change of the grid values drops to ``tol``; the
     post-jump states of the returned trace satisfy the impulse relation
     exactly with the accepted values.  ``tol`` must be finite and positive
@@ -525,6 +531,8 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, initial=None):
     if initial is None:
         values = np.tile(problem.x0, (N + 1, 1))
     else:
+        if not np.array_equal(getattr(initial, "grid", grid), grid):
+            raise ConfigurationError("the initial trace lives on a different grid")
         values = np.array(getattr(initial, "values", initial), dtype=float)
         if values.shape != (N + 1, n):
             raise ConfigurationError(
@@ -801,8 +809,9 @@ class UniquenessReport:
 
 
 # Samples per batched block of the sampled checks: large enough that
-# per-call overhead vanishes, small enough that the temporaries of a block
-# stay far below the size of the drawn samples.
+# per-call overhead vanishes, small enough that a block's draws and
+# temporaries stay far below the size of all the samples, which are never
+# held at once.
 _CERT_BLOCK = 1024
 
 
@@ -812,16 +821,42 @@ def _sample_named(f, ts, name, xs=None):
                           xs=xs)
 
 
-def _sampled_violations(ts, check):
+def _drawn_blocks(seed, n_samples, *draws):
+    """The samples of ``draws``, ``_CERT_BLOCK`` at a time (the last block may be
+    shorter), bit for bit the slices of drawing each draw whole, one after
+    another, from ``np.random.default_rng(seed)``.
+
+    A draw is ``(low, high, shape)``: in full, ``uniform(low, high,
+    size=(n_samples, *shape))``.  A block is a list of one ``(m, *shape)``
+    array per draw.  Each draw has its own PCG64, the bit generator of
+    ``default_rng``, in the seeded state and advanced to where the draws
+    before it end: PCG64 spends one 64-bit output per double.  A Generator
+    passed as ``seed`` must run on PCG64; it is read, not advanced.
+    """
+    state = np.random.default_rng(seed).bit_generator.state
+    gens, offset = [], 0
+    for _, _, shape in draws:
+        bits = np.random.PCG64(0)  # seeded only to skip the entropy; its state is replaced
+        bits.state = state
+        gens.append(np.random.Generator(bits.advance(offset)))
+        offset += n_samples * math.prod(shape)
+    for start in range(0, n_samples, _CERT_BLOCK):
+        m = min(_CERT_BLOCK, n_samples - start)
+        yield [gen.uniform(low, high, size=(m, *shape))
+               for gen, (low, high, shape) in zip(gens, draws)]
+
+
+def _sampled_violations(blocks, check):
     """``(t, i, lhs, bound)`` wherever ``lhs > bound + slack``, sample-major.
 
-    ``check(block)`` gets a slice of ``_CERT_BLOCK`` samples and returns
-    their ``(m, n)`` arrays ``lhs``, ``bound`` and ``slack``.
+    ``blocks`` yields the drawn arrays of one block of samples, the times
+    first (``_drawn_blocks``); ``check(*block)`` returns their ``(m, n)``
+    arrays ``lhs``, ``bound`` and ``slack``.
     """
     violations = []
-    for start in range(0, ts.size, _CERT_BLOCK):
-        lhs, bound, slack = check(slice(start, start + _CERT_BLOCK))
-        violations += [(float(ts[start + q]), int(i), float(lhs[q, i]), float(bound[q, i]))
+    for block in blocks:
+        lhs, bound, slack = check(*block)
+        violations += [(float(block[0][q]), int(i), float(lhs[q, i]), float(bound[q, i]))
                        for q, i in zip(*np.nonzero(lhs > bound + slack))]
     return violations
 
@@ -837,8 +872,10 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
     phi = 1 the integral is the measure of the horizon, ``measure_interval``).
     All three are sampled evidence; the report says so; a phi refused in
     (c) leaves the report UNVERIFIED and unsampled.
-    The samples are drawn at once and evaluated in blocks of ``_CERT_BLOCK``:
-    phi, the modulus at the gaps, then each rhs at x and y of every sample;
+    The samples are drawn and evaluated in blocks of ``_CERT_BLOCK``
+    (``_drawn_blocks``), the same samples as drawing all n_samples times,
+    then all x, then all y, from ``default_rng(seed)``: per block phi, the
+    modulus at the gaps, then each rhs at x and y of every sample;
     violations are listed in (sample, component) order.  A phi sample that
     is not finite and nonnegative raises ``IntegrandError`` (``_Weight``),
     a non-finite rhs or modulus value ``SolverError``, naming it and the
@@ -862,29 +899,27 @@ def uniqueness_certificate(problem, n_samples=10_000, seed=0):
         except IntegrandError:
             return report
 
-    rng = np.random.default_rng(seed)
     r = problem.ball_radius if problem.ball_radius is not None else 1.0
-    ts = rng.uniform(problem.t0, t_end, size=n_samples)
-    xs = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
-    ys = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
     report.n_samples = n_samples
 
-    def check(block):
-        t = ts[block]
-        gaps = np.max(np.abs(xs[block] - ys[block]), axis=1)
+    def check(t, dx, dy):
+        xs, ys = problem.x0 + dx, problem.x0 + dy
+        gaps = np.max(np.abs(xs - ys), axis=1)
         allowance = phi.batch(t) * _sample_finite(
             problem.modulus, gaps, lambda v, q: SolverError(
                 f"modulus returned {v} at s={gaps[q]} (t={t[q]})"))
         # x and y states interleaved, so the scalar path calls f(t, x) then f(t, y)
         t2 = np.repeat(t, 2)
-        states = np.stack((xs[block], ys[block]), axis=1).reshape(-1, problem.n)
+        states = np.stack((xs, ys), axis=1).reshape(-1, problem.n)
         vals = np.array([_sample_named(f, t2, f"rhs component {i}", states)
                          for i, f in enumerate(problem.rhs)])  # one row per component
         fx, fy = vals[:, 0::2].T, vals[:, 1::2].T
         slack = _ROUNDING_ULPS * np.spacing(np.abs(fx) + np.abs(fy))
         return np.abs(fx - fy), np.broadcast_to(allowance[:, None], fx.shape), slack
 
-    report.violations = _sampled_violations(ts, check)
+    state = (-r, r, (problem.n,))
+    report.violations = _sampled_violations(
+        _drawn_blocks(seed, n_samples, (problem.t0, t_end, ()), state, state), check)
     if not report.violations and osgood == "DIVERGENT":
         report.verdict = "OSGOOD-UNIQUE" if problem.phi is None else "MONTEL-TONELLI-UNIQUE"
     return report
@@ -915,7 +950,9 @@ def caratheodory_bound_check(problem, r, h_r, n_samples=4000, seed=0):
     ``h_r`` may be a single callable (shared by all components) or one per
     component.  Violations carry witnesses; the check is sampled evidence.
     It runs in blocks of ``_CERT_BLOCK`` samples, rhs_i then h_r_i for each
-    i in turn.  A non-finite rhs or bound value raises ``SolverError``; of
+    i in turn, with the samples of ``_drawn_blocks``: the same as drawing
+    all n_samples times, then all states, from ``default_rng(seed)``.  A
+    non-finite rhs or bound value raises ``SolverError``; of
     two in different blocks, the earlier block's is raised, even when it is
     a later component's.  ``r`` must be finite and positive and
     ``n_samples`` an integer >= 1.
@@ -928,19 +965,16 @@ def caratheodory_bound_check(problem, r, h_r, n_samples=4000, seed=0):
     if len(h_r) != problem.n:
         raise ConfigurationError(f"need {problem.n} domination bounds, got {len(h_r)}")
 
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(problem.t0, problem.t0 + problem.horizon, size=n_samples)
-    xs = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
-
-    def check(block):
-        t = ts[block]
+    def check(t, dx):
+        xs = problem.x0 + dx
         lhs, bound = np.empty((2, t.size, problem.n))
         for i, (f, h) in enumerate(zip(problem.rhs, h_r)):
-            lhs[:, i] = np.abs(_sample_named(f, t, f"rhs component {i}", xs[block]))
+            lhs[:, i] = np.abs(_sample_named(f, t, f"rhs component {i}", xs))
             bound[:, i] = _sample_named(h, t, f"domination bound {i}")
         return lhs, bound, _ROUNDING_ULPS * np.spacing(lhs + np.abs(bound))
 
-    violations = _sampled_violations(ts, check)
+    draws = (problem.t0, problem.t0 + problem.horizon, ()), (-r, r, (problem.n,))
+    violations = _sampled_violations(_drawn_blocks(seed, n_samples, *draws), check)
     return CaratheodoryReport(
         passed=not violations, r=float(r), n_samples=n_samples, violations=violations
     )

@@ -58,17 +58,20 @@ def test_no_solve_imports_numpy_ma(tmp_path):
     code = (
         "import sys\n"
         "from stieltjes.problem_io import load_problem_file, trace_csv_text\n"
-        "from stieltjes.solver import (apriori_bound, build_grid, horizon_for_ball, residual,\n"
-        "                              solve_euler, solve_picard, uniqueness_certificate)\n"
+        "from stieltjes.solver import (apriori_bound, build_grid, caratheodory_bound_check,\n"
+        "                              horizon_for_ball, residual, solve_euler, solve_picard,\n"
+        "                              uniqueness_certificate)\n"
         "p = load_problem_file(sys.argv[1]).problem\n"
         "grid = build_grid(p, n_steps=50)\n"
         "euler = solve_euler(p, grid, compute_residual=False)\n"
         "residual(p, euler)\n"
+        "solve_euler(p, grid)\n"
         "trace_csv_text(euler, p)\n"
         "picard = solve_picard(p, grid)\n"
         "horizon_for_ball(p)\n"
         "apriori_bound(p)\n"
         "uniqueness_certificate(p, n_samples=200)\n"
+        "caratheodory_bound_check(p, 1.0, lambda t: 1e3, n_samples=200)\n"
         "trace_csv_text(picard, p)\n"
         "print('numpy.ma' in sys.modules)\n"
     )

@@ -29,6 +29,7 @@ from stieltjes import (
     NonConvergenceError,
     SolverError,
     StieltjesError,
+    WindowDomainError,
 )
 from stieltjes import solver
 from stieltjes.expr import ExprFunction, parse
@@ -36,6 +37,7 @@ from stieltjes.moduli import OsgoodModulus, omega_k, omega_k_modulus
 from stieltjes.solver import (
     AprioriBound,
     IVProblem,
+    SolutionTrace,
     _AbsRhsAtX0,
     _check_ball,
     _GridData,
@@ -163,6 +165,24 @@ class TestRefusals:
         p = impulsive_problem()
         with pytest.raises(ConfigurationError, match=r"initial iterate must have shape \(5, 1\)"):
             solve_picard(p, build_grid(p, n_steps=4), initial=np.ones(shape))
+
+    @pytest.mark.parametrize("run", [
+        solve_euler, solve_picard,
+        lambda p, grid: residual(p, SolutionTrace(grid, np.ones((4, 1)), np.ones((4, 1)), "euler")),
+    ], ids=["euler", "picard", "residual"])
+    def test_a_grid_that_leaves_a_window(self, run):
+        with pytest.raises(WindowDomainError, match=r"t=2.5 outside the working window \[0.0, 2.0\)"):
+            run(impulsive_problem(), np.array([0.0, 1.0, 2.5, 3.0]))
+
+    def test_an_initial_trace_on_another_grid_of_the_same_size(self):
+        p = impulsive_problem()
+        grid, other = build_grid(p, n_steps=4), build_grid(p, sigma=1.6, n_steps=3)
+        assert other.shape == grid.shape and not np.array_equal(other, grid)
+        with pytest.raises(ConfigurationError, match="initial trace lives on a different grid"):
+            solve_picard(p, grid, initial=solve_euler(p, other))
+        # a trace on the same grid starts it, and so do any grid values
+        for initial in (solve_euler(p, grid), solve_euler(p, other).values):
+            assert solve_picard(p, grid, initial=initial).n_iterations >= 1
 
     def test_sup_distance_across_grids(self):
         p = impulsive_problem()
@@ -309,10 +329,21 @@ class TestEuler:
         assert np.array_equal(exc.value.state, free.values[k])
 
 
+def _dense_jumps(problem, grid):
+    """The jump of each component at each grid point, ``(N+1, n)``, the closing
+    point none: a dense table from ``Derivator.jump``, independent of how
+    ``_GridData`` finds its atom rows."""
+    deltas = np.zeros((grid.size, problem.n))
+    for i, g in enumerate(problem.derivators):
+        deltas[:-1, i] = g.jump(grid[:-1])
+    return deltas
+
+
 def _ndarray_euler(problem, grid):
     """The Euler step loop on ndarray states, as ``solve_euler`` ran it before
     its steps moved to Python floats; returns values, right values, residual."""
     data = _GridData(problem, grid)
+    deltas = _dense_jumps(problem, data.grid)
     N, n = data.n_cells, problem.n
     values = np.empty((N + 1, n))
     rights = np.empty((N + 1, n))
@@ -321,8 +352,8 @@ def _ndarray_euler(problem, grid):
     for k in range(N):
         t = data.grid[k]
         fx = np.array([float(f(t, x)) for f in problem.rhs])
-        y = x + fx * data.deltas[k]
-        if np.any(data.deltas[k] > 0):
+        y = x + fx * deltas[k]
+        if np.any(deltas[k] > 0):
             _check_ball(problem, y, t)
             f_plus = np.array([float(f(t, y)) for f in problem.rhs])
         else:
@@ -344,8 +375,9 @@ def _float_euler(problem, grid):
     ts = data.grid.tolist()
     x = problem._center
     values, rights = [x], []
-    jumps_at = np.any(data.deltas > 0, axis=1).tolist()
-    deltas, incs = zip(*data.deltas.T.tolist()), zip(*data.cont_inc.T.tolist())
+    dense = _dense_jumps(problem, data.grid)
+    jumps_at = np.any(dense > 0, axis=1).tolist()
+    deltas, incs = zip(*dense.T.tolist()), zip(*data.cont_inc.T.tolist())
     for t, t_next, delta, inc, jumps in zip(ts, ts[1:], deltas, incs, jumps_at):
         fx = problem.eval_rhs(t, x)
         if jumps:
@@ -1472,9 +1504,15 @@ class TestBatchedPathMatchesScalar:
         assert bound.kappa == pytest.approx(plain.kappa, rel=1e-14, abs=0.0)
 
 
+def _positive_pieces(g, cuts):
+    """``(lo, hi)`` of the pieces ``g._pieces(cuts)`` where g's slope is positive."""
+    edges, slope = g._pieces(cuts)
+    return edges[:-1][slope > 0.0], edges[1:][slope > 0.0]
+
+
 class TestBlockedIntegralMap:
-    """``integral_map`` runs each component's pieces in blocks of ``_MAP_BLOCK // 6``,
-    which have about ``_MAP_BLOCK`` Gauss-Legendre nodes each."""
+    """``integral_map`` runs each component on blocks of ``_MAP_BLOCK // 6`` cells,
+    whose pieces have about ``_MAP_BLOCK`` Gauss-Legendre nodes each."""
 
     def map_of(self, problem, grid):
         tr = solve_euler(problem, grid, compute_residual=False)
@@ -1484,15 +1522,20 @@ class TestBlockedIntegralMap:
     def test_the_blocks_do_not_change_the_map(self, monkeypatch):
         problems = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
                                              TestBatchedPathMatchesScalar.LAMBDAS)
-        # 1,501 cells: more than one default block of pieces per component,
-        # and g1's breakpoint at 0.4 lies inside a cell
+        # 1,501 cells: more than one default block of cells, and g1's
+        # breakpoint at 0.4 lies inside a cell
         grid = build_grid(problems[0], n_steps=1501)
         assert 0.4 not in grid
+        assert grid.size - 1 > solver._MAP_BLOCK // solver._GRID_QUAD_ORDER
+        # the same with a g1 flat on [0.1, 0.9], which leaves blocks of cells
+        # without a piece
+        flat = Derivator((0.0, 1.0), breakpoints=[0.0, 0.1, 0.9, 1.0], slopes=[1.0, 0.0, 2.0],
+                         jumps=[(0.3, 0.2), (0.7, 0.1)])
+        problems += tuple(dataclasses.replace(p, derivators=(flat, p.derivators[1])) for p in problems)
         for p in problems:
-            pieces = min(lo.size for lo, *_ in _GridData(p, grid).quad)
-            assert pieces > solver._MAP_BLOCK // solver._GRID_QUAD_ORDER
             reference = self.map_of(p, grid)
-            for block in (7, 10**6):
+            # one cell a block, two blocks, and the whole grid as one block
+            for block in (7, 6 * 760, 10**6):
                 monkeypatch.setattr(solver, "_MAP_BLOCK", block)
                 assert np.array_equal(self.map_of(p, grid), reference)
                 monkeypatch.undo()
@@ -1501,14 +1544,14 @@ class TestBlockedIntegralMap:
         p_expr, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
                                               TestBatchedPathMatchesScalar.LAMBDAS)
         grid = build_grid(p_expr, n_steps=2000)
-        # node 4 of piece 166 of the second block of component 1, which is node
-        # 1,000 of that block
-        lo, hi, *_ = _GridData(p_expr, grid).quad[1]
+        # node 4 of cell 166 of the second block of component 1, which is node
+        # 1,000 of that block: g2 has slope 1 and no breakpoint inside a cell
         k = solver._MAP_BLOCK // solver._GRID_QUAD_ORDER + 166
-        assert lo.size > k
-        half = (hi[k] - lo[k]) / 2.0
+        assert grid.size - 1 > k
+        (lo,), (hi,) = _positive_pieces(p_expr.derivators[1], grid[k:k + 2])
+        half = (hi - lo) / 2.0
         bad = float(half * np.polynomial.legendre.leggauss(solver._GRID_QUAD_ORDER)[0][4]
-                    + (lo[k] + hi[k]) / 2.0)
+                    + (lo + hi) / 2.0)
         f = p_expr.rhs[1]
         rhs = [p_expr.rhs[0], lambda t, x: math.nan if t == bad else f(t, x)]
         p = IVProblem(p_expr.t0, p_expr.horizon, p_expr.x0, p_expr.derivators, rhs)
@@ -1521,15 +1564,18 @@ class TestBlockedIntegralMap:
         p, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
                                          TestBatchedPathMatchesScalar.LAMBDAS)
         grid = build_grid(p, n_steps=3000)
-        pieces = [lo.size for lo, *_ in _GridData(p, grid).quad]
         per_block = solver._MAP_BLOCK // solver._GRID_QUAD_ORDER
-        assert min(pieces) > per_block
+        blocks = range(0, grid.size - 1, per_block)
+        assert len(blocks) == 3
+        every_block_once = [_positive_pieces(g, grid[s:s + per_block + 1])[0].size
+                            for g in p.derivators for s in blocks]
+        # the blocks' pieces are the pieces of the whole grid
+        assert sum(every_block_once) == sum(_positive_pieces(g, grid)[0].size for g in p.derivators)
         built = []
         real = solver._gl_nodes
         monkeypatch.setattr(solver, "_gl_nodes", lambda lo, hi, q: built.append(lo.size) or real(lo, hi, q))
         trace = solve_picard(p, grid, tol=1e-10)
         assert trace.n_iterations > 2
-        every_block_once = [min(per_block, m - s) for m in pieces for s in range(0, m, per_block)]
         assert built == every_block_once
         built.clear()
         residual(p, trace)
@@ -1541,7 +1587,6 @@ class TestBlockedIntegralMap:
 
         def peak(n_steps):
             data = _GridData(p_expr, build_grid(p_expr, n_steps=n_steps))
-            data.quad  # built before the measurement
             values = np.ones((data.n_cells + 1, 2))
             atom_f = data.atom_rhs(values)
             tracemalloc.start()
@@ -1551,11 +1596,12 @@ class TestBlockedIntegralMap:
             finally:
                 tracemalloc.stop()
 
-        # the map's arrays of N rows: the output, into which the cell totals
-        # are summed, and the cell widths; one block of all ~240k nodes per
-        # component grew by 16.7 MB
+        # the map's one array of N rows is the output, into which the cell
+        # totals are summed: 2 floats a row.  Pieces of the whole grid and the
+        # cell widths grew by 10 floats a row, and one block of all ~240k
+        # nodes per component by 16.7 MB.
         growth = peak(40_000) - peak(10_000)
-        assert growth <= 4 * 30_000 * 2 * 8
+        assert growth <= 30_000 * 2 * 8 * 1.05
 
 
 class TestSolvePeaks:
@@ -1581,17 +1627,111 @@ class TestSolvePeaks:
         return peak(40_000) - peak(10_000)
 
     def test_the_euler_peak_grows_only_by_its_arrays(self):
-        # a row (n = 2) holds 8 floats: the output values and right values and
-        # the grid data's jumps and increments, which the loop reads in place;
-        # the rest is the jump flags and the output buffers' slack.  Rows of
-        # Python floats made up front would grow by about 410 B a row.
+        # a row (n = 2) holds at most 7 floats: the increments (n) and the
+        # temporaries of ``g.continuous`` while they are built; then the
+        # increments, the output values and right values, the jump flags and
+        # the output buffers' slack.  Dense jumps of every row grew by 2 more,
+        # and rows of Python floats made up front by about 410 B a row.
         growth = self.peak_growth(lambda p, grid, trace: solve_euler(p, grid, compute_residual=False))
-        assert growth <= 30_000 * 8 * 8 * 1.25
+        assert growth <= 30_000 * 7 * 8 * 1.05
 
     def test_the_residual_peak_grows_only_by_its_arrays_and_not_by_its_nodes(self):
-        # on a fresh ``_GridData`` a row (n = 2) holds 13 floats: the output and
-        # the grid data's jumps (n each), four per piece of each component
-        # (lo, hi, slope, cell) and the cell width; the nodes come one block
-        # at a time.  Keeping every node would grow by about 385 B a row.
+        # a row (n = 2) holds the output's 2 floats: the jumps are kept at
+        # the atom rows only, and the pieces and nodes come one block of cells
+        # at a time.  The pieces of the whole grid and dense jumps grew by 13
+        # floats a row, and keeping every node by about 385 B a row.
         growth = self.peak_growth(lambda p, grid, trace: residual(p, trace))
-        assert growth <= 30_000 * 13 * 8 * 1.25
+        assert growth <= 30_000 * 2 * 8 * 1.05
+
+
+class TestStreamedDraws:
+    """Both sampled checks draw their samples one block of ``_CERT_BLOCK`` at a
+    time: the very samples of drawing them all at once from ``default_rng(seed)``."""
+
+    N_SAMPLES = 2500  # two full blocks and a partial one
+
+    def test_the_blocks_are_slices_of_the_whole_draws(self):
+        n, size = self.N_SAMPLES, solver._CERT_BLOCK
+        assert n % size
+        draws = [(0.5, 2.0, ()), (-1.0, 1.0, (3,)), (-3.0, 0.0, (2,))]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            whole = [rng.uniform(low, high, size=(n, *shape)) for low, high, shape in draws]
+            blocks = list(solver._drawn_blocks(seed, n, *draws))
+            assert [b[0].shape for b in blocks] == [(min(size, n - s),) for s in range(0, n, size)]
+            for k, drawn in enumerate(whole):
+                assert np.concatenate([b[k] for b in blocks]).tobytes() == drawn.tobytes()
+
+    @staticmethod
+    def uniqueness_reference(problem, n_samples, seed):
+        """The violations of ``uniqueness_certificate`` (phi = 1), with all times,
+        then all x, then all y drawn at once, checked sample by sample."""
+        rng = np.random.default_rng(seed)
+        r = problem.ball_radius
+        ts = rng.uniform(problem.t0, problem.t0 + problem.horizon, size=n_samples)
+        xs = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
+        ys = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
+        violations = []
+        for t, x, y in zip(ts.tolist(), xs, ys):
+            allowance = float(problem.modulus(float(np.max(np.abs(x - y)))))
+            for i, f in enumerate(problem.rhs):
+                fx, fy = float(f(t, tuple(x.tolist()))), float(f(t, tuple(y.tolist())))
+                if abs(fx - fy) > allowance + solver._ROUNDING_ULPS * np.spacing(abs(fx) + abs(fy)):
+                    violations.append((t, i, abs(fx - fy), allowance))
+        return violations
+
+    @staticmethod
+    def caratheodory_reference(problem, r, h, n_samples, seed):
+        """The violations of ``caratheodory_bound_check`` with one shared bound h,
+        with all times, then all states drawn at once, checked sample by sample."""
+        rng = np.random.default_rng(seed)
+        ts = rng.uniform(problem.t0, problem.t0 + problem.horizon, size=n_samples)
+        xs = problem.x0 + rng.uniform(-r, r, size=(n_samples, problem.n))
+        violations = []
+        for t, x in zip(ts.tolist(), xs):
+            for i, f in enumerate(problem.rhs):
+                lhs, bound = abs(float(f(t, tuple(x.tolist())))), float(h(t))
+                if lhs > bound + solver._ROUNDING_ULPS * np.spacing(lhs + abs(bound)):
+                    violations.append((t, i, lhs, bound))
+        return violations
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_certificate_is_that_of_all_at_once_draws(self, seed):
+        # the sqrt rhs fails the linear modulus 2s on some samples
+        for p in TestBatchedPathMatchesScalar().cert_problems():
+            report = uniqueness_certificate(p, n_samples=self.N_SAMPLES, seed=seed)
+            assert report.n_samples == self.N_SAMPLES and report.verdict == "UNVERIFIED"
+            assert report.violations == self.uniqueness_reference(p, self.N_SAMPLES, seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_domination_check_is_that_of_all_at_once_draws(self, seed):
+        h = lambda t: 0.5 + t
+        for p in TestBatchedPathMatchesScalar().cert_problems():
+            report = caratheodory_bound_check(p, 1.0, h, n_samples=self.N_SAMPLES, seed=seed)
+            assert report.n_samples == self.N_SAMPLES and not report.passed
+            assert report.violations == self.caratheodory_reference(p, 1.0, h, self.N_SAMPLES, seed)
+
+    @pytest.mark.parametrize("check", [
+        lambda p, n: uniqueness_certificate(p, n_samples=n),
+        lambda p, n: caratheodory_bound_check(p, 1.0, lambda t: 1e3, n_samples=n),
+    ], ids=["uniqueness", "domination"])
+    def test_the_peak_does_not_grow_with_the_samples(self, check):
+        # a Lipschitz rhs (constant 0.75 in the max norm) under the modulus s:
+        # no violation, so the report holds nothing per sample
+        sources = ["0.5*sin(3*t)*x2 - 0.25*x1", "0.2*x1 - 0.1*x2"]
+        g = Derivator.identity((0.0, 1.0))
+        p = IVProblem(0.0, 1.0, [0.3, -0.2], [g, g], [ExprFunction(parse(s, 2), s) for s in sources],
+                      ball_radius=1.0, modulus=OsgoodModulus(evaluator=ExprFunction(parse("t", 0))))
+        assert not check(p, 100).violations  # and the modulus's cells are built
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                check(p, n_samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # drawn at once, the samples grew by 56 B a sample (40 B for the
+        # domination check)
+        assert peak(40_000) - peak(10_000) < 30_000 * 8
