@@ -199,12 +199,13 @@ def _as_modulus(omega):
 
 def _reciprocal_sample(omega, ss):
     """``s / omega(s)`` and ``omega(s)`` at every s; a modulus value <= 0 or not finite raises."""
-    ws = _sample_finite(omega, ss, lambda v, q: IntegrandError(
-        f"modulus returned {v} at s={ss[q]}", point=ss[q]))
+    def refuse(v, q):
+        return IntegrandError(f"modulus returned {v} at s={ss[q]}", point=ss[q])
+
+    ws = _sample_finite(omega, ss, refuse)
     nonpositive = np.flatnonzero(ws <= 0.0)
     if nonpositive.size:
-        q = nonpositive[0]
-        raise IntegrandError(f"modulus returned {ws[q]} at s={ss[q]}", point=ss[q])
+        raise refuse(ws[nonpositive[0]], nonpositive[0])
     with np.errstate(over="ignore"):  # a tiny omega overflows the quotient: raised below
         vals = ss / ws
     if not np.all(np.isfinite(vals)):

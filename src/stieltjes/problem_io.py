@@ -30,8 +30,9 @@ Expressions use the `expr` grammar; the rhs sees ``t`` and ``x1..xn``,
 while ``phi`` and an expression-defined modulus are unary maps written in
 the variable ``t``.  Each is compiled once, at load, into an
 ``expr.ExprFunction``, so the loaded problem speaks the batch protocol
-described on ``solver.IVProblem``.  The ``solver`` and ``output`` blocks
-accept only the keys shown; output paths are strings.
+described on ``solver.IVProblem``.  Every block accepts only the keys
+shown, so a misspelt key is refused rather than read as absent; output
+paths are strings.
 
 Trace CSV columns are ``t, post_jump, x_1..x_n`` with one extra
 ``post_jump = 1`` row per grid point where any component jumps; floats are
@@ -118,6 +119,7 @@ def load_derivators(doc, where="derivators"):
     for name, spec in block.items():
         if not isinstance(spec, dict):
             _fail(f"{where}.{name}", "expected an object")
+        _refuse_unknown(f"{where}.{name}", spec, ("window", "anchor", "breakpoints", "slopes", "jumps"))
         try:
             out[name] = Derivator.from_dict(spec)
         except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
@@ -130,6 +132,7 @@ def load_derivators(doc, where="derivators"):
 def parse_modulus_spec(spec, where="problem.modulus"):
     """Accepts {"builtin": "omega_k", "k": 1, 2 or 3} or {"expr": "<unary in t>"}."""
     if isinstance(spec, dict) and spec.get("builtin") == "omega_k":
+        _refuse_unknown(where, spec, ("builtin", "k"))
         k = spec.get("k")
         if not _is_int(k) or k < 1:
             _fail(where, "omega_k needs an integer k >= 1")
@@ -139,6 +142,9 @@ def parse_modulus_spec(spec, where="problem.modulus"):
             _fail(where, f"omega_k({k}) is not representable: {exc}")
         return omega_k_modulus(k)
     if isinstance(spec, dict) and "expr" in spec:
+        _refuse_unknown(where, spec, ("expr",))
+        if not isinstance(spec["expr"], str):
+            _fail(f"{where}.expr", "expected an expression string")
         try:
             tree = parse(spec["expr"], 0)
         except ExprParseError as exc:
@@ -163,6 +169,7 @@ def load_problem_file(path):
         raise ProblemFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: top level must be an object")
+    _refuse_unknown("document", doc, ("version", "derivators", "problem", "solver", "output"))
     version = doc.get("version", 1)
     if version != 1:
         _fail("version", f"unsupported version {version!r}")
@@ -170,6 +177,7 @@ def load_problem_file(path):
     derivators = load_derivators(doc)
 
     pb = _require(doc, "problem", "document", dict)
+    _refuse_unknown("problem", pb, ("t0", "T", "x0", "components", "ball_radius", "modulus", "phi"))
     t0 = _number(pb, "t0", "problem")
     horizon = _number(pb, "T", "problem")
     x0 = _require(pb, "x0", "problem", list)
@@ -186,6 +194,7 @@ def load_problem_file(path):
         where = f"problem.components[{i}]"
         if not isinstance(comp, dict):
             _fail(where, "expected an object")
+        _refuse_unknown(where, comp, ("derivator", "rhs"))
         gname = _require(comp, "derivator", where, str)
         if gname not in derivators:
             _fail(f"{where}.derivator", f"unknown derivator name {gname!r}")

@@ -286,11 +286,11 @@ class _GridData:
 
     It keeps the jumps at the atom rows only, the grid points where some
     derivator jumps: ``jumps[a]`` holds each component's jump at grid point
-    ``atom_rows[a]``.  Euler's continuous increments ``cont_inc`` are built
-    on first use.  The integral map cuts each component's pieces and their
-    quadrature nodes one block of cells at a time; with ``keep_nodes`` the
-    nodes of every block are kept once built, for a caller that runs the
-    integral map on the grid many times.
+    ``atom_rows[a]``, which ``impulses`` applies.  Euler's continuous
+    increments ``cont_inc`` are built on first use.  The integral map cuts
+    each component's pieces and their quadrature nodes one block of cells at
+    a time; with ``keep_nodes`` the nodes of every block are kept once built,
+    for a caller that runs the integral map on the grid many times.
     """
 
     def __init__(self, problem, grid, keep_nodes=False):
@@ -352,29 +352,25 @@ class _GridData:
             self._kept[i, start] = nodes
         return nodes
 
-    def atom_rhs(self, values):
-        """The rhs at every atom row ``k``, with the pre-jump state ``values[k]``."""
+    def impulses(self, values):
+        """``(rights, atom_f)`` for the pre-jump states ``values``: the post-jump
+        states, right[k] = value[k] + f(t_k, value[k]) * jump_k, and the rhs at
+        the atom rows, one row of n values per atom."""
         rhs = self.problem.eval_rhs
-        return [rhs(float(self.grid[k]), tuple(values[k].tolist())) for k in self.atom_rows]
-
-    def impulse_rights(self, values, atom_f):
-        """Post-jump states: right[k] = value[k] + f(t_k, value[k]) * jump_k.
-
-        ``atom_f`` is ``atom_rhs(values)``.
-        """
+        atom_f = np.array([rhs(float(self.grid[k]), tuple(values[k].tolist()))
+                           for k in self.atom_rows]).reshape(self.jumps.shape)
         rights = values.copy()
-        for k, fx, jump in zip(self.atom_rows, atom_f, self.jumps):
-            rights[k] = values[k] + fx * jump
-        return rights
+        rights[self.atom_rows] += atom_f * self.jumps
+        return rights, atom_f
 
     def integral_map(self, values, rights, atom_f):
         """One application of x -> x0 + integral of f(s, x(s)) dg on the grid.
 
         The iterate is interpolated linearly inside each cell from the
         post-jump state at the left node to the value at the right node.
-        ``atom_f`` is ``atom_rhs(values)``.  Besides its output, the map holds
-        one block of cells at a time: that block's pieces, nodes and gathered
-        states.
+        ``rights`` and ``atom_f`` are ``impulses(values)``.  Besides its
+        output, the map holds one block of cells at a time: that block's
+        pieces, nodes and gathered states.
         """
         problem, grid = self.problem, self.grid
         N, n = self.n_cells, problem.n
@@ -383,8 +379,7 @@ class _GridData:
         cells_total = out[1:]  # summed in place into the output
 
         # atomic contributions use the pre-jump state at the atom
-        for k, fx, jump in zip(self.atom_rows, atom_f, self.jumps):
-            cells_total[k] += fx * jump
+        cells_total[self.atom_rows] += atom_f * self.jumps
 
         for i in range(n):
             # the pieces of consecutive blocks are the pieces of the whole
@@ -408,7 +403,7 @@ class _GridData:
 
     def residual(self, values, rights):
         """Per component, the max of |integral_map - values| over the grid."""
-        mapped = self.integral_map(values, rights, self.atom_rhs(values))
+        mapped = self.integral_map(values, rights, self.impulses(values)[1])
         mapped -= values
         return np.max(np.abs(mapped, out=mapped), axis=0)
 
@@ -518,9 +513,9 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, initial=None):
     same grid or an ``(N+1, n)`` array of grid values, e.g. an Euler warm
     start; a trace on another grid raises ``ConfigurationError``) and stops
     when the sup-norm change of the grid values drops to ``tol``; the
-    post-jump states of the returned trace satisfy the impulse relation
-    exactly with the accepted values.  ``tol`` must be finite and positive
-    and ``max_iter`` an integer >= 1, or ``ConfigurationError`` is raised.
+    post-jump states of the returned trace are the accepted values' exact
+    ``impulses``.  ``tol`` must be finite and positive and ``max_iter`` an
+    integer >= 1, or ``ConfigurationError`` is raised.
     """
     _require_positive("tol", tol)
     _require_count("max_iter", max_iter)
@@ -539,30 +534,20 @@ def solve_picard(problem, grid, tol=1e-10, max_iter=100, initial=None):
                 f"initial iterate must have shape {(N + 1, n)}, got {values.shape}"
             )
     # the rhs at the atoms serves both the impulses and the next map
-    atom_f = data.atom_rhs(values)
-    rights = data.impulse_rights(values, atom_f)
-    change = None
-    iterations = 0
+    rights, atom_f = data.impulses(values)
     for iterations in range(1, max_iter + 1):
         new_values = data.integral_map(values, rights, atom_f)
         change = np.max(np.abs(new_values - values), axis=0)
         values = new_values
-        atom_f = data.atom_rhs(values)
-        rights = data.impulse_rights(values, atom_f)
-        # one reduction per array; fmax passes over NaN, as the row test does
-        if problem.ball_radius is not None and np.fmax(
-            np.fmax.reduce(np.abs(values - problem.x0), axis=None),
-            np.fmax.reduce(np.abs(rights - problem.x0), axis=None),
-        ) > problem.ball_radius:
+        rights, atom_f = data.impulses(values)
+        if problem.ball_radius is not None:
             # the first row outside, its pre-jump state before its post-jump one
-            dev = np.maximum(
-                np.max(np.abs(values - problem.x0), axis=1),
-                np.max(np.abs(rights - problem.x0), axis=1),
-            )
-            bad = np.flatnonzero(dev > problem.ball_radius)
-            if bad.size:
-                _check_ball(problem, values[bad[0]], float(grid[bad[0]]))
-                _check_ball(problem, rights[bad[0]], float(grid[bad[0]]))
+            outside = np.flatnonzero(np.maximum(
+                np.abs(values - problem.x0), np.abs(rights - problem.x0)) > problem.ball_radius)
+            if outside.size:
+                k = outside[0] // n
+                _check_ball(problem, values[k], float(grid[k]))
+                _check_ball(problem, rights[k], float(grid[k]))
         if float(np.max(change)) <= tol:
             break
     else:

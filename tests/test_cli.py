@@ -1,7 +1,11 @@
 """The ``stieltjes run`` command."""
 
 import json
+import os
+import subprocess
+import sys
 
+import stieltjes
 from stieltjes.cli import main
 from stieltjes.problem_io import load_problem_file, trace_csv_text
 from stieltjes.solver import build_grid, solve_euler, solve_picard
@@ -41,6 +45,29 @@ def test_run_picard_and_relative_output_path(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("picard: 52 cells") and ", last change " in out
     assert "residual" not in out
+
+
+def test_summary_json_is_noted_as_not_written(tmp_path, capsys):
+    path = write_doc(tmp_path, edited(output={"summary_json": "summary.json"}))
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().err == "note: output.summary_json is not written yet\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_run_as_a_module(tmp_path):
+    # ``python -m stieltjes.cli`` exits with main's status; a refused file
+    # prints one line and no traceback
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(stieltjes.__file__))}
+
+    def run(doc):
+        return subprocess.run([sys.executable, "-m", "stieltjes.cli", "run", str(write_doc(tmp_path, doc))],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run(DOC)
+    assert done.returncode == 0 and done.stdout.startswith("euler: 200 cells"), done.stderr
+    done = run(edited(problem={"ball_raduis": 0.1}))
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "stieltjes: problem: unknown key(s) 'ball_raduis'\n"
 
 
 def test_bad_input_exits_nonzero_with_the_message(tmp_path, capsys):

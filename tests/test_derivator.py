@@ -244,6 +244,10 @@ class TestSum:
         with pytest.raises(ConfigurationError):
             sum_derivators([Derivator.identity((0, 1)), Derivator.identity((0, 2))])
 
+    def test_only_a_derivator_adds(self):
+        with pytest.raises(TypeError):
+            idjump() + 1
+
     def test_additivity_randomized(self, rng):
         for _ in range(200):
             gs = [random_derivator(rng) for _ in range(int(rng.integers(1, 4)))]
@@ -314,6 +318,13 @@ class TestClassification:
             Classification(constancy=[(0, 1)], discontinuities=[0.5])
         with pytest.raises(ConfigurationError):
             Classification(discontinuities=[0.5, 0.5])
+
+    def test_equality_ignores_the_order_and_so_does_the_hash(self):
+        a = Classification(constancy=[(0, 1), (2, 3)], discontinuities=[1.5, 4.0])
+        b = Classification(constancy=[(2, 3), (0, 1)], discontinuities=[4.0, 1.5])
+        assert a == b and hash(a) == hash(b)
+        assert a != (a.constancy, a.discontinuities)
+        assert repr(b) == "Classification(constancy=[(2.0, 3.0), (0.0, 1.0)], discontinuities=[4.0, 1.5])"
 
     def test_touching_intervals_allowed(self):
         c = Classification(constancy=[(0, 1), (1, 2)], discontinuities=[1.0])
@@ -397,6 +408,12 @@ class TestFromClassification:
         assert g.eval(-1.0) == pytest.approx(-0.75)
         assert g.eval(1.0) == pytest.approx(1.0)
 
+    def test_a_window_without_zero_starts_at_zero(self):
+        c = Classification(constancy=[(1.5, 2.0)], discontinuities=[2.5])
+        g = from_classification(c, window=(1.0, 3.0))
+        assert g.anchor == 0.0 and g.eval(1.0) == 0.0
+        assert g.eval(3.0) == pytest.approx(1.5 + 0.5)  # the non-constant length and the jump
+
     def test_weight_validation(self):
         c = Classification(discontinuities=[0.5])
         with pytest.raises(ConfigurationError):
@@ -424,3 +441,6 @@ class TestSerialization:
         ts = np.linspace(*g.window, 23)
         assert np.array_equal(g.eval(ts), g2.eval(ts))
         assert g2.jumps == g.jumps
+
+    def test_repr(self):
+        assert repr(idjump()) == "Derivator(window=(0.0, 2.0), segments=1, jumps=1, anchor=0.0)"

@@ -139,6 +139,9 @@ class TestParsing:
             parse("phi(t)", 1)
         assert exc.value.offset == 0
         assert "phi" in str(exc.value)
+        with pytest.raises(ExprParseError, match="unknown identifier 'y'") as exc:
+            parse("y", 1)
+        assert exc.value.offset == 0
 
     def test_composed_tree(self):
         tree = parse("t*omega_k(1, norm_inf(x))", 3)
@@ -169,6 +172,8 @@ class TestParsing:
             parse("x + 1", 2)
         with pytest.raises(ExprParseError):
             parse("sin(x)", 2)
+        with pytest.raises(ExprParseError, match="norm_inf expects the state vector x"):
+            parse("norm_inf(x1)", 2)
 
     def test_omega_k_needs_integer_literal(self):
         with pytest.raises(ExprParseError):
@@ -180,6 +185,9 @@ class TestParsing:
         with pytest.raises(ExprParseError) as exc:
             parse("1 + * 2", 0)
         assert exc.value.offset == 4
+        with pytest.raises(ExprParseError, match=r"expected '\)'") as exc:
+            parse("sin(1", 0)
+        assert exc.value.offset == 5
 
     def test_trailing_input(self):
         with pytest.raises(ExprParseError):
@@ -261,6 +269,7 @@ class TestPrintRoundTrip:
         "-(t+1)*3",
         "2^-3",
         "heaviside(t-0.5)*x1 + sign(x2)",
+        "x1 ",
     ]
 
     @pytest.mark.parametrize("src", CASES)
@@ -268,6 +277,10 @@ class TestPrintRoundTrip:
         tree = parse(src, 3)
         printed = to_source(tree)
         assert parse(printed, 3) == tree
+
+    def test_a_non_node_is_refused(self):
+        with pytest.raises(TypeError, match="not an expression node: 1.0"):
+            to_source(1.0)
 
     def test_values_survive_printing(self):
         for src in self.CASES:

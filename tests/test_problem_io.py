@@ -304,6 +304,16 @@ class TestRefusals:
          r"problem.components\[1\].derivator: unknown derivator name 'g3'"),
         (_changed("problem", "T", to=2.0), r"problem: derivators\[0\] window \(0.0, 1.0\) does not contain"),
         (_changed("output", to=["trace.csv"]), "output: expected an object"),
+        # a misspelt key used to load as absent: no ball, or the default slope 1
+        (_changed("problem", "ball_raduis", to=0.1), r"problem: unknown key\(s\) 'ball_raduis'"),
+        (_changed("derivators", "g2", "slope", to=[2]), r"derivators.g2: unknown key\(s\) 'slope'"),
+        (_changed("solvr", to={"method": "picard"}), r"document: unknown key\(s\) 'solvr'"),
+        (_changed("problem", "components", 1, "rhs2", to="x1"),
+         r"problem.components\[1\]: unknown key\(s\) 'rhs2'"),
+        (_changed("problem", "modulus", to={"builtin": "omega_k", "k": 1, "K": 2}),
+         r"problem.modulus: unknown key\(s\) 'K'"),
+        (_changed("problem", "modulus", to={"expr": "t", "k": 1}), r"problem.modulus: unknown key\(s\) 'k'"),
+        (_changed("problem", "modulus", to={"expr": 5}), "problem.modulus.expr: expected an expression string"),
     ])
     def test_refused_documents(self, tmp_path, doc, message):
         with pytest.raises(ProblemFileError, match=message):

@@ -363,7 +363,7 @@ def _ndarray_euler(problem, grid):
         _check_ball(problem, x, data.grid[k + 1])
         values[k + 1] = x
     rights[N] = values[N]
-    mapped = data.integral_map(values, rights, data.atom_rhs(values))
+    mapped = data.integral_map(values, rights, data.impulses(values)[1])
     return values, rights, np.max(np.abs(values - mapped), axis=0)
 
 
@@ -654,9 +654,8 @@ class TestPicard:
         grid = build_grid(p, n_steps=4)
         data = _GridData(p, grid)
         start = np.tile(p.x0, (grid.size, 1))
-        atom_f = data.atom_rhs(start)
-        first = data.integral_map(start, data.impulse_rights(start, atom_f), atom_f)
-        rights = data.impulse_rights(first, data.atom_rhs(first))
+        first = data.integral_map(start, *data.impulses(start))
+        rights, _ = data.impulses(first)
         k = int(np.searchsorted(grid, 1.0))
         assert np.all(np.abs(first[:k] - 1.0) <= 0.5) and np.all(rights[:k] == first[:k])
         assert first[k, 0] == pytest.approx(2.0) and rights[k, 0] == pytest.approx(4.0)
@@ -664,6 +663,16 @@ class TestPicard:
             solve_picard(p, grid)
         assert type(exc.value.time) is float and exc.value.time == 1.0
         assert np.array_equal(exc.value.state, (rights if post_jump else first)[k])
+
+    def test_ball_exit_names_the_row_when_a_later_component_leaves(self):
+        # the first iterate is x1 = t / 4, x2 = t: x2 leaves radius 0.5 first,
+        # at row 3 (t = 0.75), whose entry in the flattened rows is the 8th
+        g = Derivator.identity((0.0, 2.0))
+        p = IVProblem(0.0, 2.0, [0.0, 0.0], [g, g], [lambda t, x: 0.25, lambda t, x: 1.0],
+                      ball_radius=0.5)
+        with pytest.raises(DomainExitError) as exc:
+            solve_picard(p, build_grid(p, n_steps=8))
+        assert exc.value.time == 0.75 and np.array_equal(exc.value.state, [0.1875, 0.75])
 
     def test_atom_rhs_is_evaluated_once_per_iterate(self):
         # the impulses and the next map share one rhs value per atom: one
@@ -1517,7 +1526,7 @@ class TestBlockedIntegralMap:
     def map_of(self, problem, grid):
         tr = solve_euler(problem, grid, compute_residual=False)
         data = _GridData(problem, grid)
-        return data.integral_map(tr.values, tr.right_values, data.atom_rhs(tr.values))
+        return data.integral_map(tr.values, tr.right_values, data.impulses(tr.values)[1])
 
     def test_the_blocks_do_not_change_the_map(self, monkeypatch):
         problems = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
@@ -1558,7 +1567,7 @@ class TestBlockedIntegralMap:
         data = _GridData(p, grid)
         values = np.zeros((grid.size, 2))
         with pytest.raises(SolverError, match=f"rhs component 1 returned nan at t={bad} during"):
-            data.integral_map(values, values, data.atom_rhs(values))
+            data.integral_map(values, values, data.impulses(values)[1])
 
     def test_picard_builds_the_nodes_of_each_block_once(self, monkeypatch):
         p, _ = _expr_and_lambda_problems(TestBatchedPathMatchesScalar.SOURCES,
@@ -1588,7 +1597,7 @@ class TestBlockedIntegralMap:
         def peak(n_steps):
             data = _GridData(p_expr, build_grid(p_expr, n_steps=n_steps))
             values = np.ones((data.n_cells + 1, 2))
-            atom_f = data.atom_rhs(values)
+            atom_f = data.impulses(values)[1]
             tracemalloc.start()
             try:
                 data.integral_map(values, values, atom_f)

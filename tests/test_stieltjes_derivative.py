@@ -528,6 +528,14 @@ class TestFtc:
         assert [s.status for s in report.samples] == ["ok"] * 5
         assert max(s.error for s in report.samples) <= 1e-5
 
+    def test_a_sample_nudged_to_or_past_b_is_dropped(self):
+        # the one uniform sample, 1 + 1.5e-6, lies near the atom at 1; the
+        # nudge past the atom's guard (4 * 2**-20, about 3.8e-6) would leave
+        # [a, b), so only the atom is sampled
+        report = check_ftc(math.sin, idjump(), 1.0, 1.0 + 3e-6, sample_count=1)
+        assert [s.t for s in report.samples] == [1.0]
+        assert report.ok()
+
     @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.75, 0.25)])
     def test_an_empty_interval_is_refused(self, a, b):
         with pytest.raises(WindowDomainError, match=f"a={a}, b={b}"):
