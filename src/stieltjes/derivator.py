@@ -211,7 +211,10 @@ class Derivator:
 
     def _continuous_at(self, t):
         k = self._segment(t)
-        return self._cont_at_bp[k] + self.slopes[k] * (t - self.breakpoints[k])
+        value = t - self.breakpoints[k]  # in place from here on: t may be a whole grid
+        value *= self.slopes[k]
+        value += self._cont_at_bp[k]
+        return value
 
     def eval(self, t):
         """g(t) for t in [L, R]; scalars and arrays both work.

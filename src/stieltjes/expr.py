@@ -51,10 +51,15 @@ a failed check does:
 This is the batch protocol that the sampling code of the package looks for
 (see ``solver.IVProblem``).
 
-The emitter also writes the scalar statements into other code: the Euler
-step loop of ``solver`` inlines each ``ExprFunction`` rhs, with its own
-local names and its reads of t and the state from the loop's locals, so
-every operation, check, message and offset is still spelled once, here.
+A third placement serves code that inlines the statements: the Euler step
+loop of ``solver`` writes each ``ExprFunction`` rhs into its body, with its
+own local names and its reads of t and the state from the loop's locals.
+It binds the scalar names and checks what the batch backend checks: the
+operands of ``_HIDES``, every rule, and the result.  A failed check, or an
+``ArithmeticError`` or ``ValueError`` on the way, hands that evaluation to
+the reference call ``f(t, x)``, which raises the scalar path's error or
+returns the same bits.  Every operation and rule is still spelled once,
+here.
 """
 
 import itertools
@@ -390,6 +395,9 @@ _BATCH = (
     # a subexpression without variables is a Python float, and its rule a bool
     "any({}, axis=None)", "not isfinite({v}).all()", "raise fail", _HIDES,
 )
+# The third placement (see the module docstring): a failed check raises
+# ``ArithmeticError``, which the code around the statements catches.
+_HANDED = (*_SCALAR[:3], "raise ArithmeticError", _HIDES)
 
 
 def _number(node):
@@ -438,8 +446,8 @@ def _source(tree, backend, prefix="v", reads=_READS, target="return {}"):
 
     Every backend checks every rule.  The scalar backend also checks each
     value that ``_OPS`` gives a finiteness message, so that its error names
-    the subexpression; the batch backend checks only the operands of the
-    operations in ``_HIDES`` (``ExprFunction.batch`` checks the result).
+    the subexpression; the others check only the operands of the operations
+    in ``_HIDES``, and their callers check the result.
     The locals are named ``prefix`` and a number, the inputs are read as
     ``reads`` spells them, and the last statement is ``target`` with the
     value's name or literal in place of ``{}``.  A node's value takes the name
@@ -495,7 +503,8 @@ def _define(source, name, backend, **extra):
     numpy's C code imports some helpers on first use (``ndarray.any`` does)
     through the builtins of the calling frame."""
     scope = {"__builtins__": {"__import__": __import__}, "omega_k": omega_k, "IndexError": IndexError,
-             "OverflowError": OverflowError, "ValueError": ValueError, **backend[0], **extra}
+             "OverflowError": OverflowError, "ValueError": ValueError, "ArithmeticError": ArithmeticError,
+             **backend[0], **extra}
     exec(compile(source, "<expr>", "exec"), scope)
     return scope[name]
 

@@ -171,7 +171,7 @@ def load_problem_file(path):
         raise ProblemFileError(f"{path}: top level must be an object")
     _refuse_unknown("document", doc, ("version", "derivators", "problem", "solver", "output"))
     version = doc.get("version", 1)
-    if version != 1:
+    if not _is_int(version) or version != 1:  # true and 1.0 equal 1
         _fail("version", f"unsupported version {version!r}")
 
     derivators = load_derivators(doc)
@@ -268,8 +268,9 @@ def load_problem_file(path):
     )
 
 
-# Rows are converted with ``tolist`` and joined this many at a time; the
-# writer writes each block as it renders it, so it holds one block at once.
+# Rows are rendered this many grid points at a time, with one ``%`` per
+# block; the writer writes each block as it renders it, so it holds one
+# block at once.
 _CSV_BLOCK = 256
 
 
@@ -283,17 +284,19 @@ def _csv_blocks(trace, problem):
         at = np.searchsorted(grid[:-1], g.jump_points)
         at = at[at < grid.size - 1]  # a prefix: the jump points ascend
         jumps_here[at[grid[at] == g.jump_points[:at.size]]] = True
-    row = "%.17g,%d" + ",%.17g" * problem.n + "\n"
+    row, jump_row = (f"%.17g,{flag}" + ",%.17g" * problem.n + "\n" for flag in (0, 1))
     yield "t,post_jump," + ",".join(f"x_{i + 1}" for i in range(problem.n)) + "\n"
     for lo in range(0, grid.size, _CSV_BLOCK):
         rows = slice(lo, lo + _CSV_BLOCK)
-        lines = []
-        for t, jump, left, right in zip(grid[rows].tolist(), jumps_here[rows].tolist(),
-                                        values[rows].tolist(), rights[rows]):
-            lines.append(row % (t, 0, *left))
-            if jump:
-                lines.append(row % (t, 1, *right.tolist()))
-        yield "".join(lines)
+        table = np.column_stack((grid[rows], values[rows]))
+        at = np.flatnonzero(jumps_here[rows])
+        if at.size:  # each post-jump row straight after its jump row
+            posts = np.column_stack((grid[rows][at], rights[rows][at]))
+            table = np.insert(table, at + 1, posts, axis=0)
+            fmt = "".join([row + jump_row if jump else row for jump in jumps_here[rows].tolist()])
+        else:
+            fmt = row * len(table)
+        yield fmt % tuple(table.ravel().tolist())
 
 
 def trace_csv_text(trace, problem):
@@ -302,7 +305,9 @@ def trace_csv_text(trace, problem):
     Every grid point yields one ``post_jump = 0`` row; grid points where
     any component derivator jumps yield an extra ``post_jump = 1`` row with
     the post-impulse state, immediately after.  Each float is written as
-    ``"%.17g" % v``, which is ``format(v, ".17g")``.
+    ``"%.17g" % v``, which is ``format(v, ".17g")``: each block of
+    ``_CSV_BLOCK`` grid points is one ``%`` of a format of such fields and
+    the literal flags, applied to the block's floats, row after row.
     """
     return "".join(_csv_blocks(trace, problem))
 

@@ -53,7 +53,7 @@ from .errors import (
     NonConvergenceError,
     SolverError,
 )
-from .expr import _SCALAR, ExprFunction, VarX, _define, _source, _walk
+from .expr import _HANDED, ExprFunction, VarX, _define, _source, _walk
 from .measure import QuadratureConfig, _gl_nodes, _gl_rule, _sample_finite, integrate, measure_interval
 from .moduli import (_ROUNDING_ULPS, OmegaTransform, OsgoodModulus, _as_modulus, _reciprocal_sample,
                      bihari_bound, osgood_check)
@@ -189,8 +189,8 @@ class IVProblem:
     @cached_property
     def _euler_steps(self):
         """The step loop of ``solve_euler`` for this problem, compiled on first use."""
-        return _define(_euler_source(self), "steps", _SCALAR, zip=zip, iter=iter, next=next,
-                       array=array, isfinite=math.isfinite, rhs_error=_rhs_error,
+        return _define(_euler_source(self), "steps", _HANDED, zip=zip, iter=iter, next=next,
+                       array=array, isfinite=math.isfinite, nan=math.nan, rhs_error=_rhs_error,
                        check_ball=_check_ball)
 
     @cached_property
@@ -327,10 +327,13 @@ class _GridData:
     @cached_property
     def cont_inc(self):
         """Continuous-part increments per cell and component, built on first
-        use; column-major, so that each component's column is contiguous."""
+        use; column-major, so that each component's column is contiguous,
+        and written in place, so that building them takes 3 floats a row more."""
         cont_inc = np.empty((self.n_cells, self.problem.n), order="F")
         for i, g in enumerate(self.problem.derivators):
-            cont_inc[:, i] = np.diff(g.continuous(self.grid))
+            cont = g.continuous(self.grid)
+            np.subtract(cont[1:], cont[:-1], out=cont_inc[:, i])
+            del cont  # before the next column's continuous part is built
         return cont_inc
 
     def _nodes(self, i, start):
@@ -413,26 +416,36 @@ def _euler_source(problem):
 
     The state components are the locals ``s0, s1, ...``.  The body of each
     ``ExprFunction`` rhs is written inline by the expression emitter, reading
-    t and the state from the locals; any other rhs is called with a float t
-    and the state tuple, and its value checked as ``eval_rhs`` checks it.
-    ``incs`` yields one row of increments per step and ``deltas`` one row
-    of jumps per step that jumps; the states go, component by component,
-    into two ``array("d")`` buffers, which are returned.
+    t and the state from the locals, with the checks of the batch backend
+    and the result's; a failure hands the component at that step to its
+    call, after the handler, which raises the error or returns the same
+    bits.  Any other rhs is called with a float t and the state tuple, and
+    its value checked as ``eval_rhs`` checks it.  ``incs`` yields one row of
+    increments per step and ``deltas`` one row of jumps per step that jumps;
+    the states go, component by component, into two ``array("d")`` buffers,
+    which are returned.
     """
     n = problem.n
 
     def names(letter):
         return ", ".join(f"{letter}{j}" for j in range(n)) + ","
 
+    def block(indent, lines):
+        return [" " * indent + line for line in lines]
+
     row = f"({names('s')})"
     reads = {"t": "t", "x<k>": "s{j}", "x": row}  # Python floats already: no ``real``
     rhs = []
     for i, f in enumerate(problem.rhs):
+        call = [f"f{i} = real(rhs{i}(t, {row}))", f"if not isfinite(f{i}): raise rhs_error({i}, f{i}, t)"]
         # a tree that reads past x_n is called: its IndexError guard reports it
         if type(f) is ExprFunction and all(v.index <= n for v in _walk(f.tree) if isinstance(v, VarX)):
-            rhs += _source(f.tree, _SCALAR, f"v{i}_", reads, f"f{i} = {{}}")
+            inline = _source(f.tree, _HANDED, f"v{i}_", reads, f"f{i} = {{}}")
+            # the call runs after the handler, so that its error is not chained to the first
+            rhs += ["try:", *block(4, inline), "except (ArithmeticError, ValueError):", f"    f{i} = nan",
+                    f"if f{i} - f{i} != 0.0:", *block(4, call)]
         else:
-            rhs += [f"f{i} = real(rhs{i}(t, {row}))", f"if not isfinite(f{i}): raise rhs_error({i}, f{i}, t)"]
+            rhs += call
 
     def ball(at):
         if problem.ball_radius is None:
@@ -445,9 +458,6 @@ def _euler_source(problem):
 
     def put(into):
         return [f"{into}(s{j})" for j in range(n)]
-
-    def block(indent, lines):
-        return [" " * indent + line for line in lines]
 
     return "\n".join([
         "def steps(problem, ts, deltas, incs, jumps):",
@@ -480,13 +490,15 @@ def solve_euler(problem, grid, compute_residual=True):
     shared pre-jump state, then the continuous sub-step uses the post-jump
     state and the increments of the continuous parts.  Pure-jump steps are
     exact by construction.  The steps run on Python floats, in one loop
-    emitted and compiled for the problem at its first solve: the state
-    components are locals, ``expr`` right-hand sides are written out inline,
-    and any other rhs is called with a float ``t`` and the state as a tuple
-    of floats (see ``IVProblem``).  The loop reads the grid, the increments
-    and the jump flags one step at a time and a row of jumps only at a step
-    that jumps; it writes the states into two flat buffers, which become the
-    trace's arrays without a copy.
+    emitted and compiled for the problem at its first solve.  The state
+    components are locals.  ``expr`` right-hand sides are written out inline
+    with the batch backend's finiteness checks, and a failed check hands the
+    value to the rhs call, which raises the error.  Any other rhs is called
+    with a float ``t`` and the state as a tuple of floats (see
+    ``IVProblem``).  The loop reads the grid, the increments and the jump
+    flags one step at a time and a row of jumps only at a step that jumps;
+    it writes the states into two flat buffers, which become the trace's
+    arrays without a copy.
     """
     data = _GridData(problem, grid)
     grid = data.grid

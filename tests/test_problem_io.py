@@ -204,6 +204,63 @@ class TestGoldenCsv:
         assert first.read_bytes() == second.read_bytes() == GOLDEN_CSV.encode("utf-8")
 
 
+def _per_row_csv(trace, problem):
+    """The trace CSV rendered one row at a time, as the writer did before it
+    rendered a block with one ``%``: the reference for ``trace_csv_text``."""
+    jump_points = {t for g in problem.derivators for t in g.jump_points.tolist()}
+    row = "%.17g,%d" + ",%.17g" * problem.n + "\n"
+    lines = ["t,post_jump," + ",".join(f"x_{i + 1}" for i in range(problem.n)) + "\n"]
+    grid = trace.grid.tolist()
+    for k, t in enumerate(grid):
+        lines.append(row % (t, 0, *trace.values[k].tolist()))
+        if t in jump_points and k < len(grid) - 1:
+            lines.append(row % (t, 1, *trace.right_values[k].tolist()))
+    return "".join(lines)
+
+
+class TestBlockedCsvAgainstRows:
+    """One ``%`` per block gives the text and the file of the per-row loop, for
+    any block size, on random traces with jumps where blocks meet."""
+
+    ROWS = 300
+    # on both sides of the edges at 7, 14 and 256, on consecutive rows, on the
+    # last row of a block of 7 and of 256 and on the first row; the closing
+    # grid point gets no post-jump row, so the last block of 7 has none
+    JUMP_ROWS = (0, 6, 7, 13, 14, 15, 20, 255, 256, 257, ROWS - 1)
+    SPECIAL = (-0.0, 5e-324, 1e22, -1e22, 1.7976931348623157e308, -1.7976931348623157e308)
+
+    def trace_and_problem(self, rng, n):
+        grid = np.sort(rng.uniform(0.0, 1.0, self.ROWS))
+        grid[0], grid[-1] = 0.0, 1.0
+        owners = rng.integers(0, n, len(self.JUMP_ROWS))
+        owners[: n] = np.arange(n)  # every component jumps somewhere
+        gs = []
+        for i in range(n):
+            at = grid[[k for k, o in zip(self.JUMP_ROWS, owners) if o == i]]
+            off = [(float(rng.uniform(grid[40], grid[41])), 1.0)]  # between grid points: no row
+            gs.append(Derivator.identity((-1.0, 2.0)).with_jumps([(t, 0.5) for t in at] + off))
+        problem = IVProblem(0.0, 1.0, np.zeros(n), gs, (lambda t, x: 0.0,) * n)
+        shape = (self.ROWS, n)
+        values, rights = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) for _ in range(2))
+        for states in (values, rights):
+            hits = rng.random(states.shape) < 0.2
+            states[hits] = rng.choice(self.SPECIAL, int(hits.sum()))
+        return SolutionTrace(grid=grid, values=values, right_values=rights, method="euler"), problem
+
+    @pytest.mark.parametrize("block", [1, 7, 256, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_text_and_file_equal_the_per_row_loop(self, tmp_path, monkeypatch, rng, n, block):
+        monkeypatch.setattr(problem_io, "_CSV_BLOCK", block)
+        for _ in range(3):
+            trace, problem = self.trace_and_problem(rng, n)
+            expected = _per_row_csv(trace, problem)
+            flags = [line.split(",")[1] for line in expected.splitlines()[1:]]
+            assert flags.count("1") == len(self.JUMP_ROWS) - 1 and len(flags) == self.ROWS + flags.count("1")
+            assert trace_csv_text(trace, problem) == expected
+            write_trace_csv(trace, problem, tmp_path / "a.csv")
+            assert (tmp_path / "a.csv").read_bytes() == expected.encode("utf-8")
+
+
 class TestValidation:
     @pytest.mark.parametrize("solver", [[1, 2], "euler", 3])
     def test_solver_must_be_an_object(self, tmp_path, solver):
@@ -314,6 +371,9 @@ class TestRefusals:
          r"problem.modulus: unknown key\(s\) 'K'"),
         (_changed("problem", "modulus", to={"expr": "t", "k": 1}), r"problem.modulus: unknown key\(s\) 'k'"),
         (_changed("problem", "modulus", to={"expr": 5}), "problem.modulus.expr: expected an expression string"),
+        # both equal 1, and loaded as version 1
+        (_changed("version", to=True), "version: unsupported version True"),
+        (_changed("version", to=1.0), "version: unsupported version 1.0"),
     ])
     def test_refused_documents(self, tmp_path, doc, message):
         with pytest.raises(ProblemFileError, match=message):

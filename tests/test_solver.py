@@ -25,6 +25,7 @@ from stieltjes import (
     DomainExitError,
     ExprDomainError,
     IntegrandError,
+    ModulusOverflowError,
     NoCertifiedHorizonError,
     NonConvergenceError,
     SolverError,
@@ -536,6 +537,49 @@ class TestEmittedStepLoop:
         outcome = _same_as_the_reference(p, build_grid(p, n_steps=8))
         assert outcome[:2] == ("raised", ExprDomainError) and outcome[3] == 0
         assert outcome[2].startswith("non-finite input x1 = inf")
+
+    # each operation maps the non-finite state to a finite value, so that only
+    # the check of its operand sees it; the sign of the 1e300 sends x1 to
+    # +inf or -inf, the value that the operation hides.  math.sin and math.cos
+    # raise ValueError at inf instead.
+    @pytest.mark.parametrize("src, sign", [
+        ("exp(-x1)", 1), ("1/x1", 1), ("x1^0", -1), ("min(x1, 1)", 1), ("max(1, x1)", -1),
+        ("sign(x1)", 1), ("heaviside(x1)", -1), ("omega_k(1, abs(x1))", 1),
+        ("sin(x1)", 1), ("cos(x1)", -1),
+    ])
+    @pytest.mark.parametrize("in_impulse", [True, False])
+    def test_a_hidden_non_finite_state_fails_as_the_float_loop_does(self, src, sign, in_impulse):
+        g = (Derivator((0.0, 1.0), slopes=[1.0], jumps=[(0.5, 1e300)]) if in_impulse
+             else Derivator((0.0, 1.0), slopes=[1e300]))
+        p = IVProblem(0.0, 1.0, [1.0], [g], [_expr(f"{src} + {sign}e300", 1)])
+        outcome = _same_as_the_reference(p, build_grid(p, n_steps=8))
+        assert outcome[:2] == ("raised", ExprDomainError) and outcome[3] == src.index("x1")
+        assert outcome[2].startswith(f"non-finite input x1 = {'-' if sign < 0 else ''}inf")
+
+    def test_the_euler_file_rhs_checks_what_can_hide_a_non_finite_value(self):
+        # euler-file's two rhs: each evaluation checked 1 + 10 values (every
+        # input and every value that can overflow) and now checks 1 + 2 (the
+        # operand of exp and each result); the loop evaluates both twice
+        g = Derivator.identity((0.0, 1.0)).with_jumps([(0.5, 0.1)])
+        p = IVProblem(0.0, 1.0, [1.0, 0.5], [g, g],
+                      [_expr("x1", 2), _expr("0.5*sin(3*t)*x2 - 0.25*x1 + exp(-t)", 2)])
+        lines = solver._euler_source(p).splitlines()
+        checks = sum(line.strip().startswith("if ") and "!= 0.0" in line for line in lines)
+        calls = sum("isfinite" in line for line in lines)  # reached only after a failed check
+        assert (checks, calls) == (2 * 3, 2 * 2)
+        assert _same_as_the_reference(p, build_grid(p, n_steps=50))[0] == "value"
+
+    def test_the_error_of_the_handed_call_is_raised_once(self):
+        # omega_k(4, .) overflows double precision on every call: the inline
+        # statements raise it, and the call raises it again, unchained
+        p = IVProblem(0.0, 1.0, [1.0], [Derivator.identity((0.0, 1.0))], [_expr("omega_k(4, abs(x1))", 1)])
+        grid = build_grid(p, n_steps=4)
+        outcome = _same_as_the_reference(p, grid)
+        assert outcome[:3] == ("raised", ModulusOverflowError,
+                               "exp_iter(4, 1.0) overflows double precision at stage 4")
+        with pytest.raises(ModulusOverflowError) as info:
+            solve_euler(p, grid, compute_residual=False)
+        assert info.value.__context__ is None and info.value.__cause__ is None
 
     def test_a_callable_returning_nan_fails_with_the_same_error(self):
         g = Derivator((0.0, 1.0), slopes=[1.0], jumps=[(0.5, 0.2)])
@@ -1636,13 +1680,14 @@ class TestSolvePeaks:
         return peak(40_000) - peak(10_000)
 
     def test_the_euler_peak_grows_only_by_its_arrays(self):
-        # a row (n = 2) holds at most 7 floats: the increments (n) and the
-        # temporaries of ``g.continuous`` while they are built; then the
-        # increments, the output values and right values, the jump flags and
-        # the output buffers' slack.  Dense jumps of every row grew by 2 more,
-        # and rows of Python floats made up front by about 410 B a row.
+        # a row (n = 2) holds 6.06 floats: the increments, the output values
+        # and right values, the jump flags and the output buffers' slack.
+        # Building the increments takes 5 at most: them and 3 floats of
+        # ``g.continuous``.  Building them from ``np.diff`` of ``continuous``
+        # took 7, dense jumps of every row 2 more, and rows of Python floats
+        # made up front about 410 B a row more.
         growth = self.peak_growth(lambda p, grid, trace: solve_euler(p, grid, compute_residual=False))
-        assert growth <= 30_000 * 7 * 8 * 1.05
+        assert growth <= 30_000 * 6.06 * 8 * 1.05
 
     def test_the_residual_peak_grows_only_by_its_arrays_and_not_by_its_nodes(self):
         # a row (n = 2) holds the output's 2 floats: the jumps are kept at
