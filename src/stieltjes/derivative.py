@@ -48,6 +48,7 @@ from .errors import (
     NoDerivativeError,
     RightLimitError,
     WindowDomainError,
+    _require_count,
 )
 from .measure import _QUAD_BLOCK, _atom_terms, _sample_finite
 # F never calls integrate; the benchmark's tracer (bench/tracer.py) patches
@@ -466,8 +467,10 @@ def check_ftc(f, g, a, b, sample_count=20):
     right end of the window, and ladder steps outside it are dropped.  f is
     evaluated once per sample; where f(t) or the derivative is not finite,
     the sample is ``"failed"``.  ``a >= b`` and ``b > R`` raise
-    ``WindowDomainError``.
+    ``WindowDomainError``, and a ``sample_count`` that is not an integer >= 1
+    ``ConfigurationError``: no uniform samples would pass unchecked.
     """
+    _require_count("sample_count", sample_count)
     if not a < b:
         raise WindowDomainError(f"check_ftc needs a < b, got a={a}, b={b}")
     right = g.window[1]

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, WindowDomainError
+from .errors import ConfigurationError, WindowDomainError, _require_positive
 
 __all__ = [
     "Derivator",
@@ -102,7 +102,7 @@ class Derivator:
     )
 
     def __init__(self, window, breakpoints=None, slopes=None, jumps=(), anchor=0.0):
-        left, right = float(window[0]), float(window[1])
+        left, right = (float(window[0]), float(window[1])) if len(window) == 2 else (math.nan, math.nan)
         if not (math.isfinite(left) and math.isfinite(right) and left < right):
             raise ConfigurationError(f"window must be a finite pair (L, R) with L < R, got {window!r}")
         self.window = (left, right)
@@ -198,9 +198,10 @@ class Derivator:
         return t
 
     def _segment(self, t):
-        """Index of the slope segment holding t in [L, R]; R belongs to the last one."""
-        return np.minimum(np.searchsorted(self.breakpoints, t, side="right") - 1,
-                          self.slopes.size - 1)
+        """Index of the slope segment holding each t of an array in [L, R]; R belongs to the last one."""
+        k = np.asarray(np.searchsorted(self.breakpoints, t, side="right"))  # 0-d for a scalar t
+        k -= 1  # in place: one index array is built
+        return np.minimum(k, self.slopes.size - 1, out=k)
 
     def _pieces(self, cuts):
         """The points of ``cuts``, ascending, not empty, repeats allowed, and the breakpoints
@@ -409,8 +410,8 @@ def from_classification(classification, window, weights=None):
         raise ConfigurationError(
             f"{len(pts)} discontinuities but {len(weights)} weights"
         )
-    if any(not math.isfinite(w) or w <= 0 for w in weights):
-        raise ConfigurationError("jump weights must be positive and finite")
+    for w in weights:
+        _require_positive("jump weight", w)
 
     bp = _sorted_unique(np.concatenate(([left, right], *classification._bounds)))
     mids = (bp[:-1] + bp[1:]) / 2.0

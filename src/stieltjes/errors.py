@@ -5,7 +5,13 @@ catch library failures without catching programming errors.  Validation
 problems (bad arguments, inconsistent configuration) are ``ValueError``
 subclasses as well; runtime numerical failures carry enough state to be
 reported without re-running the computation.
+
+``_require_count`` and ``_require_positive`` are the one check of a count and of a positive
+parameter: both refuse a bool, as problem files do, and raise ``ConfigurationError``.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class StieltjesError(Exception):
@@ -130,3 +136,15 @@ class ExprDomainError(ExprError):
 
 class ProblemFileError(StieltjesError, ValueError):
     """A problem file failed schema validation; message names the field."""
+
+
+def _require_count(name, value, least=1):
+    """Raise ``ConfigurationError`` unless ``value`` is an integer >= ``least``, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_positive(name, value):
+    """Raise ``ConfigurationError`` unless ``value`` is a finite positive real, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")

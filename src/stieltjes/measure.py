@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrandError, WindowDomainError
+from .errors import IntegrandError, WindowDomainError, _require_count
 
 __all__ = [
     "QuadratureConfig",
@@ -44,15 +44,16 @@ class QuadratureConfig:
 
     The default (order 8, 64 panels per slope segment) is far more than
     needed for smooth integrands; it keeps plain `integrate` calls accurate
-    without tuning.  Internal callers pass leaner configs.
+    without tuning.  Internal callers pass leaner configs.  Both settings must
+    be integers >= 1, never bools, or ``ConfigurationError`` is raised.
     """
 
     order: int = 8
     panels: int = 64
 
     def __post_init__(self):
-        if self.order < 1 or self.panels < 1:
-            raise ConfigurationError("quadrature order and panel count must be >= 1")
+        _require_count("order", self.order)
+        _require_count("panels", self.panels)
 
 
 # Samples per _sample_finite call of the quadrature (32 intervals of an

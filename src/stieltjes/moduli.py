@@ -32,6 +32,8 @@ from .errors import (
     ConfigurationError,
     IntegrandError,
     ModulusOverflowError,
+    _require_count,
+    _require_positive,
 )
 from .measure import QuadratureConfig, _gl_sums, _sample_finite
 
@@ -59,8 +61,7 @@ _ROUNDING_ULPS = 8  # a sampled inequality fails beyond this many ulps of the va
 
 def exp_iter(k, t):
     """The k-fold iterated exponential; exp_iter(0, t) = t."""
-    if k < 0:
-        raise ConfigurationError("k must be >= 0")
+    _require_count("k", k, least=0)
     v = float(t)
     if math.isnan(v):
         raise ValueError(f"exp_iter({k}, t) needs a number, got t=nan")
@@ -78,8 +79,7 @@ def exp_iter(k, t):
 
 def log_iter(k, t):
     """The k-fold iterated logarithm; requires t > exp_iter(k-1, 0)."""
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
+    _require_count("k", k)
     t = float(t)
     if not t > exp_iter(k - 1, 0.0):  # NaN fails too
         raise ValueError(f"log_iter({k}, t) needs t > {exp_iter(k - 1, 0.0)}, got t={t}")
@@ -89,11 +89,10 @@ def log_iter(k, t):
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True, which equals 1, is refused
 def _omega_k_constants(k):
     """``(1/e_k, plateau)`` of ``omega_k``, computed once per k."""
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
+    _require_count("k", k)
     ek = exp_iter(k, 1.0)  # raises ModulusOverflowError for k >= 4
     prod = 1.0
     for j in range(1, k + 1):
@@ -190,6 +189,10 @@ class _OmegaK:
 
 
 def omega_k_modulus(k):
+    """``omega_k(k, .)`` as a modulus known to be Osgood.  A k that is not an integer >= 1,
+    a bool included, raises ``ConfigurationError``, and k >= 4 ``ModulusOverflowError``."""
+    _require_count("k", k)  # before the cache of constants, which needs a hashable k
+    _omega_k_constants(k)
     return OsgoodModulus(evaluator=_OmegaK(k), name=f"omega_k({k})", known_osgood=True)
 
 
@@ -451,10 +454,10 @@ def bihari_bound(kappa, h, a, b, transform):
     Requires ``Omega(kappa) + h(b) - h(a)`` to stay below the top of the
     transform table (the computable estimate of the upper limit of Omega);
     otherwise the bound is not applicable and an error carries both numbers.
+    A kappa that is not finite and positive raises ``ConfigurationError``.
     """
+    _require_positive("kappa", kappa)
     kappa = float(kappa)
-    if kappa <= 0:
-        raise ConfigurationError("kappa must be positive")
     omega_kappa = transform.omega_of(kappa)
     required = omega_kappa + h(b) - h(a)
     if required >= transform.upper:

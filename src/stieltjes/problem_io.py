@@ -31,8 +31,9 @@ while ``phi`` and an expression-defined modulus are unary maps written in
 the variable ``t``.  Each is compiled once, at load, into an
 ``expr.ExprFunction``, so the loaded problem speaks the batch protocol
 described on ``solver.IVProblem``.  Every block accepts only the keys
-shown, so a misspelt key is refused rather than read as absent; output
-paths are strings.
+shown, so a misspelt key is refused rather than read as absent.  Numbers
+are JSON numbers, never bools or strings, in derivator specs as well, and
+output paths are strings.
 
 Trace CSV columns are ``t, post_jump, x_1..x_n`` with one extra
 ``post_jump = 1`` row per grid point where any component jumps; floats are
@@ -47,9 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivator import Derivator
-from .errors import ConfigurationError, ExprParseError, ModulusOverflowError, ProblemFileError
+from .errors import (ConfigurationError, ExprParseError, ModulusOverflowError, ProblemFileError,
+                     _require_count, _require_positive)
 from .expr import ExprFunction, parse
-from .moduli import OsgoodModulus, _omega_k_constants, omega_k_modulus
+from .moduli import OsgoodModulus, omega_k_modulus
 from .solver import IVProblem
 
 __all__ = [
@@ -81,10 +83,14 @@ def _fail(where, message):
     raise ProblemFileError(f"{where}: {message}")
 
 
-def _refuse_unknown(where, section, known):
-    unknown = sorted(set(section) - set(known))
+def _block(value, where, known):
+    """``value``, which must be an object with no key outside ``known``."""
+    if not isinstance(value, dict):
+        _fail(where, "expected an object")
+    unknown = sorted(set(value) - set(known))
     if unknown:
         _fail(where, f"unknown key(s) {', '.join(map(repr, unknown))}")
+    return value
 
 
 def _require(data, key, where, kind=None):
@@ -96,11 +102,11 @@ def _require(data, key, where, kind=None):
     return value
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
+def _is_number(value, depth=0):
+    """Whether ``value`` is a number, never a bool, or with ``depth`` a list of such values,
+    ``depth`` lists deep at most."""
+    if depth and isinstance(value, list):
+        return all(_is_number(v, depth - 1) for v in value)
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -113,17 +119,38 @@ def _number(data, key, where):
     return float(value)
 
 
+def _checked(require, value, where):
+    """``value`` if ``require``, a check of ``errors``, passes it; its refusal words the file's."""
+    try:
+        require(where, value)
+    except ConfigurationError as exc:
+        raise ProblemFileError(str(exc)) from None
+    return value
+
+
+def _expression(src, n, where, bad=None):
+    """``src``, an expression string, compiled over t and x1..xn as an ``ExprFunction``;
+    a parse failure is refused as ``bad``, by default ``"<where>: bad expression"``."""
+    if not isinstance(src, str):
+        _fail(where, "expected an expression string")
+    try:
+        return ExprFunction(parse(src, n), src)
+    except ExprParseError as exc:
+        _fail(bad or f"{where}: bad expression", exc)
+
+
 def load_derivators(doc, where="derivators"):
     block = _require(doc, "derivators", "document", dict)
     out = {}
     for name, spec in block.items():
-        if not isinstance(spec, dict):
-            _fail(f"{where}.{name}", "expected an object")
-        _refuse_unknown(f"{where}.{name}", spec, ("window", "anchor", "breakpoints", "slopes", "jumps"))
+        at = f"{where}.{name}"
+        for key, value in _block(spec, at, ("window", "anchor", "breakpoints", "slopes", "jumps")).items():
+            if not (_is_number(value, 2) or value is None and key in ("breakpoints", "slopes")):
+                _fail(f"{at}.{key}", "expected JSON numbers, not bools or strings")
         try:
             out[name] = Derivator.from_dict(spec)
         except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
-            _fail(f"{where}.{name}", str(exc))
+            _fail(at, str(exc))
     if not out:
         _fail(where, "at least one derivator must be defined")
     return out
@@ -132,33 +159,16 @@ def load_derivators(doc, where="derivators"):
 def parse_modulus_spec(spec, where="problem.modulus"):
     """Accepts {"builtin": "omega_k", "k": 1, 2 or 3} or {"expr": "<unary in t>"}."""
     if isinstance(spec, dict) and spec.get("builtin") == "omega_k":
-        _refuse_unknown(where, spec, ("builtin", "k"))
-        k = spec.get("k")
-        if not _is_int(k) or k < 1:
-            _fail(where, "omega_k needs an integer k >= 1")
-        try:  # from k = 4 on, omega_k's constants overflow double precision
-            _omega_k_constants(k)
-        except ModulusOverflowError as exc:
-            _fail(where, f"omega_k({k}) is not representable: {exc}")
-        return omega_k_modulus(k)
-    if isinstance(spec, dict) and "expr" in spec:
-        _refuse_unknown(where, spec, ("expr",))
-        if not isinstance(spec["expr"], str):
-            _fail(f"{where}.expr", "expected an expression string")
+        k = _block(spec, where, ("builtin", "k")).get("k")
         try:
-            tree = parse(spec["expr"], 0)
-        except ExprParseError as exc:
-            _fail(where, f"bad modulus expression: {exc}")
-        return OsgoodModulus(evaluator=ExprFunction(tree, spec["expr"]), name=spec["expr"])
+            return omega_k_modulus(k)
+        except (ConfigurationError, ModulusOverflowError) as exc:  # k >= 4 overflows
+            _fail(where, f"omega_k({k!r}): {exc}")
+    if isinstance(spec, dict) and "expr" in spec:
+        src = _block(spec, where, ("expr",))["expr"]
+        evaluator = _expression(src, 0, f"{where}.expr", f"{where}: bad modulus expression")
+        return OsgoodModulus(evaluator=evaluator, name=src)
     _fail(where, 'expected {"builtin": "omega_k", "k": ...} or {"expr": "..."}')
-
-
-def _unary_in_t(src, where):
-    try:
-        tree = parse(src, 0)
-    except ExprParseError as exc:
-        _fail(where, f"bad expression: {exc}")
-    return ExprFunction(tree, src)
 
 
 def load_problem_file(path):
@@ -169,15 +179,15 @@ def load_problem_file(path):
         raise ProblemFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: top level must be an object")
-    _refuse_unknown("document", doc, ("version", "derivators", "problem", "solver", "output"))
+    _block(doc, "document", ("version", "derivators", "problem", "solver", "output"))
     version = doc.get("version", 1)
-    if not _is_int(version) or version != 1:  # true and 1.0 equal 1
+    if type(version) is not int or version != 1:  # true and 1.0 equal 1
         _fail("version", f"unsupported version {version!r}")
 
     derivators = load_derivators(doc)
 
-    pb = _require(doc, "problem", "document", dict)
-    _refuse_unknown("problem", pb, ("t0", "T", "x0", "components", "ball_radius", "modulus", "phi"))
+    pb = _block(_require(doc, "problem", "document"), "problem",
+                ("t0", "T", "x0", "components", "ball_radius", "modulus", "phi"))
     t0 = _number(pb, "t0", "problem")
     horizon = _number(pb, "T", "problem")
     x0 = _require(pb, "x0", "problem", list)
@@ -188,38 +198,20 @@ def load_problem_file(path):
     components = _require(pb, "components", "problem", list)
     if len(components) != n:
         _fail("problem.components", f"expected {n} components to match x0, got {len(components)}")
-    comp_derivators = []
-    comp_rhs = []
+    comp_derivators, comp_rhs = [], []
     for i, comp in enumerate(components):
         where = f"problem.components[{i}]"
-        if not isinstance(comp, dict):
-            _fail(where, "expected an object")
-        _refuse_unknown(where, comp, ("derivator", "rhs"))
+        _block(comp, where, ("derivator", "rhs"))
         gname = _require(comp, "derivator", where, str)
         if gname not in derivators:
             _fail(f"{where}.derivator", f"unknown derivator name {gname!r}")
         comp_derivators.append(derivators[gname])
-        src = _require(comp, "rhs", where, str)
-        try:
-            tree = parse(src, n)
-        except ExprParseError as exc:
-            _fail(f"{where}.rhs", str(exc))
-        comp_rhs.append(ExprFunction(tree, src))
+        comp_rhs.append(_expression(_require(comp, "rhs", where), n, f"{where}.rhs"))
 
     ball = pb.get("ball_radius")
-    if ball is not None:
-        if not (_is_number(ball) and 0 < ball < math.inf):
-            _fail("problem.ball_radius", "expected a positive number")
-        ball = float(ball)
-
-    modulus = None
-    if "modulus" in pb:
-        modulus = parse_modulus_spec(pb["modulus"])
-    phi = None
-    if "phi" in pb:
-        if not isinstance(pb["phi"], str):
-            _fail("problem.phi", "expected an expression string")
-        phi = _unary_in_t(pb["phi"], "problem.phi")
+    ball = None if ball is None else float(_checked(_require_positive, ball, "problem.ball_radius"))
+    modulus = parse_modulus_spec(pb["modulus"]) if "modulus" in pb else None
+    phi = _expression(pb["phi"], 0, "problem.phi") if "phi" in pb else None
 
     try:
         problem = IVProblem(
@@ -230,28 +222,11 @@ def load_problem_file(path):
     except ConfigurationError as exc:
         raise ProblemFileError(f"problem: {exc}") from exc
 
-    solver = doc.get("solver", {})
-    if not isinstance(solver, dict):
-        _fail("solver", "expected an object")
-    _refuse_unknown("solver", solver, _SOLVER_DEFAULTS)
-    sv = {**_SOLVER_DEFAULTS, **solver}
+    sv = {**_SOLVER_DEFAULTS, **_block(doc.get("solver", {}), "solver", _SOLVER_DEFAULTS)}
     method = sv["method"]
     if method not in ("euler", "picard"):
         _fail("solver.method", f"expected 'euler' or 'picard', got {method!r}")
-    n_steps = sv["n_steps"]
-    if not _is_int(n_steps) or n_steps < 1:
-        _fail("solver.n_steps", "expected an integer >= 1")
-    tol = sv["tol"]
-    if not (_is_number(tol) and 0 < tol < math.inf):
-        _fail("solver.tol", "expected a positive number")
-    max_iter = sv["max_iter"]
-    if not _is_int(max_iter) or max_iter < 1:
-        _fail("solver.max_iter", "expected an integer >= 1")
-
-    out = doc.get("output", {})
-    if not isinstance(out, dict):
-        _fail("output", "expected an object")
-    _refuse_unknown("output", out, _OUTPUT_KEYS)
+    out = _block(doc.get("output", {}), "output", _OUTPUT_KEYS)
     for key in _OUTPUT_KEYS:
         if out.get(key) is not None and not isinstance(out[key], str):
             _fail(f"output.{key}", "expected a path string")
@@ -260,9 +235,9 @@ def load_problem_file(path):
         problem=problem,
         derivators_by_name=derivators,
         method=method,
-        n_steps=n_steps,
-        tol=float(tol),
-        max_iter=max_iter,
+        n_steps=_checked(_require_count, sv["n_steps"], "solver.n_steps"),
+        tol=float(_checked(_require_positive, sv["tol"], "solver.tol")),
+        max_iter=_checked(_require_count, sv["max_iter"], "solver.max_iter"),
         trace_csv=out.get("trace_csv"),
         summary_json=out.get("summary_json"),
     )

@@ -37,7 +37,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
 from operator import sub
 
 import numpy as np
@@ -52,6 +51,8 @@ from .errors import (
     NoCertifiedHorizonError,
     NonConvergenceError,
     SolverError,
+    _require_count,
+    _require_positive,
 )
 from .expr import _HANDED, ExprFunction, VarX, _define, _source, _walk
 from .measure import QuadratureConfig, _gl_nodes, _gl_rule, _sample_finite, integrate, measure_interval
@@ -82,18 +83,6 @@ _GRID_QUAD_ORDER = 6
 # residual never holds its ~60k nodes per component at once.  A grid of up to
 # ~1,300 cells runs as one block.
 _MAP_BLOCK = 8192
-
-
-def _require_positive(name, value):
-    """Raise ``ConfigurationError`` unless ``value`` is finite and positive."""
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
-
-
-def _require_count(name, value):
-    """Raise ``ConfigurationError`` unless ``value`` is an integer >= 1."""
-    if not (isinstance(value, Integral) and value >= 1):
-        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -328,7 +317,7 @@ class _GridData:
     def cont_inc(self):
         """Continuous-part increments per cell and component, built on first
         use; column-major, so that each component's column is contiguous,
-        and written in place, so that building them takes 3 floats a row more."""
+        and written in place, so that building them takes 1 float a row more."""
         cont_inc = np.empty((self.n_cells, self.problem.n), order="F")
         for i, g in enumerate(self.problem.derivators):
             cont = g.continuous(self.grid)

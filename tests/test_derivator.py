@@ -4,6 +4,9 @@ Left-continuity and jump bookkeeping are exact (no tolerances); additivity
 of sums is checked to 1e-12 relative.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,10 +100,54 @@ class TestEval:
             assert g.eval(1.0 + h) >= 2.0
 
 
+def _out_of_place_segment(g, t):
+    """The slope segments as they were found before ``_segment`` worked in place."""
+    return np.minimum(np.searchsorted(g.breakpoints, t, side="right") - 1, g.slopes.size - 1)
+
+
+class TestSegmentInPlace:
+    def test_the_bits_of_the_out_of_place_formula(self, rng):
+        for _ in range(20):
+            g = random_derivator(rng, max_segments=12, max_jumps=4)
+            t = np.concatenate((rng.uniform(*g.window, 300), g.breakpoints, g.jump_points, g.window))
+            k = _out_of_place_segment(g, t)
+            expected = (t - g.breakpoints[k]) * g.slopes[k] + g._cont_at_bp[k]
+            atoms = g._cum_jumps[np.searchsorted(g.jump_points, t)]
+            assert np.array_equal(g._segment(t), k)
+            assert g.continuous(t).tobytes() == expected.tobytes()
+            assert g.eval(t).tobytes() == (expected + atoms).tobytes()
+            for grid in (lambda a: a.reshape(20, 15), lambda a: a.reshape(15, 20).T):  # C and Fortran order
+                assert g.continuous(grid(t[:300])).tobytes() == grid(expected[:300]).tobytes()
+                assert g.eval(grid(t[:300])).tobytes() == grid((expected + atoms)[:300]).tobytes()
+            assert [g.continuous(v) for v in t[:5].tolist()] == expected[:5].tolist()
+
+    def test_a_grid_costs_one_index_array(self):
+        # searchsorted, its - 1 and np.minimum each built an index array: 2 floats a point at the peak;
+        # continuous still peaks at 3 (the indices, one table read and its output)
+        g = Derivator((0.0, 1.0), breakpoints=np.linspace(0.0, 1.0, 65), slopes=np.linspace(0.0, 2.0, 64))
+
+        def peak(n):
+            t = np.linspace(0.0, 1.0, n)
+            tracemalloc.start()
+            try:
+                g._segment(t)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40_000) - peak(10_000) <= 30_000 * 1 * 8 * 1.05
+
+
 class TestValidation:
     def test_bad_window(self):
         with pytest.raises(ConfigurationError):
             Derivator((1.0, 1.0))
+
+    @pytest.mark.parametrize("window", [(0.0, 1.0, 5.0), (0.0,), ()])
+    def test_a_window_without_two_entries_is_refused(self, window):
+        # the 5 used to be dropped, and the shorter ones to raise IndexError
+        with pytest.raises(ConfigurationError, match="window must be a finite pair"):
+            Derivator(window)
 
     def test_negative_slope(self):
         with pytest.raises(ConfigurationError):
@@ -418,8 +465,9 @@ class TestFromClassification:
         c = Classification(discontinuities=[0.5])
         with pytest.raises(ConfigurationError):
             from_classification(c, window=(0, 1), weights=[1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            from_classification(c, window=(0, 1), weights=[-1.0])
+        for weight in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="jump weight"):
+                from_classification(c, window=(0, 1), weights=[weight])
 
     def test_round_trip_randomized(self, rng):
         for _ in range(100):

@@ -49,11 +49,38 @@ from stieltjes.moduli import (
     lambda: OmegaTransform(lambda s: s, 1.0, r_max=1.79e308),  # its cell's top edge overflows
     lambda: osgood_check(lambda s: s, 1.79e308),
     lambda: bihari_bound(0.0, lambda t: t, 0.0, 1.0, OmegaTransform(lambda s: s, 1.0)),
+    # a count is an integer >= 1 and never a bool; these raised a raw TypeError or were accepted
+    lambda: QuadratureConfig(order=2.5),
+    lambda: QuadratureConfig(order=math.nan),
+    lambda: QuadratureConfig(order=True),
+    lambda: QuadratureConfig(panels=1.5),
+    lambda: QuadratureConfig(panels=math.inf),
+    lambda: exp_iter(1.5, 1.0),
+    lambda: exp_iter(True, 1.0),
+    lambda: log_iter(2.0, 3.0),
+    lambda: omega_k(2.5, 0.5),
+    lambda: omega_k(True, 0.5),
+    lambda: omega_k_modulus(0),
+    lambda: omega_k_modulus(2.5),
+    lambda: omega_k_modulus(True),
+    lambda: omega_k_modulus([1]),
+    lambda: bihari_bound(math.nan, lambda t: t, 0.0, 1.0, OmegaTransform(lambda s: s, 1.0)),
+    # exp_iter's k = 0 is a number of stages, not a bool or a float
+    lambda: exp_iter(False, 1.0),
+    lambda: exp_iter(0.0, 1.0),
+    # float() used to turn these into 1.0 and 2.0
+    lambda: bihari_bound(True, lambda t: t, 0.0, 1.0, OmegaTransform(lambda s: s, 1.0)),
+    lambda: bihari_bound("2", lambda t: t, 0.0, 1.0, OmegaTransform(lambda s: s, 1.0)),
 ], ids=[
     "quadrature-order", "quadrature-panels", "exp-iter-k", "log-iter-k",
     "omega-k-k", "modulus-decreasing", "transform-u0", "transform-range",
     "transform-r-min-nan", "transform-r-max-inf", "transform-r-max-huge", "osgood-u0-huge",
     "bihari-kappa",
+    "quadrature-order-2.5", "quadrature-order-nan", "quadrature-order-true",
+    "quadrature-panels-1.5", "quadrature-panels-inf", "exp-iter-k-1.5", "exp-iter-k-true",
+    "log-iter-k-2.0", "omega-k-k-2.5", "omega-k-k-true", "omega-k-modulus-0",
+    "omega-k-modulus-2.5", "omega-k-modulus-true", "omega-k-modulus-list", "bihari-kappa-nan",
+    "exp-iter-k-false", "exp-iter-k-0.0", "bihari-kappa-true", "bihari-kappa-str",
 ])
 def test_bad_construction_arguments_raise_configuration_error(build):
     with pytest.raises(ConfigurationError) as exc:
@@ -62,6 +89,10 @@ def test_bad_construction_arguments_raise_configuration_error(build):
 
 
 class TestIteratedExpLog:
+    def test_exp_iter_names_its_least_k(self):
+        with pytest.raises(ConfigurationError, match=r"k must be an integer >= 0, got -1"):
+            exp_iter(-1, 1.0)
+
     def test_exp_iter_values(self):
         assert exp_iter(0, 1.0) == 1.0
         assert exp_iter(1, 1.0) == pytest.approx(math.e, rel=1e-15)
@@ -94,6 +125,17 @@ class TestIteratedExpLog:
             exp_iter(4, 1.0)
         with pytest.raises(ModulusOverflowError):
             omega_k(4, 0.5)
+        with pytest.raises(ModulusOverflowError):  # when built, not at its first use
+            omega_k_modulus(4)
+
+    def test_true_is_refused_after_k_1_filled_the_cache(self):
+        # True == 1 and hash(True) == hash(1): an untyped cache of the
+        # constants would hand True the entry of k = 1
+        assert omega_k(1, 0.5) == omega_k_modulus(1)(0.5)
+        with pytest.raises(ConfigurationError, match="k must be an integer >= 1, got True"):
+            omega_k(True, 0.5)
+        with pytest.raises(ConfigurationError, match="got True"):
+            omega_k_modulus(True)
 
 
 class TestOmegaK:

@@ -308,6 +308,12 @@ class TestValidation:
         with pytest.raises(ProblemFileError, match=field.replace(".", r"\.")):
             load_problem_file(write_doc(tmp_path, doc))
 
+    def test_null_breakpoints_and_slopes_take_the_defaults(self, tmp_path):
+        doc = copy.deepcopy(DOC)
+        doc["derivators"]["g2"].update(breakpoints=None, slopes=None)
+        g2 = load_problem_file(write_doc(tmp_path, doc)).derivators_by_name["g2"]
+        assert g2.breakpoints.tolist() == [0.0, 1.0] and g2.slopes.tolist() == [1.0]
+
     def test_bad_rhs_expression_names_the_component(self, tmp_path):
         doc = copy.deepcopy(DOC)
         doc["problem"]["components"][1]["rhs"] = "x3"
@@ -374,6 +380,15 @@ class TestRefusals:
         # both equal 1, and loaded as version 1
         (_changed("version", to=True), "version: unsupported version True"),
         (_changed("version", to=1.0), "version: unsupported version 1.0"),
+        # a bool or a string in a derivator spec used to load as a number, and
+        # a window's third entry to be dropped
+        (_changed("derivators", "g2", "anchor", to=True), "derivators.g2.anchor: expected JSON numbers"),
+        (_changed("derivators", "g2", "jumps", to=[[0.5, True]]), "derivators.g2.jumps: expected JSON numbers"),
+        (_changed("derivators", "g2", "window", to=["0", "1"]), "derivators.g2.window: expected JSON numbers"),
+        (_changed("derivators", "g2", "slopes", to=["2"]), "derivators.g2.slopes: expected JSON numbers"),
+        (_changed("derivators", "g2", "breakpoints", to=[False, True]),
+         "derivators.g2.breakpoints: expected JSON numbers"),
+        (_changed("derivators", "g2", "window", to=[0, 1, 5]), r"derivators.g2: window must be a finite pair"),
     ])
     def test_refused_documents(self, tmp_path, doc, message):
         with pytest.raises(ProblemFileError, match=message):

@@ -109,7 +109,7 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(p, n_steps=0)
 
-    @pytest.mark.parametrize("n_steps", [2.5, math.nan])
+    @pytest.mark.parametrize("n_steps", [2.5, math.nan, True])
     def test_a_non_integer_step_count_is_refused(self, n_steps):
         # it used to reach np.linspace and raise a raw TypeError
         with pytest.raises(ConfigurationError, match="n_steps"):
@@ -130,6 +130,7 @@ class TestProblemValidation:
     @pytest.mark.parametrize("field, value", [
         ("t0", math.nan), ("t0", -math.inf), ("horizon", math.nan), ("horizon", math.inf),
         ("ball_radius", math.nan), ("ball_radius", math.inf), ("x0", [1.0, math.nan]),
+        ("ball_radius", True),
     ])
     def test_non_finite_data_rejected(self, field, value):
         g = Derivator.identity((-10.0, 10.0))
@@ -671,6 +672,7 @@ class TestPicard:
     @pytest.mark.parametrize("kw", [
         {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
         {"max_iter": 0}, {"max_iter": 2.5},
+        {"max_iter": True}, {"tol": "1e-10"},  # a bool is no count, and a string no number
     ])
     def test_bad_tol_or_max_iter_is_refused(self, kw):
         # tol=nan used to run all iterations and max_iter=0 to raise a raw TypeError

@@ -14,6 +14,7 @@ import pytest
 
 from stieltjes import (
     Classification,
+    ConfigurationError,
     Derivator,
     DerivativeUndefinedError,
     IntegrandError,
@@ -547,6 +548,12 @@ class TestFtc:
             check_ftc(math.sin, Derivator.identity((0.0, 1.0)), 0.0, 2.0, sample_count=4)
         report = check_ftc(math.sin, Derivator.identity((0.0, 1.0)), 0.0, 1.0, sample_count=4)
         assert report.ok()
+
+    @pytest.mark.parametrize("sample_count", [0, -3, 2.5, True])
+    def test_a_sample_count_that_is_not_a_count_is_refused(self, sample_count):
+        # no uniform samples used to give a report whose ok() was True
+        with pytest.raises(ConfigurationError, match="sample_count must be an integer >= 1"):
+            check_ftc(math.sin, Derivator.identity((0.0, 1.0)), 0.0, 1.0, sample_count=sample_count)
 
     def test_constancy_samples_are_skipped(self):
         g = from_classification(Classification(constancy=[(0.0, 1.0)]), window=(-1.0, 2.0))
