@@ -28,11 +28,9 @@ pair as a concrete derivator whose continuous part has unit slope off the
 constancy set.
 """
 
-import math
-
 import numpy as np
 
-from .errors import ConfigurationError, WindowDomainError, _require_positive
+from .errors import ConfigurationError, WindowDomainError, _real, _reals, _require_positive
 
 __all__ = [
     "Derivator",
@@ -44,10 +42,14 @@ __all__ = [
 
 
 def _as_sorted_pairs(jumps):
-    """Normalize a jump specification into sorted point/size arrays."""
-    pairs = list(jumps)
-    pts = np.array([float(d) for d, _ in pairs], dtype=float)
-    sizes = np.array([float(v) for _, v in pairs], dtype=float)
+    """Read a jump specification, an iterable of (point, size) pairs, into sorted point/size arrays."""
+    try:
+        pairs = [_reals(f"jumps[{i}]", pair) for i, pair in enumerate(jumps)]
+    except TypeError:  # jumps cannot be iterated
+        raise ConfigurationError(f"jumps must be an iterable of (point, size) pairs, got {jumps!r}") from None
+    if any(pair.size != 2 for pair in pairs):
+        raise ConfigurationError("each jump must be a (point, size) pair")
+    pts, sizes = np.reshape(pairs, (-1, 2)).T
     order = np.argsort(pts, kind="stable")
     return pts[order], sizes[order]
 
@@ -87,6 +89,9 @@ class Derivator:
         window, sizes positive.  Points must be distinct.
     anchor:
         The value ``g(L)``.
+
+    Every number is read by ``errors._real``: a bool, a string, a nested list, NaN, an
+    infinity or an integer beyond the float range raises ``ConfigurationError``.
     """
 
     __slots__ = (
@@ -102,28 +107,22 @@ class Derivator:
     )
 
     def __init__(self, window, breakpoints=None, slopes=None, jumps=(), anchor=0.0):
-        left, right = (float(window[0]), float(window[1])) if len(window) == 2 else (math.nan, math.nan)
-        if not (math.isfinite(left) and math.isfinite(right) and left < right):
+        bounds = _reals("window", window)
+        if not (bounds.size == 2 and bounds[0] < bounds[1]):
             raise ConfigurationError(f"window must be a finite pair (L, R) with L < R, got {window!r}")
-        self.window = (left, right)
+        left, right = self.window = tuple(bounds.tolist())
 
-        if breakpoints is None:
-            breakpoints = (left, right)
-        bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2:
-            raise ConfigurationError("breakpoints must be a 1-d grid with at least two entries")
-        if bp[0] != left or bp[-1] != right:
+        bp = bounds if breakpoints is None else _reals("breakpoints", breakpoints)
+        if bp.size < 2 or bp[0] != left or bp[-1] != right:
             raise ConfigurationError("breakpoints must start at L and end at R")
         if not np.all(np.diff(bp) > 0):
             raise ConfigurationError("breakpoints must be strictly increasing")
 
-        if slopes is None:
-            slopes = np.ones(bp.size - 1)
-        sl = np.asarray(slopes, dtype=float)
+        sl = np.ones(bp.size - 1) if slopes is None else _reals("slopes", slopes)
         if sl.shape != (bp.size - 1,):
             raise ConfigurationError(f"expected {bp.size - 1} slopes, got shape {sl.shape}")
-        if not np.all(np.isfinite(sl)) or np.any(sl < 0):
-            raise ConfigurationError("slopes must be finite and nonnegative")
+        if np.any(sl < 0):
+            raise ConfigurationError("slopes must be nonnegative")
 
         pts, sizes = _as_sorted_pairs(jumps)
         if pts.size:
@@ -131,16 +130,14 @@ class Derivator:
                 raise ConfigurationError("jump points must be distinct")
             if pts[0] <= left or pts[-1] >= right:
                 raise ConfigurationError("jump points must lie strictly inside the window")
-            if not np.all(sizes > 0) or not np.all(np.isfinite(sizes)):
-                raise ConfigurationError("jump sizes must be positive and finite")
+            if not np.all(sizes > 0):
+                raise ConfigurationError("jump sizes must be positive")
 
         self.breakpoints = bp
         self.slopes = sl
         self.jump_points = pts
         self.jump_sizes = sizes
-        self.anchor = float(anchor)
-        if not math.isfinite(self.anchor):
-            raise ConfigurationError(f"anchor must be finite, got {anchor!r}")
+        self.anchor = _real("anchor", anchor)
         self._classification = None  # filled by classify() on first use
 
         # Cumulative value of the continuous part at each breakpoint and the
@@ -163,14 +160,14 @@ class Derivator:
     @classmethod
     def constant(cls, window, value=0.0):
         """A derivator that is constant (all slopes zero, no jumps)."""
-        left, right = window
-        return cls(window, breakpoints=(left, right), slopes=(0.0,), anchor=value)
+        return cls(window, slopes=(0.0,), anchor=value)
 
     def with_jumps(self, jumps):
         """Return a copy with additional jumps; sizes at shared points add up."""
-        merged = {float(d): float(v) for d, v in zip(self.jump_points, self.jump_sizes)}
-        for d, v in jumps:
-            merged[float(d)] = merged.get(float(d), 0.0) + float(v)
+        merged = dict(self.jumps)
+        pts, sizes = _as_sorted_pairs(jumps)
+        for d, v in zip(pts.tolist(), sizes.tolist()):
+            merged[d] = merged.get(d, 0.0) + v
         return Derivator(
             self.window,
             breakpoints=self.breakpoints,
@@ -270,7 +267,7 @@ class Derivator:
     @classmethod
     def from_dict(cls, data):
         return cls(
-            tuple(data["window"]),
+            data["window"],
             breakpoints=data.get("breakpoints"),
             slopes=data.get("slopes"),
             jumps=data.get("jumps", ()),
@@ -405,13 +402,11 @@ def from_classification(classification, window, weights=None):
 
     if weights is None:
         weights = [2.0 ** -(n + 1) for n in range(len(pts))]
-    weights = [float(w) for w in weights]
+    weights = [_require_positive("jump weight", w) for w in weights]
     if len(weights) != len(pts):
         raise ConfigurationError(
             f"{len(pts)} discontinuities but {len(weights)} weights"
         )
-    for w in weights:
-        _require_positive("jump weight", w)
 
     bp = _sorted_unique(np.concatenate(([left, right], *classification._bounds)))
     mids = (bp[:-1] + bp[1:]) / 2.0

@@ -6,12 +6,16 @@ problems (bad arguments, inconsistent configuration) are ``ValueError``
 subclasses as well; runtime numerical failures carry enough state to be
 reported without re-running the computation.
 
-``_require_count`` and ``_require_positive`` are the one check of a count and of a positive
-parameter: both refuse a bool, as problem files do, and raise ``ConfigurationError``.
+``_real`` and ``_reals`` are the one reader of real numbers, ``_require_count`` and
+``_require_positive`` the one check of a count and of a positive number.  Each refuses a
+bool and a string with ``ConfigurationError`` naming the parameter; the readers refuse a
+complex, ``None``, NaN, an infinity and an integer beyond the float range as well.
 """
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class StieltjesError(Exception):
@@ -144,7 +148,31 @@ def _require_count(name, value, least=1):
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _real(name, value, positive=False):
+    """``value`` as a float if it is a finite real number (and > 0 with ``positive``), not a
+    bool; else ``ConfigurationError`` naming ``name``."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
+        if math.isfinite(v) and (v > 0 or not positive):
+            return v
+    must = "positive and finite" if positive else "a finite real number"
+    raise ConfigurationError(f"{name} must be {must}, got {value!r}")
+
+
+def _reals(name, values):
+    """``values``, an iterable of finite real numbers but not a string, as a 1-d float array;
+    entry i is read with ``_real`` as ``name[i]``, so a nested list is refused."""
+    try:
+        if not isinstance(values, (str, bytes)):
+            return np.array([_real(f"{name}[{i}]", v) for i, v in enumerate(values)], dtype=float)
+    except TypeError:  # values cannot be iterated
+        pass
+    raise ConfigurationError(f"{name} must be a sequence of finite real numbers, got {values!r}")
+
+
 def _require_positive(name, value):
-    """Raise ``ConfigurationError`` unless ``value`` is a finite positive real, not a bool."""
-    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+    """``value``, a finite real number > 0 and not a bool, as a float; else ``ConfigurationError``."""
+    return _real(name, value, positive=True)

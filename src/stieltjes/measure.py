@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrandError, WindowDomainError, _require_count
+from .errors import IntegrandError, WindowDomainError, _real, _require_count
 
 __all__ = [
     "QuadratureConfig",
@@ -73,18 +73,21 @@ def _gl_rule(order):
 
 
 def _check_interval(g, a, b):
+    """``(a, b)`` as floats, which must be finite with a < b inside g's window."""
+    a, b = _real("a", a), _real("b", b)
     left, right = g.window
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
+    if a >= b:
         raise WindowDomainError(f"need a < b, got a={a}, b={b}")
     if a < left or b > right:
         raise WindowDomainError(
             f"[{a}, {b}) is not inside the working window [{left}, {right}]"
         )
+    return a, b
 
 
 def measure_interval(g, a, b):
     """mu_g([a, b)) = g(b) - g(a); nonnegative by monotonicity."""
-    _check_interval(g, float(a), float(b))
+    a, b = _check_interval(g, a, b)
     return g.eval(b) - g.eval(a)
 
 
@@ -215,8 +218,7 @@ def integrate(g, f, a, b, quad=None):
     each part is one sequential ``cumsum`` from 0.0.  Any non-finite sample
     raises ``IntegrandError`` with the offending abscissa.
     """
-    a, b = float(a), float(b)
-    _check_interval(g, a, b)
+    a, b = _check_interval(g, a, b)
     lo, hi = np.searchsorted(g.jump_points, (a, b))
     atomic = _atom_terms(f, g.jump_points[lo:hi], g.jump_sizes[lo:hi])
 

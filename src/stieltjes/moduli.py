@@ -64,7 +64,7 @@ def exp_iter(k, t):
     _require_count("k", k, least=0)
     v = float(t)
     if math.isnan(v):
-        raise ValueError(f"exp_iter({k}, t) needs a number, got t=nan")
+        raise ConfigurationError(f"exp_iter({k}, t) needs a number, got t=nan")
     for i in range(k):
         try:
             v = math.exp(v)
@@ -82,7 +82,7 @@ def log_iter(k, t):
     _require_count("k", k)
     t = float(t)
     if not t > exp_iter(k - 1, 0.0):  # NaN fails too
-        raise ValueError(f"log_iter({k}, t) needs t > {exp_iter(k - 1, 0.0)}, got t={t}")
+        raise ConfigurationError(f"log_iter({k}, t) needs t > {exp_iter(k - 1, 0.0)}, got t={t}")
     v = t
     for _ in range(k):
         v = math.log(v)
@@ -139,13 +139,13 @@ def omega_k(k, t):
     if isinstance(t, (float, int)):
         t = float(t)
         if not 0.0 <= t < math.inf:
-            raise ValueError(_OMEGA_K_DOMAIN)
+            raise ConfigurationError(_OMEGA_K_DOMAIN)
         if 0.0 < t < cut:
             return float(_omega_k_branch(k, t))
         return plateau if t > 0.0 else 0.0
     out = _omega_k_array(k, np.asarray(t, dtype=float))
     if out is None:
-        raise ValueError(_OMEGA_K_DOMAIN)
+        raise ConfigurationError(_OMEGA_K_DOMAIN)
     return float(out) if out.ndim == 0 else out
 
 
@@ -184,7 +184,7 @@ class _OmegaK:
         return omega_k(self.k, s)
 
     def batch(self, ss):
-        # None for a sample omega_k refuses: the scalar path raises its ValueError
+        # None for a sample omega_k refuses: the scalar path raises its ConfigurationError
         return _omega_k_array(self.k, np.asarray(ss, dtype=float))
 
 
@@ -456,8 +456,7 @@ def bihari_bound(kappa, h, a, b, transform):
     otherwise the bound is not applicable and an error carries both numbers.
     A kappa that is not finite and positive raises ``ConfigurationError``.
     """
-    _require_positive("kappa", kappa)
-    kappa = float(kappa)
+    kappa = _require_positive("kappa", kappa)
     omega_kappa = transform.omega_of(kappa)
     required = omega_kappa + h(b) - h(a)
     if required >= transform.upper:

@@ -31,9 +31,10 @@ while ``phi`` and an expression-defined modulus are unary maps written in
 the variable ``t``.  Each is compiled once, at load, into an
 ``expr.ExprFunction``, so the loaded problem speaks the batch protocol
 described on ``solver.IVProblem``.  Every block accepts only the keys
-shown, so a misspelt key is refused rather than read as absent.  Numbers
-are JSON numbers, never bools or strings, in derivator specs as well, and
-output paths are strings.
+shown, so a misspelt key is refused rather than read as absent, and output
+paths are strings.  Numbers are refused by the constructors they feed,
+``Derivator`` and ``IVProblem``, and the refusal names the block, as in
+``problem: horizon must be ...`` for the file's ``T``.
 
 Trace CSV columns are ``t, post_jump, x_1..x_n`` with one extra
 ``post_jump = 1`` row per grid point where any component jumps; floats are
@@ -42,7 +43,6 @@ byte-identical files.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,23 +102,6 @@ def _require(data, key, where, kind=None):
     return value
 
 
-def _is_number(value, depth=0):
-    """Whether ``value`` is a number, never a bool, or with ``depth`` a list of such values,
-    ``depth`` lists deep at most."""
-    if depth and isinstance(value, list):
-        return all(_is_number(v, depth - 1) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(data, key, where):
-    value = _require(data, key, where)
-    if not _is_number(value):
-        _fail(f"{where}.{key}", "expected a number")
-    if not math.isfinite(float(value)):
-        _fail(f"{where}.{key}", "must be finite")
-    return float(value)
-
-
 def _checked(require, value, where):
     """``value`` if ``require``, a check of ``errors``, passes it; its refusal words the file's."""
     try:
@@ -144,12 +127,10 @@ def load_derivators(doc, where="derivators"):
     out = {}
     for name, spec in block.items():
         at = f"{where}.{name}"
-        for key, value in _block(spec, at, ("window", "anchor", "breakpoints", "slopes", "jumps")).items():
-            if not (_is_number(value, 2) or value is None and key in ("breakpoints", "slopes")):
-                _fail(f"{at}.{key}", "expected JSON numbers, not bools or strings")
+        _block(spec, at, ("window", "anchor", "breakpoints", "slopes", "jumps"))
         try:
             out[name] = Derivator.from_dict(spec)
-        except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+        except (ConfigurationError, KeyError) as exc:
             _fail(at, str(exc))
     if not out:
         _fail(where, "at least one derivator must be defined")
@@ -175,7 +156,7 @@ def load_problem_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a ValueError: not JSON, not UTF-8, or too long a number
         raise ProblemFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: top level must be an object")
@@ -188,11 +169,7 @@ def load_problem_file(path):
 
     pb = _block(_require(doc, "problem", "document"), "problem",
                 ("t0", "T", "x0", "components", "ball_radius", "modulus", "phi"))
-    t0 = _number(pb, "t0", "problem")
-    horizon = _number(pb, "T", "problem")
     x0 = _require(pb, "x0", "problem", list)
-    if not x0 or not all(_is_number(v) and math.isfinite(v) for v in x0):
-        _fail("problem.x0", "expected a nonempty list of finite numbers")
     n = len(x0)
 
     components = _require(pb, "components", "problem", list)
@@ -208,16 +185,14 @@ def load_problem_file(path):
         comp_derivators.append(derivators[gname])
         comp_rhs.append(_expression(_require(comp, "rhs", where), n, f"{where}.rhs"))
 
-    ball = pb.get("ball_radius")
-    ball = None if ball is None else float(_checked(_require_positive, ball, "problem.ball_radius"))
     modulus = parse_modulus_spec(pb["modulus"]) if "modulus" in pb else None
     phi = _expression(pb["phi"], 0, "problem.phi") if "phi" in pb else None
 
     try:
         problem = IVProblem(
-            t0=t0, horizon=horizon, x0=x0,
+            t0=_require(pb, "t0", "problem"), horizon=_require(pb, "T", "problem"), x0=x0,
             derivators=comp_derivators, rhs=comp_rhs,
-            ball_radius=ball, modulus=modulus, phi=phi,
+            ball_radius=pb.get("ball_radius"), modulus=modulus, phi=phi,
         )
     except ConfigurationError as exc:
         raise ProblemFileError(f"problem: {exc}") from exc

@@ -51,6 +51,8 @@ from .errors import (
     NoCertifiedHorizonError,
     NonConvergenceError,
     SolverError,
+    _real,
+    _reals,
     _require_count,
     _require_positive,
 )
@@ -99,6 +101,9 @@ class IVProblem:
     rhs used by certificates and bounds; ``phi = None`` means the weight is
     identically one.  A plain callable ``modulus`` is wrapped into one
     ``OsgoodModulus``, whose table of cells every bound and certificate reads.
+    ``t0``, ``horizon``, each entry of ``x0`` and ``ball_radius`` are read by
+    ``errors._real``: a bool, a string, a nested ``x0`` or a number beyond the
+    float range raises ``ConfigurationError``.
 
     Batch protocol: a rhs may also offer ``f_i.batch(ts, xs) -> array``
     (``ts`` of shape ``(m,)``, states ``xs`` of shape ``(m, n)``), and
@@ -132,20 +137,17 @@ class IVProblem:
     phi: object | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "horizon", float(self.horizon))
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        object.__setattr__(self, "t0", _real("t0", self.t0))
+        object.__setattr__(self, "horizon", _require_positive("horizon", self.horizon))
+        x0 = _reals("x0", self.x0)
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "derivators", tuple(self.derivators))
         object.__setattr__(self, "rhs", tuple(self.rhs))
         if self.modulus is not None:
             object.__setattr__(self, "modulus", _as_modulus(self.modulus))
-        if not math.isfinite(self.t0):
-            raise ConfigurationError(f"t0 must be finite, got {self.t0}")
-        _require_positive("horizon", self.horizon)
-        if not np.all(np.isfinite(x0)):
-            raise ConfigurationError(f"x0 must be finite, got {x0}")
+        if self.ball_radius is not None:
+            object.__setattr__(self, "ball_radius", _require_positive("ball_radius", self.ball_radius))
         n = x0.size
         if n == 0:
             raise ConfigurationError("x0 must have at least one component")
@@ -164,8 +166,6 @@ class IVProblem:
                     f"derivators[{i}] window {g.window} does not contain "
                     f"[{self.t0}, {end}]"
                 )
-        if self.ball_radius is not None:
-            _require_positive("ball_radius", self.ball_radius)
 
     @property
     def n(self):
@@ -244,7 +244,7 @@ def build_grid(problem, sigma=None, n_steps=256):
     Jump points of every component in [t0, t0+sigma) enter the grid exactly
     (no snapping); duplicates collapse by exact comparison.
     """
-    sigma = problem.horizon if sigma is None else float(sigma)
+    sigma = problem.horizon if sigma is None else _real("sigma", sigma)
     if not 0 < sigma <= problem.horizon:
         raise ConfigurationError(f"sigma must be in (0, {problem.horizon}]")
     _require_count("n_steps", n_steps)

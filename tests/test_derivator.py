@@ -149,6 +149,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="window must be a finite pair"):
             Derivator(window)
 
+    @pytest.mark.parametrize("window, message", [
+        (0.5, "window must be a sequence of finite real numbers, got 0.5"),
+        (("0", "1"), r"window\[0\] must be a finite real number, got '0'"),
+        ((0, 10**400), r"window\[1\] must be a finite real number"),
+        ((0.0, math.nan), r"window\[1\] must be a finite real number, got nan"),
+    ])
+    def test_a_window_that_is_not_two_numbers_is_refused(self, window, message):
+        # a scalar used to raise a raw TypeError, strings to be read by float() and
+        # 10**400 to raise OverflowError
+        with pytest.raises(ConfigurationError, match=message):
+            Derivator(window)
+
+    @pytest.mark.parametrize("jumps", [[("0.5", "1")], [(0.5, True)], [0.5], 0.5, [(0.5, 1.0, 2.0)]])
+    def test_with_jumps_reads_its_jumps_as_the_constructor_does(self, jumps):
+        # the first two used to be read by float()
+        with pytest.raises(ConfigurationError, match="jump"):
+            Derivator.identity((0.0, 1.0)).with_jumps(jumps)
+
     def test_negative_slope(self):
         with pytest.raises(ConfigurationError):
             Derivator((0, 1), breakpoints=[0, 1], slopes=[-1.0])
@@ -163,9 +181,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Derivator((0, 1), jumps=[(0.5, 0.0)])
 
-    @pytest.mark.parametrize("anchor", [float("nan"), float("inf"), -float("inf")])
+    # a bool and a string used to be read by float(), and 10**400 to raise OverflowError
+    @pytest.mark.parametrize("anchor", [float("nan"), float("inf"), -float("inf"), True, "2", 10**400, None])
     def test_non_finite_anchor(self, anchor):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="anchor must be a finite real number"):
             Derivator((0.0, 1.0), anchor=anchor)
 
     def test_breakpoints_must_span_window(self):
@@ -173,11 +192,20 @@ class TestValidation:
             Derivator((0, 1), breakpoints=[0, 0.5], slopes=[1.0])
 
     @pytest.mark.parametrize("breakpoints, slopes, jumps, message", [
-        ([[0.0, 1.0]], [1.0], (), "1-d grid"),
+        ([[0.0, 1.0]], [1.0], (), r"breakpoints\[0\] must be a finite real number"),
         ([0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0], (), "strictly increasing"),
         ([0.0, 0.6, 0.4, 1.0], [1.0, 1.0, 1.0], (), "strictly increasing"),
         ([0.0, 0.5, 1.0], [1.0], (), "expected 2 slopes"),
         ([0.0, 1.0], [1.0], [(0.5, 1.0), (0.5, 2.0)], "jump points must be distinct"),
+        # strings and bools used to be read by float(), and malformed jumps to raise a raw
+        # TypeError or ValueError
+        ([0.0, 1.0], ["2"], (), r"slopes\[0\] must be a finite real number, got '2'"),
+        ([False, 1.0], [1.0], (), r"breakpoints\[0\] must be a finite real number, got False"),
+        ([0.0, 1.0], [1.0], [("0.5", "1")], r"jumps\[0\]\[0\] must be a finite real number, got '0.5'"),
+        ([0.0, 1.0], [1.0], 0.5, r"jumps must be an iterable of \(point, size\) pairs"),
+        ([0.0, 1.0], [1.0], [0.5], r"jumps\[0\] must be a sequence of finite real numbers"),
+        ([0.0, 1.0], [1.0], [(0.5, 1.0, 2.0)], r"each jump must be a \(point, size\) pair"),
+        ([0.0, 1.0], [1.0], None, r"jumps must be an iterable"),
     ])
     def test_refused_grids_slopes_and_jumps(self, breakpoints, slopes, jumps, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -465,7 +493,7 @@ class TestFromClassification:
         c = Classification(discontinuities=[0.5])
         with pytest.raises(ConfigurationError):
             from_classification(c, window=(0, 1), weights=[1.0, 2.0])
-        for weight in (-1.0, 0.0, math.nan, math.inf):
+        for weight in (-1.0, 0.0, math.nan, math.inf, "0.5", True):  # the last two used to be read by float()
             with pytest.raises(ConfigurationError, match="jump weight"):
                 from_classification(c, window=(0, 1), weights=[weight])
 

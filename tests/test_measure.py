@@ -24,7 +24,7 @@ from stieltjes import (
     outer_measure,
     sum_derivators,
 )
-from stieltjes import Classification
+from stieltjes import Classification, ConfigurationError
 from stieltjes.measure import (
     _SCALAR_BLOCK,
     _atom_terms,
@@ -63,6 +63,8 @@ class TestMeasureInterval:
             measure_interval(g, -0.5, 1.0)
         with pytest.raises(WindowDomainError):
             measure_interval(g, 1.0, 2.5)
+        with pytest.raises(ConfigurationError, match="a must be a finite real number, got '0'"):
+            measure_interval(g, "0", 1)  # it used to be read by float()
 
 
 class TestDisjointify:

@@ -296,11 +296,11 @@ class TestValidation:
             load_problem_file(write_doc(tmp_path, edited(output={"trace_csv": 3})))
 
     @pytest.mark.parametrize("section, key, value, field", [
-        ("problem", "t0", math.nan, "problem.t0"),
-        ("problem", "T", math.inf, "problem.T"),
-        ("problem", "x0", [1.0, math.nan], "problem.x0"),
-        ("problem", "ball_radius", math.nan, "problem.ball_radius"),
-        ("problem", "ball_radius", 0, "problem.ball_radius"),
+        ("problem", "t0", math.nan, "problem: t0"),
+        ("problem", "T", math.inf, "problem: horizon"),
+        ("problem", "x0", [1.0, math.nan], "problem: x0"),
+        ("problem", "ball_radius", math.nan, "problem: ball_radius"),
+        ("problem", "ball_radius", 0, "problem: ball_radius"),
     ])
     def test_non_finite_problem_data(self, tmp_path, section, key, value, field):
         # json writes and reads NaN and Infinity
@@ -347,8 +347,8 @@ class TestRefusals:
         (_changed("problem"), "document: missing required key 'problem'"),
         (_changed("problem", "x0", to="1.0"), "problem.x0: expected list, got str"),
         (_changed("problem", "components", to={}), "problem.components: expected list, got dict"),
-        (_changed("problem", "T", to="1"), "problem.T: expected a number"),
-        (_changed("problem", "t0", to=True), "problem.t0: expected a number"),
+        (_changed("problem", "T", to="1"), "problem: horizon must be positive and finite, got '1'"),
+        (_changed("problem", "t0", to=True), "problem: t0 must be a finite real number, got True"),
         (_changed("derivators", "g2", to=[0, 1]), "derivators.g2: expected an object"),
         (_changed("derivators", "g2", "window", to=[1, 0]), "derivators.g2: window must be"),
         (_changed("derivators", "g2", "slopes", to=[1, 2]), "derivators.g2: expected 1 slopes"),
@@ -382,12 +382,15 @@ class TestRefusals:
         (_changed("version", to=1.0), "version: unsupported version 1.0"),
         # a bool or a string in a derivator spec used to load as a number, and
         # a window's third entry to be dropped
-        (_changed("derivators", "g2", "anchor", to=True), "derivators.g2.anchor: expected JSON numbers"),
-        (_changed("derivators", "g2", "jumps", to=[[0.5, True]]), "derivators.g2.jumps: expected JSON numbers"),
-        (_changed("derivators", "g2", "window", to=["0", "1"]), "derivators.g2.window: expected JSON numbers"),
-        (_changed("derivators", "g2", "slopes", to=["2"]), "derivators.g2.slopes: expected JSON numbers"),
+        (_changed("derivators", "g2", "anchor", to=True), "derivators.g2: anchor must be a finite real number"),
+        (_changed("derivators", "g2", "jumps", to=[[0.5, True]]),
+         r"derivators.g2: jumps\[0\]\[1\] must be a finite real number, got True"),
+        (_changed("derivators", "g2", "window", to=["0", "1"]),
+         r"derivators.g2: window\[0\] must be a finite real number, got '0'"),
+        (_changed("derivators", "g2", "slopes", to=["2"]),
+         r"derivators.g2: slopes\[0\] must be a finite real number"),
         (_changed("derivators", "g2", "breakpoints", to=[False, True]),
-         "derivators.g2.breakpoints: expected JSON numbers"),
+         r"derivators.g2: breakpoints\[0\] must be a finite real number, got False"),
         (_changed("derivators", "g2", "window", to=[0, 1, 5]), r"derivators.g2: window must be a finite pair"),
     ])
     def test_refused_documents(self, tmp_path, doc, message):

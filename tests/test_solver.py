@@ -109,6 +109,12 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(p, n_steps=0)
 
+    # a string and a bool used to be read by float()
+    @pytest.mark.parametrize("sigma", [2.0, 0.0, math.nan, "0.5", True])
+    def test_a_sigma_outside_the_horizon_is_refused(self, sigma):
+        with pytest.raises(ConfigurationError, match="sigma must"):
+            build_grid(classical_problem(), sigma=sigma)
+
     @pytest.mark.parametrize("n_steps", [2.5, math.nan, True])
     def test_a_non_integer_step_count_is_refused(self, n_steps):
         # it used to reach np.linspace and raise a raw TypeError
@@ -131,6 +137,11 @@ class TestProblemValidation:
         ("t0", math.nan), ("t0", -math.inf), ("horizon", math.nan), ("horizon", math.inf),
         ("ball_radius", math.nan), ("ball_radius", math.inf), ("x0", [1.0, math.nan]),
         ("ball_radius", True),
+        # strings, bools, complex numbers, nested lists and integers beyond the float range used
+        # to be read by float() or np.asarray, or to raise a raw TypeError or OverflowError
+        ("t0", "0"), ("t0", [0.0]), ("t0", True), ("horizon", "1"), ("horizon", 10**400),
+        ("x0", ["1", 2.0]), ("x0", [1j, 2.0]), ("x0", [[1.0], [2.0]]), ("x0", [10**400, 2.0]),
+        ("x0", 1.0), ("ball_radius", "2"),
     ])
     def test_non_finite_data_rejected(self, field, value):
         g = Derivator.identity((-10.0, 10.0))
