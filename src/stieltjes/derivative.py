@@ -41,16 +41,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivator import classify
+from .derivator import _scalar_or_array, classify
 from .errors import (
     DerivativeUndefinedError,
     IntegrandError,
     NoDerivativeError,
     RightLimitError,
-    WindowDomainError,
+    _real,
     _require_count,
+    _within,
 )
-from .measure import _QUAD_BLOCK, _atom_terms, _sample_finite
+from .measure import _QUAD_BLOCK, _atom_terms, _check_interval, _sample_finite
 # F never calls integrate; the benchmark's tracer (bench/tracer.py) patches
 # derivative.integrate, so the name stays importable from this module
 from .measure import integrate  # noqa: F401
@@ -168,10 +169,8 @@ def stieltjes_derivative(f, g, t):
     value of f on the ladder, or at t itself at a jump point, raises
     ``IntegrandError``.
     """
-    t = float(t)
+    t = g._require_inside("t", _real("t", t), include_right=False)
     left_w, right_w = g.window
-    if not left_w <= t < right_w:
-        raise WindowDomainError(f"t={t} outside [{left_w}, {right_w})")
 
     k = int(classify(g)._holding(t))
     if k >= 0:
@@ -320,9 +319,7 @@ class IndefiniteIntegral:
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, f, g, a):
         left_w, right_w = g.window
-        a = float(a)
-        if not left_w <= a < right_w:
-            raise WindowDomainError(f"a={a} outside [{left_w}, {right_w})")
+        a = g._require_inside("a", _real("a", a), include_right=False)
         self.f = f
         self.g = g
         self.a = a
@@ -368,15 +365,12 @@ class IndefiniteIntegral:
             raise IntegrandError("the integral of f is not finite in double precision")
 
     def _inside(self, t):
-        t = float(t)
-        if not self.a <= t <= self.g.window[1]:
-            raise WindowDomainError(f"t={t} outside [{self.a}, {self.g.window[1]}]")
-        return t
+        return _within("t", t, self.a, self.g.window[1], "the domain of F")
 
     def __call__(self, t):
-        if getattr(t, "ndim", 0):  # np.ndim costs a microsecond a call
-            return self.batch(t)
         t = self._inside(t)
+        if type(t) is not float:
+            return self.batch(t)
         if t == self._nodes[-1]:
             return float(self._cum[-1])
         p = int(self._lo.searchsorted(t, "right")) - 1
@@ -387,15 +381,12 @@ class IndefiniteIntegral:
         return base + _clenshaw(coef, (t - mid) / half)
 
     def batch(self, ts):
-        """F at every point of ``ts`` as an array, equal to ``[F(t) for t in ts]``."""
-        ts = np.asarray(ts, dtype=float)
-        right = self.g.window[1]
-        outside = ~((ts >= self.a) & (ts <= right))
-        if outside.any():
-            raise WindowDomainError(f"t={ts[outside][0]} outside [{self.a}, {right}]")
+        """F at every point of ``ts`` as an array of its shape, equal to ``[F(t) for t in ts]``."""
+        ts = np.asarray(self._inside(ts))
         out = np.empty(ts.shape)
-        for s in range(0, ts.size, _EVAL_BLOCK):
-            out[s:s + _EVAL_BLOCK] = self._batch_block(ts[s:s + _EVAL_BLOCK])
+        flat, into = ts.reshape(-1), out.reshape(-1)
+        for s in range(0, flat.size, _EVAL_BLOCK):
+            into[s:s + _EVAL_BLOCK] = self._batch_block(flat[s:s + _EVAL_BLOCK])
         return out
 
     def _batch_block(self, ts):
@@ -415,8 +406,8 @@ class IndefiniteIntegral:
     def right_increment(self, t):
         """F(t+) - F(t), the atom term f(t) * jump(t) of the build; zero off the jump set."""
         t = self._inside(t)
-        k = int(self._nodes.searchsorted(t))
-        return float(self._atoms[k]) if k < self._atoms.size and self._nodes[k] == t else 0.0
+        k = self._nodes.searchsorted(t)  # t <= R, the last node
+        return _scalar_or_array(np.where(self._nodes[k] == t, np.append(self._atoms, 0.0)[k], 0.0))
 
 
 def indefinite_integral(f, g, a):
@@ -466,16 +457,13 @@ def check_ftc(f, g, a, b, sample_count=20):
     build, so a block never fails as a whole.  F is defined on [a, R], R the
     right end of the window, and ladder steps outside it are dropped.  f is
     evaluated once per sample; where f(t) or the derivative is not finite,
-    the sample is ``"failed"``.  ``a >= b`` and ``b > R`` raise
-    ``WindowDomainError``, and a ``sample_count`` that is not an integer >= 1
-    ``ConfigurationError``: no uniform samples would pass unchecked.
+    the sample is ``"failed"``.  An [a, b) that is empty or not inside the
+    window raises ``WindowDomainError`` (``measure._check_interval``), and a
+    ``sample_count`` that is not an integer >= 1 ``ConfigurationError``: no
+    uniform samples would pass unchecked.
     """
     _require_count("sample_count", sample_count)
-    if not a < b:
-        raise WindowDomainError(f"check_ftc needs a < b, got a={a}, b={b}")
-    right = g.window[1]
-    if b > right:
-        raise WindowDomainError(f"check_ftc needs b <= R, got b={b}, R={right}")
+    a, b = _check_interval(g, a, b)
     F = indefinite_integral(f, g, a)
     jump_pts = [d for d in g.jump_points.tolist() if a <= d < b]
 
@@ -497,7 +485,7 @@ def check_ftc(f, g, a, b, sample_count=20):
     estimates = {}
     for s in range(0, plain.size, _LADDER_BLOCK):
         block = plain[s:s + _LADDER_BLOCK]
-        estimates.update(zip(block.tolist(), _ladder_estimates(F, g, ts[block], a, right)))
+        estimates.update(zip(block.tolist(), _ladder_estimates(F, g, ts[block], a, g.window[1])))
 
     report = FtcReport()
     for i, t in enumerate(ts.tolist()):

@@ -30,7 +30,7 @@ constancy set.
 
 import numpy as np
 
-from .errors import ConfigurationError, WindowDomainError, _real, _reals, _require_positive
+from .errors import ConfigurationError, _pairs, _real, _reals, _require_positive, _shown, _within
 
 __all__ = [
     "Derivator",
@@ -43,13 +43,7 @@ __all__ = [
 
 def _as_sorted_pairs(jumps):
     """Read a jump specification, an iterable of (point, size) pairs, into sorted point/size arrays."""
-    try:
-        pairs = [_reals(f"jumps[{i}]", pair) for i, pair in enumerate(jumps)]
-    except TypeError:  # jumps cannot be iterated
-        raise ConfigurationError(f"jumps must be an iterable of (point, size) pairs, got {jumps!r}") from None
-    if any(pair.size != 2 for pair in pairs):
-        raise ConfigurationError("each jump must be a (point, size) pair")
-    pts, sizes = np.reshape(pairs, (-1, 2)).T
+    pts, sizes = _pairs("jumps", jumps).T
     order = np.argsort(pts, kind="stable")
     return pts[order], sizes[order]
 
@@ -109,7 +103,7 @@ class Derivator:
     def __init__(self, window, breakpoints=None, slopes=None, jumps=(), anchor=0.0):
         bounds = _reals("window", window)
         if not (bounds.size == 2 and bounds[0] < bounds[1]):
-            raise ConfigurationError(f"window must be a finite pair (L, R) with L < R, got {window!r}")
+            raise ConfigurationError(f"window must be a finite pair (L, R) with L < R, got {_shown(window)}")
         left, right = self.window = tuple(bounds.tolist())
 
         bp = bounds if breakpoints is None else _reals("breakpoints", breakpoints)
@@ -155,7 +149,7 @@ class Derivator:
     @classmethod
     def identity(cls, window):
         """The derivator g(t) = t on the given window."""
-        return cls(window, anchor=float(window[0]))
+        return cls(window, anchor=cls(window).window[0])
 
     @classmethod
     def constant(cls, window, value=0.0):
@@ -183,16 +177,9 @@ class Derivator:
         """Sorted list of (point, size) pairs."""
         return list(zip(self.jump_points.tolist(), self.jump_sizes.tolist()))
 
-    def _require_inside(self, t, include_right):
-        t = np.asarray(t, dtype=float)
-        left, right = self.window
-        hi_ok = t <= right if include_right else t < right
-        bad = ~(np.isfinite(t) & (t >= left) & hi_ok)
-        if np.any(bad):
-            offender = np.atleast_1d(t)[np.atleast_1d(bad)][0]
-            bracket = "[{}, {}{}".format(left, right, "]" if include_right else ")")
-            raise WindowDomainError(f"t={offender} outside the working window {bracket}")
-        return t
+    def _require_inside(self, name, t, include_right):
+        """``t``, read by ``errors._within``, in the window [L, R] ([L, R) without ``include_right``)."""
+        return _within(name, t, *self.window, "the working window", include_right)
 
     def _segment(self, t):
         """Index of the slope segment holding each t of an array in [L, R]; R belongs to the last one."""
@@ -219,7 +206,7 @@ class Derivator:
 
         Jumps located at d contribute only for t > d (left continuity).
         """
-        t = self._require_inside(t, include_right=True)
+        t = self._require_inside("t", t, include_right=True)
         atoms = self._cum_jumps[np.searchsorted(self.jump_points, t, side="left")]
         return _scalar_or_array(self._continuous_at(t) + atoms)
 
@@ -227,18 +214,18 @@ class Derivator:
 
     def continuous(self, t):
         """The continuous part alone: anchor plus the slope integral."""
-        return _scalar_or_array(self._continuous_at(self._require_inside(t, include_right=True)))
+        return _scalar_or_array(self._continuous_at(self._require_inside("t", t, include_right=True)))
 
     def jump(self, t):
         """The jump size at t (exact match against stored points), else 0."""
-        t = self._require_inside(t, include_right=False)
+        t = self._require_inside("t", t, include_right=False)
         idx = np.searchsorted(self.jump_points, t, side="left")
         hit = np.append(self.jump_points, np.inf)[idx] == t  # t is finite
         return _scalar_or_array(np.where(hit, np.append(self.jump_sizes, 0.0)[idx], 0.0))
 
     def eval_right(self, t):
         """The right limit g(t+), i.e. eval(t) plus the jump at t."""
-        return self.eval(self._require_inside(t, include_right=False)) + self.jump(t)
+        return self.eval(self._require_inside("t", t, include_right=False)) + self.jump(t)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -289,29 +276,23 @@ class Classification:
     __slots__ = ("constancy", "discontinuities", "_bounds")
 
     def __init__(self, constancy=(), discontinuities=()):
-        ivals = []
-        for a, b in constancy:
-            a, b = float(a), float(b)
+        ivals = [tuple(pair) for pair in _pairs("constancy", constancy).tolist()]
+        for a, b in ivals:
             if not a < b:
                 raise ConfigurationError(f"empty constancy interval ({a}, {b})")
-            ivals.append((a, b))
         ivals_sorted = sorted(ivals)
         for (a1, b1), (a2, b2) in zip(ivals_sorted, ivals_sorted[1:]):
             if a2 < b1:
-                raise ConfigurationError(
-                    f"constancy intervals ({a1}, {b1}) and ({a2}, {b2}) overlap"
-                )
+                raise ConfigurationError(f"constancy intervals ({a1}, {b1}) and ({a2}, {b2}) overlap")
         self.constancy = tuple(ivals)
         self._bounds = np.array(ivals_sorted, dtype=float).reshape(-1, 2).T
-        pts = [float(d) for d in discontinuities]
+        pts = _reals("discontinuities", discontinuities).tolist()
         if len(set(pts)) != len(pts):
             raise ConfigurationError("discontinuity points must be distinct")
         for d, k in zip(pts, self._holding(pts).tolist()):
             if k >= 0:
                 a, b = self._bounds[:, k].tolist()
-                raise ConfigurationError(
-                    f"discontinuity {d} lies inside constancy interval ({a}, {b})"
-                )
+                raise ConfigurationError(f"discontinuity {d} lies inside constancy interval ({a}, {b})")
         self.discontinuities = tuple(pts)
 
     def _holding(self, ts):
@@ -340,6 +321,23 @@ class Classification:
         return f"Classification(constancy={list(self.constancy)}, discontinuities={list(self.discontinuities)})"
 
 
+def _shared_window(gs):
+    """``gs``, an iterable of derivators, as a nonempty list, and the window they all share;
+    else ``ConfigurationError``."""
+    try:
+        gs = list(gs)
+    except TypeError:  # gs cannot be iterated
+        raise ConfigurationError(f"expected an iterable of derivators, got {_shown(gs)}") from None
+    if not gs:
+        raise ConfigurationError("need at least one derivator")
+    for i, g in enumerate(gs):
+        if not isinstance(g, Derivator):
+            raise ConfigurationError(f"derivators[{i}] is not a Derivator, got {_shown(g)}")
+        if g.window != gs[0].window:
+            raise ConfigurationError(f"window mismatch: {gs[0].window} != {g.window}")
+    return gs, gs[0].window
+
+
 def sum_derivators(gs):
     """Sum a nonempty family of derivators sharing one window.
 
@@ -348,13 +346,7 @@ def sum_derivators(gs):
     points (exact coordinate equality) are merged with sizes added, and the
     anchor is the sum of anchors.
     """
-    gs = list(gs)
-    if not gs:
-        raise ConfigurationError("need at least one derivator to sum")
-    window = gs[0].window
-    for g in gs[1:]:
-        if g.window != window:
-            raise ConfigurationError(f"window mismatch: {g.window} != {window}")
+    gs, window = _shared_window(gs)
 
     bp = _sorted_unique(np.concatenate([g.breakpoints for g in gs]))
     slopes = np.zeros(bp.size - 1)
@@ -383,30 +375,18 @@ def from_classification(classification, window, weights=None):
     ``weights[n]`` (default ``2**-(n+1)``).  When the window contains 0 the
     anchor is chosen so that the continuous part at t equals the signed
     Lebesgue measure of the part of [0, t] off the constancy set; otherwise
-    g(L) = 0.
+    g(L) = 0.  The derivator refuses a discontinuity that is not inside (L, R).
     """
-    left, right = float(window[0]), float(window[1])
-    if not left < right:
-        raise ConfigurationError(f"invalid window {window!r}")
+    left, right = Derivator(window).window
     for a, b in classification.constancy:
         if a < left or b > right:
-            raise ConfigurationError(
-                f"constancy interval ({a}, {b}) not inside the window ({left}, {right})"
-            )
+            raise ConfigurationError(f"constancy interval ({a}, {b}) not inside the window {(left, right)}")
     pts = classification.discontinuities
-    for d in pts:
-        if not left < d < right:
-            raise ConfigurationError(
-                f"discontinuity {d} not strictly inside the window ({left}, {right})"
-            )
-
     if weights is None:
         weights = [2.0 ** -(n + 1) for n in range(len(pts))]
     weights = [_require_positive("jump weight", w) for w in weights]
     if len(weights) != len(pts):
-        raise ConfigurationError(
-            f"{len(pts)} discontinuities but {len(weights)} weights"
-        )
+        raise ConfigurationError(f"{len(pts)} discontinuities but {len(weights)} weights")
 
     bp = _sorted_unique(np.concatenate(([left, right], *classification._bounds)))
     mids = (bp[:-1] + bp[1:]) / 2.0

@@ -10,6 +10,11 @@ reported without re-running the computation.
 ``_require_positive`` the one check of a count and of a positive number.  Each refuses a
 bool and a string with ``ConfigurationError`` naming the parameter; the readers refuse a
 complex, ``None``, NaN, an infinity and an integer beyond the float range as well.
+``_points`` is the one reader of the points a query takes, ``_pairs`` of a list of pairs.
+The two window checks are ``Derivator._require_inside`` for points and
+``measure._check_interval`` for an interval; ``_within``, behind the first, also bounds the
+points of an indefinite integral, a transform table and a Bihari bound.  A refusal shows
+the refused value through ``_shown``, at most 60 characters.
 """
 
 import math
@@ -23,7 +28,7 @@ class StieltjesError(Exception):
 
 
 class WindowDomainError(StieltjesError, ValueError):
-    """A query point or interval lies outside a derivator's working window."""
+    """A query point or interval lies outside the domain an object is defined on."""
 
 
 class ConfigurationError(StieltjesError, ValueError):
@@ -142,16 +147,26 @@ class ProblemFileError(StieltjesError, ValueError):
     """A problem file failed schema validation; message names the field."""
 
 
+def _shown(value, width=60):
+    """``repr(value)`` cut to ``width`` characters, so a refusal never prints a huge value whole."""
+    try:
+        text = repr(value)
+    except ValueError:  # Python prints no integer of more than 4,300 digits
+        return f"<{type(value).__name__} too large to print>"
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
 def _require_count(name, value, least=1):
     """Raise ``ConfigurationError`` unless ``value`` is an integer >= ``least``, not a bool."""
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {_shown(value)}")
 
 
 def _real(name, value, positive=False):
     """``value`` as a float if it is a finite real number (and > 0 with ``positive``), not a
-    bool; else ``ConfigurationError`` naming ``name``."""
-    if isinstance(value, Real) and not isinstance(value, bool):
+    bool; else ``ConfigurationError`` naming ``name``.  A float (numpy's float64 included)
+    takes one type test."""
+    if isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool):
         try:
             v = float(value)
         except OverflowError:  # an integer beyond the float range
@@ -159,7 +174,7 @@ def _real(name, value, positive=False):
         if math.isfinite(v) and (v > 0 or not positive):
             return v
     must = "positive and finite" if positive else "a finite real number"
-    raise ConfigurationError(f"{name} must be {must}, got {value!r}")
+    raise ConfigurationError(f"{name} must be {must}, got {_shown(value)}")
 
 
 def _reals(name, values):
@@ -170,7 +185,49 @@ def _reals(name, values):
             return np.array([_real(f"{name}[{i}]", v) for i, v in enumerate(values)], dtype=float)
     except TypeError:  # values cannot be iterated
         pass
-    raise ConfigurationError(f"{name} must be a sequence of finite real numbers, got {values!r}")
+    raise ConfigurationError(f"{name} must be a sequence of finite real numbers, got {_shown(values)}")
+
+
+def _points(name, t):
+    """A point ``t`` as a float, or an array-like of points as a float array of its shape: a
+    numpy array of a real dtype takes one finiteness test, any other array-like is read entry
+    by entry with ``_real`` as ``name[i]`` (``name[i][j]`` in two dimensions)."""
+    if isinstance(t, float) or not isinstance(t, (list, tuple, np.ndarray)):  # a float first: fast
+        return _real(name, t)
+    if isinstance(t, np.ndarray) and t.dtype.kind in "fiu" and np.isfinite(t).all():
+        return t.astype(float, copy=False) if t.ndim else float(t)
+    try:
+        entries = np.asarray(t, dtype=object)
+    except ValueError:  # sub-arrays of unequal shapes: refused whole
+        return _real(name, t)
+    points = np.empty(entries.shape)
+    for index, v in np.ndenumerate(entries):
+        points[index] = _real(name + "".join(f"[{i}]" for i in index), v)
+    return points
+
+
+def _within(name, t, lo, hi, domain, closed=True):
+    """``t``, read by ``_points``, if every point lies in [lo, hi] (in [lo, hi) unless
+    ``closed``); else ``WindowDomainError`` naming ``name`` and the ``domain``."""
+    t = _points(name, t)
+    inside = (t >= lo) & (t <= hi if closed else t < hi)  # a bool for a float t
+    if not (inside if type(inside) is bool else inside.all()):
+        offender = np.atleast_1d(t)[~np.atleast_1d(inside)][0]
+        raise WindowDomainError(f"{name}={offender} outside {domain} [{lo}, {hi}{']' if closed else ')'}")
+    return t
+
+
+def _pairs(name, items):
+    """``items``, an iterable of pairs of finite real numbers, as an (n, 2) float array; pair
+    i is read with ``_reals`` as ``name[i]``."""
+    try:
+        pairs = [_reals(f"{name}[{i}]", pair) for i, pair in enumerate(items)]
+    except TypeError:  # items cannot be iterated
+        raise ConfigurationError(f"{name} must be an iterable of pairs, got {_shown(items)}") from None
+    for i, pair in enumerate(pairs):
+        if pair.size != 2:
+            raise ConfigurationError(f"{name}[{i}] must be a pair, got {_shown(pair.tolist())}")
+    return np.reshape(pairs, (-1, 2))
 
 
 def _require_positive(name, value):

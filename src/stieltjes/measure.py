@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrandError, WindowDomainError, _real, _require_count
+from .errors import IntegrandError, WindowDomainError, _pairs, _real, _require_count
 
 __all__ = [
     "QuadratureConfig",
@@ -73,15 +73,11 @@ def _gl_rule(order):
 
 
 def _check_interval(g, a, b):
-    """``(a, b)`` as floats, which must be finite with a < b inside g's window."""
-    a, b = _real("a", a), _real("b", b)
-    left, right = g.window
+    """``(a, b)`` as floats, points of g's window with a < b."""
+    a = g._require_inside("a", _real("a", a), include_right=False)
+    b = g._require_inside("b", _real("b", b), include_right=True)
     if a >= b:
         raise WindowDomainError(f"need a < b, got a={a}, b={b}")
-    if a < left or b > right:
-        raise WindowDomainError(
-            f"[{a}, {b}) is not inside the working window [{left}, {right}]"
-        )
     return a, b
 
 
@@ -99,21 +95,12 @@ def disjointify(cover):
     arithmetic only, no tolerances).  For every derivator the total
     g-length can only shrink, since overlaps are counted once.
     """
-    items = []
-    for item in cover:
-        a, b = float(item[0]), float(item[1])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise WindowDomainError(f"cover interval [{a}, {b}) is empty or not finite")
-        items.append((a, b))
-    items.sort()
-    if not items:
-        return []
-    merged = [items[0]]
-    for a, b in items[1:]:
-        la, lb = merged[-1]
-        if a <= lb:  # overlapping or adjacent: same component
-            if b > lb:
-                merged[-1] = (la, b)
+    merged = []
+    for a, b in sorted(map(tuple, _pairs("cover", cover).tolist())):
+        if not a < b:
+            raise WindowDomainError(f"cover interval [{a}, {b}) is empty")
+        if merged and a <= merged[-1][1]:  # overlapping or adjacent: same component
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:
             merged.append((a, b))
     return merged

@@ -32,8 +32,11 @@ from .errors import (
     ConfigurationError,
     IntegrandError,
     ModulusOverflowError,
+    _points,
+    _real,
     _require_count,
     _require_positive,
+    _within,
 )
 from .measure import QuadratureConfig, _gl_sums, _sample_finite
 
@@ -62,26 +65,22 @@ _ROUNDING_ULPS = 8  # a sampled inequality fails beyond this many ulps of the va
 def exp_iter(k, t):
     """The k-fold iterated exponential; exp_iter(0, t) = t."""
     _require_count("k", k, least=0)
-    v = float(t)
-    if math.isnan(v):
-        raise ConfigurationError(f"exp_iter({k}, t) needs a number, got t=nan")
+    v = t = _real("t", t)
     for i in range(k):
         try:
             v = math.exp(v)
         except OverflowError:
             v = math.inf
-        if v == math.inf:
-            raise ModulusOverflowError(
-                f"exp_iter({k}, {t}) overflows double precision at stage {i + 1}"
-            )
+        if v == math.inf:  # raised outside the handler, so that it carries no context
+            raise ModulusOverflowError(f"exp_iter({k}, {t}) overflows double precision at stage {i + 1}")
     return v
 
 
 def log_iter(k, t):
     """The k-fold iterated logarithm; requires t > exp_iter(k-1, 0)."""
     _require_count("k", k)
-    t = float(t)
-    if not t > exp_iter(k - 1, 0.0):  # NaN fails too
+    t = _real("t", t)
+    if not t > exp_iter(k - 1, 0.0):
         raise ConfigurationError(f"log_iter({k}, t) needs t > {exp_iter(k - 1, 0.0)}, got t={t}")
     v = t
     for _ in range(k):
@@ -132,21 +131,19 @@ def omega_k(k, t):
 
     Piecewise: 0 at 0, ``t * prod_j log_iter(j, 1/t)`` for ``0 < t < 1/e_k``
     and the constant plateau value from ``t = 1/e_k`` on.  Continuous at the
-    branch point by construction.  A Python float (or int) takes a scalar
-    branch that gives the bits of the array path.
+    branch point by construction.  A point (``errors._points`` reads t) takes
+    a scalar branch that gives the bits of the array path.
     """
     cut, plateau = _omega_k_constants(k)
-    if isinstance(t, (float, int)):
-        t = float(t)
-        if not 0.0 <= t < math.inf:
-            raise ConfigurationError(_OMEGA_K_DOMAIN)
+    t = _points("t", t)
+    if type(t) is float and t >= 0.0:  # a negative one takes the array path, which refuses it
         if 0.0 < t < cut:
             return float(_omega_k_branch(k, t))
         return plateau if t > 0.0 else 0.0
-    out = _omega_k_array(k, np.asarray(t, dtype=float))
+    out = _omega_k_array(k, np.asarray(t))
     if out is None:
         raise ConfigurationError(_OMEGA_K_DOMAIN)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,6 +294,7 @@ def osgood_check(omega, u0):
     the ``math.fsum`` of its cells; I(eps_1) adds one piece, up to u0.
     """
     omega = _as_modulus(omega)
+    u0 = _real("u0", u0)
     if not 0 < u0 <= 1e308:  # the cell edges end at 10^308.25
         raise ConfigurationError(f"u0 must be in (0, 1e308], got {u0}")
 
@@ -321,7 +319,7 @@ def osgood_check(omega, u0):
     else:
         verdict = "INCONCLUSIVE"
 
-    return OsgoodReport(verdict=verdict, u0=float(u0), epsilons=eps, partial_integrals=partial,
+    return OsgoodReport(verdict=verdict, u0=u0, epsilons=eps, partial_integrals=partial,
                         increments=increments)
 
 
@@ -338,9 +336,9 @@ class OmegaTransform:
 
     def __init__(self, modulus, u0, r_min=None, r_max=None):
         self.modulus = _as_modulus(modulus)
-        self.u0 = float(u0)
-        r_min = float(r_min) if r_min is not None else self.u0 * 1e-8
-        r_max = float(r_max) if r_max is not None else self.u0 * 1e8
+        self.u0 = _real("u0", u0)
+        r_min = _real("r_min", r_min) if r_min is not None else self.u0 * 1e-8
+        r_max = _real("r_max", r_max) if r_max is not None else self.u0 * 1e8
         if not 0 < r_min < self.u0 < r_max <= 1e308:
             raise ConfigurationError("need 0 < r_min < u0 < r_max <= 1e308")
 
@@ -388,11 +386,7 @@ class OmegaTransform:
         return float(self.values[-1])
 
     def omega_of(self, r):
-        r = float(r)
-        if not self.r_grid[0] <= r <= self.r_grid[-1]:
-            raise ValueError(
-                f"r={r} outside the tabulated range [{self.r_grid[0]}, {self.r_grid[-1]}]"
-            )
+        r = _within("r", _real("r", r), self.r_grid[0], self.r_grid[-1], "the tabulated range")
         return float(self._forward(math.log(r)))
 
     __call__ = omega_of
@@ -405,13 +399,7 @@ class OmegaTransform:
         ``scipy.optimize.brentq`` with ``xtol = rtol = 1e-15``, once its
         bracket is narrower than ``1e-15 * (1 + |log r|)``.
         """
-        y = np.asarray(y, dtype=float)
-        outside = ~((self.values[0] <= y) & (y <= self.values[-1]))
-        if outside.any():
-            raise ValueError(
-                f"Omega^-1 target {y[outside][0]} outside the tabulated range "
-                f"[{self.values[0]}, {self.values[-1]}]"
-            )
+        y = np.asarray(_within("y", y, self.values[0], self.values[-1], "the tabulated range"))
         k = np.searchsorted(self.values, y)
         exact = self.values[k] == y  # y <= values[-1], so k is a valid index
         lo, hi = self._x[np.maximum(k - 1, 0)], self._x[k]
@@ -440,12 +428,8 @@ class BihariBound:
 
     def __call__(self, t):
         """The bound at t, a float, or at every point of an array t."""
-        t = np.asarray(t, dtype=float)
-        if not np.all((self.a <= t) & (t <= self.b)):
-            raise ValueError(f"bound evaluated outside [{self.a}, {self.b}]")
-        return self.transform.inverse(
-            self.omega_kappa + self.h(t) - self.h(self.a)
-        )
+        t = _within("t", t, self.a, self.b, "the bound's interval")
+        return self.transform.inverse(self.omega_kappa + self.h(t) - self.h(self.a))
 
 
 def bihari_bound(kappa, h, a, b, transform):
@@ -457,6 +441,7 @@ def bihari_bound(kappa, h, a, b, transform):
     A kappa that is not finite and positive raises ``ConfigurationError``.
     """
     kappa = _require_positive("kappa", kappa)
+    a, b = _real("a", a), _real("b", b)
     omega_kappa = transform.omega_of(kappa)
     required = omega_kappa + h(b) - h(a)
     if required >= transform.upper:
@@ -466,7 +451,4 @@ def bihari_bound(kappa, h, a, b, transform):
             required=required,
             available=transform.upper,
         )
-    return BihariBound(
-        kappa=kappa, h=h, a=float(a), b=float(b),
-        transform=transform, omega_kappa=omega_kappa,
-    )
+    return BihariBound(kappa=kappa, h=h, a=a, b=b, transform=transform, omega_kappa=omega_kappa)

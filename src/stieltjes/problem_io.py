@@ -49,7 +49,7 @@ import numpy as np
 
 from .derivator import Derivator
 from .errors import (ConfigurationError, ExprParseError, ModulusOverflowError, ProblemFileError,
-                     _require_count, _require_positive)
+                     _require_count, _require_positive, _shown)
 from .expr import ExprFunction, parse
 from .moduli import OsgoodModulus, omega_k_modulus
 from .solver import IVProblem
@@ -144,7 +144,7 @@ def parse_modulus_spec(spec, where="problem.modulus"):
         try:
             return omega_k_modulus(k)
         except (ConfigurationError, ModulusOverflowError) as exc:  # k >= 4 overflows
-            _fail(where, f"omega_k({k!r}): {exc}")
+            _fail(where, f"omega_k({_shown(k)}): {exc}")
     if isinstance(spec, dict) and "expr" in spec:
         src = _block(spec, where, ("expr",))["expr"]
         evaluator = _expression(src, 0, f"{where}.expr", f"{where}: bad modulus expression")
@@ -230,7 +230,7 @@ def _csv_blocks(trace, problem):
     grid, values, rights = trace.grid, trace.values, trace.right_values
     jumps_here = np.zeros(grid.size, dtype=bool)
     for g in problem.derivators:  # the grid ascends, as a solver's does
-        g._require_inside(grid[:-1], include_right=False)
+        g._require_inside("t", grid[:-1], include_right=False)
         at = np.searchsorted(grid[:-1], g.jump_points)
         at = at[at < grid.size - 1]  # a prefix: the jump points ascend
         jumps_here[at[grid[at] == g.jump_points[:at.size]]] = True

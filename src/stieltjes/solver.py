@@ -51,10 +51,12 @@ from .errors import (
     NoCertifiedHorizonError,
     NonConvergenceError,
     SolverError,
+    _points,
     _real,
     _reals,
     _require_count,
     _require_positive,
+    _shown,
 )
 from .expr import _HANDED, ExprFunction, VarX, _define, _source, _walk
 from .measure import QuadratureConfig, _gl_nodes, _gl_rule, _sample_finite, integrate, measure_interval
@@ -142,8 +144,12 @@ class IVProblem:
         x0 = _reals("x0", self.x0)
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "derivators", tuple(self.derivators))
-        object.__setattr__(self, "rhs", tuple(self.rhs))
+        try:
+            object.__setattr__(self, "derivators", tuple(self.derivators))
+            object.__setattr__(self, "rhs", tuple(self.rhs))
+        except TypeError:  # either cannot be iterated
+            raise ConfigurationError(f"derivators and rhs must be sequences, got "
+                                     f"{_shown(self.derivators)} and {_shown(self.rhs)}") from None
         if self.modulus is not None:
             object.__setattr__(self, "modulus", _as_modulus(self.modulus))
         if self.ball_radius is not None:
@@ -157,9 +163,11 @@ class IVProblem:
                 f"{len(self.derivators)} and {len(self.rhs)}"
             )
         end = self.t0 + self.horizon
-        for i, g in enumerate(self.derivators):
+        for i, (g, f) in enumerate(zip(self.derivators, self.rhs)):
             if not isinstance(g, Derivator):
                 raise ConfigurationError(f"derivators[{i}] is not a Derivator")
+            if not callable(f):
+                raise ConfigurationError(f"rhs[{i}] is not callable, got {_shown(f)}")
             left, right = g.window
             if self.t0 < left or end > right:
                 raise ConfigurationError(
@@ -284,7 +292,7 @@ class _GridData:
 
     def __init__(self, problem, grid, keep_nodes=False):
         self.problem = problem
-        self.grid = np.asarray(grid, dtype=float)
+        self.grid = np.asarray(_points("grid", grid))
         if self.grid.ndim != 1 or self.grid.size < 2 or not np.all(np.diff(self.grid) > 0):
             raise ConfigurationError("grid must be strictly increasing with >= 2 points")
         self.n_cells = self.grid.size - 1
@@ -295,7 +303,7 @@ class _GridData:
         # jumps and the continuous increments, so such grids are refused.
         hits = []
         for i, g in enumerate(problem.derivators):
-            g._require_inside(self.grid[:-1], include_right=False)
+            g._require_inside("t", self.grid[:-1], include_right=False)
             inside = (g.jump_points >= self.grid[0]) & (g.jump_points < self.grid[-1])
             pts = g.jump_points[inside]
             rows = np.searchsorted(self.grid, pts)

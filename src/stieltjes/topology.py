@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivator import _sorted_unique, classify
-from .errors import ConfigurationError, IntegrandError
+from .derivator import _shared_window, _sorted_unique, classify
+from .errors import IntegrandError, _pairs
 from .measure import _sample_finite
 
 __all__ = [
@@ -41,8 +41,7 @@ def is_relatively_continuous(g1, g2):
     Exact endpoint comparison: derivators meant to share structure must be
     built from shared classification data.
     """
-    if g1.window != g2.window:
-        raise ConfigurationError(f"window mismatch: {g1.window} != {g2.window}")
+    _shared_window((g1, g2))
     c1, c2 = classify(g1), classify(g2)
     return _intervals_subset(c2.sorted_constancy(), c1.sorted_constancy()) and set(
         c1.discontinuities
@@ -51,8 +50,7 @@ def is_relatively_continuous(g1, g2):
 
 def topologies_equal(g1, g2):
     """True iff g1 and g2 induce the same topology (equal classifications)."""
-    if g1.window != g2.window:
-        raise ConfigurationError(f"window mismatch: {g1.window} != {g2.window}")
+    _shared_window((g1, g2))
     return classify(g1) == classify(g2)
 
 
@@ -97,7 +95,7 @@ def check_g_continuity_sampled(f, g, probes):
     left, right = g.window
     span = right - left
     base = np.linspace(left, right, 2000)
-    probe_ts = np.array([float(t) for t, _ in probes])
+    probe_ts, eps = _pairs("probes", probes).T
     # anchor points whose one-sided neighborhoods must be represented below
     # the finest ladder delta: jump abscissas of g and the probes themselves
     anchors = np.concatenate([g.jump_points, probe_ts])
@@ -118,14 +116,14 @@ def check_g_continuity_sampled(f, g, probes):
     deltas = [delta0 * (10.0 ** -j) for j in range(9)]
     report = ContinuityReport()
     at = samples.searchsorted(probe_ts).tolist()  # every probe is a sample
-    for t, (_, eps), i in zip(probe_ts.tolist(), probes, at):
+    for t, eps, i in zip(probe_ts.tolist(), eps.tolist(), at):
         g_gap = np.abs(g_samples - g_samples[i])
         far = np.abs(f_samples - f_samples[i]) >= eps
         # a delta admits no refuting sample when it is at most every far one's g-gap
         closest = g_gap[far].min(initial=np.inf)
         refuted = closest < deltas[-1]  # even the smallest delta admits a refuting sample
         report.probes.append(ContinuityProbe(
-            t=t, eps=float(eps), verdict="REFUTED" if refuted else "CONSISTENT",
+            t=t, eps=eps, verdict="REFUTED" if refuted else "CONSISTENT",
             delta=next((d for d in deltas if d <= closest), deltas[-1]),
             witness=float(samples[np.flatnonzero(far & (g_gap < deltas[-1]))[0]])
             if refuted else None,

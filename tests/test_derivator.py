@@ -202,9 +202,9 @@ class TestValidation:
         ([0.0, 1.0], ["2"], (), r"slopes\[0\] must be a finite real number, got '2'"),
         ([False, 1.0], [1.0], (), r"breakpoints\[0\] must be a finite real number, got False"),
         ([0.0, 1.0], [1.0], [("0.5", "1")], r"jumps\[0\]\[0\] must be a finite real number, got '0.5'"),
-        ([0.0, 1.0], [1.0], 0.5, r"jumps must be an iterable of \(point, size\) pairs"),
+        ([0.0, 1.0], [1.0], 0.5, r"jumps must be an iterable of pairs, got 0.5"),
         ([0.0, 1.0], [1.0], [0.5], r"jumps\[0\] must be a sequence of finite real numbers"),
-        ([0.0, 1.0], [1.0], [(0.5, 1.0, 2.0)], r"each jump must be a \(point, size\) pair"),
+        ([0.0, 1.0], [1.0], [(0.5, 1.0, 2.0)], r"jumps\[0\] must be a pair, got \[0.5, 1.0, 2.0\]"),
         ([0.0, 1.0], [1.0], None, r"jumps must be an iterable"),
     ])
     def test_refused_grids_slopes_and_jumps(self, breakpoints, slopes, jumps, message):
@@ -220,9 +220,9 @@ class TestValidation:
             sum_derivators([])
 
     @pytest.mark.parametrize("classification, window, message", [
-        (Classification(), (1.0, 0.0), "invalid window"),
+        (Classification(), (1.0, 0.0), r"window must be a finite pair \(L, R\) with L < R"),
         (Classification(constancy=[(0.5, 1.5)]), (0.0, 1.0), "not inside the window"),
-        (Classification(discontinuities=[1.0]), (0.0, 1.0), "not strictly inside the window"),
+        (Classification(discontinuities=[1.0]), (0.0, 1.0), "jump points must lie strictly inside the window"),
     ])
     def test_from_classification_refuses_what_the_window_cannot_hold(
             self, classification, window, message):

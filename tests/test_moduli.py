@@ -112,12 +112,12 @@ class TestIteratedExpLog:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_exp_iter_refuses_nan(self, k):
         # it used to return nan for k = 0 and report an overflow for k >= 1
-        with pytest.raises(ConfigurationError, match="got t=nan"):
+        with pytest.raises(ConfigurationError, match="t must be a finite real number, got nan"):
             exp_iter(k, math.nan)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_log_iter_refuses_nan(self, k):
-        with pytest.raises(ConfigurationError, match="got t=nan"):
+        with pytest.raises(ConfigurationError, match="t must be a finite real number, got nan"):
             log_iter(k, math.nan)
 
     def test_overflow_is_explicit(self):
@@ -214,8 +214,11 @@ class TestOmegaKScalarBranch:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("bad", [-5e-324, -1.0, -math.inf, math.inf, math.nan])
     def test_same_error_for_a_float_and_an_array(self, k, bad):
+        # a point that is not finite is refused by the reader of points, naming the entry
+        message = ("omega_k is defined for finite t >= 0" if math.isfinite(bad)
+                   else r"t(\[1\])? must be a finite real number")
         for t in (bad, np.array([0.5, bad]), np.array(bad)):
-            with pytest.raises(ConfigurationError, match="omega_k is defined for finite t >= 0"):
+            with pytest.raises(ConfigurationError, match=message):
                 omega_k(k, t)
         assert omega_k_modulus(k).batch(np.array([0.5, bad])) is None
 

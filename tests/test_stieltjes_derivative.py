@@ -165,7 +165,10 @@ class TestDerivative:
 
     @pytest.mark.parametrize("t", [-0.5, 2.0, math.nan])
     def test_a_derivative_outside_the_window(self, t):
-        with pytest.raises(WindowDomainError, match=rf"t={t} outside \[0.0, 2.0\)"):
+        # NaN is refused by the reader of points, before the window test
+        error, message = ((WindowDomainError, rf"t={t} outside the working window \[0.0, 2.0\)")
+                          if math.isfinite(t) else (ConfigurationError, "t must be a finite real number, got nan"))
+        with pytest.raises(error, match=message):
             stieltjes_derivative(lambda s: s, idjump(), t)
 
 
@@ -463,7 +466,7 @@ class TestIndefiniteIntegral:
 
     @pytest.mark.parametrize("a", [-0.5, 2.0, 3.0])
     def test_a_start_outside_the_window(self, a):
-        with pytest.raises(WindowDomainError, match=rf"a={a} outside \[0.0, 2.0\)"):
+        with pytest.raises(WindowDomainError, match=rf"a={a} outside the working window \[0.0, 2.0\)"):
             indefinite_integral(lambda t: 1.0, idjump(), a)
 
     def test_batch_rejects_points_outside(self):
@@ -544,7 +547,7 @@ class TestFtc:
 
     def test_an_end_beyond_the_window_is_refused(self):
         # F is defined on [a, R] only: samples past R used to raise part-way
-        with pytest.raises(WindowDomainError, match=r"b=2\.0, R=1\.0"):
+        with pytest.raises(WindowDomainError, match=r"b=2\.0 outside the working window \[0\.0, 1\.0\]"):
             check_ftc(math.sin, Derivator.identity((0.0, 1.0)), 0.0, 2.0, sample_count=4)
         report = check_ftc(math.sin, Derivator.identity((0.0, 1.0)), 0.0, 1.0, sample_count=4)
         assert report.ok()
